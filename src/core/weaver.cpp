@@ -30,15 +30,9 @@ Weaver::~Weaver() {
 }
 
 void Weaver::weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven) {
-    // Per-aspect join-point telemetry: every advice execution bumps the
-    // aspect's call counter and records its (real, CPU) latency. Slots are
-    // resolved once per weave; the woven hooks carry raw pointers, which
-    // stay valid because these are pinned registry entries.
-    obs::Counter* calls =
-        &obs::Registry::global().counter("weaver.advice_calls", woven.aspect->name());
-    obs::Histogram* latency =
-        &obs::Registry::global().histogram("weaver.advice_ns", woven.aspect->name());
-
+    // Join-point telemetry: every advice execution records its (real, CPU)
+    // latency once, into the profiler site of its (extension, pointcut) —
+    // the per-aspect view is a fold of those sites (obs::attribution_from).
     // The wrapper also reports every outcome to the advice observer (the
     // receiver's quarantine input) — success as nullptr, failure as the
     // escaping exception, which is then rethrown unchanged. The observer
@@ -48,41 +42,30 @@ void Weaver::weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven) {
     // and withdraw retires it through the epoch domain after unhooking, so
     // no hook — including a superseded snapshot still being walked on
     // another shard — outlives its Woven.
-    auto timed = [this, id, calls, latency, wp = &woven](
+    auto timed = [this, id, wp = &woven](
                      const obs::Profiler::Site& site, const auto& fn,
                      auto&&... args) -> decltype(auto) {
         const bool instrument = obs::enabled();
-        if (instrument) {
-            calls->inc();
-            if (!wp->first_dispatched.load(std::memory_order_relaxed) &&
-                !wp->first_dispatched.exchange(true, std::memory_order_relaxed)) {
-                // First advice execution ever for this weave: mark it on
-                // the weave's own trace (install → weave → first dispatch
-                // is the chain the paper's Fig 2 walks through).
-                auto& tb = obs::TraceBuffer::global();
-                obs::TraceBuffer::ContextScope scope(tb, wp->weave_ctx);
-                tb.instant("prose.weaver", "advice.first_dispatch",
-                           {{"aspect", wp->aspect->name()}});
-            }
+        if (instrument && !wp->first_dispatched.load(std::memory_order_relaxed) &&
+            !wp->first_dispatched.exchange(true, std::memory_order_relaxed)) {
+            // First advice execution ever for this weave: mark it on the
+            // weave's own trace (install → weave → first dispatch is the
+            // chain the paper's Fig 2 walks through).
+            auto& tb = obs::TraceBuffer::global();
+            obs::TraceBuffer::ContextScope scope(tb, wp->weave_ctx);
+            tb.instant("prose.weaver", "advice.first_dispatch",
+                       {{"aspect", wp->aspect->name()}});
         }
         Clock::time_point t0 = instrument ? Clock::now() : Clock::time_point{};
         try {
             if constexpr (std::is_void_v<decltype(fn(
                               std::forward<decltype(args)>(args)...))>) {
                 fn(std::forward<decltype(args)>(args)...);
-                if (instrument) {
-                    double ns = elapsed_ns(t0);
-                    latency->observe(ns);
-                    site.record(ns);
-                }
+                if (instrument) site.record(elapsed_ns(t0));
                 if (advice_observer_) advice_observer_(id, nullptr);
             } else {
                 auto result = fn(std::forward<decltype(args)>(args)...);
-                if (instrument) {
-                    double ns = elapsed_ns(t0);
-                    latency->observe(ns);
-                    site.record(ns);
-                }
+                if (instrument) site.record(elapsed_ns(t0));
                 if (advice_observer_) advice_observer_(id, nullptr);
                 return result;
             }

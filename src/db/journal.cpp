@@ -13,9 +13,8 @@ namespace {
 // Frame layout: [u32 payload length][u32 crc32(payload)][payload].
 constexpr std::size_t kFrameHeader = 8;
 
-// A batch frame's payload opens with this magic. The first byte is not a
-// valid rt::Value tag (tags are 0..7), so no single-record payload can
-// collide with it — legacy and batch frames interleave unambiguously.
+// Every WAL frame is a batch (an unbatched append is a one-record batch);
+// its payload opens with this magic.
 constexpr std::array<std::uint8_t, 4> kBatchMagic = {0xB5, 'G', 'C', '1'};
 // After the magic: [u32 record count][per record: u32 length][encoding]...
 constexpr std::size_t kBatchHeader = kBatchMagic.size() + 4;
@@ -60,26 +59,16 @@ std::optional<std::span<const std::uint8_t>> read_frame_payload(
     return payload;
 }
 
-bool is_batch_payload(std::span<const std::uint8_t> payload) {
-    return payload.size() >= kBatchMagic.size() &&
-           std::equal(kBatchMagic.begin(), kBatchMagic.end(), payload.begin());
-}
-
-/// Decode a CRC-valid WAL frame payload into `out`. A batch frame yields
-/// its member records in order; a per-record frame yields one record.
-/// False means the payload is malformed despite the CRC (collision or
-/// hostile bytes) — the caller drops the whole frame, all-or-nothing.
+/// Decode a CRC-valid WAL batch frame payload into `out`, its member
+/// records in order. False means the payload is malformed despite the CRC
+/// (collision or hostile bytes) — the caller drops the whole frame,
+/// all-or-nothing.
 bool decode_wal_payload(std::span<const std::uint8_t> payload,
                         std::vector<rt::Value>& out) {
-    if (!is_batch_payload(payload)) {
-        try {
-            out.push_back(rt::Value::decode(payload));
-            return true;
-        } catch (const std::exception&) {
-            return false;
-        }
+    if (payload.size() < kBatchHeader ||
+        !std::equal(kBatchMagic.begin(), kBatchMagic.end(), payload.begin())) {
+        return false;
     }
-    if (payload.size() < kBatchHeader) return false;
     ByteReader reader(payload.subspan(kBatchMagic.size()));
     std::uint32_t count = reader.read_u32();
     std::vector<rt::Value> records;
@@ -99,9 +88,9 @@ bool decode_wal_payload(std::span<const std::uint8_t> payload,
     return true;
 }
 
-/// Decode one snapshot field: either a single legacy frame or a chunk
-/// chain (manifest + N chunks, each its own CRC frame). nullopt on any
-/// damage — the caller may fall back to the previous chain.
+/// Decode one snapshot field: a chunk chain (manifest + N chunks, each its
+/// own CRC frame). nullopt on any damage — the caller may fall back to the
+/// previous chain.
 std::optional<rt::Value> read_snapshot_field(std::span<const std::uint8_t> field) {
     std::size_t pos = 0;
     auto first = read_frame_payload(field, pos);
@@ -114,7 +103,7 @@ std::optional<rt::Value> read_snapshot_field(std::span<const std::uint8_t> field
     }
     const rt::Value* marker =
         head.is_dict() ? head.as_dict().find("__snap__") : nullptr;
-    if (!marker) return head;  // legacy monolithic snapshot
+    if (!marker) return std::nullopt;
     try {
         if (marker->as_str() != "manifest") return std::nullopt;
         const rt::Dict& m = head.as_dict();
@@ -211,11 +200,6 @@ Journal::Restored Journal::restore() const {
 void Journal::append(const rt::Value& record) {
     if (!powered_) return;
     ++wal_records_;
-    if (!config_.batching()) {
-        append_frame(storage_->wal, record.encode());
-        obs::Registry::global().counter("db.journal.appends", storage_->name).inc();
-        return;
-    }
     if (pending_count_ == 0) {
         pending_.insert(pending_.end(), kBatchMagic.begin(), kBatchMagic.end());
         append_u32(pending_, 0);  // record count, patched at flush
@@ -226,7 +210,9 @@ void Journal::append(const rt::Value& record) {
     record.encode(pending_);
     write_u32_at(pending_, len_pos, static_cast<std::uint32_t>(pending_.size() - start));
     ++pending_count_;
-    if (config_.batch_bytes > 0 && pending_.size() >= config_.batch_bytes) {
+    // Without group commit every record is flushed as its own batch.
+    if (!config_.batching() ||
+        (config_.batch_bytes > 0 && pending_.size() >= config_.batch_bytes)) {
         flush();
     } else {
         arm_flush_timer();
@@ -255,42 +241,36 @@ void Journal::compact(const rt::Value& state) {
     cancel_flush_timer();
 
     Bytes payload = state.encode();
-    if (config_.snapshot_chunk_bytes > 0) {
-        const std::size_t chunk = config_.snapshot_chunk_bytes;
-        const std::uint64_t id = ++chain_counter_;
-        const std::size_t chunks = (payload.size() + chunk - 1) / chunk;
-        Bytes chain;
-        chain.reserve(payload.size() + (chunks + 1) * 64);
-        rt::Value manifest{rt::Dict{
-            {"__snap__", rt::Value{std::string("manifest")}},
+    // Without chunking the chain is one chunk holding the whole payload.
+    const std::size_t chunk =
+        config_.snapshot_chunk_bytes > 0 ? config_.snapshot_chunk_bytes : payload.size();
+    const std::uint64_t id = ++chain_counter_;
+    const std::size_t chunks = (payload.size() + chunk - 1) / chunk;
+    Bytes chain;
+    chain.reserve(payload.size() + (chunks + 1) * 64);
+    rt::Value manifest{rt::Dict{
+        {"__snap__", rt::Value{std::string("manifest")}},
+        {"chain", rt::Value{static_cast<std::int64_t>(id)}},
+        {"chunks", rt::Value{static_cast<std::int64_t>(chunks)}},
+        {"total", rt::Value{static_cast<std::int64_t>(payload.size())}},
+        {"crc", rt::Value{static_cast<std::int64_t>(crc32(payload))}}}};
+    append_frame(chain, manifest.encode());
+    for (std::size_t i = 0; i < chunks; ++i) {
+        const std::size_t off = i * chunk;
+        const std::size_t n = std::min(chunk, payload.size() - off);
+        rt::Value cv{rt::Dict{
+            {"__snap__", rt::Value{std::string("chunk")}},
             {"chain", rt::Value{static_cast<std::int64_t>(id)}},
-            {"chunks", rt::Value{static_cast<std::int64_t>(chunks)}},
-            {"total", rt::Value{static_cast<std::int64_t>(payload.size())}},
-            {"crc", rt::Value{static_cast<std::int64_t>(crc32(payload))}}}};
-        append_frame(chain, manifest.encode());
-        for (std::size_t i = 0; i < chunks; ++i) {
-            const std::size_t off = i * chunk;
-            const std::size_t n = std::min(chunk, payload.size() - off);
-            rt::Value cv{rt::Dict{
-                {"__snap__", rt::Value{std::string("chunk")}},
-                {"chain", rt::Value{static_cast<std::int64_t>(id)}},
-                {"index", rt::Value{static_cast<std::int64_t>(i)}},
-                {"data",
-                 rt::Value{Bytes(payload.begin() + static_cast<std::ptrdiff_t>(off),
-                                 payload.begin() + static_cast<std::ptrdiff_t>(off + n))}}}};
-            append_frame(chain, cv.encode());
-        }
-        // The old chain stays readable until the new one is complete on
-        // the medium — a crash mid-compact degrades, never destroys.
-        storage_->snapshot_prev = std::move(storage_->snapshot);
-        storage_->snapshot = std::move(chain);
-    } else {
-        Bytes snap;
-        append_frame(snap, payload);
-        storage_->snapshot = std::move(snap);
-        // A stale fallback chain must not resurrect pre-compact state.
-        storage_->snapshot_prev.clear();
+            {"index", rt::Value{static_cast<std::int64_t>(i)}},
+            {"data",
+             rt::Value{Bytes(payload.begin() + static_cast<std::ptrdiff_t>(off),
+                             payload.begin() + static_cast<std::ptrdiff_t>(off + n))}}}};
+        append_frame(chain, cv.encode());
     }
+    // The old chain stays readable until the new one is complete on
+    // the medium — a crash mid-compact degrades, never destroys.
+    storage_->snapshot_prev = std::move(storage_->snapshot);
+    storage_->snapshot = std::move(chain);
     storage_->wal.clear();
     wal_records_ = 0;
     obs::Registry::global().counter("db.journal.compactions", storage_->name).inc();

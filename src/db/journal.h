@@ -10,20 +10,20 @@
 // mid-append) or a corrupted tail is dropped and reported; everything
 // before it is recovered intact.
 //
-// Group commit (docs/storage.md): with a non-zero `JournalConfig`, append()
-// buffers records and flushes them as one CRC-framed multi-record batch
-// when the buffer reaches `batch_bytes` or `batch_ms` of virtual time has
-// passed since the first buffered record. A power cut mid-batch loses only
-// the unflushed group — never a previously flushed frame — and restore()
-// replays batch and per-record frames transparently, interleaved in any
-// order.
+// One format (docs/storage.md). Every WAL frame is a CRC-framed
+// multi-record batch: with group commit (`batch_bytes` / `batch_ms` in
+// `JournalConfig`) append() buffers records and flushes them together when
+// the buffer reaches `batch_bytes` or `batch_ms` of virtual time has passed
+// since the first buffered record; without it every record is flushed as
+// a one-record batch. A power cut mid-batch loses only the unflushed
+// group — never a previously flushed frame.
 //
-// Incremental snapshots: with `snapshot_chunk_bytes` set, compact() writes
-// the snapshot as a chain of CRC-framed chunk records (one manifest frame
-// plus N chunk frames, each independently verifiable) and keeps the
-// previous complete chain in `JournalStorage::snapshot_prev`. A corrupt
-// chunk degrades recovery to the previous chain (`snapshot_fallback`)
-// instead of discarding the snapshot wholesale.
+// Every snapshot is a chain of CRC-framed chunk records (one manifest
+// frame plus N chunk frames of `snapshot_chunk_bytes`, each independently
+// verifiable; one chunk when unset), and compact() keeps the previous
+// complete chain in `JournalStorage::snapshot_prev`. A corrupt chunk
+// degrades recovery to the previous chain (`snapshot_fallback`) instead of
+// discarding the snapshot wholesale.
 //
 // Crash modelling: power_off() simulates the instant the process dies —
 // writes issued after it never reach the medium (and buffered batch
@@ -46,17 +46,17 @@ namespace pmp::db {
 /// it survives the node's destruction — the simulated disk.
 struct JournalStorage {
     std::string name;   ///< obs label, typically the node label
-    Bytes snapshot;     ///< last compacted snapshot (frame or chunk chain)
+    Bytes snapshot;       ///< last compacted snapshot (chunk chain)
     Bytes snapshot_prev;  ///< previous complete chunk chain (fallback)
-    Bytes wal;          ///< CRC-framed records appended since the snapshot
+    Bytes wal;            ///< CRC-framed batches appended since the snapshot
 };
 
 /// CRC-32 (IEEE 802.3, reflected) over `data`. Exposed so tests can build
 /// hand-crafted frames.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
-/// Group-commit and snapshot-chunking knobs. The all-zero default is the
-/// seed behavior: one frame per record, one monolithic snapshot frame.
+/// Group-commit and snapshot-chunking knobs. The all-zero default commits
+/// every record on its own and writes each snapshot as a single chunk.
 struct JournalConfig {
     /// Flush the pending batch once its payload reaches this size. 0
     /// disables size-based batching.
@@ -64,8 +64,7 @@ struct JournalConfig {
     /// Flush at most this long (virtual time) after the first buffered
     /// record. Requires a simulator; 0 disables the timer.
     Duration batch_ms = Duration{0};
-    /// Emit snapshots as a manifest + chunks of this size. 0 keeps the
-    /// single-frame snapshot.
+    /// Chunk size of the snapshot chain. 0 writes one chunk.
     std::size_t snapshot_chunk_bytes = 0;
 
     bool batching() const { return batch_bytes > 0 || batch_ms.count() > 0; }
@@ -100,11 +99,12 @@ public:
     /// is dropped (torn final write = normal crash debris); a corrupt
     /// snapshot falls back to the previous chunk chain if one exists, else
     /// yields no snapshot but still replays the WAL. Batch frames replay
-    /// transparently as their member records.
+    /// as their member records.
     Restored restore() const;
 
-    /// Append one record. Without batching, writes one frame immediately.
-    /// With batching, buffers into the pending group (see flush()). Dropped
+    /// Append one record. Without batching, writes a one-record batch frame
+    /// immediately. With batching, buffers into the pending group (see
+    /// flush()). Dropped
     /// silently when powered off (the process died; the write never reached
     /// the disk).
     void append(const rt::Value& record);
@@ -114,8 +114,7 @@ public:
 
     /// Atomically replace the snapshot with `state` and truncate the WAL
     /// (buffered records are folded into `state` by the caller and are
-    /// discarded). Chunked mode retires the current chain to
-    /// `snapshot_prev`.
+    /// discarded). The current chain retires to `snapshot_prev`.
     void compact(const rt::Value& state);
 
     /// Process death: every write after this instant is lost, including

@@ -25,19 +25,23 @@ ExtensionBase::ExtensionBase(rt::RpcEndpoint& rpc, disco::Registrar& registrar,
       config_(std::move(config)),
       journal_(std::move(journal)),
       hall_store_(hall_store),
-      installs_sent_c_("midas.base.installs_sent", config_.issuer),
-      install_failures_c_("midas.base.install_failures", config_.issuer),
-      keepalives_sent_c_("midas.base.keepalives_sent", config_.issuer),
-      keepalive_failures_c_("midas.base.keepalive_failures", config_.issuer),
-      nodes_dropped_c_("midas.base.nodes_dropped", config_.issuer),
-      nodes_handed_off_c_("midas.base.nodes_handed_off", config_.issuer),
-      recoveries_c_("midas.base.recoveries", config_.issuer),
-      adapted_nodes_g_("midas.base.adapted_nodes", config_.issuer),
-      epoch_g_("midas.base.epoch", config_.issuer),
       backoff_rng_(config_.backoff_seed),
       breaker_(rpc.router().simulator(), config_.issuer,
                rt::BreakerConfig{config_.breaker_threshold, config_.breaker_open_period,
-                                 config_.breaker_open_max}) {
+                                 config_.breaker_open_max}),
+      obs_source_(obs::Registry::global().add_source([this](obs::Rows& rows) {
+          const Stats& s = stats_;
+          const std::string& l = config_.issuer;
+          rows.counter("midas.base.installs_sent", l, s.installs_sent);
+          rows.counter("midas.base.install_failures", l, s.install_failures);
+          rows.counter("midas.base.keepalives_sent", l, s.keepalives_sent);
+          rows.counter("midas.base.keepalive_failures", l, s.keepalive_failures);
+          rows.counter("midas.base.nodes_dropped", l, s.nodes_dropped);
+          rows.counter("midas.base.nodes_handed_off", l, s.nodes_handed_off);
+          rows.counter("midas.base.recoveries", l, s.recoveries);
+          rows.gauge("midas.base.adapted_nodes", l, static_cast<std::int64_t>(adapted_.size()));
+          rows.gauge("midas.base.epoch", l, static_cast<std::int64_t>(epoch_));
+      })) {
     // Before recover(): a journal holding a half-finished rollout hands it
     // straight to the controller to resume at the journaled stage.
     rollout_ = std::make_unique<RolloutController>(*this, config_.rollout);
@@ -62,7 +66,6 @@ ExtensionBase::ExtensionBase(rt::RpcEndpoint& rpc, disco::Registrar& registrar,
             db::Retention{config_.hall_retention_records, config_.hall_retention_bytes},
             config_.issuer);
     }
-    epoch_g_->set(static_cast<std::int64_t>(epoch_));
     build_catchup_object();
     registrar_.register_permanent("midas.catchup",
                                   Dict{{"issuer", Value{config_.issuer}}});
@@ -85,7 +88,7 @@ void ExtensionBase::recover() {
     epoch_ = st.epoch + 1;
     std::uint64_t span = 0;
     if (had_life) {
-        recoveries_c_.inc();
+        ++stats_.recoveries;
         span = obs::TraceBuffer::global().begin_span(
             "midas.recovery", "base.recover",
             {{"issuer", config_.issuer}, {"epoch", std::to_string(epoch_)}});
@@ -114,7 +117,6 @@ void ExtensionBase::recover() {
         an.recovered = true;
         adapted_.emplace(an.node, std::move(an));
     }
-    adapted_nodes_g_->set(static_cast<std::int64_t>(adapted_.size()));
     if (hall_store_) {
         for (const auto& ev : st.events) hall_store_->append(ev.source, ev.at, ev.data);
     }
@@ -310,7 +312,6 @@ void ExtensionBase::adapt_node(NodeId node, const std::string& label,
         it->second.since = now;
         restamped = true;
     }
-    adapted_nodes_g_->set(static_cast<std::int64_t>(adapted_.size()));
     if (fresh) {
         record("adapt", label, "");
         log_info(now, "base@" + config_.issuer, "adapting node ", label);
@@ -329,7 +330,7 @@ void ExtensionBase::adapt_node(NodeId node, const std::string& label,
 bool ExtensionBase::release_node(const std::string& label) {
     for (auto it = adapted_.begin(); it != adapted_.end(); ++it) {
         if (it->second.label != label) continue;
-        nodes_handed_off_c_.inc();
+        ++stats_.nodes_handed_off;
         breaker_.forget(it->second.node);
         cell_forget(it->second);
         record("handoff", label, "");
@@ -337,7 +338,6 @@ bool ExtensionBase::release_node(const std::string& label) {
                  label, " handed off to a neighbouring base");
         adapted_.erase(it);
         journal(BaseDurableState::rec_node_gone(label));
-        adapted_nodes_g_->set(static_cast<std::int64_t>(adapted_.size()));
         return true;
     }
     return false;
@@ -402,7 +402,7 @@ void ExtensionBase::install_on(NodeId node, const std::string& name,
         }
         return;
     }
-    installs_sent_c_.inc();
+    ++stats_.installs_sent;
     std::string label;
     if (auto pre = adapted_.find(node); pre != adapted_.end()) {
         pre->second.retry[name].in_flight = true;
@@ -411,10 +411,12 @@ void ExtensionBase::install_on(NodeId node, const std::string& name,
     // Version selection: cohort members of an active rollout get the canary
     // package, everyone else the incumbent from the policy set.
     const Bytes* payload = &policy_it->second.sealed;
+    std::uint32_t sent_version = policy_it->second.pkg.version;
     bool canary_sent = false;
     if (rollout_ && rollout_->selects_canary(name, label)) {
         if (const Bytes* canary = rollout_->canary_sealed(name)) {
             payload = canary;
+            sent_version = rollout_->canary_version(name);
             canary_sent = true;
         }
     }
@@ -437,7 +439,7 @@ void ExtensionBase::install_on(NodeId node, const std::string& name,
         {Value{*payload}, Value{lease_ms},
          Value{static_cast<std::int64_t>(epoch_)}},
         rt::CallOptions{.timeout = config_.keepalive_period, .retries = 2},
-        [this, node, name, push_span, label, canary_sent](
+        [this, node, name, push_span, label, sent_version, canary_sent](
             Value result, std::exception_ptr error, bool transport) {
             obs::TraceBuffer::global().end_span(push_span, {{"ok", error ? "false" : "true"}});
             auto adapted_it = adapted_.find(node);
@@ -445,7 +447,7 @@ void ExtensionBase::install_on(NodeId node, const std::string& name,
             RetryState& rs = adapted_it->second.retry[name];
             rs.in_flight = false;
             if (error) {
-                install_failures_c_.inc();
+                ++stats_.install_failures;
                 ++rs.attempts;
                 Duration backoff = install_backoff_for(rs.attempts);
                 bool overloaded = false;
@@ -461,9 +463,7 @@ void ExtensionBase::install_on(NodeId node, const std::string& name,
                              "install of '", name, "' on ", adapted_it->second.label,
                              " shed: ", e.what());
                 } catch (const std::exception& e) {
-                    quarantine_refusal =
-                        std::string_view{e.what()}.find("quarantined") !=
-                        std::string_view::npos;
+                    quarantine_refusal = is_quarantine_refusal(e);
                     log_warn(rpc_.router().simulator().now(), "base@" + config_.issuer,
                              "install of '", name, "' on ", adapted_it->second.label,
                              " failed: ", e.what());
@@ -482,18 +482,15 @@ void ExtensionBase::install_on(NodeId node, const std::string& name,
             adapted_it->second.retry.erase(name);
             std::uint64_t ext =
                 static_cast<std::uint64_t>(result.as_dict().at("ext").as_int());
-            if (rollout_) {
-                bool wants = rollout_->selects_canary(name, label);
-                if (canary_sent != wants) {
-                    // The assignment flipped while the install was on the
-                    // air (promotion widened the cohort, or an abort shrank
-                    // it to nothing). Leave the name uninstalled: the retry
-                    // loop re-pushes the now-correct version and the
-                    // receiver replaces on version difference.
-                    return;
-                }
-                if (canary_sent) rollout_->note_install_ok(name, label);
+            if (sent_version != wanted_version(name, label)) {
+                // What this node should run moved while the install was on
+                // the air (add_extension pushed a newer policy, a promotion
+                // widened the cohort, an abort shrank it). Leave the name
+                // uninstalled: the retry loop re-pushes the now-correct
+                // version and the receiver replaces on version difference.
+                return;
             }
+            if (canary_sent) rollout_->note_install_ok(name, label);
             adapted_it->second.installed[name] = ext;
             record("install", adapted_it->second.label, name);
             journal(BaseDurableState::rec_install(node.value, adapted_it->second.label,
@@ -503,6 +500,15 @@ void ExtensionBase::install_on(NodeId node, const std::string& name,
     // "After install sent, before activity recorded" — the canonical
     // crash-point: the package is on the air, nothing is journaled yet.
     sim::FailPoints::hit(config_.issuer, "install.sent");
+}
+
+std::uint32_t ExtensionBase::wanted_version(const std::string& name,
+                                            const std::string& label) const {
+    if (rollout_ && rollout_->selects_canary(name, label)) {
+        return rollout_->canary_version(name);
+    }
+    auto it = policy_.find(name);
+    return it == policy_.end() ? 0 : it->second.pkg.version;
 }
 
 Duration ExtensionBase::install_backoff_for(int attempts) {
@@ -565,7 +571,7 @@ void ExtensionBase::keepalive_tick() {
             install_on(node, name, visiting);
         }
         for (const auto& [name, ext] : adapted.installed) {
-            keepalives_sent_c_.inc();
+            ++stats_.keepalives_sent;
             NodeId node_id = node;
             rpc_.call_async(
                 node, "adaptation", "keepalive",
@@ -577,7 +583,7 @@ void ExtensionBase::keepalive_tick() {
                     auto it = adapted_.find(node_id);
                     if (it == adapted_.end()) return;
                     if (error) {
-                        keepalive_failures_c_.inc();
+                        ++stats_.keepalive_failures;
                         bool overloaded = false;
                         try {
                             std::rethrow_exception(error);
@@ -593,7 +599,12 @@ void ExtensionBase::keepalive_tick() {
                     }
                     breaker_.on_success(node_id);
                     it->second.failures = 0;
-                    if (!result.as_bool()) {
+                    if (const std::int64_t* escalations = result.if_int()) {
+                        // Renewed, with governor escalations to report.
+                        if (rollout_) {
+                            rollout_->note_escalations(name, it->second.label, *escalations);
+                        }
+                    } else if (!result.as_bool()) {
                         // Receiver no longer knows the extension (expired
                         // there, restarted, or it detected our restart via
                         // the epoch). Drop the stale id — keeping it would
@@ -629,9 +640,10 @@ void ExtensionBase::detach_cell(const std::string& cell) {
              cell, "' detached; members fall back to direct keep-alives");
 }
 
-ExtensionBase::CellStats ExtensionBase::cell_stats(const std::string& cell) const {
+const ExtensionBase::CellStats& ExtensionBase::cell_stats(const std::string& cell) const {
+    static const CellStats kNone{};
     auto it = cells_.find(cell);
-    return it == cells_.end() ? CellStats{} : it->second.stats;
+    return it == cells_.end() ? kNone : it->second.stats;
 }
 
 std::string ExtensionBase::policy_hash(const std::string& name) const {
@@ -681,7 +693,7 @@ void ExtensionBase::cell_tick(const std::string& cell, CellState& cs) {
             auto iit = a.installed.find(name);
             if (iit != a.installed.end()) {
                 desired[{node.value, name}] = RosterEntry{iit->second, *hash};
-                keepalives_sent_c_.inc();
+                ++stats_.keepalives_sent;
             } else {
                 desired[{node.value, name}] = RosterEntry{0, *hash};
             }
@@ -863,7 +875,7 @@ void ExtensionBase::process_cell_reply(const std::string& cell, std::uint64_t se
                     if (wants) rollout_->note_install_ok(name, a.label);
                 }
                 a.installed[name] = ext;
-                installs_sent_c_.inc();
+                ++stats_.installs_sent;
                 record("install", a.label, name);
                 journal(BaseDurableState::rec_install(node.value, a.label, name, ext));
                 break;
@@ -880,15 +892,22 @@ void ExtensionBase::process_cell_reply(const std::string& cell, std::uint64_t se
             case cellproto::kTransportFail:
             case cellproto::kShed:
             case cellproto::kError:
-                keepalive_failures_c_.inc();
-                breaker_.on_failure(node, code != cellproto::kError);
-                // kError is the relay relaying a non-transport install
-                // verdict — the only cell status that judges the package.
-                if (code == cellproto::kError && rollout_ &&
-                    rollout_->selects_canary(name, a.label)) {
-                    rollout_->note_install_error(name, a.label, false, false);
+            case cellproto::kQuarantined: {
+                ++stats_.keepalive_failures;
+                const bool transport =
+                    code == cellproto::kTransportFail || code == cellproto::kShed;
+                breaker_.on_failure(node, transport);
+                // kError and kQuarantined relay a non-transport install
+                // verdict — the only cell statuses that judge the package.
+                if (!transport && rollout_ && rollout_->selects_canary(name, a.label)) {
+                    rollout_->note_install_error(name, a.label, false,
+                                                 code == cellproto::kQuarantined);
                 }
                 if (++a.failures > config_.max_keepalive_failures) drop_node(node);
+                break;
+            }
+            case cellproto::kEscalated:
+                if (rollout_) rollout_->note_escalations(name, a.label, s.at("ext").as_int());
                 break;
             default:
                 break;
@@ -942,7 +961,7 @@ void ExtensionBase::process_cell_reply(const std::string& cell, std::uint64_t se
 void ExtensionBase::drop_node(NodeId node) {
     auto it = adapted_.find(node);
     if (it == adapted_.end()) return;
-    nodes_dropped_c_.inc();
+    ++stats_.nodes_dropped;
     breaker_.forget(node);
     cell_forget(it->second);
     std::string label = it->second.label;
@@ -951,7 +970,6 @@ void ExtensionBase::drop_node(NodeId node) {
              label, " left; stopping keep-alives");
     adapted_.erase(it);
     journal(BaseDurableState::rec_node_gone(label));
-    adapted_nodes_g_->set(static_cast<std::int64_t>(adapted_.size()));
 }
 
 // ------------------------------------------------ streaming catch-up -------
@@ -1049,12 +1067,6 @@ rt::Value ExtensionBase::catchup_chunk(std::uint64_t chain, std::int64_t index) 
     ++catchup_stats_.chunks;
     catchup_stats_.bytes_served += len;
     return Value{Dict{{"data", Value{std::move(data)}}}};
-}
-
-ExtensionBase::Stats ExtensionBase::stats() const {
-    return Stats{installs_sent_c_.value(),      install_failures_c_.value(),
-                 keepalives_sent_c_.value(),    keepalive_failures_c_.value(),
-                 nodes_dropped_c_.value(),      nodes_handed_off_c_.value()};
 }
 
 }  // namespace pmp::midas

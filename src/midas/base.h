@@ -46,7 +46,7 @@ struct BaseConfig {
     /// WAL frames between snapshot compactions (when journaling).
     std::size_t journal_compact_threshold = 256;
     /// Group-commit / chunked-snapshot knobs applied to the base's journal
-    /// (docs/storage.md). All-zero keeps the seed per-record behavior.
+    /// (docs/storage.md). All-zero commits every record on its own.
     db::JournalConfig journal;
     /// Chunk size for the streaming catch-up image served under the
     /// "midas.catchup" object (docs/recovery.md). The image is policy-only
@@ -152,8 +152,8 @@ public:
     };
     const std::vector<Activity>& activity() const { return activity_; }
 
-    /// Legacy stats view; authoritative counters live in the obs registry
-    /// under `midas.base.*` (labelled by issuer).
+    /// The base's counters, exported as `midas.base.*{issuer}` next to the
+    /// `adapted_nodes` and `epoch` gauges read off live state.
     struct Stats {
         std::uint64_t installs_sent = 0;
         std::uint64_t install_failures = 0;
@@ -161,8 +161,9 @@ public:
         std::uint64_t keepalive_failures = 0;  ///< call errors (timeout/unreachable)
         std::uint64_t nodes_dropped = 0;    ///< via keep-alive failure
         std::uint64_t nodes_handed_off = 0; ///< via federation claim
+        std::uint64_t recoveries = 0;       ///< journal recoveries of a prior life
     };
-    Stats stats() const;
+    const Stats& stats() const { return stats_; }
 
     /// Roaming support (see midas::Federation). `on_adapt` fires whenever a
     /// node is (re-)adapted; `release_node` drops a node another base has
@@ -196,7 +197,7 @@ public:
         std::uint64_t joins = 0;           ///< members learned from the relay
     };
     /// Stats for an attached cell; zeros if unknown/detached.
-    CellStats cell_stats(const std::string& cell) const;
+    const CellStats& cell_stats(const std::string& cell) const;
 
     /// Recovery support (see midas::Federation). begin_probation() gates
     /// every journal-recovered book entry out of the keep-alive loop and
@@ -284,6 +285,9 @@ private:
     /// Install `name` (prerequisites first) on an adapted node.
     void install_on(NodeId node, const std::string& name,
                     std::set<std::string>& visiting);
+    /// The version of `name` node `label` should run right now: the canary
+    /// for cohort members of an active rollout, else the policy's.
+    std::uint32_t wanted_version(const std::string& name, const std::string& label) const;
     void keepalive_tick();
     Duration install_backoff_for(int attempts);
     void drop_node(NodeId node);
@@ -314,16 +318,7 @@ private:
     std::map<std::string, CellState> cells_;
     std::vector<Activity> activity_;
 
-    // Registry-backed counters, labelled by issuer.
-    obs::OwnedCounter installs_sent_c_;
-    obs::OwnedCounter install_failures_c_;
-    obs::OwnedCounter keepalives_sent_c_;
-    obs::OwnedCounter keepalive_failures_c_;
-    obs::OwnedCounter nodes_dropped_c_;
-    obs::OwnedCounter nodes_handed_off_c_;
-    obs::OwnedCounter recoveries_c_;
-    obs::OwnedGauge adapted_nodes_g_;
-    obs::OwnedGauge epoch_g_;
+    Stats stats_;
 
     std::unique_ptr<RolloutController> rollout_;
     Rng backoff_rng_;
@@ -340,6 +335,7 @@ private:
     bool catchup_dirty_ = true;
     CatchupStats catchup_stats_;
     std::shared_ptr<rt::ServiceObject> catchup_object_;
+    obs::Source obs_source_;  // last: unregisters before the state it reads
 };
 
 }  // namespace pmp::midas

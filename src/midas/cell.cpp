@@ -2,6 +2,7 @@
 
 #include "common/error.h"
 #include "common/log.h"
+#include "midas/package.h"
 
 namespace pmp::midas {
 
@@ -20,6 +21,8 @@ int classify(std::exception_ptr error, bool transport) {
         std::rethrow_exception(error);
     } catch (const Overloaded&) {
         return cellproto::kShed;
+    } catch (const std::exception& e) {
+        if (!transport && is_quarantine_refusal(e)) return cellproto::kQuarantined;
     } catch (...) {
     }
     return transport ? cellproto::kTransportFail : cellproto::kError;
@@ -31,9 +34,11 @@ CellRelay::CellRelay(rt::RpcEndpoint& rpc, disco::Registrar* local_registrar,
     : rpc_(rpc),
       local_registrar_(local_registrar),
       config_(std::move(config)),
-      frames_c_("midas.cell.frames", config_.cell),
-      fanout_c_("midas.cell.fanout_calls", config_.cell),
-      resyncs_c_("midas.cell.resyncs", config_.cell) {
+      obs_source_(obs::Registry::global().add_source([this](obs::Rows& rows) {
+          rows.counter("midas.cell.frames", config_.cell, stats_.frames);
+          rows.counter("midas.cell.fanout_calls", config_.cell, stats_.fanout_calls);
+          rows.counter("midas.cell.resyncs", config_.cell, stats_.resyncs);
+      })) {
     build_service_object();
     build_catchup_proxy();
     if (local_registrar_) {
@@ -88,7 +93,6 @@ void CellRelay::push_status(std::uint64_t node, const std::string& name, int cod
 Value CellRelay::do_batch(const Value& frame_v) {
     const Dict& frame = frame_v.as_dict();
     ++stats_.frames;
-    frames_c_.inc();
     // The frame sender IS the base: remember its address for the catch-up
     // proxy's upstream fetches (no static configuration anywhere).
     base_node_ = rpc_.current_caller();
@@ -153,7 +157,6 @@ Value CellRelay::do_batch(const Value& frame_v) {
     }
     if (resync) {
         ++stats_.resyncs;
-        resyncs_c_.inc();
     } else {
         // Adopt epoch/lease only from frames we accept: a refused stale
         // frame (late delivery after a timeout made the base pipeline a
@@ -190,7 +193,6 @@ Value CellRelay::do_batch(const Value& frame_v) {
                 const Dict& u = ev.as_dict();
                 NodeId member{static_cast<std::uint64_t>(u.at("node").as_int())};
                 ++stats_.fanout_calls;
-                fanout_c_.inc();
                 rpc_.call_async(
                     member, "adaptation", "unquarantine",
                     {Value{u.at("name").as_str()}, u.at("version"),
@@ -340,7 +342,6 @@ void CellRelay::fan_out() {
         NodeId node{key.first};
         if (entry.ext != 0) {
             ++stats_.fanout_calls;
-            fanout_c_.inc();
             entry.in_flight = true;
             rpc_.call_async(
                 node, "adaptation", "keepalive",
@@ -363,8 +364,16 @@ void CellRelay::fan_out() {
                         push_status(key.first, key.second, classify(error, transport));
                         return;
                     }
-                    if (result.as_bool()) {
+                    // A renewal answers `true`, or the count of governor
+                    // escalations since the receiver's last reply, which
+                    // rides to the base as a status record.
+                    const std::int64_t* escalations = result.if_int();
+                    if (escalations || result.as_bool()) {
                         ok_accum_.insert(key);
+                        if (escalations) {
+                            push_status(key.first, key.second, cellproto::kEscalated,
+                                        static_cast<std::uint64_t>(*escalations));
+                        }
                     } else {
                         // Stale extension / epoch mismatch at the receiver.
                         // Report and keep the entry untouched: the base
@@ -383,7 +392,6 @@ void CellRelay::fan_out() {
                 continue;
             }
             ++stats_.fanout_calls;
-            fanout_c_.inc();
             entry.in_flight = true;
             rpc_.call_async(
                 node, "adaptation", "install",

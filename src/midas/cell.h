@@ -64,6 +64,10 @@ constexpr int kTransportFail = 3;  ///< timeout / unreachable
 constexpr int kNeedBlob = 4;       ///< install entry names an uncached hash
 constexpr int kShed = 5;           ///< receiver shed the call (Overloaded)
 constexpr int kError = 6;          ///< non-transport application error
+constexpr int kQuarantined = 7;    ///< install refused: the node quarantined the version
+/// Keep-alive renewed, and the receiver's governor escalated the extension
+/// since its last reply; `ext` carries the escalation count.
+constexpr int kEscalated = 8;
 }  // namespace cellproto
 
 struct CellRelayConfig {
@@ -108,6 +112,7 @@ public:
     std::uint64_t epoch() const { return epoch_; }
     std::int64_t lease_ms() const { return lease_ms_; }
 
+    /// Exports frames, resyncs and fanout_calls as `midas.cell.*{cell}`.
     struct Stats {
         std::uint64_t frames = 0;        ///< batch frames processed
         std::uint64_t resyncs = 0;       ///< frames refused on seq mismatch
@@ -173,10 +178,6 @@ private:
     std::vector<Join> joins_;         ///< ditto
     std::set<EntryKey> ok_accum_;     ///< healthy keep-alives since last reply
 
-    obs::OwnedCounter frames_c_;
-    obs::OwnedCounter fanout_c_;
-    obs::OwnedCounter resyncs_c_;
-
     Stats stats_;
     std::uint64_t watch_token_ = 0;
     std::shared_ptr<rt::ServiceObject> self_object_;
@@ -193,6 +194,7 @@ private:
     std::shared_ptr<rt::ServiceObject> catchup_object_;
     // Liveness token for in-flight fan-out replies (see disco::LeasedResource).
     std::shared_ptr<char> token_ = std::make_shared<char>('\0');
+    obs::Source obs_source_;  // last: unregisters before the stats it reads
 };
 
 }  // namespace pmp::midas

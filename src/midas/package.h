@@ -10,7 +10,9 @@
 // before anything is compiled or woven.
 #pragma once
 
+#include <exception>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/aspect.h"
@@ -53,5 +55,14 @@ struct ExtensionPackage {
     /// Approximate shipped size (for benchmarks).
     std::size_t wire_size() const;
 };
+
+/// A receiver refusing a quarantined (name, version) says so with this
+/// phrase; installers on the far side of the rpc boundary (the base's
+/// direct path, a cell relay) recognise the refusal by it.
+inline constexpr std::string_view kQuarantineRefusal = "is quarantined on this node";
+
+inline bool is_quarantine_refusal(const std::exception& e) {
+    return std::string_view{e.what()}.find(kQuarantineRefusal) != std::string_view::npos;
+}
 
 }  // namespace pmp::midas

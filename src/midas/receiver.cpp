@@ -1,6 +1,7 @@
 #include "midas/receiver.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "crypto/sha256.h"
 #include "midas/channel.h"
@@ -29,26 +30,30 @@ AdaptationService::AdaptationService(rt::RpcEndpoint& rpc, prose::Weaver& weaver
       config_(std::move(config)),
       journal_(std::move(journal)),
       host_builtins_(script::BuiltinRegistry::with_core()),
-      installs_c_("midas.installs", config_.node_label),
-      replacements_c_("midas.replacements", config_.node_label),
-      refreshes_c_("midas.refreshes", config_.node_label),
-      rejections_c_("midas.rejections", config_.node_label),
-      sig_rejections_c_("midas.sig_rejections", config_.node_label),
-      expirations_c_("midas.lease.expirations", config_.node_label),
-      renewals_c_("midas.lease.renewals", config_.node_label),
-      revocations_c_("midas.revocations", config_.node_label),
-      quarantined_c_("midas.receiver.quarantined", config_.node_label),
-      unquarantines_c_("midas.receiver.unquarantined", config_.node_label),
-      governor_throttles_c_("recv.governor.throttles", config_.node_label),
-      governor_suspends_c_("recv.governor.suspends", config_.node_label),
-      governor_skipped_c_("recv.governor.skipped", config_.node_label),
-      governor_watchdog_c_("recv.governor.watchdog_trips", config_.node_label),
-      governor_quarantines_c_("recv.governor.quarantines", config_.node_label),
-      compile_hits_c_("script.compile.cache_hits", config_.node_label),
-      compile_misses_c_("script.compile.cache_misses", config_.node_label),
-      pointcut_hits_c_("prose.pointcut.cache_hits", config_.node_label),
-      cache_evictions_c_("midas.receiver.cache_evictions", config_.node_label),
-      extensions_g_("midas.extensions", config_.node_label) {
+      obs_source_(obs::Registry::global().add_source([this](obs::Rows& rows) {
+          const Stats& s = stats_;
+          const std::string& l = config_.node_label;
+          rows.counter("midas.installs", l, s.installs);
+          rows.counter("midas.replacements", l, s.replacements);
+          rows.counter("midas.refreshes", l, s.refreshes);
+          rows.counter("midas.rejections", l, s.rejections);
+          rows.counter("midas.sig_rejections", l, s.sig_rejections);
+          rows.counter("midas.lease.expirations", l, s.expirations);
+          rows.counter("midas.lease.renewals", l, s.renewals);
+          rows.counter("midas.revocations", l, s.revocations);
+          rows.counter("midas.receiver.quarantined", l, s.quarantined);
+          rows.counter("midas.receiver.unquarantined", l, s.unquarantined);
+          rows.counter("recv.governor.throttles", l, s.governor_throttles);
+          rows.counter("recv.governor.suspends", l, s.governor_suspends);
+          rows.counter("recv.governor.skipped", l, s.governor_skipped);
+          rows.counter("recv.governor.watchdog_trips", l, s.governor_watchdog_trips);
+          rows.counter("recv.governor.quarantines", l, s.governor_quarantines);
+          rows.counter("script.compile.cache_hits", l, s.compile_cache_hits);
+          rows.counter("script.compile.cache_misses", l, s.compile_cache_misses);
+          rows.counter("prose.pointcut.cache_hits", l, s.pointcut_cache_hits);
+          rows.counter("midas.receiver.cache_evictions", l, s.cache_evictions);
+          rows.gauge("midas.extensions", l, s.extensions);
+      })) {
     compile_cache_.cap = config_.compile_cache_cap;
     pointcut_cache_.cap = config_.pointcut_cache_cap;
     if (journal_) recover();
@@ -159,7 +164,7 @@ void AdaptationService::on_advice_outcome(AspectId aspect, const std::exception*
     // cannot be trusted to run. AccessDenied is this node's own capability
     // policy saying no — the script is fine — and never counts.
     const bool watchdog = dynamic_cast<const DeadlineExceeded*>(error) != nullptr;
-    if (watchdog) governor_watchdog_c_.inc();
+    if (watchdog) ++stats_.governor_watchdog_trips;
     bool counts = watchdog ||
                   dynamic_cast<const ScriptError*>(error) != nullptr ||
                   dynamic_cast<const ResourceExhausted*>(error) != nullptr;
@@ -184,12 +189,12 @@ bool AdaptationService::governor_allows(AspectId aspect) {
     GovernorState& st = gt->second;
     switch (st.mode) {
         case GovernorMode::kSuspended:
-            governor_skipped_c_.inc();
+            ++stats_.governor_skipped;
             return false;
         case GovernorMode::kThrottled:
             if (st.throttle_counter++ % static_cast<std::uint64_t>(
                                             std::max(config_.governor_throttle_keep, 1)) != 0) {
-                governor_skipped_c_.inc();
+                ++stats_.governor_skipped;
                 return false;
             }
             break;
@@ -234,10 +239,11 @@ void AdaptationService::governor_escalate(ExtensionId id, GovernorState& st,
     const char* rung = to == GovernorMode::kSuspended ? "suspend" : "throttle";
     const char* verb = to == GovernorMode::kSuspended ? "suspending" : "throttling";
     if (to == GovernorMode::kSuspended) {
-        governor_suspends_c_.inc();
+        ++stats_.governor_suspends;
     } else {
-        governor_throttles_c_.inc();
+        ++stats_.governor_throttles;
     }
+    ++st.unreported;
     obs::TraceBuffer::global().instant(
         "midas.receiver", std::string("governor.") + rung,
         {{"node", config_.node_label},
@@ -263,7 +269,7 @@ void AdaptationService::governor_window_reset(ExtensionId id) {
             // it is. Hand it to the quarantine path (deferred: the reset
             // runs inside do_install/do_keepalive, which still use the
             // entry afterwards).
-            governor_quarantines_c_.inc();
+            ++stats_.governor_quarantines;
             rpc_.router().simulator().schedule_after(Duration{0},
                                                      [this, id, alive = alive_]() {
                 if (!*alive) return;
@@ -290,7 +296,7 @@ void AdaptationService::quarantine(ExtensionId id) {
     if (it == installed_.end()) return;  // withdrawn in the meantime
     Installed info = it->second.info;
     quarantined_.insert({info.name, info.version});
-    quarantined_c_.inc();
+    ++stats_.quarantined;
     obs::TraceBuffer::global().instant(
         "midas.receiver", "pkg.quarantine",
         {{"node", config_.node_label},
@@ -317,7 +323,7 @@ void AdaptationService::quarantine(ExtensionId id) {
 
 bool AdaptationService::unquarantine(const std::string& name, std::uint32_t version) {
     if (quarantined_.erase({name, version}) == 0) return false;
-    unquarantines_c_.inc();
+    ++stats_.unquarantined;
     obs::TraceBuffer::global().instant(
         "midas.receiver", "pkg.unquarantine",
         {{"node", config_.node_label},
@@ -391,15 +397,21 @@ void AdaptationService::build_service_object() {
                                               args[1].as_int(),
                                               static_cast<std::uint64_t>(args[2].as_int()));
                         })
-                .method("keepalive", TypeKind::kBool,
+                .method("keepalive", TypeKind::kAny,
                         {{"ext", TypeKind::kInt},
                          {"lease_ms", TypeKind::kInt},
                          {"epoch", TypeKind::kInt}},
                         [this](rt::ServiceObject&, List& args) -> Value {
-                            return Value{do_keepalive(
+                            // The healthy reply stays a bare `true`; only a
+                            // renewal with escalations to report carries
+                            // their count.
+                            std::optional<std::uint32_t> escalations = do_keepalive(
                                 static_cast<std::uint64_t>(args[0].as_int()),
                                 args[1].as_int(),
-                                static_cast<std::uint64_t>(args[2].as_int()))};
+                                static_cast<std::uint64_t>(args[2].as_int()));
+                            if (!escalations) return Value{false};
+                            if (*escalations == 0) return Value{true};
+                            return Value{static_cast<std::int64_t>(*escalations)};
                         })
                 .method("revoke", TypeKind::kBool, {{"ext", TypeKind::kInt}},
                         [this](rt::ServiceObject&, List& args) -> Value {
@@ -450,8 +462,8 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
         // even parsed as code.
         trust_.verify(std::span<const std::uint8_t>(pkg.signed_payload()), sig);
     } catch (const Error& e) {
-        rejections_c_.inc();
-        sig_rejections_c_.inc();
+        ++stats_.rejections;
+        ++stats_.sig_rejections;
         trace.end_span(verify_span, {{"ok", "false"}});
         trace.instant("midas.receiver", "sig.reject",
                       {{"node", config_.node_label}, {"error", e.what()}});
@@ -462,8 +474,8 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
         // host-side bug) must not leak the verify span half-open or skip
         // the rejection counters. Re-raise as Error so the rpc layer
         // replies instead of dropping the call.
-        rejections_c_.inc();
-        sig_rejections_c_.inc();
+        ++stats_.rejections;
+        ++stats_.sig_rejections;
         trace.end_span(verify_span, {{"ok", "false"}});
         trace.instant("midas.receiver", "sig.reject",
                       {{"node", config_.node_label}, {"error", e.what()}});
@@ -476,13 +488,13 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
     // after the signature so a forged package can't probe the list, before
     // anything is compiled.
     if (quarantined_.contains({pkg.name, pkg.version})) {
-        rejections_c_.inc();
+        ++stats_.rejections;
         trace.instant("midas.receiver", "pkg.refuse_quarantined",
                       {{"node", config_.node_label},
                        {"pkg", pkg.name},
                        {"version", std::to_string(pkg.version)}});
-        throw Error("extension '" + pkg.name + "' v" + std::to_string(pkg.version) +
-                    " is quarantined on this node");
+        throw Error("extension '" + pkg.name + "' v" + std::to_string(pkg.version) + " " +
+                    std::string(kQuarantineRefusal));
     }
 
     // Capability policy: every requested capability must be grantable for
@@ -490,7 +502,7 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
     const auto caps_it = issuer_caps_.find(sig.issuer);
     for (const std::string& cap : pkg.capabilities) {
         if (caps_it == issuer_caps_.end() || !caps_it->second.contains(cap)) {
-            rejections_c_.inc();
+            ++stats_.rejections;
             throw TrustError("issuer '" + sig.issuer + "' may not grant capability '" +
                              cap + "' on this node");
         }
@@ -505,7 +517,7 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
             // Idempotent re-install: refresh the lease only. The epoch
             // moves too — a restarted base that re-pushes the same
             // version has re-adopted the lease under its new life.
-            refreshes_c_.inc();
+            ++stats_.refreshes;
             existing.info.base = base;
             if (epoch != 0) existing.info.base_epoch = epoch;
             arm_expiry(existing.info.id, lease);
@@ -521,7 +533,7 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
         // version the node already runs and land in the refresh branch
         // above, and a flip lost to a race heals because the base's retry
         // loop keeps pushing its current choice until the node matches.
-        replacements_c_.inc();
+        ++stats_.replacements;
         withdraw(it->second, prose::WithdrawReason::kReplaced);
     }
 
@@ -623,7 +635,7 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
         // The top level may have installed wire filters before compilation
         // failed; do not leave them orphaned.
         rpc_.remove_wire_filters(wire_owner);
-        rejections_c_.inc();
+        ++stats_.rejections;
         throw;
     }
 
@@ -636,8 +648,8 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
     by_aspect_[aspect] = id;
     if (governor_enabled()) governor_.emplace(id, GovernorState{});
     arm_expiry(id, lease);
-    installs_c_.inc();
-    extensions_g_->set(static_cast<std::int64_t>(installed_.size()));
+    ++stats_.installs;
+    stats_.extensions = static_cast<std::int64_t>(installed_.size());
     // The documented contract: a newer version arriving lifts quarantine
     // entries for *older* versions of the same name — the broken build is
     // superseded, so refusing it forever serves nothing and would block a
@@ -645,7 +657,7 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
     for (auto qit = quarantined_.begin(); qit != quarantined_.end();) {
         if (qit->first == pkg.name && qit->second < pkg.version) {
             journal(ReceiverDurableState::rec_unquarantine(qit->first, qit->second));
-            unquarantines_c_.inc();
+            ++stats_.unquarantined;
             qit = quarantined_.erase(qit);
         } else {
             ++qit;
@@ -676,23 +688,23 @@ std::shared_ptr<const script::CompiledUnit> AdaptationService::compiled_unit_for
     // before insertion, so bad scripts are never cached.
     std::string key = crypto::to_hex(crypto::Sha256::hash(script));
     if (auto* cached = compile_cache_.get(key)) {
-        compile_hits_c_.inc();
+        ++stats_.compile_cache_hits;
         return *cached;
     }
-    compile_misses_c_.inc();
+    ++stats_.compile_cache_misses;
     auto unit = script::compile(
         std::make_shared<const script::Program>(script::parse(script)));
-    cache_evictions_c_.inc(compile_cache_.put(std::move(key), unit));
+    stats_.cache_evictions += compile_cache_.put(std::move(key), unit);
     return unit;
 }
 
 prose::Pointcut AdaptationService::pointcut_for(const std::string& source) {
     if (auto* cached = pointcut_cache_.get(source)) {
-        pointcut_hits_c_.inc();
+        ++stats_.pointcut_cache_hits;
         return *cached;
     }
     prose::Pointcut pc = prose::Pointcut::parse(source);
-    cache_evictions_c_.inc(pointcut_cache_.put(source, pc));
+    stats_.cache_evictions += pointcut_cache_.put(source, pc);
     return pc;
 }
 
@@ -706,7 +718,7 @@ void AdaptationService::arm_expiry(ExtensionId id, Duration lease) {
     entry.expiry_timer = rpc_.router().simulator().schedule_after(lease, [this, id]() {
         auto it = installed_.find(id);
         if (it == installed_.end()) return;
-        expirations_c_.inc();
+        ++stats_.expirations;
         Installed info = it->second.info;
         obs::TraceBuffer::global().instant(
             "midas.receiver", "lease.expire",
@@ -718,11 +730,12 @@ void AdaptationService::arm_expiry(ExtensionId id, Duration lease) {
     });
 }
 
-bool AdaptationService::do_keepalive(std::uint64_t ext, std::int64_t lease_ms,
-                                     std::uint64_t epoch) {
+std::optional<std::uint32_t> AdaptationService::do_keepalive(std::uint64_t ext,
+                                                             std::int64_t lease_ms,
+                                                             std::uint64_t epoch) {
     ExtensionId id{ext};
     auto it = installed_.find(id);
-    if (it == installed_.end()) return false;
+    if (it == installed_.end()) return std::nullopt;
     if (epoch != 0 && it->second.info.base_epoch != 0 &&
         epoch != it->second.info.base_epoch) {
         // The base restarted since it leased this extension: the ext id it
@@ -741,21 +754,22 @@ bool AdaptationService::do_keepalive(std::uint64_t ext, std::int64_t lease_ms,
                  "base epoch moved ", info.base_epoch, " -> ", epoch,
                  "; withdrawing stale '", info.name, "'");
         withdraw(id, prose::WithdrawReason::kBaseRestarted);
-        return false;
+        return std::nullopt;
     }
-    renewals_c_.inc();
+    ++stats_.renewals;
     obs::TraceBuffer::global().instant(
         "midas.receiver", "lease.renew",
         {{"node", config_.node_label}, {"pkg", it->second.info.name}});
     arm_expiry(id, clamp(lease_ms));
-    return true;
+    auto gt = governor_.find(id);
+    return gt == governor_.end() ? 0u : std::exchange(gt->second.unreported, 0u);
 }
 
 bool AdaptationService::do_revoke(std::uint64_t ext) {
     ExtensionId id{ext};
     auto it = installed_.find(id);
     if (it == installed_.end()) return false;
-    revocations_c_.inc();
+    ++stats_.revocations;
     Installed info = it->second.info;
     withdraw(id, prose::WithdrawReason::kExplicit);
     emit("revoke", info);
@@ -788,7 +802,7 @@ void AdaptationService::withdraw(ExtensionId id, prose::WithdrawReason reason) {
     installed_.erase(it);
     advice_failures_.erase(id);
     governor_.erase(id);
-    extensions_g_->set(static_cast<std::int64_t>(installed_.size()));
+    stats_.extensions = static_cast<std::int64_t>(installed_.size());
     // After the erase: a compaction inside journal() snapshots the live
     // manifest, which must no longer list this extension.
     journal(ReceiverDurableState::rec_withdraw(name));
@@ -798,11 +812,6 @@ void AdaptationService::withdraw_all(prose::WithdrawReason reason) {
     while (!installed_.empty()) {
         withdraw(installed_.begin()->first, reason);
     }
-}
-
-AdaptationService::Stats AdaptationService::stats() const {
-    return Stats{installs_c_.value(),    replacements_c_.value(), refreshes_c_.value(),
-                 rejections_c_.value(),  expirations_c_.value(),  revocations_c_.value()};
 }
 
 std::vector<AdaptationService::Installed> AdaptationService::installed() const {

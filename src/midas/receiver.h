@@ -18,7 +18,9 @@
 //
 // Remote interface (object "adaptation"):
 //   install(pkg blob, lease_ms int, epoch int) -> {ext int, lease_ms int}
-//   keepalive(ext int, lease_ms int, epoch int) -> bool
+//   keepalive(ext int, lease_ms int, epoch int) -> bool | int
+//     (true = renewed; an int = renewed, plus the extension's governor
+//     escalations since the previous reply; false = refused)
 //   revoke(ext int) -> bool
 //   list() -> [ {ext, name, version, issuer} ]
 //   unquarantine(name str, version int, epoch int) -> bool
@@ -31,6 +33,7 @@
 #pragma once
 
 #include <list>
+#include <optional>
 #include <set>
 
 #include "core/script_aspect.h"
@@ -52,7 +55,7 @@ struct ReceiverConfig {
     std::string cell;
     Duration max_extension_lease = seconds(5);  ///< grants clamped to this
     /// Group-commit / chunked-snapshot knobs for the receiver's journal
-    /// (docs/storage.md); all-zero keeps the seed per-record behavior.
+    /// (docs/storage.md); all-zero commits every record on its own.
     db::JournalConfig journal;
     /// Bounds for the install-path compile/pointcut caches: one entry per
     /// *distinct* script or pointcut source, evicted least-recently-used.
@@ -154,7 +157,7 @@ public:
         return do_install(origin, sealed, lease_ms, epoch);
     }
     bool keepalive_local(std::uint64_t ext, std::int64_t lease_ms) {
-        return do_keepalive(ext, lease_ms, /*epoch=*/0);
+        return do_keepalive(ext, lease_ms, /*epoch=*/0).has_value();
     }
     bool revoke_local(std::uint64_t ext) { return do_revoke(ext); }
 
@@ -183,18 +186,31 @@ public:
     /// Withdraw everything from a given base (or all) locally.
     void withdraw_all(prose::WithdrawReason reason = prose::WithdrawReason::kExplicit);
 
-    /// Legacy stats view. The authoritative counters live in the obs
-    /// registry under `midas.*` (labelled by node); this struct is
-    /// assembled on demand by `stats()`.
+    /// This node's counters, exported labelled by node under `midas.*`,
+    /// `recv.governor.*`, `script.compile.*` and `prose.pointcut.*`.
     struct Stats {
         std::uint64_t installs = 0;
         std::uint64_t replacements = 0;
         std::uint64_t refreshes = 0;   ///< re-install of same name+version
         std::uint64_t rejections = 0;  ///< trust / capability / parse failures
+        std::uint64_t sig_rejections = 0;
         std::uint64_t expirations = 0;
+        std::uint64_t renewals = 0;
         std::uint64_t revocations = 0;
+        std::uint64_t quarantined = 0;
+        std::uint64_t unquarantined = 0;
+        std::uint64_t governor_throttles = 0;
+        std::uint64_t governor_suspends = 0;
+        std::uint64_t governor_skipped = 0;  ///< dispatches skipped by the gate
+        std::uint64_t governor_watchdog_trips = 0;
+        std::uint64_t governor_quarantines = 0;
+        std::uint64_t compile_cache_hits = 0;
+        std::uint64_t compile_cache_misses = 0;
+        std::uint64_t pointcut_cache_hits = 0;
+        std::uint64_t cache_evictions = 0;
+        std::int64_t extensions = 0;  ///< gauge: extensions installed now
     };
-    Stats stats() const;
+    const Stats& stats() const { return stats_; }
 
     /// Observation hook for examples/tests: event is one of "install",
     /// "replace", "refresh", "expire", "revoke", "quarantine".
@@ -217,7 +233,11 @@ private:
 
     rt::Value do_install(NodeId base, const Bytes& sealed, std::int64_t lease_ms,
                          std::uint64_t epoch);
-    bool do_keepalive(std::uint64_t ext, std::int64_t lease_ms, std::uint64_t epoch);
+    /// nullopt = refused (unknown extension or stale epoch); otherwise the
+    /// renewal went through, carrying the extension's governor escalations
+    /// since the previous reply (read-and-cleared).
+    std::optional<std::uint32_t> do_keepalive(std::uint64_t ext, std::int64_t lease_ms,
+                                              std::uint64_t epoch);
     bool do_revoke(std::uint64_t ext);
     rt::Value do_list() const;
 
@@ -319,6 +339,7 @@ private:
         std::uint64_t throttle_counter = 0;
         GovernorMode mode = GovernorMode::kNormal;
         int suspended_streak = 0;  ///< consecutive windows that ended suspended
+        std::uint32_t unreported = 0;  ///< escalations since the last keep-alive reply
     };
     std::map<ExtensionId, GovernorState> governor_;
     void governor_escalate(ExtensionId id, GovernorState& st, GovernorMode to);
@@ -333,30 +354,9 @@ private:
     std::uint64_t registrar_token_ = 0;
     std::shared_ptr<rt::ServiceObject> self_object_;
 
-    // Registry-backed counters, labelled by node. Owned (refcounted) so a
-    // torn-down node frees its label and a successor starts from zero.
-    obs::OwnedCounter installs_c_;
-    obs::OwnedCounter replacements_c_;
-    obs::OwnedCounter refreshes_c_;
-    obs::OwnedCounter rejections_c_;
-    obs::OwnedCounter sig_rejections_c_;
-    obs::OwnedCounter expirations_c_;
-    obs::OwnedCounter renewals_c_;
-    obs::OwnedCounter revocations_c_;
-    obs::OwnedCounter quarantined_c_;
-    obs::OwnedCounter unquarantines_c_;
-    obs::OwnedCounter governor_throttles_c_;
-    obs::OwnedCounter governor_suspends_c_;
-    obs::OwnedCounter governor_skipped_c_;
-    obs::OwnedCounter governor_watchdog_c_;
-    obs::OwnedCounter governor_quarantines_c_;
-    obs::OwnedCounter compile_hits_c_;
-    obs::OwnedCounter compile_misses_c_;
-    obs::OwnedCounter pointcut_hits_c_;
-    obs::OwnedCounter cache_evictions_c_;
-    obs::OwnedGauge extensions_g_;
-
     EventFn event_fn_;
+    Stats stats_;
+    obs::Source obs_source_;  // last: unregisters before the stats it reads
 };
 
 }  // namespace pmp::midas

@@ -89,11 +89,24 @@ const char* status_name(RolloutController::Status s) {
 RolloutController::RolloutController(ExtensionBase& base, RolloutConfig config)
     : base_(base),
       config_(std::move(config)),
-      promotions_c_("midas.rollout.promotions", base_.config_.issuer),
-      aborts_c_("midas.rollout.aborts", base_.config_.issuer),
-      completions_c_("midas.rollout.completions", base_.config_.issuer),
-      strikes_c_("midas.rollout.strikes", base_.config_.issuer),
-      rollback_installs_c_("midas.rollout.rollback_installs", base_.config_.issuer) {
+      obs_source_(obs::Registry::global().add_source([this](obs::Rows& rows) {
+          const std::string& issuer = base_.config_.issuer;
+          rows.counter("midas.rollout.promotions", issuer, stats_.promotions);
+          rows.counter("midas.rollout.aborts", issuer, stats_.aborts);
+          rows.counter("midas.rollout.completions", issuer, stats_.completions);
+          rows.counter("midas.rollout.strikes", issuer, stats_.strikes);
+          rows.counter("midas.rollout.rollback_installs", issuer, stats_.rollback_installs);
+          std::int64_t active_count = 0;
+          for (const auto& [name, r] : rollouts_) {
+              if (r.status == Status::kActive) ++active_count;
+              rows.gauge("midas.rollout.stage", name, static_cast<std::int64_t>(r.stage));
+              rows.gauge("midas.rollout.cohort", name,
+                         static_cast<std::int64_t>(cohort_size(r, r.stage)));
+              rows.gauge("midas.rollout.upgraded", name,
+                         static_cast<std::int64_t>(confirmed_in_cohort(r)));
+          }
+          rows.gauge("midas.rollout.active", issuer, active_count);
+      })) {
     if (config_.stages.empty()) config_.stages = {1.0};
 }
 
@@ -141,7 +154,7 @@ RolloutController::View RolloutController::view_of(const Rollout& r) const {
     v.upgraded = confirmed_in_cohort(r);
     v.status = r.status;
     v.abort_cause = r.abort_cause;
-    v.health = Health{r.quarantines, r.escalations, r.refusal_streak,
+    v.health = Health{static_cast<int>(r.quarantined.size()), r.escalations, r.refusal_streak,
                       r.baseline_p95, r.window_p95};
     v.verdicts = r.verdicts;
     return v;
@@ -217,11 +230,10 @@ void RolloutController::begin(ExtensionPackage pkg, Bytes sealed, std::string ha
     log_info(base_.rpc_.router().simulator().now(), "base@" + base_.config_.issuer,
              "rollout of '", live.name, "' v", live.pkg.version, " begins: ",
              live.stages_bp.size(), " stages, incumbent v", live.incumbent_version);
-    capture_stage_baselines(live);
+    capture_latency_baseline(live);
     open_stage_span(live);
     push_canary_to_cohort(live, kNoStage);
     arm_timer();
-    update_gauges();
 }
 
 BaseDurableState::RolloutEntry RolloutController::snapshot_entry(const Rollout& r) {
@@ -264,8 +276,8 @@ void RolloutController::adopt(const BaseDurableState::RolloutEntry& entry) {
     }
     r.hash = crypto::to_hex(
         crypto::Sha256::hash(std::span<const std::uint8_t>(r.sealed)));
-    // Resume at the journaled stage with a fresh window: health baselines
-    // from the previous life are gone, so the stage re-measures from now
+    // Resume at the journaled stage with a fresh window: health evidence
+    // from the previous life is gone, so the stage re-measures from now
     // rather than promoting on stale evidence.
     r.stage_since = base_.rpc_.router().simulator().now();
     r.verdicts.push_back("recovered at stage " + std::to_string(r.stage) + " (" +
@@ -274,13 +286,12 @@ void RolloutController::adopt(const BaseDurableState::RolloutEntry& entry) {
     const std::string name = r.name;
     auto [it, _] = rollouts_.insert_or_assign(name, std::move(r));
     if (is_active) {
-        capture_stage_baselines(it->second);
+        capture_latency_baseline(it->second);
         open_stage_span(it->second);
         arm_timer();
         log_info(base_.rpc_.router().simulator().now(), "base@" + base_.config_.issuer,
                  "resuming rollout of '", name, "' at stage ", it->second.stage);
     }
-    update_gauges();
 }
 
 void RolloutController::snapshot_into(BaseDurableState& st) const {
@@ -362,8 +373,12 @@ void RolloutController::note_install_error(const std::string& name,
     // Transport trouble (timeouts, out of range, shedding) says nothing
     // about the package — radio faults must not abort a healthy rollout.
     if (transport) return;
+    // A quarantine refusal is terminal evidence: this node's receiver ran
+    // the canary, watched it fail, and quarantined it. Counted once per
+    // node however often the base's retries bounce off it.
+    if (quarantine_refusal) it->second.quarantined.insert(label);
     ++it->second.refusal_streak;
-    strikes_c_.inc();
+    ++stats_.strikes;
     obs::TraceBuffer::global().instant(
         "midas.rollout", "rollout.strike",
         {{"pkg", name},
@@ -372,87 +387,46 @@ void RolloutController::note_install_error(const std::string& name,
          {"streak", std::to_string(it->second.refusal_streak)}});
 }
 
-void RolloutController::capture_stage_baselines(Rollout& r) {
-    // Counter baselines are first-sight and never reset: a quarantine at
-    // stage 0 still counts at stage 2 — terminal evidence doesn't expire
-    // with a promotion. Only the latency window restarts per stage.
-    auto& reg = obs::Registry::global();
-    for (const auto& [_, a] : base_.adapted_) {
-        if (a.probation || !in_cohort(r, r.stage, a.label)) continue;
-        if (!r.quarantine0.contains(a.label)) {
-            r.quarantine0[a.label] =
-                reg.counter("midas.receiver.quarantined", a.label).value();
-        }
-        if (!r.governor0.contains(a.label)) {
-            r.governor0[a.label] = reg.counter("recv.governor.throttles", a.label).value() +
-                                   reg.counter("recv.governor.suspends", a.label).value();
-        }
-    }
-    if (config_.latency_factor > 0) {
-        std::vector<double> bounds;
-        std::vector<std::uint64_t> buckets;
-        std::uint64_t count = 0;
-        fold_advice_ns(r.name, bounds, buckets, count);
-        r.lat_buckets0 = std::move(buckets);
-        r.lat_count0 = count;
-        r.window_p95 = 0;
-    }
+void RolloutController::note_escalations(const std::string& name, const std::string& label,
+                                         std::int64_t count) {
+    auto it = rollouts_.find(name);
+    if (it == rollouts_.end() || it->second.status != Status::kActive || count <= 0) return;
+    // Escalations are cumulative over the rollout, like quarantines; only
+    // the current cohort's reports count against the canary.
+    if (!in_cohort(it->second, it->second.stage, label)) return;
+    it->second.escalations += static_cast<int>(count);
 }
 
-void RolloutController::poll_health(Rollout& r) {
-    auto& reg = obs::Registry::global();
-    int quarantines = 0;
-    int escalations = 0;
-    for (const auto& [_, a] : base_.adapted_) {
-        if (a.probation || !in_cohort(r, r.stage, a.label)) continue;
-        auto q0 = r.quarantine0.find(a.label);
-        if (q0 == r.quarantine0.end()) {
-            // A node that joined the cohort mid-stage: baseline from first
-            // sight, so its pre-rollout history never counts against us.
-            q0 = r.quarantine0
-                     .emplace(a.label,
-                              reg.counter("midas.receiver.quarantined", a.label).value())
-                     .first;
-        }
-        quarantines += static_cast<int>(
-            reg.counter("midas.receiver.quarantined", a.label).value() - q0->second);
-        auto g0 = r.governor0.find(a.label);
-        if (g0 == r.governor0.end()) {
-            g0 = r.governor0
-                     .emplace(a.label,
-                              reg.counter("recv.governor.throttles", a.label).value() +
-                                  reg.counter("recv.governor.suspends", a.label).value())
-                     .first;
-        }
-        escalations += static_cast<int>(
-            (reg.counter("recv.governor.throttles", a.label).value() +
-             reg.counter("recv.governor.suspends", a.label).value()) -
-            g0->second);
-    }
-    r.quarantines = quarantines;
-    r.escalations = escalations;
+void RolloutController::capture_latency_baseline(Rollout& r) {
+    if (config_.latency_factor <= 0) return;
+    std::vector<double> bounds;
+    std::vector<std::uint64_t> buckets;
+    std::uint64_t count = 0;
+    fold_advice_ns(r.name, bounds, buckets, count);
+    r.lat_buckets0 = std::move(buckets);
+    r.lat_count0 = count;
+    r.window_p95 = 0;
+}
 
-    if (config_.latency_factor > 0 && r.baseline_p95 > 0) {
-        std::vector<double> bounds;
-        std::vector<std::uint64_t> buckets;
-        std::uint64_t count = 0;
-        fold_advice_ns(r.name, bounds, buckets, count);
-        if (buckets.size() >= r.lat_buckets0.size() && count >= r.lat_count0) {
-            std::vector<std::uint64_t> delta = buckets;
-            for (std::size_t i = 0; i < r.lat_buckets0.size(); ++i) {
-                delta[i] -= r.lat_buckets0[i];
-            }
-            std::uint64_t window_count = count - r.lat_count0;
-            if (window_count >= config_.latency_min_samples) {
-                r.window_p95 = p95_of(bounds, delta, window_count);
-            }
-        }
+void RolloutController::poll_latency(Rollout& r) {
+    if (config_.latency_factor <= 0 || r.baseline_p95 <= 0) return;
+    std::vector<double> bounds;
+    std::vector<std::uint64_t> buckets;
+    std::uint64_t count = 0;
+    fold_advice_ns(r.name, bounds, buckets, count);
+    if (buckets.size() < r.lat_buckets0.size() || count < r.lat_count0) return;
+    std::vector<std::uint64_t> delta = buckets;
+    for (std::size_t i = 0; i < r.lat_buckets0.size(); ++i) delta[i] -= r.lat_buckets0[i];
+    std::uint64_t window_count = count - r.lat_count0;
+    if (window_count >= config_.latency_min_samples) {
+        r.window_p95 = p95_of(bounds, delta, window_count);
     }
 }
 
 std::string RolloutController::gate_breach(const Rollout& r) const {
-    if (config_.quarantine_tolerance > 0 && r.quarantines >= config_.quarantine_tolerance) {
-        return "quarantine: " + std::to_string(r.quarantines) +
+    const int quarantines = static_cast<int>(r.quarantined.size());
+    if (config_.quarantine_tolerance > 0 && quarantines >= config_.quarantine_tolerance) {
+        return "quarantine: " + std::to_string(quarantines) +
                " cohort node(s) quarantined the canary";
     }
     if (config_.refusal_tolerance > 0 && r.refusal_streak >= config_.refusal_tolerance) {
@@ -477,7 +451,7 @@ void RolloutController::tick() {
     bool any_active = false;
     for (auto& [_, r] : rollouts_) {
         if (r.status != Status::kActive) continue;
-        poll_health(r);
+        poll_latency(r);
         std::string cause = gate_breach(r);
         if (!cause.empty()) {
             abort(r, cause);
@@ -499,7 +473,6 @@ void RolloutController::tick() {
             complete(r);
         }
     }
-    update_gauges();
     if (!any_active) {
         // Everything terminal: stop ticking until the next begin()/adopt().
         base_.rpc_.router().simulator().cancel(timer_);
@@ -534,11 +507,11 @@ void RolloutController::promote(Rollout& r) {
         "stage " + std::to_string(old_stage) + " (" +
         std::to_string(r.stages_bp[old_stage] / 100) + "%): promoted — " +
         std::to_string(confirmed) + "/" + std::to_string(cohort) + " confirmed, " +
-        std::to_string(r.quarantines) + " quarantines, " +
+        std::to_string(r.quarantined.size()) + " quarantines, " +
         std::to_string(r.escalations) + " escalations");
     ++r.stage;
     r.stage_since = base_.rpc_.router().simulator().now();
-    promotions_c_.inc();
+    ++stats_.promotions;
     base_.journal(
         BaseDurableState::rec_rollout_stage(r.name, static_cast<std::uint32_t>(r.stage)));
     base_.record("rollout-stage", "", r.name);
@@ -550,7 +523,7 @@ void RolloutController::promote(Rollout& r) {
     log_info(base_.rpc_.router().simulator().now(), "base@" + base_.config_.issuer,
              "rollout of '", r.name, "' promoted to stage ", r.stage, " (",
              r.stages_bp[r.stage] / 100, "% of fleet)");
-    capture_stage_baselines(r);
+    capture_latency_baseline(r);
     open_stage_span(r);
     push_canary_to_cohort(r, old_stage);
 }
@@ -562,7 +535,7 @@ void RolloutController::complete(Rollout& r) {
     r.verdicts.push_back("stage " + std::to_string(r.stage) + " (100%): complete — " +
                          std::to_string(confirmed) + " nodes confirmed on v" +
                          std::to_string(r.pkg.version));
-    completions_c_.inc();
+    ++stats_.completions;
 
     // The canary graduates: it becomes the policy (and with it the catch-up
     // image, which served the pinned incumbent the whole rollout).
@@ -601,7 +574,7 @@ void RolloutController::abort(Rollout& r, const std::string& cause) {
     r.status = Status::kAborted;
     r.abort_cause = cause;
     r.verdicts.push_back("stage " + std::to_string(r.stage) + ": ABORT — " + cause);
-    aborts_c_.inc();
+    ++stats_.aborts;
     base_.record("rollout-abort", "", r.name);
     base_.journal(BaseDurableState::rec_rollout_abort(r.name, cause));
     obs::TraceBuffer::global().instant(
@@ -625,7 +598,7 @@ void RolloutController::abort(Rollout& r, const std::string& cause) {
         if (a.probation || !in_cohort(r, r.stage, a.label)) continue;
         a.installed.erase(r.name);
         a.retry.erase(r.name);
-        rollback_installs_c_.inc();
+        ++stats_.rollback_installs;
         if (base_.cell_routed(a)) {
             if (auto cit = base_.cells_.find(a.cell); cit != base_.cells_.end()) {
                 cit->second.unq_outbox.push_back(ExtensionBase::CellUnq{
@@ -666,25 +639,10 @@ void RolloutController::close_stage_span(Rollout& r, const std::string& verdict)
     obs::TraceBuffer::global().end_span(
         r.stage_span, {{"verdict", verdict},
                        {"upgraded", std::to_string(r.upgraded.size())},
-                       {"quarantines", std::to_string(r.quarantines)},
+                       {"quarantines", std::to_string(r.quarantined.size())},
                        {"escalations", std::to_string(r.escalations)},
                        {"refusal_streak", std::to_string(r.refusal_streak)}});
     r.stage_span = 0;
-}
-
-void RolloutController::update_gauges() const {
-    auto& reg = obs::Registry::global();
-    std::int64_t active_count = 0;
-    for (const auto& [name, r] : rollouts_) {
-        if (r.status == Status::kActive) ++active_count;
-        reg.gauge("midas.rollout.stage", name)
-            .set(static_cast<std::int64_t>(r.stage));
-        reg.gauge("midas.rollout.cohort", name)
-            .set(static_cast<std::int64_t>(cohort_size(r, r.stage)));
-        reg.gauge("midas.rollout.upgraded", name)
-            .set(static_cast<std::int64_t>(confirmed_in_cohort(r)));
-    }
-    reg.gauge("midas.rollout.active", base_.config_.issuer).set(active_count);
 }
 
 }  // namespace pmp::midas

@@ -9,9 +9,11 @@
 // fleet, hashed from the node *label* so membership is stable across
 // base restarts and seed replays, and spreads across cells instead of
 // concentrating in one), and each promotion is gated on a health window
-// fed by signals that already exist — receiver quarantines, governor
-// throttle/suspend escalations, install refusals, and obs::Profiler
-// advice-latency regressions against the incumbent.
+// fed by what the protocol itself carries back to the base — install
+// refusals (a quarantine refusal names the node that quarantined the
+// canary) and the governor escalations receivers report on keep-alive
+// replies — plus the opt-in obs::Profiler advice-latency gate against the
+// incumbent.
 //
 // A breached gate rolls the fleet back automatically: the base kept the
 // incumbent pinned in its policy set (the catch-up image therefore served
@@ -88,8 +90,8 @@ public:
     enum class Status { kActive, kAborted, kComplete };
 
     struct Health {
-        int quarantines = 0;    ///< receiver quarantines on cohort nodes
-        int escalations = 0;    ///< governor throttles+suspends on cohort nodes
+        int quarantines = 0;    ///< cohort nodes that refused the canary as quarantined
+        int escalations = 0;    ///< governor throttles+suspends reported by cohort nodes
         int refusal_streak = 0; ///< consecutive non-transport install failures
         double baseline_p95_ns = 0;  ///< incumbent advice p95 at begin()
         double window_p95_ns = 0;    ///< canary advice p95 this stage
@@ -120,6 +122,17 @@ public:
     bool active(const std::string& name) const;
     std::optional<View> view(const std::string& name) const;
     std::vector<View> views() const;
+
+    /// Exported as `midas.rollout.*{issuer}`, next to the per-extension
+    /// stage/cohort/upgraded gauges and the issuer's active-rollout gauge.
+    struct Stats {
+        std::uint64_t promotions = 0;
+        std::uint64_t aborts = 0;
+        std::uint64_t completions = 0;
+        std::uint64_t strikes = 0;            ///< non-transport canary install failures
+        std::uint64_t rollback_installs = 0;  ///< cohort nodes re-pushed the incumbent
+    };
+    const Stats& stats() const { return stats_; }
     /// JSON-ready status (monitor_tool): stage, cohort sizes, health-gate
     /// verdicts and abort causes per rollout.
     rt::Value status_value() const;
@@ -145,11 +158,9 @@ private:
         std::string abort_cause;
         std::uint64_t stage_span = 0;  ///< open trace span for this stage
 
-        // Volatile health bookkeeping (re-measured after a crash).
-        std::set<std::string> upgraded;  ///< labels confirmed on the canary
-        std::map<std::string, std::uint64_t> quarantine0;  ///< per-label baseline
-        std::map<std::string, std::uint64_t> governor0;
-        int quarantines = 0;
+        // Volatile health evidence (re-gathered after a crash).
+        std::set<std::string> upgraded;     ///< labels confirmed on the canary
+        std::set<std::string> quarantined;  ///< labels that refused it as quarantined
         int escalations = 0;
         int refusal_streak = 0;
         std::vector<std::uint64_t> lat_buckets0;  ///< advice_ns at stage entry
@@ -170,10 +181,14 @@ private:
     const Bytes* sealed_for_hash(const std::string& hash) const;
     const std::string* canary_hash(const std::string& name) const;
     std::uint32_t canary_version(const std::string& name) const;
-    /// Install outcome feeds from the base's direct and cell paths.
+    /// Health evidence from the base's direct and cell paths: install
+    /// outcomes, and governor escalations a cohort node's keep-alive reply
+    /// reported.
     void note_install_ok(const std::string& name, const std::string& label);
     void note_install_error(const std::string& name, const std::string& label,
                             bool transport, bool quarantine_refusal);
+    void note_escalations(const std::string& name, const std::string& label,
+                          std::int64_t count);
 
     void tick();
     void arm_timer();
@@ -181,8 +196,10 @@ private:
     bool in_cohort(const Rollout& r, std::size_t stage, const std::string& label) const;
     std::size_t cohort_size(const Rollout& r, std::size_t stage) const;
     std::size_t confirmed_in_cohort(const Rollout& r) const;
-    void capture_stage_baselines(Rollout& r);
-    void poll_health(Rollout& r);
+    /// Opt-in latency gate: the stage window's profile.advice_ns baseline,
+    /// and the windowed canary p95 measured against it.
+    void capture_latency_baseline(Rollout& r);
+    void poll_latency(Rollout& r);
     /// Non-empty = abort cause.
     std::string gate_breach(const Rollout& r) const;
     void push_canary_to_cohort(Rollout& r, std::size_t from_stage);
@@ -191,7 +208,6 @@ private:
     void abort(Rollout& r, const std::string& cause);
     void open_stage_span(Rollout& r);
     void close_stage_span(Rollout& r, const std::string& verdict);
-    void update_gauges() const;
     View view_of(const Rollout& r) const;
 
     ExtensionBase& base_;
@@ -199,12 +215,8 @@ private:
     std::map<std::string, Rollout> rollouts_;
     sim::TimerId timer_{};
     bool timer_armed_ = false;
-
-    obs::OwnedCounter promotions_c_;
-    obs::OwnedCounter aborts_c_;
-    obs::OwnedCounter completions_c_;
-    obs::OwnedCounter strikes_c_;
-    obs::OwnedCounter rollback_installs_c_;
+    Stats stats_;
+    obs::Source obs_source_;  // last: unregisters before the state it reads
 };
 
 }  // namespace pmp::midas

@@ -29,48 +29,22 @@ Network::Network(sim::Simulator& sim, NetworkConfig config, std::uint64_t seed)
       config_(config),
       rng_(seed),
       obs_label_(config.obs_label.empty() ? next_net_label() : config.obs_label),
-      sent_("net.sent", obs_label_),
-      delivered_("net.delivered", obs_label_),
-      dropped_out_of_range_("net.dropped_range", obs_label_),
-      dropped_loss_("net.dropped_loss", obs_label_),
-      duplicated_("net.duplicated", obs_label_),
-      bytes_delivered_("net.bytes_delivered", obs_label_),
-      fault_dropped_loss_("net.fault.dropped_loss", obs_label_),
-      fault_dropped_burst_("net.fault.dropped_burst", obs_label_),
-      fault_dropped_partition_("net.fault.dropped_partition", obs_label_),
-      fault_duplicated_("net.fault.duplicated", obs_label_),
-      fault_delayed_("net.fault.delayed", obs_label_),
-      fault_reordered_("net.fault.reordered", obs_label_) {}
-
-NetworkStats Network::stats() const {
-    return NetworkStats{sent_.value(),
-                        delivered_.value(),
-                        dropped_out_of_range_.value(),
-                        dropped_loss_.value(),
-                        duplicated_.value(),
-                        bytes_delivered_.value(),
-                        fault_dropped_loss_.value(),
-                        fault_dropped_burst_.value(),
-                        fault_dropped_partition_.value(),
-                        fault_duplicated_.value(),
-                        fault_delayed_.value(),
-                        fault_reordered_.value()};
-}
-
-void Network::reset_stats() {
-    sent_.reset();
-    delivered_.reset();
-    dropped_out_of_range_.reset();
-    dropped_loss_.reset();
-    duplicated_.reset();
-    bytes_delivered_.reset();
-    fault_dropped_loss_.reset();
-    fault_dropped_burst_.reset();
-    fault_dropped_partition_.reset();
-    fault_duplicated_.reset();
-    fault_delayed_.reset();
-    fault_reordered_.reset();
-}
+      obs_source_(obs::Registry::global().add_source([this](obs::Rows& rows) {
+          const NetworkStats& s = stats_;
+          const std::string& l = obs_label_;
+          rows.counter("net.sent", l, s.sent);
+          rows.counter("net.delivered", l, s.delivered);
+          rows.counter("net.dropped_range", l, s.dropped_out_of_range);
+          rows.counter("net.dropped_loss", l, s.dropped_loss);
+          rows.counter("net.duplicated", l, s.duplicated);
+          rows.counter("net.bytes_delivered", l, s.bytes_delivered);
+          rows.counter("net.fault.dropped_loss", l, s.fault_dropped_loss);
+          rows.counter("net.fault.dropped_burst", l, s.fault_dropped_burst);
+          rows.counter("net.fault.dropped_partition", l, s.fault_dropped_partition);
+          rows.counter("net.fault.duplicated", l, s.fault_duplicated);
+          rows.counter("net.fault.delayed", l, s.fault_delayed);
+          rows.counter("net.fault.reordered", l, s.fault_reordered);
+      })) {}
 
 void Network::set_fault_plan(FaultPlan plan, std::uint64_t seed) {
     // Announce each scheduled window on the trace ring so a soak's event
@@ -178,11 +152,11 @@ std::optional<NodeId> Network::find_node(const std::string& name) const {
 bool Network::deliver_local(const Message& msg) {
     auto it = nodes_.find(msg.to);
     if (it == nodes_.end() || it->second.removed || !it->second.handler) {
-        dropped_out_of_range_.inc();
+        ++stats_.dropped_out_of_range;
         return false;
     }
-    delivered_.inc();
-    bytes_delivered_.inc(msg.wire_size());
+    ++stats_.delivered;
+    stats_.bytes_delivered += msg.wire_size();
     obs::TraceBuffer::ContextScope scope(obs::TraceBuffer::global(), msg.trace);
     if (it->second.tap) it->second.tap(msg);
     it->second.handler(msg);
@@ -228,24 +202,24 @@ void Network::schedule_delivery(const Message& msg, std::uint64_t to_epoch,
     sim_.schedule_after(transit_time(msg) + extra_delay, [this, msg, to_epoch]() {
         auto it = nodes_.find(msg.to);
         if (it == nodes_.end()) {
-            dropped_out_of_range_.inc();
+            ++stats_.dropped_out_of_range;
             return;
         }
         NodeState& receiver = it->second;
         if (receiver.in_flight > 0) --receiver.in_flight;
         if (receiver.removed) {
-            dropped_out_of_range_.inc();
+            ++stats_.dropped_out_of_range;
             if (receiver.in_flight == 0) nodes_.erase(it);  // tombstone drained
             return;
         }
         if (receiver.epoch != to_epoch || !receiver.handler) {
-            dropped_out_of_range_.inc();
+            ++stats_.dropped_out_of_range;
             return;
         }
         // A partition window may have opened while the message was in
         // flight: the jammed radio swallows it at delivery time.
         if (injector_ && injector_->partitioned(msg.from, msg.to, sim_.now())) {
-            fault_dropped_partition_.inc();
+            ++stats_.fault_dropped_partition;
             return;
         }
         // Radio check at delivery time: the receiver may have roamed out of
@@ -257,11 +231,11 @@ void Network::schedule_delivery(const Message& msg, std::uint64_t to_epoch,
         const NodeState* sender = find(msg.from);
         bool sender_gone = !sender || sender->removed;
         if (!sender_gone && !in_contact(msg.from, msg.to)) {
-            dropped_out_of_range_.inc();
+            ++stats_.dropped_out_of_range;
             return;
         }
-        delivered_.inc();
-        bytes_delivered_.inc(msg.wire_size());
+        ++stats_.delivered;
+        stats_.bytes_delivered += msg.wire_size();
         // The frame's causal context becomes ambient for the duration of
         // the delivery: every span/instant the handler records joins the
         // sender's trace.
@@ -272,14 +246,14 @@ void Network::schedule_delivery(const Message& msg, std::uint64_t to_epoch,
 }
 
 bool Network::send(const Message& msg) {
-    sent_.inc();
+    ++stats_.sent;
     const auto* receiver = find(msg.to);
     if (!receiver || !in_contact(msg.from, msg.to)) {
-        dropped_out_of_range_.inc();
+        ++stats_.dropped_out_of_range;
         return false;
     }
     if (config_.loss_probability > 0 && rng_.chance(config_.loss_probability)) {
-        dropped_loss_.inc();
+        ++stats_.dropped_loss;
         return false;
     }
     Duration extra_delay{0};
@@ -288,29 +262,29 @@ bool Network::send(const Message& msg) {
         FaultInjector::Verdict verdict = injector_->judge(msg.from, msg.to, sim_.now());
         switch (verdict.drop) {
             case FaultInjector::Drop::kLoss:
-                fault_dropped_loss_.inc();
+                ++stats_.fault_dropped_loss;
                 return false;
             case FaultInjector::Drop::kBurst:
-                fault_dropped_burst_.inc();
+                ++stats_.fault_dropped_burst;
                 return false;
             case FaultInjector::Drop::kPartition:
-                fault_dropped_partition_.inc();
+                ++stats_.fault_dropped_partition;
                 return false;
             case FaultInjector::Drop::kNone:
                 break;
         }
         extra_delay = verdict.extra_delay;
         fault_duplicate = verdict.duplicate;
-        if (verdict.reordered) fault_reordered_.inc();
-        if (extra_delay.count() > 0) fault_delayed_.inc();
+        if (verdict.reordered) ++stats_.fault_reordered;
+        if (extra_delay.count() > 0) ++stats_.fault_delayed;
     }
     schedule_delivery(msg, receiver->epoch, extra_delay);
     if (fault_duplicate) {
-        fault_duplicated_.inc();
+        ++stats_.fault_duplicated;
         schedule_delivery(msg, receiver->epoch, extra_delay);
     }
     if (config_.duplicate_probability > 0 && rng_.chance(config_.duplicate_probability)) {
-        duplicated_.inc();
+        ++stats_.duplicated;
         schedule_delivery(msg, receiver->epoch);
     }
     return true;

@@ -71,9 +71,7 @@ struct NetworkConfig {
     std::string obs_label;
 };
 
-/// Legacy stats view for tests and benchmarks. The authoritative counters
-/// live in the obs registry under `net.*` (labelled per network instance);
-/// this struct is assembled on demand by `Network::stats()`.
+/// One network's radio counters, exported as `net.*{obs_label}`.
 struct NetworkStats {
     std::uint64_t sent = 0;
     std::uint64_t delivered = 0;
@@ -171,8 +169,8 @@ public:
     void clear_fault_plan();
     const FaultInjector* fault() const { return injector_.get(); }
 
-    NetworkStats stats() const;
-    void reset_stats();
+    const NetworkStats& stats() const { return stats_; }
+    void reset_stats() { stats_ = {}; }
 
     /// The obs label this instance reports under (e.g. "net3").
     const std::string& obs_label() const { return obs_label_; }
@@ -207,22 +205,9 @@ private:
     std::set<std::pair<NodeId, NodeId>> wires_;  // normalized (min, max) pairs
     std::unique_ptr<FaultInjector> injector_;    // null: no plan installed
 
-    // Per-instance counters in the global registry. Owned (refcounted) so a
-    // destroyed network frees its label and a successor starts from zero.
     std::string obs_label_;
-    obs::OwnedCounter sent_;
-    obs::OwnedCounter delivered_;
-    obs::OwnedCounter dropped_out_of_range_;
-    obs::OwnedCounter dropped_loss_;
-    obs::OwnedCounter duplicated_;
-    obs::OwnedCounter bytes_delivered_;
-    // Fault-plan attribution (all zero until set_fault_plan).
-    obs::OwnedCounter fault_dropped_loss_;
-    obs::OwnedCounter fault_dropped_burst_;
-    obs::OwnedCounter fault_dropped_partition_;
-    obs::OwnedCounter fault_duplicated_;
-    obs::OwnedCounter fault_delayed_;
-    obs::OwnedCounter fault_reordered_;
+    NetworkStats stats_;
+    obs::Source obs_source_;  // last: unregisters before the stats it reads
 };
 
 }  // namespace pmp::net

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 namespace pmp::obs {
 
@@ -73,14 +74,81 @@ const std::vector<double>& Histogram::latency_ms_bounds() {
 
 // ------------------------------------------------------------ Registry ----
 
+namespace {
+
+template <typename Table, typename V>
+void add_row(Table& table, std::string_view name, std::string_view label, V value) {
+    auto fam = table.find(name);
+    if (fam == table.end()) {
+        fam = table.emplace(std::string(name), typename Table::mapped_type{}).first;
+    }
+    auto it = fam->second.find(label);
+    if (it == fam->second.end()) {
+        fam->second.emplace(std::string(label), value);
+    } else {
+        it->second += value;
+    }
+}
+
+/// Export-time cardinality cap: per family, the first kLabelCap labels in
+/// sorted order keep their rows and the rest are summed into the overflow
+/// row. Sorted order makes the cut independent of registration order
+/// (shard layouts build their nodes in different orders). The unlabelled
+/// row does not count against the cap.
+template <typename Table>
+void cap_labels(Table& table) {
+    for (auto& [_, family] : table) {
+        std::size_t kept = 0;
+        typename Table::mapped_type::mapped_type overflow{};
+        bool folded = false;
+        for (auto it = family.begin(); it != family.end();) {
+            if (it->first.empty() || it->first == Registry::kOverflowLabel ||
+                kept++ < Registry::kLabelCap) {
+                ++it;
+                continue;
+            }
+            overflow += it->second;
+            folded = true;
+            it = family.erase(it);
+        }
+        if (folded) family[Registry::kOverflowLabel] += overflow;
+    }
+}
+
+}  // namespace
+
+void Rows::counter(std::string_view name, std::string_view label, std::uint64_t value) {
+    add_row(counters_, name, label, value);
+}
+
+void Rows::gauge(std::string_view name, std::string_view label, std::int64_t value) {
+    add_row(gauges_, name, label, value);
+}
+
+Source::Source(Source&& other) noexcept
+    : reg_(std::exchange(other.reg_, nullptr)), id_(other.id_) {}
+
+Source& Source::operator=(Source&& other) noexcept {
+    if (this != &other) {
+        if (reg_) reg_->remove_source(id_);
+        reg_ = std::exchange(other.reg_, nullptr);
+        id_ = other.id_;
+    }
+    return *this;
+}
+
+Source::~Source() {
+    if (reg_) reg_->remove_source(id_);
+}
+
 Registry& Registry::global() {
     static Registry registry;
     return registry;
 }
 
-template <typename T>
-Registry::Slot<T>& Registry::slot(std::map<std::string, Family<T>, std::less<>>& families,
-                                  std::string_view name, std::string_view label, bool pin) {
+template <typename T, typename Make>
+T& Registry::slot(Families<T>& families, std::string_view name, std::string_view label,
+                  Make make) {
     auto fam_it = families.find(name);
     if (fam_it == families.end()) {
         fam_it = families.emplace(std::string(name), Family<T>{}).first;
@@ -90,143 +158,95 @@ Registry::Slot<T>& Registry::slot(std::map<std::string, Family<T>, std::less<>>&
     if (it == family.end()) {
         // Cardinality cap: overflow labels share one slot per family. The
         // unlabelled slot does not count against the cap.
-        if (!label.empty() && family.size() >= kLabelCap) {
-            it = family.find(kOverflowLabel);
-            if (it == family.end()) {
-                it = family.emplace(std::string(kOverflowLabel), Slot<T>{}).first;
-            }
-        } else {
-            it = family.emplace(std::string(label), Slot<T>{}).first;
-        }
+        if (!label.empty() && family.size() >= kLabelCap) label = kOverflowLabel;
+        it = family.find(label);
+        if (it == family.end()) it = family.emplace(std::string(label), make()).first;
     }
-    if (!it->second.metric) it->second.metric = std::make_unique<T>();
-    if (pin) it->second.pinned = true;
-    return it->second;
-}
-
-// Histogram has no default constructor; specialise slot creation.
-template <>
-Registry::Slot<Histogram>& Registry::slot<Histogram>(
-    std::map<std::string, Family<Histogram>, std::less<>>& families, std::string_view name,
-    std::string_view label, bool pin) {
-    auto fam_it = families.find(name);
-    if (fam_it == families.end()) {
-        fam_it = families.emplace(std::string(name), Family<Histogram>{}).first;
-    }
-    Family<Histogram>& family = fam_it->second;
-    auto it = family.find(label);
-    if (it == family.end()) {
-        if (!label.empty() && family.size() >= kLabelCap) {
-            it = family.find(kOverflowLabel);
-            if (it == family.end()) {
-                it = family.emplace(std::string(kOverflowLabel), Slot<Histogram>{}).first;
-            }
-        } else {
-            it = family.emplace(std::string(label), Slot<Histogram>{}).first;
-        }
-    }
-    if (pin) it->second.pinned = true;
-    return it->second;
-}
-
-template <typename T>
-void Registry::release(std::map<std::string, Family<T>, std::less<>>& families,
-                       std::string_view name, std::string_view label) {
-    auto fam_it = families.find(name);
-    if (fam_it == families.end()) return;
-    auto it = fam_it->second.find(label);
-    if (it == fam_it->second.end()) return;
-    if (--it->second.owners <= 0 && !it->second.pinned) {
-        fam_it->second.erase(it);
-        if (fam_it->second.empty()) families.erase(fam_it);
-    }
+    return *it->second;
 }
 
 Counter& Registry::counter(std::string_view name, std::string_view label) {
     std::lock_guard<std::mutex> lock(mu_);
-    return *slot(counters_, name, label, /*pin=*/true).metric;
+    return slot(counters_, name, label, [] { return std::make_unique<Counter>(); });
 }
 
 Gauge& Registry::gauge(std::string_view name, std::string_view label) {
     std::lock_guard<std::mutex> lock(mu_);
-    return *slot(gauges_, name, label, /*pin=*/true).metric;
+    return slot(gauges_, name, label, [] { return std::make_unique<Gauge>(); });
 }
 
 Histogram& Registry::histogram(std::string_view name, std::string_view label,
                                std::vector<double> bounds) {
     std::lock_guard<std::mutex> lock(mu_);
-    Slot<Histogram>& s = slot(histograms_, name, label, /*pin=*/true);
-    if (!s.metric) s.metric = std::make_unique<Histogram>(std::move(bounds));
-    return *s.metric;
+    return slot(histograms_, name, label,
+                [&] { return std::make_unique<Histogram>(std::move(bounds)); });
 }
 
-Counter& Registry::acquire_counter(std::string_view name, std::string_view label) {
+Source Registry::add_source(std::function<void(Rows&)> fn) {
     std::lock_guard<std::mutex> lock(mu_);
-    Slot<Counter>& s = slot(counters_, name, label, /*pin=*/false);
-    ++s.owners;
-    return *s.metric;
+    const std::uint64_t id = ++next_source_;
+    sources_.emplace(id, std::move(fn));
+    return Source(this, id);
 }
 
-void Registry::release_counter(std::string_view name, std::string_view label) {
+void Registry::remove_source(std::uint64_t id) {
     std::lock_guard<std::mutex> lock(mu_);
-    release(counters_, name, label);
-}
-
-Gauge& Registry::acquire_gauge(std::string_view name, std::string_view label) {
-    std::lock_guard<std::mutex> lock(mu_);
-    Slot<Gauge>& s = slot(gauges_, name, label, /*pin=*/false);
-    ++s.owners;
-    return *s.metric;
-}
-
-void Registry::release_gauge(std::string_view name, std::string_view label) {
-    std::lock_guard<std::mutex> lock(mu_);
-    release(gauges_, name, label);
+    sources_.erase(id);
 }
 
 void Registry::reset() {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [_, family] : counters_) {
-        for (auto& [__, s] : family) s.metric->reset();
+        for (auto& [__, c] : family) c->reset();
     }
     for (auto& [_, family] : gauges_) {
-        for (auto& [__, s] : family) s.metric->reset();
+        for (auto& [__, g] : family) g->reset();
     }
     for (auto& [_, family] : histograms_) {
-        for (auto& [__, s] : family) {
-            if (s.metric) s.metric->reset();
-        }
+        for (auto& [__, h] : family) h->reset();
     }
 }
 
-// Visitors gather (name, label, metric) under the lock, then run the
-// callback outside it: the metrics are slot-pinned so the pointers stay
-// valid, and a callback that re-enters the registry cannot deadlock.
+// Sources run under the lock: that is what makes unregistration safe — a
+// Source being destroyed waits for an export in progress, so no callback
+// ever reads a component whose destructor has begun. The visitors' own
+// callbacks run on the collected copy, outside the lock, so they may
+// re-enter the registry.
+Rows Registry::collect() const {
+    Rows rows;
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [name, family] : counters_) {
+        for (const auto& [label, c] : family) rows.counter(name, label, c->value());
+    }
+    for (const auto& [name, family] : gauges_) {
+        for (const auto& [label, g] : family) rows.gauge(name, label, g->value());
+    }
+    for (const auto& [_, fn] : sources_) fn(rows);
+    cap_labels(rows.counters_);
+    cap_labels(rows.gauges_);
+    return rows;
+}
+
 void Registry::visit_counters(
     const std::function<void(const std::string&, const std::string&, const Counter&)>& fn)
     const {
-    std::vector<std::tuple<const std::string*, const std::string*, const Counter*>> items;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto& [name, family] : counters_) {
-            for (const auto& [label, s] : family) items.emplace_back(&name, &label, s.metric.get());
-        }
+    Rows rows = collect();
+    for (const auto& [name, family] : rows.counters_) {
+        for (const auto& [label, value] : family) fn(name, label, Counter{value});
     }
-    for (const auto& [name, label, c] : items) fn(*name, *label, *c);
 }
 
 void Registry::visit_gauges(
     const std::function<void(const std::string&, const std::string&, const Gauge&)>& fn) const {
-    std::vector<std::tuple<const std::string*, const std::string*, const Gauge*>> items;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto& [name, family] : gauges_) {
-            for (const auto& [label, s] : family) items.emplace_back(&name, &label, s.metric.get());
-        }
+    Rows rows = collect();
+    for (const auto& [name, family] : rows.gauges_) {
+        for (const auto& [label, value] : family) fn(name, label, Gauge{value});
     }
-    for (const auto& [name, label, g] : items) fn(*name, *label, *g);
 }
 
+// Histograms are pinned only: gather pointers under the lock, then run the
+// callback outside it (slots are unique_ptr-pinned, so the pointers stay
+// valid).
 void Registry::visit_histograms(
     const std::function<void(const std::string&, const std::string&, const Histogram&)>& fn)
     const {
@@ -234,9 +254,7 @@ void Registry::visit_histograms(
     {
         std::lock_guard<std::mutex> lock(mu_);
         for (const auto& [name, family] : histograms_) {
-            for (const auto& [label, s] : family) {
-                if (s.metric) items.emplace_back(&name, &label, s.metric.get());
-            }
+            for (const auto& [label, h] : family) items.emplace_back(&name, &label, h.get());
         }
     }
     for (const auto& [name, label, h] : items) fn(*name, *label, *h);

@@ -11,13 +11,16 @@
 // never ordered against other memory), and the flag lets benchmarks price
 // the instrumentation itself (enabled vs. compiled-in-but-idle).
 //
-// Lifetime: metrics obtained through `Registry::counter()` (and friends)
-// are pinned — they live as long as the registry. Per-instance metrics
-// (one network, one adaptation service) are *acquired* instead; releasing
-// the slot when the instance dies lets a successor with the same label
-// start from zero, which is what keeps the legacy `stats()` views exact
-// across sequential test scenarios. `Owned*` RAII handles do the
-// acquire/release pairing.
+// Two kinds of rows reach an export:
+//  * pinned metrics, obtained through `Registry::counter()` (and friends),
+//    live as long as the registry — process-wide families such as
+//    `rpc.retries` or `weaver.weaves`;
+//  * component sources. A per-instance component (one network, one
+//    adaptation service) keeps its numbers in its own plain stats struct —
+//    the one source of truth, read directly through its `stats()` — and
+//    registers one RAII-scoped `Source` that reports `(name, label, value)`
+//    rows when an exporter asks. The rows vanish with the component, so a
+//    successor with the same label starts from zero.
 #pragma once
 
 #include <atomic>
@@ -44,6 +47,9 @@ inline void set_enabled(bool on) { detail::g_enabled = on; }
 /// Monotonic event count.
 class Counter {
 public:
+    Counter() = default;
+    explicit Counter(std::uint64_t v) : value_(v) {}
+
     void inc(std::uint64_t n = 1) {
         if (detail::g_enabled) value_.fetch_add(n, std::memory_order_relaxed);
     }
@@ -57,6 +63,9 @@ private:
 /// Point-in-time level (extensions active, tuples stored, ...).
 class Gauge {
 public:
+    Gauge() = default;
+    explicit Gauge(std::int64_t v) : value_(v) {}
+
     void set(std::int64_t v) {
         if (detail::g_enabled) value_.store(v, std::memory_order_relaxed);
     }
@@ -121,12 +130,53 @@ private:
     double sum_ = 0;
 };
 
-/// The registry: name -> label -> metric. `Registry::global()` is the
-/// process-wide instance everything reports into; tests may build private
-/// ones. Label cardinality is capped per metric name: once a family holds
-/// `kLabelCap` distinct labels, further labels collapse into the
-/// `kOverflowLabel` slot so a misbehaving caller (per-request labels, say)
-/// degrades the metric instead of growing memory without bound.
+/// The rows one export collects: pinned values plus every source's report,
+/// summed per (name, label). A component source writes into it.
+class Rows {
+public:
+    void counter(std::string_view name, std::string_view label, std::uint64_t value);
+    void gauge(std::string_view name, std::string_view label, std::int64_t value);
+
+private:
+    friend class Registry;
+    template <typename V>
+    using Table = std::map<std::string, std::map<std::string, V, std::less<>>, std::less<>>;
+    Table<std::uint64_t> counters_;
+    Table<std::int64_t> gauges_;
+};
+
+class Registry;
+
+/// RAII registration of a component source (`Registry::add_source`).
+/// Destroying it unregisters the callback; once the destructor returns the
+/// callback never runs again, so a component declares its Source *last*
+/// and the rows can never outlive the stats they read.
+class Source {
+public:
+    Source() = default;
+    Source(Source&& other) noexcept;
+    Source& operator=(Source&& other) noexcept;
+    ~Source();
+    Source(const Source&) = delete;
+    Source& operator=(const Source&) = delete;
+
+private:
+    friend class Registry;
+    Source(Registry* reg, std::uint64_t id) : reg_(reg), id_(id) {}
+    Registry* reg_ = nullptr;
+    std::uint64_t id_ = 0;
+};
+
+/// The registry: name -> label -> metric, plus the component sources it
+/// collects at export time. `Registry::global()` is the process-wide
+/// instance everything reports into; tests may build private ones.
+/// Label cardinality is capped per metric name at `kLabelCap` distinct
+/// labels. A pinned family past the cap collapses further labels into the
+/// `kOverflowLabel` slot, so a misbehaving caller degrades the metric
+/// instead of growing memory without bound. An export keeps the first
+/// `kLabelCap` labels of each family in sorted order and sums the rest
+/// into `kOverflowLabel`. A component's own `stats()` are exact at any
+/// fleet size; only the export aggregates.
 class Registry {
 public:
     static constexpr std::size_t kLabelCap = 64;
@@ -147,18 +197,17 @@ public:
     Histogram& histogram(std::string_view name, std::string_view label = {},
                          std::vector<double> bounds = {});
 
-    /// Instance-owned lookup-or-create: refcounted, the slot is erased when
-    /// the last owner releases it (unless a pinned user also holds it).
-    Counter& acquire_counter(std::string_view name, std::string_view label);
-    void release_counter(std::string_view name, std::string_view label);
-    Gauge& acquire_gauge(std::string_view name, std::string_view label);
-    void release_gauge(std::string_view name, std::string_view label);
+    /// Register a component source: `fn` reports the component's rows each
+    /// time an exporter visits counters or gauges. It runs under the
+    /// registry lock, so it must not call back into the registry.
+    [[nodiscard]] Source add_source(std::function<void(Rows&)> fn);
 
-    /// Zero every metric (registrations and pins stay).
+    /// Zero every pinned metric (registrations and pins stay). Component
+    /// sources are untouched: their numbers belong to the components.
     void reset();
 
     /// Deterministic iteration for exporters: families sorted by name,
-    /// slots sorted by label.
+    /// slots sorted by label, pinned and sourced rows merged.
     void visit_counters(
         const std::function<void(const std::string& name, const std::string& label,
                                  const Counter&)>& fn) const;
@@ -168,90 +217,34 @@ public:
         const std::function<void(const std::string& name, const std::string& label,
                                  const Histogram&)>& fn) const;
 
-    /// Number of distinct (name, label) slots across all metric kinds.
+    /// Number of distinct pinned (name, label) slots across all metric kinds.
     std::size_t size() const;
 
 private:
-    template <typename T>
-    struct Slot {
-        std::unique_ptr<T> metric;
-        int owners = 0;    ///< acquire_*/release_* refcount
-        bool pinned = false;  ///< ever handed out via the pinned accessors
-    };
-    template <typename T>
-    using Family = std::map<std::string, Slot<T>, std::less<>>;
+    friend class Source;
 
     template <typename T>
-    Slot<T>& slot(std::map<std::string, Family<T>, std::less<>>& families,
-                  std::string_view name, std::string_view label, bool pin);
+    using Family = std::map<std::string, std::unique_ptr<T>, std::less<>>;
     template <typename T>
-    void release(std::map<std::string, Family<T>, std::less<>>& families,
-                 std::string_view name, std::string_view label);
+    using Families = std::map<std::string, Family<T>, std::less<>>;
 
-    /// Guards the family maps (lookup-or-create, release, visits). The
-    /// metrics themselves are not guarded by this: Counter/Gauge are
-    /// atomic, Histogram carries its own mutex, and handed-out references
-    /// stay valid regardless (slots are unique_ptr-pinned).
+    template <typename T, typename Make>
+    static T& slot(Families<T>& families, std::string_view name, std::string_view label,
+                   Make make);
+    /// Pinned values plus every source's rows, label cap applied.
+    Rows collect() const;
+    void remove_source(std::uint64_t id);
+
+    /// Guards the family maps and the source table. The pinned metrics
+    /// themselves are not guarded by this: Counter/Gauge are atomic,
+    /// Histogram carries its own mutex, and handed-out references stay
+    /// valid regardless (slots are unique_ptr-pinned).
     mutable std::mutex mu_;
-    std::map<std::string, Family<Counter>, std::less<>> counters_;
-    std::map<std::string, Family<Gauge>, std::less<>> gauges_;
-    std::map<std::string, Family<Histogram>, std::less<>> histograms_;
-};
-
-/// RAII owner of a per-instance counter slot (see class comment above).
-class OwnedCounter {
-public:
-    OwnedCounter(Registry& reg, std::string name, std::string label)
-        : reg_(&reg),
-          name_(std::move(name)),
-          label_(std::move(label)),
-          c_(&reg_->acquire_counter(name_, label_)) {}
-    OwnedCounter(std::string name, std::string label = {})
-        : OwnedCounter(Registry::global(), std::move(name), std::move(label)) {}
-    ~OwnedCounter() {
-        if (reg_) reg_->release_counter(name_, label_);
-    }
-    OwnedCounter(const OwnedCounter&) = delete;
-    OwnedCounter& operator=(const OwnedCounter&) = delete;
-
-    Counter& operator*() const { return *c_; }
-    Counter* operator->() const { return c_; }
-    std::uint64_t value() const { return c_->value(); }
-    void inc(std::uint64_t n = 1) { c_->inc(n); }
-    void reset() { c_->reset(); }
-
-private:
-    Registry* reg_;
-    std::string name_;
-    std::string label_;
-    Counter* c_;
-};
-
-/// RAII owner of a per-instance gauge slot.
-class OwnedGauge {
-public:
-    OwnedGauge(Registry& reg, std::string name, std::string label)
-        : reg_(&reg),
-          name_(std::move(name)),
-          label_(std::move(label)),
-          g_(&reg_->acquire_gauge(name_, label_)) {}
-    OwnedGauge(std::string name, std::string label = {})
-        : OwnedGauge(Registry::global(), std::move(name), std::move(label)) {}
-    ~OwnedGauge() {
-        if (reg_) reg_->release_gauge(name_, label_);
-    }
-    OwnedGauge(const OwnedGauge&) = delete;
-    OwnedGauge& operator=(const OwnedGauge&) = delete;
-
-    Gauge& operator*() const { return *g_; }
-    Gauge* operator->() const { return g_; }
-    std::int64_t value() const { return g_->value(); }
-
-private:
-    Registry* reg_;
-    std::string name_;
-    std::string label_;
-    Gauge* g_;
+    Families<Counter> counters_;
+    Families<Gauge> gauges_;
+    Families<Histogram> histograms_;
+    std::map<std::uint64_t, std::function<void(Rows&)>> sources_;
+    std::uint64_t next_source_ = 0;
 };
 
 }  // namespace pmp::obs

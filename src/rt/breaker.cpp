@@ -9,9 +9,11 @@ CircuitBreaker::CircuitBreaker(sim::Simulator& sim, std::string owner, BreakerCo
     : sim_(sim),
       owner_(std::move(owner)),
       config_(config),
-      opens_c_("rpc.breaker_opens", owner_),
-      short_circuits_c_("rpc.breaker_short_circuits", owner_),
-      state_g_("rpc.breaker_state", owner_) {}
+      obs_source_(obs::Registry::global().add_source([this](obs::Rows& rows) {
+          rows.counter("rpc.breaker_opens", owner_, stats_.opens);
+          rows.counter("rpc.breaker_short_circuits", owner_, stats_.short_circuits);
+          rows.gauge("rpc.breaker_state", owner_, tripped());
+      })) {}
 
 bool CircuitBreaker::allow(NodeId target) {
     if (config_.threshold <= 0) return true;
@@ -23,7 +25,7 @@ bool CircuitBreaker::allow(NodeId target) {
             return true;
         case State::kOpen:
             if (sim_.now() < slot.open_until) {
-                short_circuits_c_.inc();
+                ++stats_.short_circuits;
                 return false;
             }
             slot.state = State::kHalfOpen;
@@ -31,11 +33,10 @@ bool CircuitBreaker::allow(NodeId target) {
             obs::TraceBuffer::global().instant(
                 "rt.rpc", "rpc.breaker.half_open",
                 {{"owner", owner_}, {"target", target.str()}});
-            update_gauge();
             return true;
         case State::kHalfOpen:
             if (slot.probe_in_flight) {
-                short_circuits_c_.inc();
+                ++stats_.short_circuits;
                 return false;
             }
             slot.probe_in_flight = true;
@@ -74,7 +75,6 @@ void CircuitBreaker::on_failure(NodeId target, bool relevant) {
 
 void CircuitBreaker::forget(NodeId target) {
     slots_.erase(target);
-    update_gauge();
 }
 
 void CircuitBreaker::trip(Slot& slot, NodeId target) {
@@ -85,13 +85,12 @@ void CircuitBreaker::trip(Slot& slot, NodeId target) {
     slot.open_until = sim_.now() + slot.period;
     slot.failures = 0;
     slot.probe_in_flight = false;
-    opens_c_.inc();
+    ++stats_.opens;
     obs::TraceBuffer::global().instant(
         "rt.rpc", "rpc.breaker.open",
         {{"owner", owner_},
          {"target", target.str()},
          {"cooldown_ms", std::to_string(slot.period.count() / 1'000'000)}});
-    update_gauge();
 }
 
 void CircuitBreaker::close(Slot& slot, NodeId target) {
@@ -104,7 +103,6 @@ void CircuitBreaker::close(Slot& slot, NodeId target) {
         obs::TraceBuffer::global().instant(
             "rt.rpc", "rpc.breaker.close",
             {{"owner", owner_}, {"target", target.str()}});
-        update_gauge();
     }
 }
 
@@ -118,7 +116,5 @@ std::int64_t CircuitBreaker::tripped() const {
     for (const auto& [_, slot] : slots_) n += slot.state != State::kClosed;
     return n;
 }
-
-void CircuitBreaker::update_gauge() { state_g_->set(tripped()); }
 
 }  // namespace pmp::rt

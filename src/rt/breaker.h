@@ -49,8 +49,9 @@ class CircuitBreaker {
 public:
     enum class State { kClosed, kOpen, kHalfOpen };
 
-    /// `owner` labels the metrics (rpc.breaker_opens / rpc.breaker_state /
-    /// rpc.breaker_short_circuits), e.g. the base's issuer name.
+    /// `owner` labels the exported rows (rpc.breaker_opens /
+    /// rpc.breaker_short_circuits, gauge rpc.breaker_state = tripped()),
+    /// e.g. the base's issuer name.
     CircuitBreaker(sim::Simulator& sim, std::string owner, BreakerConfig config = {});
 
     /// May traffic go to `target` now? Open breakers answer false (counted
@@ -70,6 +71,12 @@ public:
     /// Number of targets currently not closed (the rpc.breaker_state gauge).
     std::int64_t tripped() const;
 
+    struct Stats {
+        std::uint64_t opens = 0;           ///< trips into the open state
+        std::uint64_t short_circuits = 0;  ///< calls refused while open
+    };
+    const Stats& stats() const { return stats_; }
+
     const BreakerConfig& config() const { return config_; }
 
 private:
@@ -83,16 +90,13 @@ private:
 
     void trip(Slot& slot, NodeId target);
     void close(Slot& slot, NodeId target);
-    void update_gauge();
 
     sim::Simulator& sim_;
     std::string owner_;
     BreakerConfig config_;
     std::map<NodeId, Slot> slots_;
-
-    obs::OwnedCounter opens_c_;
-    obs::OwnedCounter short_circuits_c_;
-    obs::OwnedGauge state_g_;
+    Stats stats_;
+    obs::Source obs_source_;  // last: unregisters before the state it reads
 };
 
 }  // namespace pmp::rt

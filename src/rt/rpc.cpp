@@ -42,7 +42,11 @@ RpcMetrics& metrics() {
 RpcEndpoint::RpcEndpoint(net::MessageRouter& router, Runtime& runtime)
     : router_(router),
       runtime_(runtime),
-      reply_cache_size_g_("rpc.reply_cache_size", router.network().name_of(router.self())) {
+      obs_source_(obs::Registry::global().add_source(
+          [this, label = router.network().name_of(router.self())](obs::Rows& rows) {
+              rows.gauge("rpc.reply_cache_size", label,
+                         static_cast<std::int64_t>(reply_cache_.size()));
+          })) {
     router_.route(kCallKind, [this](const net::Message& m) { on_call(m, false); });
     router_.route(kReplyKind, [this](const net::Message& m) { on_reply(m, false); });
     router_.route(kCtlCallKind, [this](const net::Message& m) { on_call(m, true); });
@@ -448,7 +452,6 @@ void RpcEndpoint::execute_call(NodeId from, bool control, std::uint64_t call_id,
         reply_cache_order_.pop_front();
         metrics().reply_cache_evictions.inc();
     }
-    reply_cache_size_g_->set(static_cast<std::int64_t>(reply_cache_.size()));
     // The reply frame is stamped while the serve span is ambient, so the
     // wire hop back to the caller stays inside the tree.
     router_.send(from, control ? kCtlReplyKind : kReplyKind, std::move(reply));

@@ -114,6 +114,9 @@ public:
     void exempt_from_filters(const std::string& prefix);
     bool is_exempt(const std::string& object) const;
 
+    /// Entries in the at-most-once reply cache (bounded by kReplyCacheCap).
+    std::size_t reply_cache_size() const { return reply_cache_.size(); }
+
 private:
     using AttemptHandler = RichReplyHandler;
 
@@ -178,9 +181,8 @@ private:
     /// duplicate frame arriving meanwhile is dropped (not re-queued): the
     /// original's reply is coming.
     std::set<ReplyCacheKey> inflight_;
-    /// Level of the at-most-once cache, per node (satellite: the cache had
-    /// no eviction visibility).
-    obs::OwnedGauge reply_cache_size_g_;
+    /// Exports the at-most-once cache level, `rpc.reply_cache_size{node}`.
+    obs::Source obs_source_;  // last: unregisters before the cache it reads
 };
 
 }  // namespace pmp::rt

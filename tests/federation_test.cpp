@@ -14,7 +14,6 @@
 #include "disco/shard.h"
 #include "midas/node.h"
 #include "net/fault.h"
-#include "obs/metrics.h"
 
 namespace pmp::midas {
 namespace {
@@ -28,10 +27,6 @@ ExtensionPackage policy_pkg(const std::string& name,
     pkg.script = body;
     pkg.bindings = {{prose::AdviceKind::kBefore, "call(* Motor.*(..))", "onEntry", 0}};
     return pkg;
-}
-
-std::uint64_t counter_now(const std::string& name, const std::string& label = "") {
-    return obs::Registry::global().counter(name, label).value();
 }
 
 // ------------------------------------------------------------ hash ring ----
@@ -423,9 +418,6 @@ TEST(ReceiverCaches, CompileCacheIsBoundedAndEvictionsAreCounted) {
     MobileNode robot(net, "robot", net::Position{10, 0}, 120.0, rc);
     robot.trust().trust("hall", to_bytes("k"));
 
-    const std::uint64_t evictions0 =
-        counter_now("midas.receiver.cache_evictions", "robot");
-
     // Five distinct scripts -> five distinct compile-cache entries wanted;
     // a cap of 2 must evict at least three, and the counter must say so.
     for (int i = 0; i < 5; ++i) {
@@ -441,7 +433,7 @@ TEST(ReceiverCaches, CompileCacheIsBoundedAndEvictionsAreCounted) {
 
     EXPECT_LE(robot.receiver().compile_cache_size(), 2u);
     EXPECT_LE(robot.receiver().pointcut_cache_size(), 2u);
-    EXPECT_GE(counter_now("midas.receiver.cache_evictions", "robot") - evictions0, 3u);
+    EXPECT_GE(robot.receiver().stats().cache_evictions, 3u);
 
     // The caches are an optimization, not a correctness device: everything
     // still installed and stays alive past a lease lifetime.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "midas/node.h"
+#include "obs/metrics.h"
 #include "robot/devices.h"
 
 namespace pmp::midas {
@@ -63,6 +64,42 @@ protected:
     std::unique_ptr<MobileNode> robot_;
     std::shared_ptr<rt::ServiceObject> motor_;
 };
+
+// A node's stats are its own: exact for the 100th receiver of a fleet, well
+// past the 64-label cap at which an export starts aggregating rows.
+TEST(ReceiverStats, ExactForEveryNodeOfALargeFleet) {
+    sim::Simulator sim;
+    net::Network net(sim, net::NetworkConfig{}, 5);
+    crypto::KeyStore keys;
+    keys.add_key("hall", to_bytes("k"));
+    std::vector<std::unique_ptr<MobileNode>> fleet;
+    for (int i = 0; i < 100; ++i) {
+        auto node = std::make_unique<MobileNode>(net, "node" + std::to_string(i),
+                                                 net::Position{0, 0}, 10.0);
+        node->trust().trust("hall", to_bytes("k"));
+        // Node i installs i + 1 successive versions of one extension.
+        for (std::uint32_t v = 1; v <= static_cast<std::uint32_t>(i + 1); ++v) {
+            ExtensionPackage pkg;
+            pkg.name = "hall/counter";
+            pkg.version = v;
+            pkg.script = "fun onEntry() { }";
+            pkg.bindings = {PackageBinding{prose::AdviceKind::kBefore, "call(* Motor.*(..))",
+                                           "onEntry", 0}};
+            node->receiver().install_from(NodeId{}, pkg.seal(keys, "hall"), 1000);
+        }
+        fleet.push_back(std::move(node));
+    }
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+        EXPECT_EQ(fleet[i]->receiver().stats().installs, i + 1) << fleet[i]->label();
+    }
+    // The export folds labels past its cap into one row but loses nothing.
+    std::uint64_t exported = 0;
+    obs::Registry::global().visit_counters(
+        [&](const std::string& name, const std::string&, const obs::Counter& c) {
+            if (name == "midas.installs") exported += c.value();
+        });
+    EXPECT_EQ(exported, 100u * 101u / 2u);
+}
 
 TEST_F(MidasTest, NodeIsAdaptedOnEnteringTheHall) {
     base_->base().add_extension(monitoring_package());

@@ -1,7 +1,13 @@
 // Unit tests for the observability subsystem: metrics registry semantics,
-// quantile interpolation, trace ring eviction, label cardinality capping,
-// component canonicalisation, and the JSON snapshot round-trip.
+// component sources, quantile interpolation, trace ring eviction, label
+// cardinality capping, component canonicalisation, and the JSON snapshot
+// round-trip.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <memory>
+#include <thread>
 
 #include "obs/component.h"
 #include "obs/export.h"
@@ -148,27 +154,106 @@ TEST(Registry, LabelCardinalityCapCollapsesToOverflow) {
     EXPECT_TRUE(saw_overflow);
 }
 
-TEST(Registry, AcquireReleaseFreesSlotForSuccessor) {
-    Registry reg;
-    {
-        OwnedCounter c(reg, "net.sent", "net1");
-        c.inc(3);
-        EXPECT_EQ(c.value(), 3u);
-    }
-    // The instance died; a successor with the same label starts from zero.
-    OwnedCounter again(reg, "net.sent", "net1");
-    EXPECT_EQ(again.value(), 0u);
+/// A component in miniature: its own stats, reported through one source.
+struct FakeComponent {
+    std::uint64_t sent;
+    Source source;
+
+    FakeComponent(Registry& reg, std::string label, std::uint64_t sent0 = 0)
+        : sent(sent0),
+          source(reg.add_source([this, label = std::move(label)](Rows& rows) {
+              rows.counter("net.sent", label, sent);
+          })) {}
+};
+
+std::vector<std::string> counter_rows(const Registry& reg) {
+    std::vector<std::string> out;
+    reg.visit_counters(
+        [&](const std::string& name, const std::string& label, const Counter& c) {
+            out.push_back(name + "/" + label + "=" + std::to_string(c.value()));
+        });
+    return out;
 }
 
-TEST(Registry, PinnedSlotSurvivesRelease) {
+TEST(Registry, SourceUnregistersWithItsOwner) {
     Registry reg;
-    reg.counter("keep", "x").inc(9);
     {
-        OwnedCounter c(reg, "keep", "x");
-        c.inc();
+        FakeComponent net(reg, "net1", 3);
+        EXPECT_EQ(snapshot_metrics(reg).counter("net.sent", "net1"), 3u);
     }
-    // Pinned by the plain accessor: release does not erase the value.
-    EXPECT_EQ(reg.counter("keep", "x").value(), 10u);
+    EXPECT_TRUE(counter_rows(reg).empty());
+    EXPECT_EQ(reg.size(), 0u);  // exporting pinned nothing
+}
+
+TEST(Registry, SuccessorWithTheSameLabelStartsFromZero) {
+    Registry reg;
+    { FakeComponent net(reg, "net1", 3); }
+    FakeComponent again(reg, "net1");
+    EXPECT_EQ(counter_rows(reg), (std::vector<std::string>{"net.sent/net1=0"}));
+}
+
+TEST(Registry, ExportSumsOverflowLabelsDeterministically) {
+    // 70 labelled sources registered in two different orders: the export
+    // keeps the first kLabelCap labels in sorted order either way and sums
+    // the rest into the overflow row.
+    auto run = [](bool reversed) {
+        Registry reg;
+        std::vector<std::unique_ptr<FakeComponent>> fleet;
+        for (int i = 0; i < 70; ++i) {
+            const int n = reversed ? 69 - i : i;
+            char label[8];
+            std::snprintf(label, sizeof(label), "n%02d", n);
+            fleet.push_back(
+                std::make_unique<FakeComponent>(reg, label, static_cast<std::uint64_t>(n)));
+        }
+        return counter_rows(reg);
+    };
+    std::vector<std::string> rows = run(false);
+    EXPECT_EQ(rows, run(true));
+    ASSERT_EQ(rows.size(), Registry::kLabelCap + 1);
+    EXPECT_EQ(rows.front(), "net.sent/n00=0");
+    EXPECT_EQ(rows[Registry::kLabelCap - 1], "net.sent/n63=63");
+    EXPECT_EQ(rows.back(), "net.sent/~other=" + std::to_string(64 + 65 + 66 + 67 + 68 + 69));
+}
+
+TEST(Registry, PinnedAndSourcedRowsMergeInSortedOrder) {
+    Registry reg;
+    reg.counter("b").inc(1);
+    reg.counter("a", "z").inc(2);
+    Source source = reg.add_source([](Rows& rows) {
+        rows.counter("c", "", 7);
+        rows.counter("a", "z", 10);  // same row as the pinned one: summed
+        rows.counter("a", "m", 5);
+        rows.gauge("g", "x", -4);
+    });
+    EXPECT_EQ(counter_rows(reg),
+              (std::vector<std::string>{"a/m=5", "a/z=12", "b/=1", "c/=7"}));
+    Snapshot snap = snapshot_metrics(reg);
+    ASSERT_EQ(snap.gauges.size(), 1u);
+    EXPECT_EQ(snap.gauges[0].name, "g");
+    EXPECT_EQ(snap.gauges[0].value, -4);
+}
+
+TEST(Registry, SourcesComeAndGoWhileExportsRun) {
+    // Shard workers build and tear down nodes while an exporter runs: no
+    // export may read a component whose destructor has begun.
+    Registry reg;
+    std::atomic<bool> stop{false};
+    std::thread exporter([&] {
+        while (!stop.load()) (void)snapshot_metrics(reg);
+    });
+    std::vector<std::thread> workers;
+    for (int w = 0; w < 3; ++w) {
+        workers.emplace_back([&reg, w] {
+            for (std::uint64_t i = 0; i < 200; ++i) {
+                FakeComponent node(reg, "w" + std::to_string(w), i);
+            }
+        });
+    }
+    for (auto& t : workers) t.join();
+    stop = true;
+    exporter.join();
+    EXPECT_TRUE(counter_rows(reg).empty());
 }
 
 TEST(Registry, VisitOrderIsDeterministic) {
@@ -272,7 +357,7 @@ Snapshot make_snapshot() {
     static TraceBuffer trace(8);
     reg.reset();
     trace.clear();
-    reg.counter("weaver.advice_calls", "logger").inc(12);
+    reg.counter("profile.advice_calls", "logger").inc(12);
     reg.counter("net.sent").inc(3);
     reg.gauge("midas.extensions", "robot-1").set(2);
     auto& h = reg.histogram("rpc.roundtrip_ms", "", {1.0, 10.0, 100.0});
@@ -287,7 +372,7 @@ Snapshot make_snapshot() {
 TEST(Snapshot, CounterLookupHelper) {
     Snapshot snap = make_snapshot();
     EXPECT_EQ(snap.counter("net.sent"), 3u);
-    EXPECT_EQ(snap.counter("weaver.advice_calls", "logger"), 12u);
+    EXPECT_EQ(snap.counter("profile.advice_calls", "logger"), 12u);
     EXPECT_EQ(snap.counter("no.such.metric"), 0u);
 }
 
@@ -309,7 +394,7 @@ TEST(Snapshot, JsonRejectsGarbage) {
 TEST(Snapshot, TextRenderingMentionsEveryMetric) {
     Snapshot snap = make_snapshot();
     std::string text = to_text(snap);
-    EXPECT_NE(text.find("weaver.advice_calls"), std::string::npos);
+    EXPECT_NE(text.find("profile.advice_calls"), std::string::npos);
     EXPECT_NE(text.find("net.sent"), std::string::npos);
     EXPECT_NE(text.find("midas.extensions"), std::string::npos);
     EXPECT_NE(text.find("rpc.roundtrip_ms"), std::string::npos);

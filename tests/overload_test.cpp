@@ -12,7 +12,7 @@
 #include "midas/node.h"
 #include "net/fault.h"
 #include "net/router.h"
-#include "obs/metrics.h"
+#include "obs/export.h"
 #include "robot/devices.h"
 #include "rt/breaker.h"
 #include "rt/rpc.h"
@@ -34,7 +34,7 @@ using rt::TypeKind;
 using rt::Value;
 
 std::uint64_t counter_value(const char* name, const std::string& label = {}) {
-    return obs::Registry::global().counter(name, label).value();
+    return obs::snapshot_metrics().counter(name, label);
 }
 
 // ---------------------------------------------------------------------------
@@ -280,9 +280,9 @@ TEST_F(OverloadRpcTest, ReplyCacheStaysBoundedUnderDuplicationStorm) {
     for (int i = 0; i < 300; ++i) {
         a_rpc_.call_sync(b_id_, "echo", "ping", {});
     }
-    std::int64_t size = obs::Registry::global().gauge("rpc.reply_cache_size", "server").value();
-    EXPECT_GT(size, 0);
-    EXPECT_LE(size, 256) << "reply cache must stay bounded";
+    std::size_t size = b_rpc_.reply_cache_size();
+    EXPECT_GT(size, 0u);
+    EXPECT_LE(size, 256u) << "reply cache must stay bounded";
     EXPECT_GE(counter_value("rpc.reply_cache_evictions") - evict0, 40u);
     EXPECT_EQ(pings_, 300) << "dups must not re-execute calls";
 }

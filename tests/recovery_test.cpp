@@ -118,7 +118,7 @@ TEST(Journal, PowerOffLosesSubsequentWrites) {
 
 // ---------------------------------------------------------------------------
 // Group commit: size/time-bounded batches, torn-group semantics, and
-// transparent interleaving with legacy per-record frames (docs/storage.md).
+// interleaving with unbatched (one-record batch) writers (docs/storage.md).
 
 TEST(JournalGroupCommit, SizeBoundedBatchFlushesAsOneFrame) {
     auto disk = std::make_shared<db::JournalStorage>();
@@ -265,26 +265,6 @@ TEST(JournalChunkedSnapshot, CorruptChunkWithoutFallbackReportsCorrupt) {
     EXPECT_FALSE(restored.snapshot.has_value());
     EXPECT_TRUE(restored.snapshot_corrupt);
     ASSERT_EQ(restored.wal.size(), 1u);  // WAL replay survives regardless
-}
-
-TEST(JournalChunkedSnapshot, LegacyCompactClearsStaleFallback) {
-    auto disk = std::make_shared<db::JournalStorage>();
-    {
-        db::Journal chunked(disk, db::JournalConfig{.snapshot_chunk_bytes = 64});
-        chunked.compact(Value{std::string(300, 'a')});
-        chunked.compact(Value{std::string(300, 'b')});
-    }
-    {
-        db::Journal legacy(disk);
-        legacy.compact(Value{std::string("c")});
-    }
-    // A later corruption of the legacy snapshot must NOT resurrect the
-    // retired chunked state 'b' — it predates the legacy compact.
-    disk->snapshot[disk->snapshot.size() / 2] ^= 0x01;
-    auto restored = db::Journal(disk).restore();
-    EXPECT_FALSE(restored.snapshot.has_value());
-    EXPECT_TRUE(restored.snapshot_corrupt);
-    EXPECT_FALSE(restored.snapshot_fallback);
 }
 
 // ---------------------------------------------------------------------------

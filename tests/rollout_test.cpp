@@ -30,7 +30,6 @@
 #include "midas/node.h"
 #include "midas/rollout.h"
 #include "midas/supervisor.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "robot/devices.h"
 
@@ -48,10 +47,6 @@ ExtensionPackage policy_pkg(const std::string& name,
     pkg.script = body;
     pkg.bindings = {{prose::AdviceKind::kBefore, "call(* Motor.*(..))", "onEntry", 0}};
     return pkg;
-}
-
-std::uint64_t counter_now(const std::string& name, const std::string& label = "") {
-    return obs::Registry::global().counter(name, label).value();
 }
 
 std::uint64_t chaos_seed_base() {
@@ -74,7 +69,7 @@ RolloutConfig fast_rollout() {
 }
 
 /// One hall, `n` direct robots (each with a motor so advice actually
-/// dispatches), everyone in radio range of everyone.
+/// dispatches), every robot in radio range of the hall (rows of 16).
 struct FleetWorld {
     sim::Simulator sim;
     net::Network net;
@@ -90,7 +85,8 @@ struct FleetWorld {
         for (int i = 0; i < n; ++i) {
             auto robot = std::make_unique<MobileNode>(
                 net, "robot" + std::to_string(i),
-                net::Position{10.0 + 10.0 * i, (i % 2) * 10.0}, 200.0, rc);
+                net::Position{10.0 + 10.0 * (i % 16), (i % 2) * 10.0 + 15.0 * (i / 16)},
+                200.0, rc);
             robot->trust().trust("hall", to_bytes("k"));
             motors.push_back(robot::make_motor(robot->runtime(), "motor:" + std::to_string(i)));
             robots.push_back(std::move(robot));
@@ -133,8 +129,6 @@ TEST(RolloutBasics, HealthyRolloutCompletesThroughStages) {
     w.hall->base().add_extension(policy_pkg("hall/policy"));
     ASSERT_TRUE(w.run_until([&] { return w.all_on("hall/policy", 1); }));
 
-    const std::uint64_t promos0 = counter_now("midas.rollout.promotions", "hall");
-    const std::uint64_t completions0 = counter_now("midas.rollout.completions", "hall");
     std::uint32_t v2 = w.hall->base().begin_rollout(
         policy_pkg("hall/policy", "fun onEntry() { let x = 1; }"));
     EXPECT_EQ(v2, 2u);
@@ -171,8 +165,8 @@ TEST(RolloutBasics, HealthyRolloutCompletesThroughStages) {
     // Graduation: everyone converges on the canary, which is now policy.
     ASSERT_TRUE(w.run_until([&] { return w.all_on("hall/policy", v2); }));
     EXPECT_FALSE(rc.active("hall/policy"));
-    EXPECT_EQ(counter_now("midas.rollout.promotions", "hall") - promos0, 2u);
-    EXPECT_EQ(counter_now("midas.rollout.completions", "hall") - completions0, 1u);
+    EXPECT_EQ(rc.stats().promotions, 2u);
+    EXPECT_EQ(rc.stats().completions, 1u);
     auto v = rc.view("hall/policy");
     ASSERT_TRUE(v.has_value());
     EXPECT_GE(v->verdicts.size(), 3u);  // two promotions + the completion
@@ -185,7 +179,6 @@ TEST(RolloutBasics, PoisonedCanaryAbortsAndRollsBackTheCohort) {
     w.hall->base().add_extension(policy_pkg("hall/policy"));
     ASSERT_TRUE(w.run_until([&] { return w.all_on("hall/policy", 1); }));
 
-    const std::uint64_t aborts0 = counter_now("midas.rollout.aborts", "hall");
     std::uint32_t v2 = w.hall->base().begin_rollout(
         policy_pkg("hall/policy", "fun onEntry() { throw \"poison\"; }"));
     const RolloutController& rc = w.hall->base().rollout();
@@ -220,7 +213,7 @@ TEST(RolloutBasics, PoisonedCanaryAbortsAndRollsBackTheCohort) {
     ASSERT_TRUE(v.has_value());
     ASSERT_EQ(v->status, RolloutController::Status::kAborted);
     EXPECT_EQ(v->abort_cause.rfind("quarantine:", 0), 0u) << v->abort_cause;
-    EXPECT_EQ(counter_now("midas.rollout.aborts", "hall") - aborts0, 1u);
+    EXPECT_EQ(rc.stats().aborts, 1u);
 
     // Blast radius: the poison never escaped the cohort, and the cohort
     // never reached the whole fleet.
@@ -315,6 +308,49 @@ TEST(RolloutBasics, LatencyRegressionGateAbortsWhenArmed) {
         seconds(5)));
     auto v = rolc.view("hall/lat");
     EXPECT_EQ(v->abort_cause.rfind("latency-regression:", 0), 0u) << v->abort_cause;
+}
+
+// Regression: the quarantine gate once read each cohort node's
+// `quarantined` counter out of the process-global registry, whose 64-label
+// cap aliased every node past the 64th onto one shared slot — a single
+// quarantine among them read as one per late cohort node. The gate now
+// counts the nodes whose receiver refused the canary as quarantined,
+// straight off the install replies.
+TEST(RolloutScale, QuarantineCountIsExactPastTheLabelCap) {
+    BaseConfig bc;
+    bc.rollout.stages = {0.2, 1.0};
+    bc.rollout.stage_window = seconds(60);  // stage 0 holds for the whole test
+    bc.rollout.tick_period = milliseconds(100);
+    bc.rollout.quarantine_tolerance = 3;  // one quarantine keeps the rollout running
+    bc.rollout.refusal_tolerance = 0;     // ...and so do its re-push bounces
+    FleetWorld w(53, 100, bc);
+    w.hall->base().add_extension(policy_pkg("hall/policy"));
+    ASSERT_TRUE(w.run_until([&] { return w.all_on("hall/policy", 1); }));
+
+    std::uint32_t v2 = w.hall->base().begin_rollout(
+        policy_pkg("hall/policy", "fun onEntry() { throw \"poison\"; }"));
+    const RolloutController& rc = w.hall->base().rollout();
+    std::vector<std::size_t> late_cohort;  // cohort robots created after the 64th
+    for (std::size_t i = 64; i < w.robots.size(); ++i) {
+        if (rc.selects_canary("hall/policy", w.robots[i]->label())) late_cohort.push_back(i);
+    }
+    ASSERT_GE(late_cohort.size(), 2u);
+
+    // Exactly one of them runs its poisoned canary into quarantine.
+    const std::size_t victim = late_cohort.front();
+    ASSERT_TRUE(w.run_until(
+        [&] { return w.on_version("hall/policy", v2).contains(w.robots[victim]->label()); }));
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_THROW(w.motors[victim]->call("rotate", {Value{1.0}}), std::exception);
+    }
+    ASSERT_TRUE(w.run_until([&] { return rc.view("hall/policy")->health.quarantines >= 1; },
+                            seconds(10)));
+    w.sim.run_for(seconds(3));  // more ticks, more re-pushes bouncing off the victim
+
+    auto v = rc.view("hall/policy");
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->status, RolloutController::Status::kActive) << v->abort_cause;
+    EXPECT_EQ(v->health.quarantines, 1);
 }
 
 // -------------------------------------------------------------- guards ----
@@ -500,10 +536,10 @@ TEST(QuarantineRollback, ExplicitUnquarantineRestoresARefusedVersion) {
     w.sim.run_for(seconds(3));
     EXPECT_EQ(w.robot->receiver().installed_count(), 0u);
 
-    const std::uint64_t unq0 = counter_now("midas.receiver.unquarantined", "robot");
+    const std::uint64_t unq0 = w.robot->receiver().stats().unquarantined;
     EXPECT_TRUE(w.robot->receiver().unquarantine("hall/policy", v1));
     EXPECT_FALSE(w.robot->receiver().unquarantine("hall/policy", v1));  // idempotent
-    EXPECT_EQ(counter_now("midas.receiver.unquarantined", "robot") - unq0, 1u);
+    EXPECT_EQ(w.robot->receiver().stats().unquarantined - unq0, 1u);
     EXPECT_FALSE(w.robot->receiver().is_quarantined("hall/policy", v1));
     // The very version that was refused is accepted again.
     ASSERT_TRUE(w.run_until([&] {
@@ -1034,15 +1070,14 @@ TEST(RolloutChaos, PoisonNeverEscapesTheCohortAcrossSeeds) {
 
 TEST(RolloutChaos, SameSeedReplaysIdentically) {
     auto fingerprint = [](std::uint64_t seed) {
-        const std::uint64_t aborts0 = counter_now("midas.rollout.aborts", "hall");
-        const std::uint64_t strikes0 = counter_now("midas.rollout.strikes", "hall");
-        const std::uint64_t rollbacks0 =
-            counter_now("midas.rollout.rollback_installs", "hall");
         RolloutChaosWorld w(seed);
         RolloutChaosWorld::Incident inc = w.run_incident();
         w.run_until([&] { return w.on_version("hall/policy", 1).size() == 8; },
                     seconds(60));
         net::NetworkStats s = w.net.stats();
+        // The restarted base's controller: its own life's counts.
+        RolloutController::Stats rs =
+            w.hall ? w.hall->base().rollout().stats() : RolloutController::Stats{};
         return std::tuple{s.sent,
                           s.delivered,
                           s.fault_dropped_loss,
@@ -1056,9 +1091,9 @@ TEST(RolloutChaos, SameSeedReplaysIdentically) {
                           w.sup.stats().crashes,
                           w.sup.stats().restarts,
                           w.hall ? w.hall->base().epoch() : 0,
-                          counter_now("midas.rollout.aborts", "hall") - aborts0,
-                          counter_now("midas.rollout.strikes", "hall") - strikes0,
-                          counter_now("midas.rollout.rollback_installs", "hall") - rollbacks0,
+                          rs.aborts,
+                          rs.strikes,
+                          rs.rollback_installs,
                           w.robots[0]->receiver().stats().installs,
                           w.robots[5]->receiver().stats().installs};
     };
