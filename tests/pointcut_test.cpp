@@ -28,11 +28,17 @@ MethodDecl decl(std::string name, TypeKind ret, std::vector<TypeKind> params,
 
 // ------------------------------------------------------------- globs ----
 
+// Test discovery names each case after its printed parameter. Each case
+// prints as its own name: the default printer dumps the struct's bytes
+// (pointer values and padding), which change from run to run.
 struct GlobCase {
+    const char* name;
     const char* pattern;
     const char* text;
     bool expect;
 };
+
+void PrintTo(const GlobCase& c, std::ostream* os) { *os << c.name; }
 
 class GlobMatch : public ::testing::TestWithParam<GlobCase> {};
 
@@ -44,16 +50,24 @@ TEST_P(GlobMatch, Matches) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, GlobMatch,
-    ::testing::Values(GlobCase{"*", "", true}, GlobCase{"*", "anything", true},
-                      GlobCase{"", "", true}, GlobCase{"", "x", false},
-                      GlobCase{"abc", "abc", true}, GlobCase{"abc", "abd", false},
-                      GlobCase{"a*c", "abc", true}, GlobCase{"a*c", "ac", true},
-                      GlobCase{"a*c", "abdc", true}, GlobCase{"a*c", "abcd", false},
-                      GlobCase{"send*", "sendBytes", true},
-                      GlobCase{"send*", "resend", false}, GlobCase{"*send*", "resend", true},
-                      GlobCase{"a?c", "abc", true}, GlobCase{"a?c", "ac", false},
-                      GlobCase{"**", "x", true}, GlobCase{"*a*b*", "xaxbx", true},
-                      GlobCase{"*a*b*", "xbxax", false}));
+    ::testing::Values(GlobCase{"StarMatchesEmpty", "*", "", true},
+                      GlobCase{"StarMatchesAnything", "*", "anything", true},
+                      GlobCase{"EmptyMatchesEmpty", "", "", true},
+                      GlobCase{"EmptyRejectsNonEmpty", "", "x", false},
+                      GlobCase{"LiteralMatchesItself", "abc", "abc", true},
+                      GlobCase{"LiteralRejectsOtherLiteral", "abc", "abd", false},
+                      GlobCase{"InnerStarMatchesOneChar", "a*c", "abc", true},
+                      GlobCase{"InnerStarMatchesNothing", "a*c", "ac", true},
+                      GlobCase{"InnerStarMatchesSeveralChars", "a*c", "abdc", true},
+                      GlobCase{"InnerStarRejectsTrailingChar", "a*c", "abcd", false},
+                      GlobCase{"PrefixMatchesLongerName", "send*", "sendBytes", true},
+                      GlobCase{"PrefixRejectsSuffixOccurrence", "send*", "resend", false},
+                      GlobCase{"InfixMatchesSuffixOccurrence", "*send*", "resend", true},
+                      GlobCase{"QuestionMatchesOneChar", "a?c", "abc", true},
+                      GlobCase{"QuestionRejectsNoChar", "a?c", "ac", false},
+                      GlobCase{"DoubleStarMatchesOneChar", "**", "x", true},
+                      GlobCase{"StarsMatchInOrder", "*a*b*", "xaxbx", true},
+                      GlobCase{"StarsRejectOutOfOrder", "*a*b*", "xbxax", false}));
 
 // Property sweep: the iterative matcher agrees with a naive recursive
 // reference implementation on random patterns and texts.
