@@ -30,8 +30,8 @@ Value motor_action(int i) {
 db::EventStore populated(int records, int robots) {
     db::EventStore store;
     for (int i = 0; i < records; ++i) {
-        store.append("robot:" + std::to_string(i % robots), SimTime{i * 1'000'000},
-                     motor_action(i));
+        store.append("robot:" + std::to_string(i % robots),
+                     SimTime{std::int64_t{i} * 1'000'000}, motor_action(i));
     }
     return store;
 }

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <utility>
 
-#include "obs/component.h"
 #include "obs/metrics.h"
 
 namespace pmp {
@@ -13,9 +12,9 @@ namespace pmp {
 namespace {
 
 // Per-(component family, level) storm accounting. Keyed by family, not the
-// full component, so "midas@robot:1:1" and "midas@robot:1:2" throttle
-// independently of each other only up to the family cap — a fleet-wide
-// storm from one subsystem is still one storm.
+// full component, so "midas.receiver@robot:1:1" and "midas.receiver@robot:1:2"
+// throttle independently of each other only up to the family cap — a
+// fleet-wide storm from one subsystem is still one storm.
 struct StormSlot {
     SimTime window_start{};
     std::size_t emitted = 0;
@@ -59,19 +58,17 @@ void Log::write(LogLevel level, SimTime when, const std::string& component,
                 const std::string& message) {
     static const char* kNames[] = {"DEBUG", "INFO", "WARN", "ERROR"};
     auto& log = instance();
-    // Log tags, metrics, and traces all share one canonical component
-    // namespace: "receiver" and "midas@robot" both resolve to
-    // "midas.receiver", so a log line and its metrics carry the same id.
-    auto& components = obs::ComponentRegistry::global();
-    std::string canonical = components.canonical(component);
-    std::string family = components.family(component);
-    components.id(family);
+    // Call sites write the canonical dotted component name, optionally with
+    // an "@instance" suffix ("midas.base@hall"); the family a line is counted
+    // and throttled under is the part before '@', so a log line and its
+    // metrics share one namespace.
+    std::string family = component.substr(0, component.find('@'));
     obs::Registry::global().counter("log.lines", family).inc();
 
     std::lock_guard<std::mutex> lock(log_mu());
     auto emit = [&](const std::string& text) {
         std::string line = "[" + to_string(when) + "] " +
-                           kNames[static_cast<int>(level)] + " " + canonical + ": " + text;
+                           kNames[static_cast<int>(level)] + " " + component + ": " + text;
         if (log.sink_) {
             log.sink_(level, line);
         } else {

@@ -55,6 +55,11 @@ struct JournalStorage {
 /// hand-crafted frames.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
+/// WAL records a journal owner lets accumulate before it folds its state
+/// into a fresh snapshot (Journal::compact). The base and the receiver both
+/// compact on this cadence.
+inline constexpr std::size_t kCompactThreshold = 256;
+
 /// Group-commit and snapshot-chunking knobs. The all-zero default commits
 /// every record on its own and writes each snapshot as a single chunk.
 struct JournalConfig {

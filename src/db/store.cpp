@@ -110,11 +110,6 @@ Bytes EventStore::snapshot() const {
                    {"data", rec.data}};
         out.push_back(rt::Value{std::move(d)});
     }
-    if (base_seq_ == 0) {
-        // The seed format: a bare record list. Kept whenever nothing was
-        // trimmed so existing snapshots stay byte-identical.
-        return rt::Value{std::move(out)}.encode();
-    }
     return rt::Value{rt::Dict{{"base_seq",
                                rt::Value{static_cast<std::int64_t>(base_seq_)}},
                               {"records", rt::Value{std::move(out)}}}}
@@ -133,16 +128,16 @@ EventStore EventStore::restore(std::span<const std::uint8_t> snapshot) {
         // guard; keep the escape typed.
         throw Error(std::string("event store snapshot: ") + e.what());
     }
-    const rt::Value* records = &v;
-    if (v.is_dict()) {
-        // Post-retention format: {base_seq, records}.
-        const rt::Value* base = v.as_dict().find("base_seq");
-        records = v.as_dict().find("records");
-        if (!base || !base->is_int() || base->as_int() < 0 || !records) {
-            throw Error("event store snapshot: malformed retention header");
-        }
-        store.base_seq_ = static_cast<std::uint64_t>(base->as_int());
+    if (!v.is_dict()) {
+        throw Error("event store snapshot: expected a {base_seq, records} dict, got " +
+                    std::string(rt::Value::kind_name(v.kind())));
     }
+    const rt::Value* base = v.as_dict().find("base_seq");
+    const rt::Value* records = v.as_dict().find("records");
+    if (!base || !base->is_int() || base->as_int() < 0 || !records) {
+        throw Error("event store snapshot: malformed retention header");
+    }
+    store.base_seq_ = static_cast<std::uint64_t>(base->as_int());
     if (!records->is_list()) {
         throw Error("event store snapshot: expected a list of records, got " +
                     std::string(rt::Value::kind_name(records->kind())));

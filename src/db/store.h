@@ -69,8 +69,8 @@ public:
     /// trimmed by retention.
     std::uint64_t base_seq() const { return base_seq_; }
 
-    /// Serialize the whole store (canonical Value encoding) — the hall's
-    /// database surviving a base-station restart.
+    /// Serialize the whole store as {base_seq, records} (canonical Value
+    /// encoding) — the hall's database surviving a base-station restart.
     Bytes snapshot() const;
     /// Rebuild from snapshot() bytes. Malformed or hostile input raises a
     /// typed pmp::Error describing what was wrong — never an unstructured

@@ -9,6 +9,12 @@ using rt::Dict;
 using rt::List;
 using rt::Value;
 
+namespace {
+constexpr Duration kRegistrarTimeout = seconds(3);  ///< silence before "lost"
+/// Lease requested for registrations and watches, in milliseconds.
+constexpr std::int64_t kLeaseMs = 2'000;
+}  // namespace
+
 // ------------------------------------------------------ LeasedResource ----
 
 LeasedResource::LeasedResource(rt::RpcEndpoint& rpc, NodeId registrar, LeaseId lease,
@@ -152,7 +158,7 @@ void DiscoveryClient::note_registrar(NodeId node) {
     bool fresh = !last_seen_.contains(node);
     last_seen_[node] = router_.simulator().now();
     if (fresh) {
-        log_debug(router_.simulator().now(), "disco",
+        log_debug(router_.simulator().now(), "disco.lookup",
                   router_.network().name_of(router_.self()), " found registrar on ",
                   router_.network().name_of(node));
         auto watchers = registrar_watchers_;
@@ -164,11 +170,11 @@ void DiscoveryClient::check_timeouts() {
     SimTime now = router_.simulator().now();
     std::vector<NodeId> lost;
     for (const auto& [node, seen] : last_seen_) {
-        if (now - seen > config_.registrar_timeout) lost.push_back(node);
+        if (now - seen > kRegistrarTimeout) lost.push_back(node);
     }
     for (NodeId node : lost) {
         last_seen_.erase(node);
-        log_debug(now, "disco", router_.network().name_of(router_.self()),
+        log_debug(now, "disco.lookup", router_.network().name_of(router_.self()),
                   " lost registrar on ", router_.network().name_of(node));
         auto watchers = registrar_watchers_;
         for (auto& [_, fn] : watchers) fn(node, false);
@@ -195,10 +201,9 @@ void DiscoveryClient::off_registrar(std::uint64_t token) { registrar_watchers_.e
 void DiscoveryClient::register_service(NodeId registrar, const std::string& type,
                                        Dict attributes, LeasedResource::LostFn on_lost,
                                        RegisterDone on_done) {
-    std::int64_t want_ms = config_.lease_duration.count() / 1'000'000;
     rpc_.call_async(
         registrar, "registrar", "register",
-        {Value{type}, Value{std::move(attributes)}, Value{want_ms}},
+        {Value{type}, Value{std::move(attributes)}, Value{kLeaseMs}},
         [this, registrar, on_lost = std::move(on_lost),
          on_done = std::move(on_done)](Value result, std::exception_ptr error) {
             if (error) {
@@ -255,9 +260,8 @@ std::string DiscoveryClient::make_listener(EventFn on_event) {
 void DiscoveryClient::watch(NodeId registrar, const std::string& type, EventFn on_event,
                             LeasedResource::LostFn on_lost, RegisterDone on_done) {
     std::string listener = make_listener(std::move(on_event));
-    std::int64_t want_ms = config_.lease_duration.count() / 1'000'000;
     rpc_.call_async(
-        registrar, "registrar", "watch", {Value{type}, Value{listener}, Value{want_ms}},
+        registrar, "registrar", "watch", {Value{type}, Value{listener}, Value{kLeaseMs}},
         [this, registrar, on_lost = std::move(on_lost),
          on_done = std::move(on_done)](Value result, std::exception_ptr error) {
             if (error) {

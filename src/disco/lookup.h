@@ -21,8 +21,6 @@ namespace pmp::disco {
 
 struct DiscoveryConfig {
     Duration probe_period = milliseconds(500);
-    Duration registrar_timeout = seconds(3);  ///< silence before "lost"
-    Duration lease_duration = seconds(2);     ///< requested for registrations/watches
 };
 
 /// Deterministic renewal phase for a lease of `duration` held at

@@ -10,6 +10,17 @@ using rt::Dict;
 using rt::List;
 using rt::Value;
 
+namespace {
+constexpr Duration kSweepPeriod = milliseconds(250);  ///< expiry scan granularity
+constexpr Duration kAnnouncePeriod = seconds(1);      ///< "disco.here" beacon period
+/// After a lease migrates to another shard, how long the old home remembers
+/// the forwarding address. A client renews at duration/2, so any live holder
+/// learns the new home well inside the grace window; after it, a renew
+/// against the old home simply fails (and the holder re-registers through
+/// its ring, which already points at the new shard).
+constexpr Duration kMovedGrace = seconds(30);
+}  // namespace
+
 rt::Value ServiceItem::to_value() const {
     Dict d{{"service", Value{static_cast<std::int64_t>(id.value)}},
            {"provider", Value{static_cast<std::int64_t>(provider.value)}},
@@ -38,9 +49,9 @@ Registrar::Registrar(net::MessageRouter& router, rt::RpcEndpoint& rpc, Registrar
         router_.send(msg.from, "disco.here", {});
     });
     announce_timer_ =
-        router_.simulator().schedule_every(config_.announce_period, [this]() { announce(); });
+        router_.simulator().schedule_every(kAnnouncePeriod, [this]() { announce(); });
     sweep_timer_ =
-        router_.simulator().schedule_every(config_.sweep_period, [this]() { sweep(); });
+        router_.simulator().schedule_every(kSweepPeriod, [this]() { sweep(); });
 }
 
 Registrar::~Registrar() {
@@ -122,7 +133,7 @@ Value Registrar::do_register(NodeId provider, const std::string& type, Dict attr
     services_.emplace(sid, std::move(reg));
     service_by_lease_.emplace(lease, sid);
 
-    log_debug(router_.simulator().now(), "registrar",
+    log_debug(router_.simulator().now(), "disco.registrar",
               "registered ", type, " from node ", provider.str());
     notify_watchers(item, true);
 
@@ -276,12 +287,12 @@ void Registrar::migrate_batch(NodeId target, std::vector<ServiceId> sids,
                 // Migration failed: the registrations and watches stay
                 // home (their leases are still live here), and a later
                 // rebalance can retry. Nothing was lost.
-                log_debug(router_.simulator().now(), "registrar",
+                log_debug(router_.simulator().now(), "disco.registrar",
                           "migrate batch to ", target.str(), " failed; keeping entries");
                 return;
             }
             const List& new_leases = reply.as_list();
-            SimTime forget_at = router_.simulator().now() + config_.moved_grace;
+            SimTime forget_at = router_.simulator().now() + kMovedGrace;
             std::size_t i = 0;
             for (; i < shipped.size() && i < new_leases.size(); ++i) {
                 auto sit = services_.find(shipped[i]);
@@ -355,7 +366,7 @@ Value Registrar::do_migrate(NodeId source, const List& entries) {
         ++regs;
         notify_watchers(item, true);
     }
-    log_debug(now, "registrar", "accepted ", regs, " migrated registrations and ",
+    log_debug(now, "disco.registrar", "accepted ", regs, " migrated registrations and ",
               watches, " watches from ", source.str());
     return Value{std::move(new_leases)};
 }
@@ -441,7 +452,7 @@ void Registrar::sweep() {
     SimTime now = router_.simulator().now();
     for (auto it = services_.begin(); it != services_.end();) {
         if (it->second.expires <= now) {
-            log_debug(now, "registrar", "lease expired for ", it->second.item.type,
+            log_debug(now, "disco.registrar", "lease expired for ", it->second.item.type,
                       " from node ", it->second.item.provider.str());
             auto doomed = it++;
             remove_registration(doomed, /*notify=*/true);

@@ -49,15 +49,6 @@ struct ServiceItem {
 
 struct RegistrarConfig {
     Duration max_lease = seconds(10);      ///< grants are clamped to this
-    Duration sweep_period = milliseconds(250);  ///< expiry scan granularity
-    Duration announce_period = seconds(1);  ///< "disco.here" beacon period
-    /// After a lease migrates to another shard, how long the old home
-    /// remembers the forwarding address. A client renews at duration/2, so
-    /// any live holder learns the new home well inside the grace window;
-    /// after it, a renew against the old home simply fails (and the holder
-    /// re-registers through its ring, which already points at the new
-    /// shard).
-    Duration moved_grace = seconds(30);
 };
 
 class Registrar {
@@ -84,7 +75,7 @@ public:
     /// after a shard joins the ring, or on the departing registrar — with
     /// a ring that no longer contains it — before it leaves. Holders
     /// renewing against this registrar are redirected to their lease's new
-    /// home (see RegistrarConfig::moved_grace). Watches must move with the
+    /// home for a grace period (kMovedGrace, 30 s). Watches must move with the
     /// registrations: new registrations of the type route to the new
     /// owner, so a watch left behind would keep renewing successfully yet
     /// silently never fire again. Permanent registrations never move: they
@@ -136,7 +127,7 @@ private:
     struct MovedLease {
         NodeId new_home;
         LeaseId new_lease;
-        SimTime forget_at;  ///< moved_grace after the migration
+        SimTime forget_at;  ///< kMovedGrace after the migration
     };
 
     void build_service_object();

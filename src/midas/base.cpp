@@ -15,6 +15,17 @@ using rt::Dict;
 using rt::List;
 using rt::Value;
 
+namespace {
+// Install retries back off exponentially instead of hammering every
+// keep-alive tick: the delay doubles from kInstallBackoff up to
+// kInstallBackoffMax, with ±kInstallBackoffJitter randomisation so a fleet
+// of bases recovering from the same partition doesn't retry in lock-step.
+constexpr Duration kInstallBackoff = milliseconds(200);
+constexpr Duration kInstallBackoffMax = seconds(10);
+constexpr double kInstallBackoffJitter = 0.2;
+constexpr std::uint64_t kBackoffSeed = 0x51ee7ULL;  ///< jitter rng stream
+}  // namespace
+
 ExtensionBase::ExtensionBase(rt::RpcEndpoint& rpc, disco::Registrar& registrar,
                              const crypto::KeyStore& keys, BaseConfig config,
                              std::shared_ptr<db::Journal> journal,
@@ -25,10 +36,8 @@ ExtensionBase::ExtensionBase(rt::RpcEndpoint& rpc, disco::Registrar& registrar,
       config_(std::move(config)),
       journal_(std::move(journal)),
       hall_store_(hall_store),
-      backoff_rng_(config_.backoff_seed),
-      breaker_(rpc.router().simulator(), config_.issuer,
-               rt::BreakerConfig{config_.breaker_threshold, config_.breaker_open_period,
-                                 config_.breaker_open_max}),
+      backoff_rng_(kBackoffSeed),
+      breaker_(rpc.router().simulator(), config_.issuer, config_.breaker),
       obs_source_(obs::Registry::global().add_source([this](obs::Rows& rows) {
           const Stats& s = stats_;
           const std::string& l = config_.issuer;
@@ -104,7 +113,7 @@ void ExtensionBase::recover() {
         } catch (const std::exception& e) {
             // CRC-valid but schema-invalid (should not happen): drop the
             // one policy rather than refuse to boot.
-            log_warn(rpc_.router().simulator().now(), "base@" + config_.issuer,
+            log_warn(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
                      "recovered policy '", name, "' unreadable: ", e.what());
         }
     }
@@ -124,7 +133,7 @@ void ExtensionBase::recover() {
 
     if (had_life) {
         record("recover", "", "");
-        log_info(rpc_.router().simulator().now(), "base@" + config_.issuer,
+        log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
                  "recovered journal: epoch ", epoch_, ", ", policy_.size(), " policies, ",
                  adapted_.size(), " adapted nodes, ", st.events.size(), " hall records");
         obs::TraceBuffer::global().end_span(
@@ -138,7 +147,7 @@ void ExtensionBase::recover() {
 void ExtensionBase::journal(const rt::Value& rec) {
     if (!journal_) return;
     journal_->append(rec);
-    if (journal_->wal_records() >= config_.journal_compact_threshold) compact_journal();
+    if (journal_->wal_records() >= db::kCompactThreshold) compact_journal();
 }
 
 void ExtensionBase::compact_journal() {
@@ -314,7 +323,7 @@ void ExtensionBase::adapt_node(NodeId node, const std::string& label,
     }
     if (fresh) {
         record("adapt", label, "");
-        log_info(now, "base@" + config_.issuer, "adapting node ", label);
+        log_info(now, "midas.base@" + config_.issuer, "adapting node ", label);
     }
     if (fresh || restamped) {
         journal(BaseDurableState::rec_adapt(node.value, label, it->second.since));
@@ -334,7 +343,7 @@ bool ExtensionBase::release_node(const std::string& label) {
         breaker_.forget(it->second.node);
         cell_forget(it->second);
         record("handoff", label, "");
-        log_info(rpc_.router().simulator().now(), "base@" + config_.issuer, "node ",
+        log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer, "node ",
                  label, " handed off to a neighbouring base");
         adapted_.erase(it);
         journal(BaseDurableState::rec_node_gone(label));
@@ -379,7 +388,7 @@ void ExtensionBase::install_on(NodeId node, const std::string& name,
     }
     auto policy_it = policy_.find(name);
     if (policy_it == policy_.end()) {
-        log_warn(rpc_.router().simulator().now(), "base@" + config_.issuer,
+        log_warn(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
                  "policy references unknown extension '", name, "'");
         return;
     }
@@ -459,12 +468,12 @@ void ExtensionBase::install_on(NodeId node, const std::string& name,
                     // its retry-after hint if it is the later bound.
                     overloaded = true;
                     if (e.retry_after() > backoff) backoff = e.retry_after();
-                    log_warn(rpc_.router().simulator().now(), "base@" + config_.issuer,
+                    log_warn(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
                              "install of '", name, "' on ", adapted_it->second.label,
                              " shed: ", e.what());
                 } catch (const std::exception& e) {
                     quarantine_refusal = is_quarantine_refusal(e);
-                    log_warn(rpc_.router().simulator().now(), "base@" + config_.issuer,
+                    log_warn(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
                              "install of '", name, "' on ", adapted_it->second.label,
                              " failed: ", e.what());
                 }
@@ -512,14 +521,11 @@ std::uint32_t ExtensionBase::wanted_version(const std::string& name,
 }
 
 Duration ExtensionBase::install_backoff_for(int attempts) {
-    Duration d = config_.install_backoff;
-    for (int i = 1; i < attempts && d < config_.install_backoff_max; ++i) d *= 2;
-    if (d > config_.install_backoff_max) d = config_.install_backoff_max;
-    if (config_.install_backoff_jitter > 0) {
-        double swing = (backoff_rng_.next_double() * 2.0 - 1.0) * config_.install_backoff_jitter;
-        d = Duration{static_cast<std::int64_t>(static_cast<double>(d.count()) * (1.0 + swing))};
-    }
-    return d;
+    Duration d = kInstallBackoff;
+    for (int i = 1; i < attempts && d < kInstallBackoffMax; ++i) d *= 2;
+    if (d > kInstallBackoffMax) d = kInstallBackoffMax;
+    double swing = (backoff_rng_.next_double() * 2.0 - 1.0) * kInstallBackoffJitter;
+    return Duration{static_cast<std::int64_t>(static_cast<double>(d.count()) * (1.0 + swing))};
 }
 
 void ExtensionBase::keepalive_tick() {
@@ -630,13 +636,13 @@ void ExtensionBase::attach_cell(const std::string& cell, NodeId relay) {
         if (a.cell == cell) cs.members.insert(node);
     }
     cells_[cell] = std::move(cs);
-    log_info(rpc_.router().simulator().now(), "base@" + config_.issuer,
+    log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
              "cell '", cell, "' attached; batching keep-alives via relay");
 }
 
 void ExtensionBase::detach_cell(const std::string& cell) {
     if (cells_.erase(cell) == 0) return;
-    log_info(rpc_.router().simulator().now(), "base@" + config_.issuer, "cell '",
+    log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer, "cell '",
              cell, "' detached; members fall back to direct keep-alives");
 }
 
@@ -776,7 +782,7 @@ void ExtensionBase::cell_tick(const std::string& cell, CellState& cs) {
                 // its batching: detach, fall back to direct keep-alives.
                 if (++cs.failures > config_.max_keepalive_failures) {
                     log_warn(rpc_.router().simulator().now(),
-                             "base@" + config_.issuer, "cell '", cell,
+                             "midas.base@" + config_.issuer, "cell '", cell,
                              "' relay unresponsive; detaching");
                     detach_cell(cell);
                 }
@@ -966,7 +972,7 @@ void ExtensionBase::drop_node(NodeId node) {
     cell_forget(it->second);
     std::string label = it->second.label;
     record("node-gone", label, "");
-    log_info(rpc_.router().simulator().now(), "base@" + config_.issuer, "node ",
+    log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer, "node ",
              label, " left; stopping keep-alives");
     adapted_.erase(it);
     journal(BaseDurableState::rec_node_gone(label));

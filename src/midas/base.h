@@ -34,17 +34,6 @@ struct BaseConfig {
     Duration keepalive_period = milliseconds(800);
     int max_keepalive_failures = 2;           ///< consecutive failures before
                                               ///< the node is considered gone
-    /// Install retries back off exponentially instead of hammering every
-    /// keep-alive tick: delay doubles from `install_backoff` up to
-    /// `install_backoff_max`, with ±`install_backoff_jitter` randomisation
-    /// so a fleet of bases recovering from the same partition doesn't
-    /// retry in lock-step.
-    Duration install_backoff = milliseconds(200);
-    Duration install_backoff_max = seconds(10);
-    double install_backoff_jitter = 0.2;
-    std::uint64_t backoff_seed = 0x51ee7ULL;  ///< jitter rng stream
-    /// WAL frames between snapshot compactions (when journaling).
-    std::size_t journal_compact_threshold = 256;
     /// Group-commit / chunked-snapshot knobs applied to the base's journal
     /// (docs/storage.md). All-zero commits every record on its own.
     db::JournalConfig journal;
@@ -58,16 +47,14 @@ struct BaseConfig {
     std::size_t hall_retention_records = 0;
     std::size_t hall_retention_bytes = 0;
     /// Caller-side circuit breaker over the install / keep-alive paths:
-    /// after `breaker_threshold` consecutive Overloaded-or-timeout failures
+    /// after `breaker.threshold` consecutive Overloaded-or-timeout failures
     /// toward one node, traffic to it is short-circuited for a doubling
-    /// cool-down (breaker_open_period .. breaker_open_max), then a single
-    /// half-open probe decides. <= 0 disables. The default threshold sits
-    /// above max_keepalive_failures so a plainly dead node is dropped by
-    /// the keep-alive ledger before its breaker ever opens; the breaker
-    /// earns its keep against *alive but drowning* receivers.
-    int breaker_threshold = 4;
-    Duration breaker_open_period = seconds(1);
-    Duration breaker_open_max = seconds(8);
+    /// cool-down (open_period .. open_max), then a single half-open probe
+    /// decides. The default threshold sits above max_keepalive_failures so
+    /// a plainly dead node is dropped by the keep-alive ledger before its
+    /// breaker ever opens; the breaker earns its keep against *alive but
+    /// drowning* receivers.
+    rt::BreakerConfig breaker;
     /// Staged canary rollout knobs (begin_rollout; see midas/rollout.h and
     /// docs/rollout.md).
     RolloutConfig rollout;

@@ -11,15 +11,18 @@ namespace pmp::midas {
 using rt::Dict;
 using rt::Value;
 
+namespace {
+constexpr Duration kCallTimeout = milliseconds(700);
+constexpr Duration kRetryBackoffMax = seconds(5);
+}  // namespace
+
 CatchupClient::CatchupClient(rt::RpcEndpoint& rpc, AdaptationService& receiver,
                              disco::DiscoveryClient& discovery, CatchupConfig config)
     : rpc_(rpc),
       receiver_(receiver),
       discovery_(discovery),
       config_(config),
-      breaker_(rpc.router().simulator(), receiver.config().node_label,
-               rt::BreakerConfig{config.breaker_threshold, config.breaker_open_period,
-                                 config.breaker_open_max}) {
+      breaker_(rpc.router().simulator(), receiver.config().node_label, config.breaker) {
     registrar_token_ = discovery_.on_registrar(
         [this](NodeId registrar, bool reachable) { on_registrar(registrar, reachable); });
     // Registrars already in range fired their appearance edge before we
@@ -52,7 +55,7 @@ void CatchupClient::lookup_provider(NodeId registrar, Duration backoff) {
             // serving catch-up. Re-ask with doubling backoff; a registrar
             // with no provider stops costing anything once the backoff
             // budget is spent (the next appearance edge asks afresh).
-            if (backoff > config_.retry_backoff_max) return;
+            if (backoff > kRetryBackoffMax) return;
             rpc_.router().simulator().schedule_after(
                 backoff, [this, registrar, backoff, guard]() {
                     if (guard.expired()) return;
@@ -103,8 +106,8 @@ void CatchupClient::step() {
         // Breaker open toward the provider: cool off for one backoff and
         // re-ask; allow() eventually grants the half-open probe.
         Duration d = config_.retry_backoff;
-        for (int i = 0; i < failure_streak_ && d < config_.retry_backoff_max; ++i) d *= 2;
-        retry_later(std::min(d, config_.retry_backoff_max));
+        for (int i = 0; i < failure_streak_ && d < kRetryBackoffMax; ++i) d *= 2;
+        retry_later(std::min(d, kRetryBackoffMax));
         return;
     }
     if (!have_manifest_) {
@@ -120,8 +123,8 @@ void CatchupClient::on_fetch_error(std::exception_ptr error, bool transport) {
     ++stats_.fetch_failures;
     ++failure_streak_;
     Duration d = config_.retry_backoff;
-    for (int i = 1; i < failure_streak_ && d < config_.retry_backoff_max; ++i) d *= 2;
-    if (d > config_.retry_backoff_max) d = config_.retry_backoff_max;
+    for (int i = 1; i < failure_streak_ && d < kRetryBackoffMax; ++i) d *= 2;
+    if (d > kRetryBackoffMax) d = kRetryBackoffMax;
     bool overloaded = false;
     try {
         std::rethrow_exception(error);
@@ -141,7 +144,7 @@ void CatchupClient::on_fetch_error(std::exception_ptr error, bool transport) {
 void CatchupClient::fetch_manifest() {
     rpc_.call_async(
         provider_, "midas.catchup", "manifest", {},
-        rt::CallOptions{.timeout = config_.call_timeout},
+        rt::CallOptions{.timeout = kCallTimeout},
         [this, guard = std::weak_ptr<char>(token_)](Value result,
                                                     std::exception_ptr error,
                                                     bool transport) {
@@ -193,7 +196,7 @@ void CatchupClient::fetch_chunk() {
     rpc_.call_async(
         provider_, "midas.catchup", "chunk",
         {Value{static_cast<std::int64_t>(chain_)}, Value{next_chunk_}},
-        rt::CallOptions{.timeout = config_.call_timeout},
+        rt::CallOptions{.timeout = kCallTimeout},
         [this, chain = chain_, guard = std::weak_ptr<char>(token_)](
             Value result, std::exception_ptr error, bool transport) {
             if (guard.expired() || !active_ || chain != chain_) return;

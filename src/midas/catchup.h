@@ -41,15 +41,11 @@
 namespace pmp::midas {
 
 struct CatchupConfig {
-    Duration call_timeout = milliseconds(700);
-    /// Retry backoff after a failed fetch, doubling up to the max. Retry
-    /// hints from a not-ready proxy override when later.
+    /// Retry backoff after a failed fetch, doubling up to 5 s. Retry hints
+    /// from a not-ready proxy override when later.
     Duration retry_backoff = milliseconds(200);
-    Duration retry_backoff_max = seconds(5);
-    /// Per-provider circuit breaker over the fetch loop (<= 0 disables).
-    int breaker_threshold = 4;
-    Duration breaker_open_period = seconds(1);
-    Duration breaker_open_max = seconds(8);
+    /// Per-provider circuit breaker over the fetch loop.
+    rt::BreakerConfig breaker;
 };
 
 class CatchupClient {

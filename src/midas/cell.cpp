@@ -15,6 +15,22 @@ namespace {
 /// acks (it died, or detached the cell), cap the queues rather than grow
 /// without bound. Oldest records go first — the base is gone anyway.
 constexpr std::size_t kMaxRetained = 4096;
+/// Timeout for the relay's local install/keepalive calls. Must sit under
+/// the base's keepalive period so one round's results are in before the
+/// next frame asks for them.
+constexpr Duration kCallTimeout = milliseconds(700);
+/// Cap on the exponential round-skip backoff for failing entries.
+constexpr int kMaxBackoffRounds = 16;
+/// Catch-up proxy (docs/recovery.md): how long a cached manifest stays fresh
+/// before the next reader triggers an upstream refetch, and the retry hint
+/// handed to readers while a chunk is still being fetched from the base.
+/// The relay answers catch-up reads from its cache so a whole cell
+/// restarting after a power cut costs the backhaul one image fetch, not one
+/// per node.
+constexpr Duration kCatchupManifestTtl = seconds(2);
+constexpr Duration kCatchupRetry = milliseconds(150);
+/// Timeout for the relay's upstream catch-up fetches.
+constexpr Duration kCatchupTimeout = seconds(1);
 
 int classify(std::exception_ptr error, bool transport) {
     try {
@@ -197,7 +213,7 @@ Value CellRelay::do_batch(const Value& frame_v) {
                     member, "adaptation", "unquarantine",
                     {Value{u.at("name").as_str()}, u.at("version"),
                      Value{static_cast<std::int64_t>(epoch_)}},
-                    rt::CallOptions{.timeout = config_.call_timeout},
+                    rt::CallOptions{.timeout = kCallTimeout},
                     [](Value, std::exception_ptr, bool) {});
             }
         }
@@ -241,7 +257,7 @@ void CellRelay::build_catchup_proxy() {
 
 Value CellRelay::not_ready() const {
     return Value{Dict{
-        {"retry_ms", Value{config_.catchup_retry.count() / 1'000'000}}}};
+        {"retry_ms", Value{kCatchupRetry.count() / 1'000'000}}}};
 }
 
 void CellRelay::fetch_manifest_upstream() {
@@ -250,7 +266,7 @@ void CellRelay::fetch_manifest_upstream() {
     ++stats_.catchup_upstream;
     rpc_.call_async(
         base_node_, "midas.catchup", "manifest", {},
-        rt::CallOptions{.timeout = config_.catchup_timeout},
+        rt::CallOptions{.timeout = kCatchupTimeout},
         [this, guard = std::weak_ptr<char>(token_)](Value result,
                                                     std::exception_ptr error, bool) {
             if (guard.expired()) return;
@@ -267,7 +283,7 @@ void CellRelay::fetch_manifest_upstream() {
             }
             manifest_cache_ = std::move(result);
             manifest_fresh_until_ =
-                rpc_.router().simulator().now() + config_.catchup_manifest_ttl;
+                rpc_.router().simulator().now() + kCatchupManifestTtl;
         });
 }
 
@@ -277,7 +293,7 @@ void CellRelay::fetch_chunk_upstream(std::uint64_t chain, std::int64_t index) {
     rpc_.call_async(
         base_node_, "midas.catchup", "chunk",
         {Value{static_cast<std::int64_t>(chain)}, Value{index}},
-        rt::CallOptions{.timeout = config_.catchup_timeout},
+        rt::CallOptions{.timeout = kCatchupTimeout},
         [this, chain, index, guard = std::weak_ptr<char>(token_)](
             Value result, std::exception_ptr error, bool) {
             if (guard.expired()) return;
@@ -347,7 +363,7 @@ void CellRelay::fan_out() {
                 node, "adaptation", "keepalive",
                 {Value{static_cast<std::int64_t>(entry.ext)}, Value{lease_ms_},
                  Value{static_cast<std::int64_t>(epoch_)}},
-                rt::CallOptions{.timeout = config_.call_timeout},
+                rt::CallOptions{.timeout = kCallTimeout},
                 [this, key, guard = std::weak_ptr<char>(token_)](
                     Value result, std::exception_ptr error, bool transport) {
                     if (guard.expired()) return;
@@ -397,7 +413,7 @@ void CellRelay::fan_out() {
                 node, "adaptation", "install",
                 {Value{bit->second}, Value{lease_ms_},
                  Value{static_cast<std::int64_t>(epoch_)}},
-                rt::CallOptions{.timeout = config_.call_timeout, .retries = 1},
+                rt::CallOptions{.timeout = kCallTimeout, .retries = 1},
                 [this, key, guard = std::weak_ptr<char>(token_)](
                     Value result, std::exception_ptr error, bool transport) {
                     if (guard.expired()) return;
@@ -409,7 +425,7 @@ void CellRelay::fan_out() {
                         push_status(key.first, key.second, classify(error, transport));
                         e.penalty = e.penalty == 0
                                         ? 1
-                                        : std::min(e.penalty * 2, config_.max_backoff_rounds);
+                                        : std::min(e.penalty * 2, kMaxBackoffRounds);
                         e.cooldown = e.penalty;
                         return;
                     }

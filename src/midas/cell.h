@@ -72,22 +72,6 @@ constexpr int kEscalated = 8;
 
 struct CellRelayConfig {
     std::string cell;  ///< label for logs/counters, e.g. "hall-a/cell-7"
-    /// Timeout for the relay's local install/keepalive calls. Must sit
-    /// under the base's keepalive period so one round's results are in
-    /// before the next frame asks for them.
-    Duration call_timeout = milliseconds(700);
-    /// Cap on the exponential round-skip backoff for failing entries.
-    int max_backoff_rounds = 16;
-    /// Catch-up proxy (docs/recovery.md): how long a cached manifest stays
-    /// fresh before the next reader triggers an upstream refetch, and the
-    /// retry hint handed to readers while a chunk is still being fetched
-    /// from the base. The relay answers catch-up reads from its cache so a
-    /// whole cell restarting after a power cut costs the backhaul one image
-    /// fetch, not one per node.
-    Duration catchup_manifest_ttl = seconds(2);
-    Duration catchup_retry = milliseconds(150);
-    /// Timeout for the relay's upstream catch-up fetches.
-    Duration catchup_timeout = seconds(1);
 };
 
 /// The cell-side half of the batched lease protocol. Exports a "midas.cell"

@@ -19,6 +19,10 @@ using rt::Dict;
 using rt::List;
 using rt::Value;
 
+namespace {
+constexpr Duration kMaxExtensionLease = seconds(5);  ///< lease grants are clamped to this
+}  // namespace
+
 AdaptationService::AdaptationService(rt::RpcEndpoint& rpc, prose::Weaver& weaver,
                                      crypto::TrustStore& trust,
                                      disco::DiscoveryClient& discovery, ReceiverConfig config,
@@ -84,7 +88,7 @@ AdaptationService::AdaptationService(rt::RpcEndpoint& rpc, prose::Weaver& weaver
     host_builtins_.add("log.info", "log", [this](List& args) -> Value {
         std::string line;
         for (const Value& v : args) line += v.is_str() ? v.as_str() : v.to_string();
-        log_info(rpc_.router().simulator().now(), "ext@" + config_.node_label, line);
+        log_info(rpc_.router().simulator().now(), "midas.ext@" + config_.node_label, line);
         return Value{};
     });
 
@@ -124,7 +128,7 @@ void AdaptationService::recover() {
              {"manifest", std::to_string(recovered_manifest_.size())},
              {"quarantined", std::to_string(quarantined_.size())},
              {"skipped", std::to_string(st.skipped_records)}});
-        log_info(rpc_.router().simulator().now(), "midas@" + config_.node_label,
+        log_info(rpc_.router().simulator().now(), "midas.receiver@" + config_.node_label,
                  "recovered journal: ", recovered_manifest_.size(),
                  " extensions were installed, ", quarantined_.size(), " quarantined");
     }
@@ -136,7 +140,7 @@ void AdaptationService::recover() {
 void AdaptationService::journal(const rt::Value& rec) {
     if (!journal_) return;
     journal_->append(rec);
-    if (journal_->wal_records() >= 256) compact_journal();
+    if (journal_->wal_records() >= db::kCompactThreshold) compact_journal();
 }
 
 void AdaptationService::compact_journal() {
@@ -250,7 +254,7 @@ void AdaptationService::governor_escalate(ExtensionId id, GovernorState& st,
          {"pkg", name},
          {"steps", std::to_string(st.window_steps)},
          {"invocations", std::to_string(st.window_invocations)}});
-    log_warn(rpc_.router().simulator().now(), "midas@" + config_.node_label,
+    log_warn(rpc_.router().simulator().now(), "midas.receiver@" + config_.node_label,
              "governor: ", verb, " '", name, "' (", st.window_steps, " steps, ",
              st.window_invocations, " invocations this lease window)");
 }
@@ -302,7 +306,7 @@ void AdaptationService::quarantine(ExtensionId id) {
         {{"node", config_.node_label},
          {"pkg", info.name},
          {"version", std::to_string(info.version)}});
-    log_warn(rpc_.router().simulator().now(), "midas@" + config_.node_label,
+    log_warn(rpc_.router().simulator().now(), "midas.receiver@" + config_.node_label,
              "quarantining '", info.name, "' v", info.version,
              " after ", config_.quarantine_after, " consecutive advice failures");
     // Black box: freeze the flight recorder's tail — the events leading up
@@ -329,7 +333,7 @@ bool AdaptationService::unquarantine(const std::string& name, std::uint32_t vers
         {{"node", config_.node_label},
          {"pkg", name},
          {"version", std::to_string(version)}});
-    log_info(rpc_.router().simulator().now(), "midas@" + config_.node_label,
+    log_info(rpc_.router().simulator().now(), "midas.receiver@" + config_.node_label,
              "quarantine lifted for '", name, "' v", version);
     journal(ReceiverDurableState::rec_unquarantine(name, version));
     return true;
@@ -439,9 +443,9 @@ void AdaptationService::build_service_object() {
 }
 
 Duration AdaptationService::clamp(std::int64_t lease_ms) const {
-    if (lease_ms <= 0) return config_.max_extension_lease;
+    if (lease_ms <= 0) return kMaxExtensionLease;
     Duration want = milliseconds(lease_ms);
-    return want > config_.max_extension_lease ? config_.max_extension_lease : want;
+    return want > kMaxExtensionLease ? kMaxExtensionLease : want;
 }
 
 void AdaptationService::emit(const std::string& event, const Installed& entry) {
@@ -467,7 +471,7 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
         trace.end_span(verify_span, {{"ok", "false"}});
         trace.instant("midas.receiver", "sig.reject",
                       {{"node", config_.node_label}, {"error", e.what()}});
-        log_warn(now, "midas@" + config_.node_label, "rejected package: ", e.what());
+        log_warn(now, "midas.receiver@" + config_.node_label, "rejected package: ", e.what());
         throw;
     } catch (const std::exception& e) {
         // A non-Error escape (hostile package tripping the allocator, a
@@ -479,7 +483,7 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
         trace.end_span(verify_span, {{"ok", "false"}});
         trace.instant("midas.receiver", "sig.reject",
                       {{"node", config_.node_label}, {"error", e.what()}});
-        log_warn(now, "midas@" + config_.node_label, "rejected package: ", e.what());
+        log_warn(now, "midas.receiver@" + config_.node_label, "rejected package: ", e.what());
         throw Error(e.what());
     }
     trace.end_span(verify_span, {{"ok", "true"}, {"pkg", pkg.name}, {"issuer", sig.issuer}});
@@ -541,8 +545,6 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
     // functions) propagate to the installing base.
     script::Sandbox sandbox;
     sandbox.capabilities.insert(pkg.capabilities.begin(), pkg.capabilities.end());
-    sandbox.step_budget = config_.script_step_budget;
-    sandbox.max_recursion = config_.script_max_recursion;
     if (config_.governor_advice_deadline.count() > 0 &&
         config_.governor_step_cost.count() > 0) {
         // Virtual-time watchdog, priced in steps: an advice entry may run
@@ -601,20 +603,19 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
         // hit the cache. The cached unit retains the Program, so the
         // static check below never re-parses either.
         std::shared_ptr<const script::CompiledUnit> unit = compiled_unit_for(pkg.script);
-        if (config_.static_check) {
-            // The checker sees the same world the script will: host and
-            // per-extension builtins plus the ctx.* join-point builtins
-            // that ScriptAspect adds during compilation.
-            script::BuiltinRegistry checkable = builtins;
-            for (const auto& [name, capability] : prose::ctx_builtin_names()) {
-                checkable.add(name, capability,
-                              [](List&) -> Value { return Value{}; });
-            }
-            auto diagnostics = script::check(*unit->program, checkable);
-            if (!diagnostics.empty()) {
-                throw ScriptError("extension '" + pkg.name + "' rejected by static check: " +
-                                  script::format_diagnostics(diagnostics));
-            }
+        // Scripts are input from outside: the static checker rejects
+        // packages with diagnostics (undefined names, unknown builtins, bad
+        // arity...) before anything is compiled or woven. It sees the same
+        // world the script will: host and per-extension builtins plus the
+        // ctx.* join-point builtins that ScriptAspect adds during compilation.
+        script::BuiltinRegistry checkable = builtins;
+        for (const auto& [name, capability] : prose::ctx_builtin_names()) {
+            checkable.add(name, capability, [](List&) -> Value { return Value{}; });
+        }
+        auto diagnostics = script::check(*unit->program, checkable);
+        if (!diagnostics.empty()) {
+            throw ScriptError("extension '" + pkg.name + "' rejected by static check: " +
+                              script::format_diagnostics(diagnostics));
         }
         prose::ScriptAspect compiled(pkg.name, std::move(unit), std::move(bindings),
                                      std::move(sandbox), builtins, pkg.config);
@@ -673,7 +674,7 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
                    {"version", std::to_string(pkg.version)},
                    {"issuer", sig.issuer}});
     emit("install", installed_.at(id).info);
-    log_info(now, "midas@" + config_.node_label, "installed '", pkg.name, "' v",
+    log_info(now, "midas.receiver@" + config_.node_label, "installed '", pkg.name, "' v",
              pkg.version, " from ", sig.issuer);
 
     Dict out{{"ext", Value{static_cast<std::int64_t>(id.value)}},
@@ -723,7 +724,7 @@ void AdaptationService::arm_expiry(ExtensionId id, Duration lease) {
         obs::TraceBuffer::global().instant(
             "midas.receiver", "lease.expire",
             {{"node", config_.node_label}, {"pkg", info.name}});
-        log_info(rpc_.router().simulator().now(), "midas@" + config_.node_label,
+        log_info(rpc_.router().simulator().now(), "midas.receiver@" + config_.node_label,
                  "lease expired, withdrawing '", info.name, "'");
         withdraw(id, prose::WithdrawReason::kLeaseExpired);
         emit("expire", info);
@@ -750,7 +751,7 @@ std::optional<std::uint32_t> AdaptationService::do_keepalive(std::uint64_t ext,
              {"pkg", info.name},
              {"leased_epoch", std::to_string(info.base_epoch)},
              {"seen_epoch", std::to_string(epoch)}});
-        log_info(rpc_.router().simulator().now(), "midas@" + config_.node_label,
+        log_info(rpc_.router().simulator().now(), "midas.receiver@" + config_.node_label,
                  "base epoch moved ", info.base_epoch, " -> ", epoch,
                  "; withdrawing stale '", info.name, "'");
         withdraw(id, prose::WithdrawReason::kBaseRestarted);

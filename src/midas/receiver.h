@@ -53,7 +53,6 @@ struct ReceiverConfig {
     /// attrs["cell"] so a base can route the node's keep-alives through
     /// the cell's relay (see midas/cell.h).
     std::string cell;
-    Duration max_extension_lease = seconds(5);  ///< grants clamped to this
     /// Group-commit / chunked-snapshot knobs for the receiver's journal
     /// (docs/storage.md); all-zero commits every record on its own.
     db::JournalConfig journal;
@@ -63,12 +62,6 @@ struct ReceiverConfig {
     /// maps without bound (every policy revision is a new content hash).
     std::size_t compile_cache_cap = 64;
     std::size_t pointcut_cache_cap = 128;
-    std::uint64_t script_step_budget = 1'000'000;
-    int script_max_recursion = 64;
-    /// Run the static checker over incoming scripts and reject packages
-    /// with diagnostics (undefined names, unknown builtins, bad arity...)
-    /// before anything is compiled or woven.
-    bool static_check = true;
     /// Quarantine an extension after this many *consecutive* advice
     /// failures (ScriptError / ResourceExhausted / DeadlineExceeded —
     /// broken or runaway code; AccessDenied is the node's own policy

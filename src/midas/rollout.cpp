@@ -18,6 +18,11 @@ namespace {
 
 constexpr std::size_t kNoStage = static_cast<std::size_t>(-1);
 
+/// Fraction of the stage cohort that must confirm the canary install before
+/// promotion (in addition to the window). Keeps a partition from promoting
+/// a stage that never actually ran the canary.
+constexpr double kConfirmFraction = 0.5;
+
 /// FNV-1a over (pkg name, NUL, node label). Hashing the *label* — not the
 /// NodeId — keeps cohort membership identical across base restarts (ids
 /// are per-life) and across seed replays; mixing the package name in
@@ -227,7 +232,7 @@ void RolloutController::begin(ExtensionPackage pkg, Bytes sealed, std::string ha
          {"version", std::to_string(live.pkg.version)},
          {"incumbent", std::to_string(live.incumbent_version)},
          {"stages", std::to_string(live.stages_bp.size())}});
-    log_info(base_.rpc_.router().simulator().now(), "base@" + base_.config_.issuer,
+    log_info(base_.rpc_.router().simulator().now(), "midas.base@" + base_.config_.issuer,
              "rollout of '", live.name, "' v", live.pkg.version, " begins: ",
              live.stages_bp.size(), " stages, incumbent v", live.incumbent_version);
     capture_latency_baseline(live);
@@ -289,7 +294,7 @@ void RolloutController::adopt(const BaseDurableState::RolloutEntry& entry) {
         capture_latency_baseline(it->second);
         open_stage_span(it->second);
         arm_timer();
-        log_info(base_.rpc_.router().simulator().now(), "base@" + base_.config_.issuer,
+        log_info(base_.rpc_.router().simulator().now(), "midas.base@" + base_.config_.issuer,
                  "resuming rollout of '", name, "' at stage ", it->second.stage);
     }
 }
@@ -465,7 +470,7 @@ void RolloutController::tick() {
         std::size_t required =
             cohort == 0 ? 0
                         : static_cast<std::size_t>(std::ceil(
-                              config_.confirm_fraction * static_cast<double>(cohort)));
+                              kConfirmFraction * static_cast<double>(cohort)));
         if (confirmed < required) continue;  // wait for the cohort to prove it
         if (r.stage + 1 < r.stages_bp.size()) {
             promote(r);
@@ -520,7 +525,7 @@ void RolloutController::promote(Rollout& r) {
         {{"pkg", r.name},
          {"stage", std::to_string(r.stage)},
          {"fraction", std::to_string(r.stages_bp[r.stage] / 10000.0)}});
-    log_info(base_.rpc_.router().simulator().now(), "base@" + base_.config_.issuer,
+    log_info(base_.rpc_.router().simulator().now(), "midas.base@" + base_.config_.issuer,
              "rollout of '", r.name, "' promoted to stage ", r.stage, " (",
              r.stages_bp[r.stage] / 100, "% of fleet)");
     capture_latency_baseline(r);
@@ -551,7 +556,7 @@ void RolloutController::complete(Rollout& r) {
     obs::TraceBuffer::global().instant(
         "midas.rollout", "rollout.complete",
         {{"pkg", r.name}, {"version", std::to_string(r.pkg.version)}});
-    log_info(base_.rpc_.router().simulator().now(), "base@" + base_.config_.issuer,
+    log_info(base_.rpc_.router().simulator().now(), "midas.base@" + base_.config_.issuer,
              "rollout of '", r.name, "' v", r.pkg.version, " complete");
 
     // Stragglers that never confirmed the canary (the completion quota is a
@@ -582,7 +587,7 @@ void RolloutController::abort(Rollout& r, const std::string& cause) {
         {{"pkg", r.name},
          {"stage", std::to_string(r.stage)},
          {"cause", cause}});
-    log_warn(base_.rpc_.router().simulator().now(), "base@" + base_.config_.issuer,
+    log_warn(base_.rpc_.router().simulator().now(), "midas.base@" + base_.config_.issuer,
              "rollout of '", r.name, "' v", r.pkg.version, " ABORTED at stage ",
              r.stage, ": ", cause, "; rolling back to v", r.incumbent_version);
 

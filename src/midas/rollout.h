@@ -63,10 +63,6 @@ struct RolloutConfig {
     Duration stage_window = seconds(4);
     /// Health poll / promotion check cadence.
     Duration tick_period = milliseconds(400);
-    /// Fraction of the stage cohort that must confirm the canary install
-    /// before promotion (in addition to the window). Keeps a partition
-    /// from promoting a stage that never actually ran the canary.
-    double confirm_fraction = 0.5;
     /// Gate thresholds, cumulative over the rollout. Quarantine is terminal
     /// evidence, so one strike aborts by default.
     int quarantine_tolerance = 1;

@@ -50,10 +50,6 @@ void AdmissionQueue::set_config(AdmissionConfig config) {
 }
 
 AdmissionQueue::Decision AdmissionQueue::offer(AdmitClass cls, Work work) {
-    if (!config_.enabled) {
-        work();
-        return Decision{};
-    }
     const int c = static_cast<int>(cls);
     SimTime now = sim_.now();
 

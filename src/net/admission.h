@@ -38,8 +38,6 @@ constexpr std::size_t kAdmitClasses = 3;
 const char* to_string(AdmitClass cls);
 
 struct AdmissionConfig {
-    /// Disabled: every offer runs immediately (the seed behavior).
-    bool enabled = true;
     /// Shared execution budget across all classes. The defaults are sized
     /// to be invisible to well-behaved fleets (hundreds of calls/s/node)
     /// and to bite only under storm load; soaks tighten them explicitly.

@@ -17,6 +17,9 @@ double Position::distance_to(const Position& other) const {
 }
 
 namespace {
+/// Serialization cost added to every hop, per KiB on the air.
+constexpr Duration kPerKilobyte = microseconds(800);
+
 std::string next_net_label() {
     // Atomic: shard worlds construct their Networks concurrently.
     static std::atomic<int> seq{0};
@@ -187,7 +190,7 @@ std::vector<NodeId> Network::neighbors(NodeId id) const {
 }
 
 Duration Network::transit_time(const Message& msg) {
-    auto size_cost = Duration{config_.per_kilobyte.count() *
+    auto size_cost = Duration{kPerKilobyte.count() *
                               static_cast<std::int64_t>(msg.wire_size()) / 1024};
     auto jitter = config_.jitter.count() > 0
                       ? Duration{static_cast<std::int64_t>(

@@ -60,7 +60,6 @@ struct Message {
 /// Radio and link-quality parameters.
 struct NetworkConfig {
     Duration base_latency = microseconds(500);   ///< fixed per-hop cost
-    Duration per_kilobyte = microseconds(800);   ///< serialization cost
     Duration jitter = microseconds(200);         ///< uniform in [0, jitter]
     double loss_probability = 0.0;               ///< per-message drop chance
     double duplicate_probability = 0.0;          ///< per-message dup chance

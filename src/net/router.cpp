@@ -39,7 +39,7 @@ bool MessageRouter::send_remote(std::size_t dst_shard, const std::string& to_nam
 void MessageRouter::dispatch(const Message& msg) {
     auto it = handlers_.find(msg.kind);
     if (it == handlers_.end()) {
-        log_debug(network_.simulator().now(), "router",
+        log_debug(network_.simulator().now(), "net.router",
                   network_.name_of(self_), " dropped unrouted kind '", msg.kind, "'");
         return;
     }
@@ -53,7 +53,7 @@ void MessageRouter::dispatch(const Message& msg) {
         static obs::Counter& handler_errors =
             obs::Registry::global().counter("net.router.handler_errors");
         handler_errors.inc();
-        log_warn(network_.simulator().now(), "router", network_.name_of(self_),
+        log_warn(network_.simulator().now(), "net.router", network_.name_of(self_),
                  " handler for '", msg.kind, "' threw: ", e.what());
     }
 }

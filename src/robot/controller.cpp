@@ -38,7 +38,8 @@ std::shared_ptr<rt::ServiceObject> RobotController::device(const std::string& na
 bool RobotController::start_task(Task task) {
     if (current_) return false;
     current_ = Running{std::move(task), 0};
-    log_debug(sim_.now(), "robot@" + label_, "task '", current_->task.name, "' started");
+    log_debug(sim_.now(), "robot.controller@" + label_, "task '", current_->task.name,
+              "' started");
     schedule_next_step(Duration{0});
     return true;
 }
@@ -56,7 +57,8 @@ void RobotController::push_override(Task task) {
         current_.reset();
     }
     current_ = Running{std::move(task), 0};
-    log_debug(sim_.now(), "robot@" + label_, "override '", current_->task.name, "' started");
+    log_debug(sim_.now(), "robot.controller@" + label_, "override '", current_->task.name,
+              "' started");
     schedule_next_step(Duration{0});
 }
 
@@ -81,7 +83,7 @@ void RobotController::run_step() {
     const MacroStep& step = run.task.steps[run.next_step++];
     auto dev = device(step.device);
     if (!dev) {
-        log_warn(sim_.now(), "robot@" + label_, "task '", run.task.name,
+        log_warn(sim_.now(), "robot.controller@" + label_, "task '", run.task.name,
                  "' references unknown device '", step.device, "'");
         finish_task(false);
         return;
@@ -95,11 +97,11 @@ void RobotController::run_step() {
         if (result.is_int()) pace = milliseconds(result.as_int());
     } catch (const AccessDenied& e) {
         // A policy extension vetoed the macro: the task cannot proceed.
-        log_info(sim_.now(), "robot@" + label_, "macro denied: ", e.what());
+        log_info(sim_.now(), "robot.controller@" + label_, "macro denied: ", e.what());
         finish_task(false);
         return;
     } catch (const Error& e) {
-        log_warn(sim_.now(), "robot@" + label_, "macro failed: ", e.what());
+        log_warn(sim_.now(), "robot.controller@" + label_, "macro failed: ", e.what());
         finish_task(false);
         return;
     }
@@ -116,7 +118,7 @@ void RobotController::finish_task(bool completed) {
     } else {
         ++stats_.tasks_aborted;
     }
-    log_debug(sim_.now(), "robot@" + label_, "task '", finished.task.name, "' ",
+    log_debug(sim_.now(), "robot.controller@" + label_, "task '", finished.task.name, "' ",
               completed ? "completed" : "aborted");
     if (finished.task.on_done) finished.task.on_done(completed);
 

@@ -322,7 +322,7 @@ void RpcEndpoint::on_call(const net::Message& msg, bool control) {
         // Unintelligible request — e.g. the peer encrypts and we do not
         // (only one end adapted). Drop it; the caller times out.
         metrics().garbled.inc();
-        log_warn(router_.simulator().now(), "rpc", "dropped garbled call: ", e.what());
+        log_warn(router_.simulator().now(), "rt.rpc", "dropped garbled call: ", e.what());
         return;
     }
     metrics().calls_received.inc();
@@ -475,7 +475,7 @@ void RpcEndpoint::on_reply(const net::Message& msg, bool control) {
         reply = Value::decode(std::span<const std::uint8_t>(plain));
     } catch (const Error& e) {
         metrics().garbled.inc();
-        log_warn(router_.simulator().now(), "rpc", "dropped garbled reply: ", e.what());
+        log_warn(router_.simulator().now(), "rt.rpc", "dropped garbled reply: ", e.what());
         return;
     }
     const Dict& rep = reply.as_dict();

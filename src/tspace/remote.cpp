@@ -358,7 +358,7 @@ void TupleSpacePuller::handle_tuple(NodeId host, const List& tuple) {
             static_cast<std::uint64_t>(result.as_dict().at("ext").as_int());
         ++stats_.installs;
     } catch (const Error& e) {
-        log_warn(discovery_.rpc().router().simulator().now(), "tspace-pull",
+        log_warn(discovery_.rpc().router().simulator().now(), "tspace.pull",
                  "install of '", name, "' failed: ", e.what());
     }
 }

@@ -399,8 +399,8 @@ struct OverloadChaosWorld {
         bca.keepalive_period = milliseconds(400);
         // Open fast toward the yanked robot — well before the base would
         // give it up — so the soak provably exercises the breaker.
-        bca.breaker_threshold = 2;
-        bca.breaker_open_period = milliseconds(500);
+        bca.breaker.threshold = 2;
+        bca.breaker.open_period = milliseconds(500);
         bca.max_keepalive_failures = 4;
         hall_a = std::make_unique<BaseStation>(net, "hallA", net::Position{0, 0}, 120.0, bca);
         hall_a->keys().add_key("hallA", to_bytes("ka"));

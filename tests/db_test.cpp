@@ -164,13 +164,17 @@ TEST(EventStoreRetention, SnapshotRestoreReconstructsCurrentState) {
     EXPECT_EQ(back.at(5).at, SimTime{50});
     EXPECT_EQ(back.at(7).at, SimTime{70});
     EXPECT_THROW(back.at(4), Error);
-    // And the untrimmed format stays byte-identical to the seed: a store
-    // that never trimmed snapshots as a bare list (no retention header).
+    // A store that never trimmed uses the same {base_seq, records} format,
+    // with base_seq 0, and round-trips through it.
     EventStore plain;
     plain.append("r", SimTime{1}, action("x", 1));
     Bytes plain_snap = plain.snapshot();
     rt::Value v = rt::Value::decode(std::span(plain_snap));
-    EXPECT_TRUE(v.is_list());
+    ASSERT_TRUE(v.is_dict());
+    EXPECT_EQ(v.as_dict().at("base_seq").as_int(), 0);
+    EventStore plain_back = EventStore::restore(std::span(plain_snap));
+    EXPECT_EQ(plain_back.base_seq(), 0u);
+    EXPECT_EQ(plain_back.at(1).at, SimTime{1});
 }
 
 TEST(EventStoreRetention, MalformedRetentionHeaderRaisesTypedError) {

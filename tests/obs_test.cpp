@@ -1,6 +1,6 @@
 // Unit tests for the observability subsystem: metrics registry semantics,
 // component sources, quantile interpolation, trace ring eviction, label
-// cardinality capping, component canonicalisation, and the JSON snapshot
+// cardinality capping, log-line component families, and the JSON snapshot
 // round-trip.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include <memory>
 #include <thread>
 
-#include "obs/component.h"
+#include "common/log.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -327,27 +327,18 @@ TEST(Trace, SimulatorDrivesTheClock) {
     buf.clear();
 }
 
-// ---------------------------------------------------------- components ----
+// ----------------------------------------------------------------- log ----
 
-TEST(Component, AliasesMapLegacyTags) {
-    auto& reg = ComponentRegistry::global();
-    EXPECT_EQ(reg.canonical("rpc"), "rt.rpc");
-    EXPECT_EQ(reg.canonical("receiver"), "midas.receiver");
-    EXPECT_EQ(reg.canonical("base@hall"), "midas.base@hall");
-    EXPECT_EQ(reg.family("base@hall"), "midas.base");
-    // Unknown and already-canonical tags pass through unchanged.
-    EXPECT_EQ(reg.canonical("rt.rpc"), "rt.rpc");
-    EXPECT_EQ(reg.canonical("mystery"), "mystery");
-}
+TEST(Log, LinesCountUnderTheFamilyBeforeTheAt) {
+    std::vector<std::string> lines;
+    Log::set_sink([&](LogLevel, const std::string& line) { lines.push_back(line); });
+    const std::uint64_t before = snapshot_metrics().counter("log.lines", "midas.base");
+    log_warn(SimTime::zero(), "midas.base@hall", "hello");
+    Log::set_sink(nullptr);
 
-TEST(Component, InterningIsStable) {
-    auto& reg = ComponentRegistry::global();
-    std::uint32_t a = reg.id("midas.base");
-    std::uint32_t b = reg.id("midas.base");
-    std::uint32_t c = reg.id("midas.receiver");
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a, c);
-    EXPECT_EQ(reg.name(a), "midas.base");
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find(" midas.base@hall: hello"), std::string::npos) << lines[0];
+    EXPECT_EQ(snapshot_metrics().counter("log.lines", "midas.base") - before, 1u);
 }
 
 // ------------------------------------------------------------ snapshot ----

@@ -74,20 +74,6 @@ TEST(Admission, FastPathRunsSynchronously) {
     EXPECT_EQ(q.queued_total(), 0u);
 }
 
-TEST(Admission, DisabledAdmitsEverything) {
-    sim::Simulator sim;
-    net::AdmissionConfig cfg;
-    cfg.enabled = false;
-    cfg.rate_per_sec = 0.0001;  // would shed everything if enabled
-    cfg.queue_cap = {0, 0, 0};
-    net::AdmissionQueue q(sim, cfg);
-    int ran = 0;
-    for (int i = 0; i < 100; ++i) {
-        EXPECT_TRUE(q.offer(net::AdmitClass::kApp, [&] { ++ran; }).admitted);
-    }
-    EXPECT_EQ(ran, 100);
-}
-
 TEST(Admission, DrainsQueuedWorkInClassPriorityOrder) {
     sim::Simulator sim;
     net::AdmissionConfig cfg;

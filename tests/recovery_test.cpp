@@ -275,19 +275,22 @@ TEST(EventStoreRestore, MalformedInputsRaiseTypedErrors) {
     Bytes garbage = to_bytes("\xff\xfe\x01junk");
     EXPECT_THROW(db::EventStore::restore(std::span(garbage)), Error);
 
-    // Valid encoding, wrong shape: not a list.
+    // Valid encoding, wrong shape: not a {base_seq, records} dict.
     Bytes not_list = Value{std::int64_t{42}}.encode();
     EXPECT_THROW(db::EventStore::restore(std::span(not_list)), Error);
 
+    auto with_records = [](rt::List records) {
+        return Value{Dict{{"base_seq", Value{std::int64_t{0}}},
+                          {"records", Value{std::move(records)}}}}
+            .encode();
+    };
     // A record that is not a dict.
-    Bytes bad_rec = Value{rt::List{Value{std::string("x")}}}.encode();
+    Bytes bad_rec = with_records(rt::List{Value{std::string("x")}});
     EXPECT_THROW(db::EventStore::restore(std::span(bad_rec)), Error);
 
     // A record missing its source.
-    Bytes no_source =
-        Value{rt::List{Value{Dict{{"at_ns", Value{std::int64_t{1}}},
-                                  {"data", Value{std::int64_t{0}}}}}}}
-            .encode();
+    Bytes no_source = with_records(rt::List{
+        Value{Dict{{"at_ns", Value{std::int64_t{1}}}, {"data", Value{std::int64_t{0}}}}}});
     EXPECT_THROW(db::EventStore::restore(std::span(no_source)), Error);
 
     // The round trip still works.
