@@ -156,6 +156,9 @@ void AdaptationService::compact_journal() {
 }
 
 void AdaptationService::on_advice_outcome(AspectId aspect, const std::exception* error) {
+    // The common case, once per advice call: a success with no failure
+    // streak pending anywhere has nothing to reset.
+    if (!error && advice_failures_.empty()) return;
     auto at = by_aspect_.find(aspect);
     if (at == by_aspect_.end()) return;  // hand-woven aspects are not leased code
     ExtensionId ext = at->second;

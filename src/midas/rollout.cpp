@@ -74,9 +74,12 @@ void fold_advice_ns(const std::string& pkg, std::vector<double>& bounds,
             if (name != "profile.advice_ns") return;
             if (label.rfind(prefix, 0) != 0) return;
             if (bounds.empty()) bounds = h.bounds();
-            if (buckets.size() < h.buckets().size()) buckets.resize(h.buckets().size(), 0);
-            for (std::size_t i = 0; i < h.buckets().size(); ++i) buckets[i] += h.buckets()[i];
-            count += h.count();
+            const std::vector<std::uint64_t> counts = h.buckets();
+            if (buckets.size() < counts.size()) buckets.resize(counts.size(), 0);
+            for (std::size_t i = 0; i < counts.size(); ++i) {
+                buckets[i] += counts[i];
+                count += counts[i];
+            }
         });
 }
 

@@ -8,33 +8,48 @@ namespace pmp::obs {
 
 // ----------------------------------------------------------- Histogram ----
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-    if (bounds_.empty()) bounds_ = latency_ns_bounds();
-    buckets_.assign(bounds_.size() + 1, 0);
-}
+Histogram::Histogram(std::vector<double> bounds)
+    : bounds_(bounds.empty() ? latency_ns_bounds() : std::move(bounds)),
+      buckets_(bounds_.size() + 1) {}
 
 void Histogram::observe(double v) {
     if (!detail::g_enabled) return;
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-    ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
-    ++count_;
-    sum_ += v;
+    buckets_[static_cast<std::size_t>(it - bounds_.begin())].fetch_add(
+        1, std::memory_order_relaxed);
+    sum_.fetch_add(v, std::memory_order_relaxed);
+}
+
+std::uint64_t Histogram::count() const {
+    std::uint64_t total = 0;
+    for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
+    return total;
+}
+
+std::vector<std::uint64_t> Histogram::buckets() const {
+    std::vector<std::uint64_t> out;
+    out.reserve(buckets_.size());
+    for (const auto& b : buckets_) out.push_back(b.load(std::memory_order_relaxed));
+    return out;
 }
 
 double Histogram::quantile(double q) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (count_ == 0) return 0.0;
+    // Rank against one snapshot of the buckets, so a racing observe cannot
+    // put the rank past the last counted sample.
+    const std::vector<std::uint64_t> counts = buckets();
+    std::uint64_t total = 0;
+    for (std::uint64_t c : counts) total += c;
+    if (total == 0) return 0.0;
     q = std::clamp(q, 0.0, 1.0);
-    double rank = q * static_cast<double>(count_);
+    double rank = q * static_cast<double>(total);
     double cumulative = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        double next = cumulative + static_cast<double>(buckets_[i]);
-        if (next >= rank && buckets_[i] > 0) {
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        double next = cumulative + static_cast<double>(counts[i]);
+        if (next >= rank && counts[i] > 0) {
             if (i >= bounds_.size()) return bounds_.back();  // overflow bucket
             double lo = i == 0 ? 0.0 : bounds_[i - 1];
             double hi = bounds_[i];
-            double fraction = (rank - cumulative) / static_cast<double>(buckets_[i]);
+            double fraction = (rank - cumulative) / static_cast<double>(counts[i]);
             return lo + fraction * (hi - lo);
         }
         cumulative = next;
@@ -43,10 +58,8 @@ double Histogram::quantile(double q) const {
 }
 
 void Histogram::reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    count_ = 0;
-    sum_ = 0;
+    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+    sum_.store(0, std::memory_order_relaxed);
 }
 
 namespace {

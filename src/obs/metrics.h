@@ -84,35 +84,31 @@ private:
 /// Quantiles interpolate linearly inside the bucket that crosses the rank,
 /// which is exact enough for latency reporting (p50/p95/p99) without ever
 /// storing samples.
-/// Writes from concurrent shard workers are serialized by a per-histogram
-/// mutex (histograms are off the per-dispatch fast path). The aggregate
-/// read accessors lock too; `bounds()`/`buckets()` return references and
-/// are for quiesced readers (exporters between windows, tests after run).
+/// Histograms sit on the per-dispatch fast path (`profile.advice_ns` is
+/// observed once per advice call), so recording is lock-free: the buckets
+/// and the sum are relaxed atomics, like Counter, and the count is the
+/// buckets' total. Concurrent observes from shard workers are all counted
+/// exactly. A reader racing writers may see the sum a few samples apart
+/// from the buckets; once writers quiesce they agree.
 class Histogram {
 public:
     explicit Histogram(std::vector<double> bounds);
 
     void observe(double v);
 
-    std::uint64_t count() const {
-        std::lock_guard<std::mutex> lock(mu_);
-        return count_;
-    }
-    double sum() const {
-        std::lock_guard<std::mutex> lock(mu_);
-        return sum_;
-    }
+    std::uint64_t count() const;
+    double sum() const { return sum_.load(std::memory_order_relaxed); }
     const std::vector<double>& bounds() const { return bounds_; }
     /// Per-bucket counts; size == bounds().size() + 1 (last = overflow).
-    const std::vector<std::uint64_t>& buckets() const { return buckets_; }
+    std::vector<std::uint64_t> buckets() const;
 
     /// q in [0,1]. Returns 0 when empty; clamps to the largest finite bound
     /// for ranks landing in the overflow bucket.
     double quantile(double q) const;
 
     double mean() const {
-        std::lock_guard<std::mutex> lock(mu_);
-        return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+        const std::uint64_t n = count();
+        return n == 0 ? 0.0 : sum() / static_cast<double>(n);
     }
 
     void reset();
@@ -123,11 +119,9 @@ public:
     static const std::vector<double>& latency_ms_bounds();
 
 private:
-    mutable std::mutex mu_;
     std::vector<double> bounds_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0;
+    std::vector<std::atomic<std::uint64_t>> buckets_;
+    std::atomic<double> sum_{0};
 };
 
 /// The rows one export collects: pinned values plus every source's report,
@@ -236,9 +230,9 @@ private:
     void remove_source(std::uint64_t id);
 
     /// Guards the family maps and the source table. The pinned metrics
-    /// themselves are not guarded by this: Counter/Gauge are atomic,
-    /// Histogram carries its own mutex, and handed-out references stay
-    /// valid regardless (slots are unique_ptr-pinned).
+    /// themselves are not guarded by this: Counter, Gauge and Histogram
+    /// are atomic, and handed-out references stay valid regardless (slots
+    /// are unique_ptr-pinned).
     mutable std::mutex mu_;
     Families<Counter> counters_;
     Families<Gauge> gauges_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <sstream>
 
 #include "common/error.h"
@@ -71,71 +72,77 @@ const char* Value::kind_name(Kind k) {
     return "?";
 }
 
-namespace {
-[[noreturn]] void kind_error(Value::Kind want, Value::Kind got) {
-    throw TypeError(std::string("expected ") + Value::kind_name(want) + ", got " +
-                    Value::kind_name(got));
-}
-}  // namespace
-
-bool Value::as_bool() const {
-    if (auto* p = std::get_if<bool>(&v_)) return *p;
-    kind_error(Kind::kBool, kind());
+void Value::kind_error(Kind want) const {
+    throw TypeError(std::string("expected ") + kind_name(want) + ", got " + kind_name(kind_));
 }
 
-std::int64_t Value::as_int() const {
-    if (auto* p = std::get_if<std::int64_t>(&v_)) return *p;
-    kind_error(Kind::kInt, kind());
-}
-
-double Value::as_real() const {
-    if (auto* p = std::get_if<double>(&v_)) return *p;
-    if (auto* p = std::get_if<std::int64_t>(&v_)) return static_cast<double>(*p);
-    kind_error(Kind::kReal, kind());
-}
-
-const std::string& Value::as_str() const {
-    if (auto* p = std::get_if<std::string>(&v_)) return *p;
-    kind_error(Kind::kStr, kind());
-}
-
-const Bytes& Value::as_blob() const {
-    if (auto* p = std::get_if<Bytes>(&v_)) return *p;
-    kind_error(Kind::kBlob, kind());
-}
-
-const List& Value::as_list() const {
-    if (auto* p = std::get_if<List>(&v_)) return *p;
-    kind_error(Kind::kList, kind());
-}
-
-List& Value::as_list() {
-    if (auto* p = std::get_if<List>(&v_)) return *p;
-    kind_error(Kind::kList, kind());
-}
-
-const Dict& Value::as_dict() const {
-    if (auto* p = std::get_if<Dict>(&v_)) return *p;
-    kind_error(Kind::kDict, kind());
-}
-
-Dict& Value::as_dict() {
-    if (auto* p = std::get_if<Dict>(&v_)) return *p;
-    kind_error(Kind::kDict, kind());
-}
-
-bool Value::truthy() const {
-    switch (kind()) {
-        case Kind::kNull: return false;
-        case Kind::kBool: return std::get<bool>(v_);
-        case Kind::kInt: return std::get<std::int64_t>(v_) != 0;
-        case Kind::kReal: return std::get<double>(v_) != 0.0;
-        case Kind::kStr: return !std::get<std::string>(v_).empty();
-        case Kind::kBlob: return !std::get<Bytes>(v_).empty();
-        case Kind::kList: return !std::get<List>(v_).empty();
-        case Kind::kDict: return !std::get<Dict>(v_).empty();
+void Value::copy_heap(const Value& o) {
+    switch (o.kind_) {
+        case Kind::kStr: std::construct_at(&str_, o.str_); break;
+        case Kind::kBlob: std::construct_at(&blob_, o.blob_); break;
+        case Kind::kList: std::construct_at(&list_, o.list_); break;
+        case Kind::kDict: std::construct_at(&dict_, o.dict_); break;
+        default: break;
     }
-    return false;
+}
+
+void Value::move_heap(Value&& o) noexcept {
+    switch (o.kind_) {
+        case Kind::kStr: std::construct_at(&str_, std::move(o.str_)); break;
+        case Kind::kBlob: std::construct_at(&blob_, std::move(o.blob_)); break;
+        case Kind::kList: std::construct_at(&list_, std::move(o.list_)); break;
+        case Kind::kDict: std::construct_at(&dict_, std::move(o.dict_)); break;
+        default: break;
+    }
+}
+
+void Value::destroy_heap() noexcept {
+    switch (kind_) {
+        case Kind::kStr: std::destroy_at(&str_); break;
+        case Kind::kBlob: std::destroy_at(&blob_); break;
+        case Kind::kList: std::destroy_at(&list_); break;
+        case Kind::kDict: std::destroy_at(&dict_); break;
+        default: break;
+    }
+}
+
+void Value::assign_heap(Value&& o) noexcept {
+    if (kind_ == o.kind_) {
+        switch (kind_) {
+            case Kind::kStr: str_ = std::move(o.str_); return;
+            case Kind::kBlob: blob_ = std::move(o.blob_); return;
+            case Kind::kList: list_ = std::move(o.list_); return;
+            case Kind::kDict: dict_ = std::move(o.dict_); return;
+            default: break;
+        }
+    }
+    // Kinds differ: take `o` out first, since destroying our member may
+    // destroy `o` (v = std::move(v.as_list()[0])).
+    Value tmp(std::move(o));
+    if (is_heap()) destroy_heap();
+    kind_ = tmp.kind_;
+    if (tmp.is_heap()) move_heap(std::move(tmp));
+    else scalar_ = tmp.scalar_;
+}
+
+bool Value::heap_empty() const {
+    switch (kind_) {
+        case Kind::kStr: return str_.empty();
+        case Kind::kBlob: return blob_.empty();
+        case Kind::kList: return list_.empty();
+        case Kind::kDict: return dict_.empty();
+        default: return true;
+    }
+}
+
+bool Value::heap_equal(const Value& o) const {
+    switch (kind_) {
+        case Kind::kStr: return str_ == o.str_;
+        case Kind::kBlob: return blob_ == o.blob_;
+        case Kind::kList: return list_ == o.list_;
+        case Kind::kDict: return dict_ == o.dict_;
+        default: return false;
+    }
 }
 
 namespace {
@@ -153,20 +160,18 @@ std::string Value::to_string() const {
     std::ostringstream os;
     switch (kind()) {
         case Kind::kNull: os << "null"; break;
-        case Kind::kBool: os << (std::get<bool>(v_) ? "true" : "false"); break;
-        case Kind::kInt: os << std::get<std::int64_t>(v_); break;
-        case Kind::kReal: os << std::get<double>(v_); break;
-        case Kind::kStr: quote_into(os, std::get<std::string>(v_)); break;
+        case Kind::kBool: os << (scalar_.b ? "true" : "false"); break;
+        case Kind::kInt: os << scalar_.i; break;
+        case Kind::kReal: os << scalar_.d; break;
+        case Kind::kStr: quote_into(os, str_); break;
         case Kind::kBlob:
-            os << "blob(" << hex_encode(std::span<const std::uint8_t>(std::get<Bytes>(v_)))
-               << ")";
+            os << "blob(" << hex_encode(std::span<const std::uint8_t>(blob_)) << ")";
             break;
         case Kind::kList: {
             os << '[';
-            const auto& list = std::get<List>(v_);
-            for (std::size_t i = 0; i < list.size(); ++i) {
+            for (std::size_t i = 0; i < list_.size(); ++i) {
                 if (i) os << ", ";
-                os << list[i].to_string();
+                os << list_[i].to_string();
             }
             os << ']';
             break;
@@ -174,7 +179,7 @@ std::string Value::to_string() const {
         case Kind::kDict: {
             os << '{';
             bool first = true;
-            for (const auto& [k, v] : std::get<Dict>(v_)) {
+            for (const auto& [k, v] : dict_) {
                 if (!first) os << ", ";
                 first = false;
                 quote_into(os, k);
@@ -188,49 +193,38 @@ std::string Value::to_string() const {
 }
 
 void Value::encode(Bytes& out) const {
-    out.push_back(static_cast<std::uint8_t>(kind()));
-    switch (kind()) {
+    out.push_back(static_cast<std::uint8_t>(kind_));
+    switch (kind_) {
         case Kind::kNull: break;
-        case Kind::kBool: out.push_back(std::get<bool>(v_) ? 1 : 0); break;
-        case Kind::kInt:
-            append_u64(out, static_cast<std::uint64_t>(std::get<std::int64_t>(v_)));
-            break;
+        case Kind::kBool: out.push_back(scalar_.b ? 1 : 0); break;
+        case Kind::kInt: append_u64(out, static_cast<std::uint64_t>(scalar_.i)); break;
         case Kind::kReal: {
-            double d = std::get<double>(v_);
             std::uint64_t bits;
-            static_assert(sizeof(bits) == sizeof(d));
-            std::memcpy(&bits, &d, sizeof(bits));
+            static_assert(sizeof(bits) == sizeof(scalar_.d));
+            std::memcpy(&bits, &scalar_.d, sizeof(bits));
             append_u64(out, bits);
             break;
         }
-        case Kind::kStr: {
-            const auto& s = std::get<std::string>(v_);
-            append_u32(out, static_cast<std::uint32_t>(s.size()));
-            append(out, as_bytes(s));
+        case Kind::kStr:
+            append_u32(out, static_cast<std::uint32_t>(str_.size()));
+            append(out, as_bytes(str_));
             break;
-        }
-        case Kind::kBlob: {
-            const auto& b = std::get<Bytes>(v_);
-            append_u32(out, static_cast<std::uint32_t>(b.size()));
-            append(out, std::span<const std::uint8_t>(b));
+        case Kind::kBlob:
+            append_u32(out, static_cast<std::uint32_t>(blob_.size()));
+            append(out, std::span<const std::uint8_t>(blob_));
             break;
-        }
-        case Kind::kList: {
-            const auto& list = std::get<List>(v_);
-            append_u32(out, static_cast<std::uint32_t>(list.size()));
-            for (const auto& v : list) v.encode(out);
+        case Kind::kList:
+            append_u32(out, static_cast<std::uint32_t>(list_.size()));
+            for (const auto& v : list_) v.encode(out);
             break;
-        }
-        case Kind::kDict: {
-            const auto& dict = std::get<Dict>(v_);
-            append_u32(out, static_cast<std::uint32_t>(dict.size()));
-            for (const auto& [k, v] : dict) {
+        case Kind::kDict:
+            append_u32(out, static_cast<std::uint32_t>(dict_.size()));
+            for (const auto& [k, v] : dict_) {
                 append_u32(out, static_cast<std::uint32_t>(k.size()));
                 append(out, as_bytes(k));
                 v.encode(out);
             }
             break;
-        }
     }
 }
 

@@ -12,7 +12,6 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "common/bytes.h"
@@ -62,6 +61,13 @@ private:
 };
 
 /// The dynamic value.
+///
+/// Representation: a kind byte plus a union. The null/bool/int/real arm is
+/// one trivially copyable 8-byte scalar, so copying, moving, assigning and
+/// destroying a scalar Value is a kind test and a word copy, all inline;
+/// only the heap kinds (str/blob/list/dict) leave the header. Moving from a
+/// Value leaves its kind in place: a scalar keeps its value, a heap kind
+/// holds its member's moved-from state.
 class Value {
 public:
     enum class Kind : std::uint8_t {
@@ -75,50 +81,126 @@ public:
         kDict = 7,
     };
 
-    Value() : v_(std::monostate{}) {}
-    Value(bool b) : v_(b) {}
-    Value(std::int64_t i) : v_(i) {}
-    Value(int i) : v_(static_cast<std::int64_t>(i)) {}
-    Value(double d) : v_(d) {}
-    Value(const char* s) : v_(std::string(s)) {}
-    Value(std::string s) : v_(std::move(s)) {}
-    Value(Bytes b) : v_(std::move(b)) {}
-    Value(List l) : v_(std::move(l)) {}
-    Value(Dict d) : v_(std::move(d)) {}
+    Value() noexcept : kind_(Kind::kNull), scalar_{} {}
+    Value(bool b) noexcept : kind_(Kind::kBool), scalar_{} { scalar_.b = b; }
+    Value(std::int64_t i) noexcept : kind_(Kind::kInt), scalar_{} { scalar_.i = i; }
+    Value(int i) noexcept : Value(static_cast<std::int64_t>(i)) {}
+    Value(double d) noexcept : kind_(Kind::kReal), scalar_{} { scalar_.d = d; }
+    Value(const char* s) : Value(std::string(s)) {}
+    Value(std::string s) : kind_(Kind::kStr), str_(std::move(s)) {}
+    Value(Bytes b) : kind_(Kind::kBlob), blob_(std::move(b)) {}
+    Value(List l) : kind_(Kind::kList), list_(std::move(l)) {}
+    Value(Dict d) : kind_(Kind::kDict), dict_(std::move(d)) {}
 
-    Kind kind() const { return static_cast<Kind>(v_.index()); }
+    Value(const Value& o) : kind_(o.kind_) {
+        if (o.is_heap()) copy_heap(o);
+        else scalar_ = o.scalar_;
+    }
+    Value(Value&& o) noexcept : kind_(o.kind_) {
+        if (o.is_heap()) move_heap(std::move(o));
+        else scalar_ = o.scalar_;
+    }
+    ~Value() {
+        if (is_heap()) destroy_heap();
+    }
+    Value& operator=(const Value& o) {
+        if (!is_heap() && !o.is_heap()) {
+            kind_ = o.kind_;
+            scalar_ = o.scalar_;
+        } else if (this != &o) {
+            assign_heap(Value(o));
+        }
+        return *this;
+    }
+    Value& operator=(Value&& o) noexcept {
+        if (!is_heap() && !o.is_heap()) {
+            kind_ = o.kind_;
+            scalar_ = o.scalar_;
+        } else if (this != &o) {
+            assign_heap(std::move(o));
+        }
+        return *this;
+    }
+
+    Kind kind() const { return kind_; }
     static const char* kind_name(Kind k);
 
-    bool is_null() const { return kind() == Kind::kNull; }
-    bool is_bool() const { return kind() == Kind::kBool; }
-    bool is_int() const { return kind() == Kind::kInt; }
-    bool is_real() const { return kind() == Kind::kReal; }
+    bool is_null() const { return kind_ == Kind::kNull; }
+    bool is_bool() const { return kind_ == Kind::kBool; }
+    bool is_int() const { return kind_ == Kind::kInt; }
+    bool is_real() const { return kind_ == Kind::kReal; }
     bool is_number() const { return is_int() || is_real(); }
-    bool is_str() const { return kind() == Kind::kStr; }
-    bool is_blob() const { return kind() == Kind::kBlob; }
-    bool is_list() const { return kind() == Kind::kList; }
-    bool is_dict() const { return kind() == Kind::kDict; }
+    bool is_str() const { return kind_ == Kind::kStr; }
+    bool is_blob() const { return kind_ == Kind::kBlob; }
+    bool is_list() const { return kind_ == Kind::kList; }
+    bool is_dict() const { return kind_ == Kind::kDict; }
 
     /// Inline non-throwing accessor: nullptr unless the value is an Int.
     /// For engine fast paths that cannot afford an out-of-line call.
-    const std::int64_t* if_int() const { return std::get_if<std::int64_t>(&v_); }
+    const std::int64_t* if_int() const { return is_int() ? &scalar_.i : nullptr; }
 
     /// Checked accessors; throw TypeError on kind mismatch.
-    bool as_bool() const;
-    std::int64_t as_int() const;
+    bool as_bool() const {
+        if (!is_bool()) kind_error(Kind::kBool);
+        return scalar_.b;
+    }
+    std::int64_t as_int() const {
+        if (!is_int()) kind_error(Kind::kInt);
+        return scalar_.i;
+    }
     /// Numeric accessor: accepts both Int and Real.
-    double as_real() const;
-    const std::string& as_str() const;
-    const Bytes& as_blob() const;
-    const List& as_list() const;
-    List& as_list();
-    const Dict& as_dict() const;
-    Dict& as_dict();
+    double as_real() const {
+        if (is_real()) return scalar_.d;
+        if (!is_int()) kind_error(Kind::kReal);
+        return static_cast<double>(scalar_.i);
+    }
+    const std::string& as_str() const {
+        if (!is_str()) kind_error(Kind::kStr);
+        return str_;
+    }
+    const Bytes& as_blob() const {
+        if (!is_blob()) kind_error(Kind::kBlob);
+        return blob_;
+    }
+    const List& as_list() const {
+        if (!is_list()) kind_error(Kind::kList);
+        return list_;
+    }
+    List& as_list() {
+        if (!is_list()) kind_error(Kind::kList);
+        return list_;
+    }
+    const Dict& as_dict() const {
+        if (!is_dict()) kind_error(Kind::kDict);
+        return dict_;
+    }
+    Dict& as_dict() {
+        if (!is_dict()) kind_error(Kind::kDict);
+        return dict_;
+    }
 
     /// Script truthiness: null/false/0/""/empty containers are false.
-    bool truthy() const;
+    bool truthy() const {
+        switch (kind_) {
+            case Kind::kNull: return false;
+            case Kind::kBool: return scalar_.b;
+            case Kind::kInt: return scalar_.i != 0;
+            case Kind::kReal: return scalar_.d != 0.0;
+            default: return !heap_empty();
+        }
+    }
 
-    bool operator==(const Value& other) const { return v_ == other.v_; }
+    /// Kind-strict: Int 1 != Real 1.0, and NaN != NaN.
+    bool operator==(const Value& o) const {
+        if (kind_ != o.kind_) return false;
+        switch (kind_) {
+            case Kind::kNull: return true;
+            case Kind::kBool: return scalar_.b == o.scalar_.b;
+            case Kind::kInt: return scalar_.i == o.scalar_.i;
+            case Kind::kReal: return scalar_.d == o.scalar_.d;
+            default: return heap_equal(o);
+        }
+    }
 
     /// Human-readable JSON-like rendering (for logs and examples).
     std::string to_string() const;
@@ -130,7 +212,34 @@ public:
     static Value decode(std::span<const std::uint8_t> data);
 
 private:
-    std::variant<std::monostate, bool, std::int64_t, double, std::string, Bytes, List, Dict> v_;
+    /// The scalar arm: trivially copyable, so copying it copies whichever
+    /// member is live (all bytes; constructors zero the unused ones).
+    union Scalar {
+        std::int64_t i;
+        double d;
+        bool b;
+    };
+
+    bool is_heap() const { return kind_ >= Kind::kStr; }
+
+    [[noreturn]] void kind_error(Kind want) const;
+    // Out of line: the heap kinds. Each requires is_heap().
+    void copy_heap(const Value& o);
+    void move_heap(Value&& o) noexcept;
+    void destroy_heap() noexcept;
+    /// Either side is a heap kind; `o` may live inside *this.
+    void assign_heap(Value&& o) noexcept;
+    bool heap_empty() const;
+    bool heap_equal(const Value& o) const;
+
+    Kind kind_;
+    union {
+        Scalar scalar_;
+        std::string str_;
+        Bytes blob_;
+        List list_;
+        Dict dict_;
+    };
 };
 
 }  // namespace pmp::rt

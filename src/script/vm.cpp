@@ -22,6 +22,7 @@ Vm::Vm(std::shared_ptr<const CompiledUnit> unit, Sandbox sandbox,
         resolved_.push_back(ResolvedBuiltin{
             entry, entry != nullptr && sandbox_.allows(entry->capability), &name});
     }
+    global_refs_.assign(unit_->names.size(), nullptr);
     step_limit_ = sandbox_.step_budget;
     if (sandbox_.deadline_steps != 0 && sandbox_.deadline_steps < step_limit_) {
         step_limit_ = sandbox_.deadline_steps;
@@ -66,6 +67,15 @@ const Value* Vm::global(const std::string& name) const {
 
 void Vm::set_global(const std::string& name, Value value) {
     globals_[name] = std::move(value);
+}
+
+Value* Vm::global_ref(std::int32_t name) {
+    Value*& ref = global_refs_[name];
+    if (!ref) [[unlikely]] {
+        auto it = globals_.find(unit_->names[name]);
+        if (it != globals_.end()) ref = &it->second;
+    }
+    return ref;
 }
 
 Value Vm::invoke(const Chunk& chunk, List args, bool counts_depth) {
@@ -189,26 +199,36 @@ Value Vm::run(std::size_t entry_frames) {
                 stack_.pop_back();
                 break;
             case Op::kLoadGlobal: {
-                auto it = globals_.find(unit_->names[in.a]);
-                if (it == globals_.end()) {
+                const Value* g = global_ref(in.a);
+                if (!g) {
                     ops::script_fail("undefined variable '" + unit_->names[in.a] + "'",
                                      in.line);
                 }
-                stack_.push_back(it->second);
+                if (code[ip].op == Op::kMemberGet) {
+                    // `g.k` (no tick between the two): read the member in
+                    // place instead of copying the whole global first.
+                    const Insn& member = code[ip++];
+                    stack_.push_back(ops::member_get(*g, unit_->names[member.a], member.line));
+                } else {
+                    stack_.push_back(*g);
+                }
                 break;
             }
-            case Op::kLetGlobal:
-                globals_[unit_->names[in.a]] = std::move(stack_.back());
+            case Op::kLetGlobal: {
+                Value*& ref = global_refs_[in.a];
+                if (!ref) ref = &globals_[unit_->names[in.a]];
+                *ref = std::move(stack_.back());
                 stack_.pop_back();
                 break;
+            }
             case Op::kStoreGlobal: {
-                auto it = globals_.find(unit_->names[in.a]);
-                if (it == globals_.end()) {
+                Value* g = global_ref(in.a);
+                if (!g) {
                     ops::script_fail("assignment to undeclared variable '" +
                                          unit_->names[in.a] + "'",
                                      in.line);
                 }
-                it->second = std::move(stack_.back());
+                *g = std::move(stack_.back());
                 stack_.pop_back();
                 break;
             }
@@ -300,17 +320,12 @@ Value Vm::run(std::size_t entry_frames) {
             case Op::kIndexGet: {
                 Value idx = std::move(stack_.back());
                 stack_.pop_back();
-                Value base = std::move(stack_.back());
-                stack_.pop_back();
-                stack_.push_back(ops::index_get(base, idx, in.line));
+                stack_.back() = ops::index_get(stack_.back(), idx, in.line);
                 break;
             }
-            case Op::kMemberGet: {
-                Value base = std::move(stack_.back());
-                stack_.pop_back();
-                stack_.push_back(ops::member_get(base, unit_->names[in.a], in.line));
+            case Op::kMemberGet:
+                stack_.back() = ops::member_get(stack_.back(), unit_->names[in.a], in.line);
                 break;
-            }
             case Op::kMakeList: {
                 const std::size_t n = static_cast<std::size_t>(in.a);
                 List out;
@@ -391,13 +406,13 @@ Value Vm::run(std::size_t entry_frames) {
             }
             case Op::kLvalLocal: lstack_.push_back(&slots[in.a]); break;
             case Op::kLvalGlobal: {
-                auto it = globals_.find(unit_->names[in.a]);
-                if (it == globals_.end()) {
+                Value* g = global_ref(in.a);
+                if (!g) {
                     ops::script_fail("assignment to undeclared variable '" +
                                          unit_->names[in.a] + "'",
                                      in.line);
                 }
-                lstack_.push_back(&it->second);
+                lstack_.push_back(g);
                 break;
             }
             case Op::kLvalIndex: {

@@ -9,6 +9,10 @@
 //   * each distinct builtin callee is resolved once at Vm construction to
 //     an Entry* plus a precomputed capability verdict, so the per-call
 //     BuiltinRegistry::find string hash is gone from the dispatch loop;
+//   * each global name is resolved once per Vm, the first time it exists,
+//     to its globals_ node, so global loads and stores hash no string; a
+//     global member read (`config.limit`) reads the member in place
+//     instead of copying the whole global onto the stack;
 //   * frames, operand stack and builtin argument lists are pooled, so a
 //     steady-state advice invocation performs no allocations beyond what
 //     the script's own values require.
@@ -80,6 +84,8 @@ private:
     std::vector<rt::Value> acquire_slots(std::size_t n);
     void release_slots(std::vector<rt::Value> slots);
     rt::List& lease_args();
+    /// The global named names[name]; nullptr while it is undefined.
+    rt::Value* global_ref(std::int32_t name);
 
     std::shared_ptr<const CompiledUnit> unit_;
     Sandbox sandbox_;
@@ -87,6 +93,10 @@ private:
     std::vector<ResolvedBuiltin> resolved_;
 
     std::unordered_map<std::string, rt::Value> globals_;
+    /// Parallel to unit_->names: the globals_ node of each name, filled on
+    /// first resolution. Nodes survive rehashing and no global is ever
+    /// erased, so an entry never goes stale.
+    std::vector<rt::Value*> global_refs_;
     std::vector<rt::Value> stack_;    ///< operand stack, reused across calls
     std::vector<rt::Value*> lstack_;  ///< lvalue resolution stack
     std::vector<Frame> frames_;

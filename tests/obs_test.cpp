@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/log.h"
 #include "obs/export.h"
@@ -104,6 +105,31 @@ TEST(Histogram, DefaultBoundsAreLatencyNs) {
     Histogram h({});
     EXPECT_EQ(h.bounds(), Histogram::latency_ns_bounds());
     EXPECT_EQ(h.buckets().size(), h.bounds().size() + 1);
+}
+
+TEST(Histogram, ConcurrentObservesAreAllCounted) {
+    // Lock-free recording: 4 writers, no lost increments. Every sample is a
+    // small integer, so the double sum is exact too.
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 100'000;
+    Histogram h({10.0, 100.0});
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+        writers.emplace_back([&h] {
+            for (int i = 0; i < kPerThread; ++i) h.observe(static_cast<double>(i % 200));
+        });
+    }
+    for (auto& w : writers) w.join();
+    const std::uint64_t n = std::uint64_t{kThreads} * kPerThread;
+    EXPECT_EQ(h.count(), n);
+    std::uint64_t total = 0;
+    for (std::uint64_t b : h.buckets()) total += b;
+    EXPECT_EQ(total, n);
+    // Per thread: 500 rounds of 0..199, i.e. 11 / 90 / 99 per round.
+    EXPECT_EQ(h.buckets()[0], std::uint64_t{kThreads} * 500 * 11);
+    EXPECT_EQ(h.buckets()[1], std::uint64_t{kThreads} * 500 * 90);
+    EXPECT_EQ(h.buckets()[2], std::uint64_t{kThreads} * 500 * 99);
+    EXPECT_DOUBLE_EQ(h.sum(), double{kThreads} * 500 * (199.0 * 200 / 2));
 }
 
 // ------------------------------------------------------------ registry ----

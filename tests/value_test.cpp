@@ -1,6 +1,11 @@
-// Tests for the dynamic Value type: accessors, Dict, rendering, and the
-// canonical encoding (including a property-style random round-trip sweep).
+// Tests for the dynamic Value type: accessors, equality, copy/move
+// lifetimes across every kind, Dict, rendering, and the canonical encoding
+// (including a property-style random round-trip sweep).
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -52,6 +57,19 @@ TEST(Value, EqualityIsStrict) {
     EXPECT_EQ((Value{List{Value{1}, Value{2}}}), (Value{List{Value{1}, Value{2}}}));
 }
 
+TEST(Value, EqualityIsKindStrictAndNanIsUnequal) {
+    EXPECT_FALSE(Value{1} == Value{1.0});
+    EXPECT_FALSE(Value{0} == Value{false});
+    EXPECT_FALSE(Value{} == Value{false});
+    EXPECT_FALSE(Value{""} == Value{Bytes{}});
+    EXPECT_FALSE(Value{List{}} == Value{Dict{}});
+    EXPECT_TRUE(Value{0.0} == Value{-0.0});
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const Value n{nan};
+    EXPECT_FALSE(n == n);
+    EXPECT_FALSE((Value{List{n}}) == (Value{List{n}}));
+}
+
 TEST(Value, ToStringRendering) {
     EXPECT_EQ(Value{}.to_string(), "null");
     EXPECT_EQ(Value{true}.to_string(), "true");
@@ -60,6 +78,120 @@ TEST(Value, ToStringRendering) {
     EXPECT_EQ((Value{List{Value{1}, Value{"x"}}}.to_string()), "[1, \"x\"]");
     Dict d{{"b", Value{2}}, {"a", Value{1}}};
     EXPECT_EQ(Value{d}.to_string(), "{\"a\": 1, \"b\": 2}");  // sorted keys
+}
+
+// ------------------------------------------------------------ lifetime ----
+
+static_assert(sizeof(Value) <= 40, "Value is a kind byte plus a 32-byte union");
+
+/// One value of every kind, in Kind order. The heap kinds are non-empty
+/// (the string past the small-string buffer) so a shallow copy, a leak or
+/// a double free shows up, under the sanitizers too.
+std::vector<Value> one_of_each_kind() {
+    return {Value{},
+            Value{true},
+            Value{std::int64_t{-7}},
+            Value{2.5},
+            Value{std::string(40, 's')},
+            Value{Bytes{1, 2, 3}},
+            Value{List{Value{1}, Value{std::string(40, 'l')}}},
+            Value{Dict{{"k", Value{List{Value{2}}}}}}};
+}
+
+TEST(ValueLifetime, CopyAndMoveMatrixOverAllKinds) {
+    const std::vector<Value> samples = one_of_each_kind();
+    ASSERT_EQ(samples.size(), 8u);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        const Value& src = samples[i];
+        ASSERT_EQ(static_cast<std::size_t>(src.kind()), i);
+        Value copied(src);
+        EXPECT_EQ(copied, src);
+        Value moved(std::move(copied));
+        EXPECT_EQ(moved, src);
+        // Every (from, to) kind pair: scalar<->scalar, scalar<->heap and
+        // heap<->heap, same kind and different kinds.
+        for (std::size_t j = 0; j < samples.size(); ++j) {
+            SCOPED_TRACE("assign " + std::string(Value::kind_name(src.kind())) + " over " +
+                         Value::kind_name(samples[j].kind()));
+            Value copy_target = samples[j];
+            copy_target = src;
+            EXPECT_EQ(copy_target, src);
+            Value move_target = samples[j];
+            Value source = src;
+            move_target = std::move(source);
+            EXPECT_EQ(move_target, src);
+            EXPECT_EQ(source.kind(), src.kind());
+        }
+    }
+}
+
+TEST(ValueLifetime, SelfAssignmentKeepsTheValue) {
+    for (const Value& sample : one_of_each_kind()) {
+        Value v = sample;
+        Value& alias = v;
+        v = alias;
+        EXPECT_EQ(v, sample);
+        v = std::move(alias);
+        EXPECT_EQ(v, sample);
+    }
+}
+
+TEST(ValueLifetime, AssignFromAValueItOwns) {
+    // The right-hand side lives inside the left: it must be taken before
+    // the left's old contents are destroyed.
+    const Value inner{Dict{{"k", Value{std::string(40, 'd')}}}};
+    Value v{List{inner, Value{2}}};
+    v = v.as_list()[0];
+    EXPECT_EQ(v, inner);
+    Value w{List{Value{std::string(40, 'w')}, Value{3}}};
+    w = std::move(w.as_list()[0]);
+    EXPECT_EQ(w, Value{std::string(40, 'w')});
+    Value x{List{Value{5}}};
+    x = std::move(x.as_list()[0]);
+    EXPECT_EQ(x, Value{5});
+    Value y{List{Value{List{Value{6}}}}};
+    y = std::move(y.as_list()[0]);
+    EXPECT_EQ(y, (Value{List{Value{6}}}));
+}
+
+TEST(ValueLifetime, MovedFromKeepsItsKind) {
+    for (const Value& sample : one_of_each_kind()) {
+        Value source = sample;
+        Value target(std::move(source));
+        EXPECT_EQ(target, sample);
+        EXPECT_EQ(source.kind(), sample.kind());
+        switch (sample.kind()) {
+            case Value::Kind::kNull:
+            case Value::Kind::kBool:
+            case Value::Kind::kInt:
+            case Value::Kind::kReal: EXPECT_EQ(source, sample); break;  // copied
+            case Value::Kind::kStr: break;  // valid but unspecified
+            case Value::Kind::kBlob:
+            case Value::Kind::kList:
+            case Value::Kind::kDict: EXPECT_FALSE(source.truthy()); break;  // emptied
+        }
+        source = Value{1};  // still assignable
+        EXPECT_EQ(source, Value{1});
+    }
+}
+
+TEST(ValueLifetime, CopiesAreDeep) {
+    const Value expected{
+        List{Value{Dict{{"xs", Value{List{Value{1}, Value{std::string(40, 'x')}}}}}},
+             Value{"s"}}};
+    Value original = expected;
+    Value copy = original;
+    copy.as_list()[0].as_dict().set("xs", Value{List{}});
+    copy.as_list()[0].as_dict().set("new", Value{2});
+    copy.as_list()[1] = Value{7};
+    copy.as_list().push_back(Value{});
+    EXPECT_EQ(original, expected);
+    Value assigned{Bytes{9}};
+    assigned = original;
+    assigned.as_list()[0].as_dict().set("xs", Value{3});
+    EXPECT_EQ(original, expected);
+    original.as_list().clear();
+    EXPECT_EQ(assigned.as_list().size(), 2u);
 }
 
 TEST(Dict, SetFindErase) {

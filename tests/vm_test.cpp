@@ -4,6 +4,7 @@
 // path; the interpreter is the executable spec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -233,6 +234,118 @@ TEST(VmParity, SetGlobalVisibleToScript) {
         e->set_global("ctx", Value{std::string{"injected"}});
         EXPECT_EQ(e->call("get", {}), Value{std::string{"injected"}});
     }
+}
+
+// ---------------------------------------------- resolved globals ----
+// The VM resolves each global name once to its node and reads `g.k` in
+// place; neither may be observable.
+
+/// Call `fn` on both engines (top level already run) and compare.
+Outcome both_call(Engines& engines, const std::string& fn) {
+    auto call = [&](Engine& e) { return e.call(fn, {}); };
+    Outcome oi = capture(*engines.interp, call);
+    Outcome ov = capture(*engines.vm, call);
+    expect_same(oi, ov, "call " + fn);
+    return ov;
+}
+
+void set_both(Engines& engines, const std::string& name, const Value& v) {
+    engines.interp->set_global(name, v);
+    engines.vm->set_global(name, v);
+}
+
+TEST(VmParity, GlobalMemberRead) {
+    const char* src =
+        "let g = {\"k\": 7, \"nested\": {\"x\": [1, 2]}};\n"
+        "let n = 5;\n"
+        "fun present() { return g.k + 1; }\n"
+        "fun missing() { return g.nope; }\n"
+        "fun nested() { return g.nested.x; }\n"
+        "fun not_dict() {\n"
+        "  let a = 1;\n"
+        "  return n.k;\n"
+        "}\n"
+        "fun undefined() { return h.k; }\n";
+    EXPECT_EQ(both(src, "present").value, Value{std::int64_t{8}});
+    EXPECT_EQ(both(src, "missing").value, Value{});
+    EXPECT_EQ(both(src, "nested").value, eval("[1, 2]"));
+    Outcome o = both(src, "not_dict");
+    EXPECT_EQ(o.type, "ScriptError");
+    EXPECT_EQ(o.message, "member access needs a dict (line 8)");
+    o = both(src, "undefined");
+    EXPECT_EQ(o.type, "ScriptError");
+    EXPECT_EQ(o.message, "undefined variable 'h' (line 10)");
+}
+
+TEST(VmParity, GlobalChangesKindBetweenCalls) {
+    const char* src =
+        "let g = 1;\n"
+        "fun read() { return g; }\n"
+        "fun member() { return g.k; }\n"
+        "fun to_dict() { g = {\"k\": 3}; }\n"
+        "fun to_int() { g = 2; }\n";
+    auto engines = make_engines(src);
+    engines.interp->run_top_level();
+    engines.vm->run_top_level();
+    EXPECT_EQ(both_call(engines, "read").value, Value{std::int64_t{1}});
+    EXPECT_TRUE(both_call(engines, "member").threw);
+    both_call(engines, "to_dict");
+    EXPECT_EQ(both_call(engines, "member").value, Value{std::int64_t{3}});
+    both_call(engines, "to_int");
+    EXPECT_EQ(both_call(engines, "read").value, Value{std::int64_t{2}});
+    EXPECT_TRUE(both_call(engines, "member").threw);
+    set_both(engines, "g", Value{Dict{{"k", Value{std::int64_t{4}}}}});
+    EXPECT_EQ(both_call(engines, "member").value, Value{std::int64_t{4}});
+    set_both(engines, "g", Value{std::int64_t{5}});
+    EXPECT_EQ(both_call(engines, "read").value, Value{std::int64_t{5}});
+    EXPECT_TRUE(both_call(engines, "member").threw);
+}
+
+TEST(VmParity, HostSetGlobalOfANewNameAfterFirstCall) {
+    const char* src =
+        "fun read() { return late; }\n"
+        "fun member() { return late.k; }\n"
+        "fun write() { late = {\"k\": 9}; }\n";
+    auto engines = make_engines(src);
+    engines.interp->run_top_level();
+    engines.vm->run_top_level();
+    // Misses first: the VM must not remember that `late` was undefined.
+    Outcome o = both_call(engines, "read");
+    EXPECT_EQ(o.message, "undefined variable 'late' (line 1)");
+    o = both_call(engines, "write");
+    EXPECT_EQ(o.message, "assignment to undeclared variable 'late' (line 3)");
+    set_both(engines, "late", Value{Dict{{"k", Value{std::int64_t{4}}}}});
+    EXPECT_EQ(both_call(engines, "member").value, Value{std::int64_t{4}});
+    EXPECT_FALSE(both_call(engines, "write").threw);
+    EXPECT_EQ(both_call(engines, "member").value, Value{std::int64_t{9}});
+    ASSERT_NE(engines.vm->global("late"), nullptr);
+    EXPECT_EQ(*engines.vm->global("late"), *engines.interp->global("late"));
+}
+
+TEST(VmParity, GlobalDictUnchangedByMemberRead) {
+    const char* src =
+        "fun clamp(d) {\n"
+        "  let xs = config.xs;\n"
+        "  xs[0] = 99;\n"
+        "  if (d > config.limit) { return config.limit; }\n"
+        "  return d;\n"
+        "}\n";
+    const Value config{Dict{{"limit", Value{std::int64_t{10}}},
+                            {"xs", Value{List{Value{std::int64_t{1}}}}}}};
+    auto engines = make_engines(src);
+    engines.interp->run_top_level();
+    engines.vm->run_top_level();
+    set_both(engines, "config", config);
+    for (std::int64_t d : {3, 30}) {
+        auto call = [&](Engine& e) { return e.call("clamp", {Value{d}}); };
+        Outcome oi = capture(*engines.interp, call);
+        Outcome ov = capture(*engines.vm, call);
+        expect_same(oi, ov, "clamp(" + std::to_string(d) + ")");
+        EXPECT_EQ(ov.value, Value{std::min<std::int64_t>(d, 10)});
+    }
+    ASSERT_NE(engines.vm->global("config"), nullptr);
+    EXPECT_EQ(*engines.vm->global("config"), config);
+    EXPECT_EQ(*engines.interp->global("config"), config);
 }
 
 TEST(VmParity, Builtins) {
