@@ -415,11 +415,12 @@ struct ParallelNumbers {
 };
 
 /// One hall per shard, `n` periodic per-node duties spread across the
-/// halls, one simulated second. Each duty burns a fixed slice of CPU (a
-/// stand-in for the adoption scan + advice dispatch a real hall tick
-/// does), so the workload is compute-bound and the kernel's window
-/// barrier is what either scales or doesn't.
-ParallelNumbers run_parallel_sweep(int n, std::size_t workers) {
+/// halls, one simulated second. Each duty burns a fixed slice of CPU
+/// (`mix_rounds` hash rounds, a stand-in for the adoption scan + advice
+/// dispatch a real hall tick does), so the workload is compute-bound and
+/// the kernel's window barrier is what either scales or doesn't. With
+/// `mix_rounds` = 0 the wall time is the kernel's own cost per event.
+ParallelNumbers run_parallel_sweep(int n, std::size_t workers, int mix_rounds) {
     sim::ShardOptions opts;
     opts.shards = 8;
     opts.workers = workers;
@@ -433,8 +434,8 @@ ParallelNumbers run_parallel_sweep(int n, std::size_t workers) {
         sim::Simulator& sim = shards.shard(s);
         for (int i = 0; i < per_shard; ++i) {
             std::uint64_t h = shards.shard_seed(s, "duty") + static_cast<std::uint64_t>(i);
-            sim.schedule_every(milliseconds(10), [h]() mutable {
-                for (int k = 0; k < 200; ++k) h = fnv1a64_mix(h, static_cast<std::uint64_t>(k));
+            sim.schedule_every(milliseconds(10), [h, mix_rounds]() mutable {
+                for (int k = 0; k < mix_rounds; ++k) h = fnv1a64_mix(h, static_cast<std::uint64_t>(k));
                 benchmark::DoNotOptimize(h);
             });
         }
@@ -604,7 +605,7 @@ int main(int argc, char** argv) {
         std::uint64_t base_exec = 0;
         for (std::size_t w : smoke ? std::vector<std::size_t>{1, 2}
                                    : std::vector<std::size_t>{1, 2, 4}) {
-            ParallelNumbers p = run_parallel_sweep(n, w);
+            ParallelNumbers p = run_parallel_sweep(n, w, 200);
             if (w == 1) {
                 base_wall = p.wall_s;
                 base_exec = p.executed;
@@ -614,6 +615,12 @@ int main(int argc, char** argv) {
                    base_wall / p.wall_s, static_cast<unsigned long long>(p.executed),
                    static_cast<unsigned long long>(p.windows), det);
         }
+    }
+    {
+        ParallelNumbers p = run_parallel_sweep(smoke ? 1'000 : 10'000, 1, 0);
+        printf("    empty duties, 1 worker: %.0f ns per event (%llu events)\n",
+               p.wall_s * 1e9 / static_cast<double>(p.executed),
+               static_cast<unsigned long long>(p.executed));
     }
 
     printf("\nshape to check: (a) per-node cost stays roughly flat (the base\n"

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
-#include <memory>
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -15,14 +16,68 @@ Simulator::Simulator() {
     trace_clock_token_ = trace_buffer_->set_clock([this]() { return now_; });
 }
 
-Simulator::~Simulator() { trace_buffer_->clear_clock(trace_clock_token_); }
+Simulator::~Simulator() {
+    // Disarm every slot before destroying any callback, so a capture whose
+    // destructor re-enters finds a consistent table: cancel() of any old id
+    // returns false, and a schedule_at() arms a fresh slot that the next
+    // pass releases.
+    for (;;) {
+        std::vector<Callback> dying;
+        for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+            if (!slots_[i].armed) continue;
+            dying.push_back(std::exchange(slots_[i].fn, nullptr));
+            release(i);
+        }
+        heap_.clear();
+        stale_ = 0;
+        if (dying.empty()) break;
+    }
+    trace_buffer_->clear_clock(trace_clock_token_);
+}
+
+void Simulator::push(const Entry& e) {
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+Simulator::Entry Simulator::pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Entry e = heap_.back();
+    heap_.pop_back();
+    return e;
+}
+
+TimerId Simulator::arm(SimTime when, Duration period, bool repeating, Callback fn) {
+    std::uint32_t idx;
+    if (free_.empty()) {
+        idx = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        idx = free_.back();
+        free_.pop_back();
+    }
+    Slot& s = slots_[idx];
+    s.fn = std::move(fn);
+    s.period = period;
+    s.repeating = repeating;
+    s.armed = true;
+    s.queued = true;
+    push(Entry{when, ++next_seq_, idx, s.gen});
+    return TimerId{(std::uint64_t{s.gen} << 32) | (std::uint64_t{idx} + 1)};
+}
+
+void Simulator::release(std::uint32_t slot) {
+    Slot& s = slots_[slot];
+    s.armed = false;
+    s.queued = false;
+    // A slot whose generation would wrap is retired instead of reused, so
+    // a stale heap entry or TimerId can never match a later occupant.
+    if (++s.gen != std::numeric_limits<std::uint32_t>::max()) free_.push_back(slot);
+}
 
 TimerId Simulator::schedule_at(SimTime when, Callback fn) {
     if (when < now_) when = now_;
-    std::uint64_t id = ++next_id_;
-    live_.insert(id);
-    queue_.push(Event{when, ++next_seq_, id, /*repeating=*/false, std::move(fn)});
-    return TimerId{id};
+    return arm(when, Duration{0}, /*repeating=*/false, std::move(fn));
 }
 
 TimerId Simulator::schedule_after(Duration delay, Callback fn) {
@@ -30,74 +85,63 @@ TimerId Simulator::schedule_after(Duration delay, Callback fn) {
 }
 
 TimerId Simulator::schedule_every(Duration period, Callback fn) {
-    // The repeating timer keeps one pending event at a time. The shared id
-    // is stable across re-arms so a single cancel() stops the cycle: the
-    // cancelled_ tombstone suppresses the in-flight event, which is the
-    // only thing that would re-arm.
-    std::uint64_t id = ++next_id_;
-    live_.insert(id);
-    auto shared_fn = std::make_shared<Callback>(std::move(fn));
-    auto rearm = std::make_shared<std::function<void()>>();
-    // The rearm body refers to itself only weakly; the strong reference
-    // lives in the queued event. Once the final event is consumed (fired
-    // or tombstoned away) everything is freed — capturing `rearm` strongly
-    // here would form a shared_ptr cycle and leak the closure.
-    *rearm = [this, id, period, shared_fn,
-              weak = std::weak_ptr<std::function<void()>>(rearm)]() {
-        (*shared_fn)();
-        if (live_.contains(id)) {
-            auto self = weak.lock();  // held alive by the event invoking us
-            queue_.push(Event{now_ + period, ++next_seq_, id, /*repeating=*/true,
-                              [self]() { (*self)(); }});
-        } else {
-            // Cancelled from inside fn: no event will carry the tombstone
-            // out of the queue, so clear it here.
-            cancelled_.erase(id);
-        }
-    };
-    queue_.push(Event{now_ + period, ++next_seq_, id, /*repeating=*/true,
-                      [rearm]() { (*rearm)(); }});
-    return TimerId{id};
+    return arm(now_ + period, period, /*repeating=*/true, std::move(fn));
 }
 
 bool Simulator::cancel(TimerId id) {
-    if (!id.valid() || !live_.erase(id.value)) return false;
-    cancelled_.insert(id.value);
+    std::uint64_t slot = (id.value & 0xffffffffu) - 1;
+    if (!id.valid() || slot >= slots_.size()) return false;
+    Slot& s = slots_[slot];
+    if (!s.armed || s.gen != id.value >> 32) return false;
+    if (s.queued) ++stale_;
+    // Destroyed on return, after the bookkeeping: its captures' destructors
+    // may re-enter this simulator.
+    Callback dead = std::exchange(s.fn, nullptr);
+    release(static_cast<std::uint32_t>(slot));
     maybe_compact();
     return true;
 }
 
 void Simulator::maybe_compact() {
-    // Rebuild the queue once tombstones exceed half the live set: a
+    // Rebuild the heap once stale entries exceed half the live set: a
     // workload that arms and cancels many timers (lease renewals across
     // handoffs) would otherwise drag a heap full of dead entries through
-    // every push/pop. Each rebuild removes at least a third of the queue,
+    // every push/pop. Each rebuild removes at least a third of the heap,
     // so the cost is amortized against the cancels that forced it.
-    if (cancelled_.size() * 2 <= pending()) return;
-    std::vector<Event> keep;
-    keep.reserve(queue_.size() - cancelled_.size());
-    while (!queue_.empty()) {
-        Event ev = std::move(const_cast<Event&>(queue_.top()));
-        queue_.pop();
-        if (!cancelled_.contains(ev.id)) keep.push_back(std::move(ev));
-    }
-    cancelled_.clear();
-    for (auto& ev : keep) queue_.push(std::move(ev));
+    if (stale_ * 2 <= pending()) return;
+    std::erase_if(heap_, [this](const Entry& e) { return slots_[e.slot].gen != e.gen; });
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+    stale_ = 0;
     ++compactions_;
     obs::Registry::global().counter("sim.compactions").inc();
 }
 
 bool Simulator::fire_next() {
-    while (!queue_.empty()) {
-        Event ev = queue_.top();
-        queue_.pop();
-        if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-            cancelled_.erase(it);
+    while (!heap_.empty()) {
+        Entry e = pop();
+        Slot& s = slots_[e.slot];
+        if (s.gen != e.gen) {
+            --stale_;
             continue;
         }
-        if (!ev.repeating) live_.erase(ev.id);
-        now_ = ev.when;
-        ev.fn();
+        now_ = e.when;
+        Callback fn = std::exchange(s.fn, nullptr);
+        s.queued = false;
+        if (!s.repeating) {
+            release(e.slot);
+            fn();
+            return true;
+        }
+        fn();
+        // Re-fetch: the callback may have grown the table. A cancel from
+        // inside it released the slot (bumping its gen), and the slot may
+        // already hold a new timer; either way this one must not re-arm.
+        Slot& after = slots_[e.slot];
+        if (after.gen == e.gen) {
+            after.fn = std::move(fn);
+            after.queued = true;
+            push(Entry{now_ + after.period, ++next_seq_, e.slot, e.gen});
+        }
         return true;
     }
     return false;
@@ -112,9 +156,9 @@ std::size_t Simulator::run(std::size_t limit) {
 }
 
 void Simulator::run_until(SimTime deadline) {
-    // next_event_time() skips tombstones, so a cancelled entry at the top
-    // of the heap can never trick the loop into firing a live event that
-    // lies beyond the deadline.
+    // next_event_time() skips stale entries, so a cancelled entry at the
+    // top of the heap can never trick the loop into firing a live event
+    // that lies beyond the deadline.
     while (next_event_time() <= deadline) {
         fire_next();
     }
@@ -124,14 +168,11 @@ void Simulator::run_until(SimTime deadline) {
 void Simulator::run_for(Duration d) { run_until(now_ + d); }
 
 SimTime Simulator::next_event_time() {
-    while (!queue_.empty()) {
-        const Event& top = queue_.top();
-        if (auto it = cancelled_.find(top.id); it != cancelled_.end()) {
-            cancelled_.erase(it);
-            queue_.pop();
-            continue;
-        }
-        return top.when;
+    while (!heap_.empty()) {
+        const Entry& top = heap_.front();
+        if (slots_[top.slot].gen == top.gen) return top.when;
+        pop();
+        --stale_;
     }
     return SimTime::max();
 }

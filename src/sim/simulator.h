@@ -15,8 +15,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
+#include <type_traits>
 #include <vector>
 
 #include "common/time.h"
@@ -28,6 +27,13 @@ class TraceBuffer;
 namespace pmp::sim {
 
 /// Handle to a scheduled event, usable to cancel it before it fires.
+///
+/// `value` packs `(generation << 32) | (slot + 1)`: the callback's slot in
+/// the simulator's slot table and that slot's generation when the timer was
+/// armed. Slots are reused once a timer fires or is cancelled, and reuse
+/// bumps the generation, so a stale id never matches its slot's new
+/// occupant. Ids are therefore NOT monotonic in scheduling order; zero is
+/// never issued and means "no timer".
 struct TimerId {
     std::uint64_t value = 0;
     bool valid() const { return value != 0; }
@@ -37,6 +43,20 @@ struct TimerId {
 /// The event loop. Single-threaded by design (Core Guidelines CP: shared
 /// mutable state is avoided by having exactly one logical thread of control;
 /// benchmarks that need wall-clock parallelism run separate simulators).
+///
+/// Layout: callbacks live in a slot table (callback, period, generation,
+/// armed/queued bits; freed slots go on a free list), and the event heap
+/// holds only trivially copyable 24-byte `{when, seq, slot, gen}` entries
+/// ordered by `(when, seq)`. Firing moves the callback out of its slot, so
+/// a callback is never copied. A repeating timer keeps its slot across
+/// firings and re-pushes `{now + period, next seq}` after its callback
+/// returns, if still armed.
+///
+/// Cancel frees the slot and bumps its generation in O(1); the heap entry
+/// it leaves behind is *stale* (its gen no longer matches the slot) and is
+/// dropped when it reaches the top. Once stale entries outnumber half the
+/// live ones (stale * 2 > pending) the heap is filtered and rebuilt — a
+/// compaction, counted by compactions() and `sim.compactions`.
 class Simulator {
 public:
     using Callback = std::function<void()>;
@@ -50,6 +70,9 @@ public:
     /// leaving the buffer clockless ("most recently constructed wins" is
     /// gone — binding is scoped to this object's lifetime).
     Simulator();
+    /// Destroys every pending callback while the simulator is still whole:
+    /// a capture whose destructor calls cancel() (which then returns false)
+    /// or schedule_at() on this simulator is safe.
     ~Simulator();
     Simulator(const Simulator&) = delete;
     Simulator& operator=(const Simulator&) = delete;
@@ -68,8 +91,10 @@ public:
     /// Cancelling the returned id stops the repetition.
     TimerId schedule_every(Duration period, Callback fn);
 
-    /// Cancel a pending event. Cancelling an already-fired or unknown id is
-    /// a no-op. Returns true if something was actually cancelled.
+    /// Cancel a pending event. Cancelling an already-fired, already-
+    /// cancelled or unknown id is a no-op, even after its slot has been
+    /// reused by another timer. Returns true if something was actually
+    /// cancelled. A repeating timer may cancel itself from its own callback.
     bool cancel(TimerId id);
 
     /// Run the single next event. Returns false if the queue is empty.
@@ -89,7 +114,7 @@ public:
     /// Time of the earliest live (non-cancelled) pending event, or
     /// SimTime::max() when the queue is empty. The sharded kernel's
     /// conservative synchronizer computes each window edge from the minimum
-    /// of this across shards. Pops tombstones encountered at the top, so
+    /// of this across shards. Pops stale entries encountered at the top, so
     /// amortized cost stays with the cancels that created them.
     SimTime next_event_time();
 
@@ -108,36 +133,49 @@ public:
     void advance_to(SimTime t);
 
     /// Number of events currently pending.
-    std::size_t pending() const { return queue_.size() - cancelled_.size(); }
+    std::size_t pending() const { return heap_.size() - stale_; }
 
-    /// Times the tombstone sweep has rebuilt the queue (metric
+    /// Times the stale-entry sweep has rebuilt the heap (metric
     /// `sim.compactions` counts the same thing process-wide).
     std::uint64_t compactions() const { return compactions_; }
 
 private:
-    struct Event {
+    struct Entry {
         SimTime when;
         std::uint64_t seq;  // tie-breaker: FIFO among same-time events
-        std::uint64_t id;
-        bool repeating;
-        Callback fn;
+        std::uint32_t slot;
+        std::uint32_t gen;  // live iff equal to slots_[slot].gen
     };
+    static_assert(sizeof(Entry) == 24 && std::is_trivially_copyable_v<Entry>);
     struct Later {
-        bool operator()(const Event& a, const Event& b) const {
+        bool operator()(const Entry& a, const Entry& b) const {
             if (a.when != b.when) return a.when > b.when;
             return a.seq > b.seq;
         }
     };
+    struct Slot {
+        Callback fn;
+        Duration period{0};
+        std::uint32_t gen = 0;
+        bool repeating = false;
+        bool armed = false;   // occupied: the timer can still fire
+        bool queued = false;  // a live heap entry exists (false while a
+                              // repeating timer's callback runs)
+    };
 
+    TimerId arm(SimTime when, Duration period, bool repeating, Callback fn);
+    void release(std::uint32_t slot);
+    void push(const Entry& e);
+    Entry pop();
     bool fire_next();
     void maybe_compact();
 
     SimTime now_ = SimTime::zero();
     std::uint64_t next_seq_ = 0;
-    std::uint64_t next_id_ = 0;
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
-    std::unordered_set<std::uint64_t> live_;       // ids that can still fire
-    std::unordered_set<std::uint64_t> cancelled_;  // tombstones for queued events
+    std::vector<Entry> heap_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_;  // released slots, reused LIFO
+    std::size_t stale_ = 0;            // heap entries whose slot moved on
     std::uint64_t compactions_ = 0;
     obs::TraceBuffer* trace_buffer_ = nullptr;  // buffer the clock is bound to
     std::uint64_t trace_clock_token_ = 0;       // obs trace-clock registration

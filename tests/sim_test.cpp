@@ -1,6 +1,12 @@
 // Unit tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <optional>
+#include <random>
+
 #include "obs/trace.h"
 #include "sim/simulator.h"
 
@@ -328,6 +334,338 @@ TEST(Simulator, CompactionPreservesFifoWithinSameInstant) {
     EXPECT_GT(sim.compactions(), 0u);
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// ------------------------------------------------- slot reuse + teardown ----
+// Ids name a (slot, generation) pair and slots are reused, so these pin
+// down the ABA corners and the re-entrancy of capture destructors.
+
+std::uint32_t slot_bits(TimerId id) { return static_cast<std::uint32_t>(id.value); }
+
+// Runs `hook` when the last copy of the callback that captured it dies.
+struct OnDestroy {
+    std::function<void()> hook;
+    ~OnDestroy() {
+        if (hook) hook();
+    }
+};
+std::shared_ptr<OnDestroy> on_destroy(std::function<void()> hook) {
+    auto guard = std::make_shared<OnDestroy>();
+    guard->hook = std::move(hook);
+    return guard;
+}
+
+TEST(Simulator, StaleIdDoesNotCancelSlotsNewOccupant) {
+    Simulator sim;
+    int fired = 0;
+    // Reuse after cancel.
+    TimerId cancelled = sim.schedule_at(SimTime{10}, [&]() { fired += 100; });
+    EXPECT_TRUE(sim.cancel(cancelled));
+    TimerId second = sim.schedule_at(SimTime{20}, [&]() { ++fired; });
+    EXPECT_EQ(slot_bits(second), slot_bits(cancelled));
+    EXPECT_NE(second, cancelled);
+    EXPECT_FALSE(sim.cancel(cancelled));
+    EXPECT_EQ(sim.pending(), 1u);
+    EXPECT_EQ(sim.next_event_time(), SimTime{20});
+    // Reuse after fire.
+    EXPECT_TRUE(sim.step());
+    TimerId third = sim.schedule_at(SimTime{30}, [&]() { ++fired; });
+    EXPECT_EQ(slot_bits(third), slot_bits(second));
+    EXPECT_FALSE(sim.cancel(second));
+    EXPECT_FALSE(sim.cancel(cancelled));
+    EXPECT_EQ(sim.pending(), 1u);
+    EXPECT_EQ(sim.next_event_time(), SimTime{30});
+    sim.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, SelfCancelledRepeatingTimerDoesNotRearmOverSlotReuse) {
+    // The callback cancels its own repeating timer and arms a new one,
+    // which lands in the slot just freed. Re-arming after the callback
+    // returns must notice the slot moved on and leave the new timer alone.
+    Simulator sim;
+    TimerId every, fresh;
+    int every_fired = 0, fresh_fired = 0;
+    every = sim.schedule_every(Duration{10}, [&]() {
+        ++every_fired;
+        EXPECT_TRUE(sim.cancel(every));
+        fresh = sim.schedule_every(Duration{7}, [&]() { ++fresh_fired; });
+        EXPECT_EQ(slot_bits(fresh), slot_bits(every));
+        EXPECT_EQ(sim.pending(), 1u);
+    });
+    sim.run_until(SimTime{100});
+    EXPECT_EQ(every_fired, 1);
+    EXPECT_EQ(fresh_fired, 12);  // t = 17, 24, ..., 94
+    EXPECT_FALSE(sim.cancel(every));
+    EXPECT_EQ(sim.pending(), 1u);
+    EXPECT_EQ(sim.next_event_time(), SimTime{101});
+    EXPECT_TRUE(sim.cancel(fresh));
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(sim.next_event_time(), SimTime::max());
+}
+
+TEST(Simulator, CaptureDestructorReentersAtCancel) {
+    Simulator sim;
+    int other_fired = 0, late_fired = 0;
+    bool hook_ran = false;
+    TimerId other = sim.schedule_at(SimTime{30}, [&]() { ++other_fired; });
+    TimerId victim;
+    {
+        auto guard = on_destroy([&]() {
+            hook_ran = true;
+            EXPECT_FALSE(sim.cancel(victim));
+            EXPECT_TRUE(sim.cancel(other));
+            sim.schedule_at(SimTime{40}, [&]() { ++late_fired; });
+        });
+        victim = sim.schedule_at(SimTime{20}, [guard]() {});
+    }
+    EXPECT_EQ(sim.pending(), 2u);
+    EXPECT_TRUE(sim.cancel(victim));
+    EXPECT_TRUE(hook_ran);
+    EXPECT_EQ(sim.pending(), 1u);
+    EXPECT_EQ(sim.next_event_time(), SimTime{40});
+    sim.run();
+    EXPECT_EQ(other_fired, 0);
+    EXPECT_EQ(late_fired, 1);
+    EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, CaptureDestructorReentersAtFire) {
+    Simulator sim;
+    int other_fired = 0, follow_fired = 0;
+    bool hook_ran = false;
+    TimerId self;
+    TimerId other = sim.schedule_at(SimTime{20}, [&]() { ++other_fired; });
+    {
+        auto guard = on_destroy([&]() {
+            hook_ran = true;
+            EXPECT_FALSE(sim.cancel(self));
+            EXPECT_TRUE(sim.cancel(other));
+            sim.schedule_after(Duration{5}, [&]() { ++follow_fired; });
+        });
+        self = sim.schedule_at(SimTime{10}, [guard]() {});
+    }
+    EXPECT_TRUE(sim.step());  // the capture dies once the one-shot has run
+    EXPECT_TRUE(hook_ran);
+    EXPECT_EQ(sim.now(), SimTime{10});
+    EXPECT_EQ(sim.pending(), 1u);
+    EXPECT_EQ(sim.next_event_time(), SimTime{15});
+    sim.run();
+    EXPECT_EQ(other_fired, 0);
+    EXPECT_EQ(follow_fired, 1);
+
+    // A repeating timer that cancels itself drops its capture after the
+    // callback returns; the hook's new timer must not be clobbered.
+    TimerId every;
+    hook_ran = false;
+    {
+        auto guard = on_destroy([&]() {
+            hook_ran = true;
+            EXPECT_FALSE(sim.cancel(every));
+            sim.schedule_after(Duration{3}, [&]() { ++follow_fired; });
+        });
+        every = sim.schedule_every(Duration{10}, [&, guard]() { sim.cancel(every); });
+    }
+    EXPECT_TRUE(sim.step());
+    EXPECT_TRUE(hook_ran);
+    EXPECT_EQ(sim.pending(), 1u);
+    EXPECT_EQ(sim.next_event_time(), sim.now() + Duration{3});
+    sim.run();
+    EXPECT_EQ(follow_fired, 2);
+    EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, CaptureDestructorReentersInSimulatorDestructor) {
+    int destroyed = 0;
+    std::vector<TimerId> ids;
+    {
+        Simulator sim;
+        for (int i = 0; i < 3; ++i) {
+            auto guard = on_destroy([&sim, &ids, &destroyed, i]() {
+                ++destroyed;
+                for (TimerId id : ids) EXPECT_FALSE(sim.cancel(id));
+                if (i == 0) {
+                    sim.schedule_after(Duration{1},
+                                       [g = on_destroy([&]() { ++destroyed; })]() {});
+                }
+            });
+            ids.push_back(i == 2 ? sim.schedule_every(Duration{5}, [guard]() {})
+                                 : sim.schedule_at(SimTime{10 + i}, [guard]() {}));
+        }
+        // A stale heap entry is left behind too.
+        EXPECT_TRUE(sim.cancel(sim.schedule_at(SimTime{50}, []() {})));
+        EXPECT_EQ(sim.pending(), 3u);
+    }
+    EXPECT_EQ(destroyed, 4);
+}
+
+// ------------------------------------------------ differential reference ----
+// Drives the Simulator and a plain reference model through the same random
+// operations: the model is an ordered map keyed by (when, seq) plus the set
+// of live timers, with seq assigned at the same points the simulator
+// assigns it (schedule, and a repeating timer's rearm after its callback).
+// Each fired callback checks it is the model's next event, then may cancel
+// or schedule from inside; after every operation pending(),
+// next_event_time() and compactions() are compared.
+
+class SimDiff {
+public:
+    explicit SimDiff(std::uint64_t seed) : rng_(seed) {}
+
+    void run(int ops) {
+        for (int i = 0; i < ops && !::testing::Test::HasFailure(); ++i) {
+            switch (pick(20)) {
+                case 0: case 1: case 2: case 3: case 4: schedule(0); break;
+                case 5: case 6: case 7: schedule(1); break;
+                case 8: schedule(2); break;
+                case 9: case 10: case 11: case 12: case 13: cancel_one(); break;
+                case 14: case 15: case 16: step(); break;
+                default: run_until(); break;
+            }
+            check();
+        }
+    }
+
+    std::uint64_t compactions() const { return sim_.compactions(); }
+    std::size_t fired() const { return fired_; }
+
+private:
+    using Key = std::pair<std::int64_t, std::uint64_t>;  // (when ns, seq)
+    struct Timer {
+        TimerId id;
+        bool repeating = false;
+        Duration period{0};
+    };
+
+    std::size_t pick(std::size_t n) { return static_cast<std::size_t>(rng_() % n); }
+
+    void schedule(int kind) {
+        if (kind == 2 && live_repeating_ >= 16) kind = 0;
+        std::size_t k = timers_.size();
+        timers_.emplace_back();
+        auto cb = [this, k]() { on_fire(k); };
+        Timer t;
+        SimTime when;
+        if (kind == 0) {
+            // May lie in the past: the simulator clamps it to now.
+            SimTime at = now_ + Duration{static_cast<std::int64_t>(pick(60)) - 10};
+            t.id = sim_.schedule_at(at, cb);
+            when = std::max(at, now_);
+        } else if (kind == 1) {
+            Duration d{static_cast<std::int64_t>(pick(50))};
+            t.id = sim_.schedule_after(d, cb);
+            when = now_ + d;
+        } else {
+            t.repeating = true;
+            t.period = Duration{1 + static_cast<std::int64_t>(pick(40))};
+            t.id = sim_.schedule_every(t.period, cb);
+            when = now_ + t.period;
+            ++live_repeating_;
+        }
+        timers_[k] = t;
+        Key key{when.ns, ++seq_};
+        queue_[key] = k;
+        live_[k] = key;
+    }
+
+    bool model_cancel(std::size_t k) {
+        auto it = live_.find(k);
+        if (it == live_.end()) return false;
+        if (it->second) queue_.erase(*it->second);
+        if (timers_[k].repeating) --live_repeating_;
+        live_.erase(it);
+        return true;
+    }
+
+    void cancel_one() {
+        if (timers_.empty()) {
+            EXPECT_FALSE(sim_.cancel(TimerId{}));
+            return;
+        }
+        // Half from the whole history (mostly stale ids, whose slots have
+        // been reused), half from the most recent timers (mostly live).
+        std::size_t n = timers_.size();
+        std::size_t k = pick(2) ? pick(n) : n - 1 - pick(std::min<std::size_t>(n, 32));
+        bool want = model_cancel(k);
+        EXPECT_EQ(sim_.cancel(timers_[k].id), want) << "timer " << k;
+    }
+
+    void step() {
+        bool want = !queue_.empty();
+        EXPECT_EQ(sim_.step(), want);
+    }
+
+    void run_until() {
+        SimTime deadline = now_ + Duration{static_cast<std::int64_t>(pick(40))};
+        sim_.run_until(deadline);
+        if (!queue_.empty()) {
+            EXPECT_GT(queue_.begin()->first.first, deadline.ns) << "event left behind";
+        }
+        now_ = std::max(now_, deadline);
+        EXPECT_EQ(sim_.now(), now_);
+    }
+
+    void on_fire(std::size_t k) {
+        ASSERT_FALSE(queue_.empty()) << "fired " << k << " with nothing pending";
+        auto front = queue_.begin();
+        ASSERT_EQ(front->second, k) << "fire order diverged at event " << fired_;
+        ASSERT_EQ(sim_.now().ns, front->first.first);
+        now_ = sim_.now();
+        queue_.erase(front);
+        ++fired_;
+        Timer t = timers_[k];
+        if (t.repeating) {
+            live_[k] = std::nullopt;  // firing: cancellable, not queued
+        } else {
+            live_.erase(k);
+        }
+        switch (pick(8)) {
+            case 0: cancel_one(); break;
+            case 1: EXPECT_EQ(sim_.cancel(t.id), model_cancel(k)) << "self " << k; break;
+            case 2: schedule(0); break;
+            case 3: schedule(1); break;
+            default: break;
+        }
+        EXPECT_EQ(sim_.pending(), queue_.size());
+        if (auto it = live_.find(k); t.repeating && it != live_.end()) {
+            Key key{(now_ + t.period).ns, ++seq_};
+            queue_[key] = k;
+            it->second = key;
+        }
+    }
+
+    void check() {
+        EXPECT_EQ(sim_.pending(), queue_.size());
+        SimTime want = queue_.empty() ? SimTime::max() : SimTime{queue_.begin()->first.first};
+        EXPECT_EQ(sim_.next_event_time(), want);
+        EXPECT_GE(sim_.compactions(), last_compactions_);
+        last_compactions_ = sim_.compactions();
+    }
+
+    Simulator sim_;
+    std::mt19937_64 rng_;
+    std::vector<Timer> timers_;  // every timer ever scheduled, by key
+    std::map<Key, std::size_t> queue_;
+    std::map<std::size_t, std::optional<Key>> live_;  // nullopt while firing
+    std::size_t live_repeating_ = 0;
+    std::uint64_t seq_ = 0;
+    SimTime now_ = SimTime::zero();
+    std::uint64_t last_compactions_ = 0;
+    std::size_t fired_ = 0;
+};
+
+TEST(Simulator, MatchesReferenceModelOnRandomOperations) {
+    std::uint64_t compactions = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        SimDiff diff(seed);
+        diff.run(10'000);
+        ASSERT_FALSE(::testing::Test::HasFailure());
+        EXPECT_GT(diff.fired(), 1'000u);
+        compactions += diff.compactions();
+    }
+    EXPECT_GT(compactions, 0u);  // the rebuild path ran
 }
 
 TEST(Simulator, ScopedTraceClockBindingRestoresOuter) {
