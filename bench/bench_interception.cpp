@@ -13,6 +13,11 @@
 //   woven_noop      — do-nothing native before-advice (the 900 ns analog)
 //   woven_script    — do-nothing *script* before-advice (shipped-code cost)
 //   woven_around    — do-nothing around advice (proceed() chain)
+//
+// The reference reading is the committed BENCH_interception.json, recorded
+// with google-benchmark's own writer:
+//   bench_interception --benchmark_repetitions=5 \
+//       --benchmark_out=BENCH_interception.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
 #include "smoke.h"
@@ -228,20 +233,6 @@ public:
         printf("%-34s %10.1f ns\n", "tree-walk interpreter:", tree);
         printf("%-34s %10.1f ns\n", "bytecode VM:", vm);
         printf("%-34s %10.2fx\n", "speedup (target >= 2x):", vm > 0 ? tree / vm : 0);
-
-        // Pre-refactor reference (same container/flags, recorded before the
-        // compiled-dispatch PR: per-call hook-chain construction, vector
-        // hook slots, tree-walk-only script advice). The dormant rows are
-        // the regression guard: un-woven dispatch must not get slower.
-        printf("\n=== pre-refactor baseline (recorded, same build flags) ===\n");
-        printf("%-34s %10.1f ns (now %.1f ns)\n", "unhooked:", 29.6,
-               t("BM_DispatchUnhooked"));
-        printf("%-34s %10.1f ns (now %.1f ns)\n", "hooked, un-woven:", 32.8, plain);
-        printf("%-34s %10.1f ns (now %.1f ns)\n", "woven no-op before:", 108.6, woven);
-        printf("%-34s %10.1f ns (now %.1f ns)\n", "woven script before (tree-walk):",
-               200.8, t("BM_DispatchWovenScriptBefore"));
-        printf("%-34s %10.1f ns (now %.1f ns)\n", "woven no-op around:", 169.5,
-               t("BM_DispatchWovenNoopAround"));
     }
 
 private:

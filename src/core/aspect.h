@@ -6,6 +6,7 @@
 // that it can execute a shut-down procedure").
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -85,6 +86,25 @@ public:
     /// Install the shutdown procedure run at withdrawal.
     Aspect& on_withdraw(std::function<void(WithdrawReason)> fn);
 
+    /// The host's controls on this aspect's advice, run by the weaver at
+    /// its one composition point around every advice execution:
+    ///   admit   — consulted first; false skips the advice for this join
+    ///             point (around advice passes straight through to
+    ///             proceed(), so the application call itself is untouched)
+    ///   outcome — told nullptr on success or the escaping exception on
+    ///             failure (which then propagates unchanged)
+    /// Either may be empty. The MIDAS receiver binds its resource governor
+    /// and quarantine ledger here. Set before weaving.
+    struct Guard {
+        std::function<bool()> admit;
+        std::function<void(const std::exception*)> outcome;
+    };
+    Aspect& set_guard(Guard guard) {
+        guard_ = std::move(guard);
+        return *this;
+    }
+    const Guard& guard() const { return guard_; }
+
     const std::vector<AdviceBinding>& bindings() const { return bindings_; }
     void notify_withdraw(WithdrawReason reason);
 
@@ -92,6 +112,7 @@ private:
     std::string name_;
     std::vector<AdviceBinding> bindings_;
     std::function<void(WithdrawReason)> withdraw_fn_;
+    Guard guard_;
 };
 
 }  // namespace pmp::prose

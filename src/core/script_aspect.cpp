@@ -305,14 +305,11 @@ ScriptAspect::ScriptAspect(std::string name,
     }
 
     if (program->find_function("onShutdown")) {
+        // A failing script cannot prevent withdrawal: the weaver catches
+        // whatever the shutdown procedure throws.
         aspect_->on_withdraw([state](WithdrawReason reason) {
-            // The shutdown procedure must not prevent withdrawal; a failing
-            // script forfeits its last words.
-            try {
-                state->engine->call("onShutdown",
-                                    {Value{std::string(withdraw_reason_name(reason))}});
-            } catch (const Error&) {
-            }
+            state->engine->call("onShutdown",
+                                {Value{std::string(withdraw_reason_name(reason))}});
         });
     }
 }

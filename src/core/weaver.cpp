@@ -18,6 +18,12 @@ double elapsed_ns(Clock::time_point t0) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
 }
 
+// What a skipped advice leaves behind: nothing, except that a skipped
+// around advice still proceeds — it must not swallow the application call.
+rt::Value pass_through(rt::CallFrame&, const std::function<rt::Value()>& proceed) {
+    return proceed();
+}
+
 }  // namespace
 
 Weaver::Weaver(rt::Runtime& runtime) : runtime_(runtime) {
@@ -29,128 +35,94 @@ Weaver::~Weaver() {
     runtime_.remove_type_observer(observer_);
 }
 
-void Weaver::weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven) {
-    // Join-point telemetry: every advice execution records its (real, CPU)
-    // latency once, into the profiler site of its (extension, pointcut) —
-    // the per-aspect view is a fold of those sites (obs::attribution_from).
-    // The wrapper also reports every outcome to the advice observer (the
-    // receiver's quarantine input) — success as nullptr, failure as the
-    // escaping exception, which is then rethrown unchanged. The observer
-    // runs regardless of obs::enabled(): it is protocol machinery, not
-    // telemetry.
-    // `wp` is stable: each Woven is heap-pinned (unique_ptr in woven_),
-    // and withdraw retires it through the epoch domain after unhooking, so
-    // no hook — including a superseded snapshot still being walked on
-    // another shard — outlives its Woven.
-    auto timed = [this, id, wp = &woven](
-                     const obs::Profiler::Site& site, const auto& fn,
-                     auto&&... args) -> decltype(auto) {
-        const bool instrument = obs::enabled();
-        if (instrument && !wp->first_dispatched.load(std::memory_order_relaxed) &&
-            !wp->first_dispatched.exchange(true, std::memory_order_relaxed)) {
-            // First advice execution ever for this weave: mark it on the
-            // weave's own trace (install → weave → first dispatch is the
-            // chain the paper's Fig 2 walks through).
-            auto& tb = obs::TraceBuffer::global();
-            obs::TraceBuffer::ContextScope scope(tb, wp->weave_ctx);
-            tb.instant("prose.weaver", "advice.first_dispatch",
-                       {{"aspect", wp->aspect->name()}});
-        }
-        Clock::time_point t0 = instrument ? Clock::now() : Clock::time_point{};
-        try {
-            if constexpr (std::is_void_v<decltype(fn(
-                              std::forward<decltype(args)>(args)...))>) {
-                fn(std::forward<decltype(args)>(args)...);
-                if (instrument) site.record(elapsed_ns(t0));
-                if (advice_observer_) advice_observer_(id, nullptr);
-            } else {
-                auto result = fn(std::forward<decltype(args)>(args)...);
-                if (instrument) site.record(elapsed_ns(t0));
-                if (advice_observer_) advice_observer_(id, nullptr);
-                return result;
-            }
-        } catch (const std::exception& e) {
-            if (advice_observer_) advice_observer_(id, &e);
-            throw;
-        }
+// In order: the aspect's admit guard, the weave's first-dispatch instant,
+// profiler timing into the (extension, pointcut) site — the per-aspect view
+// is a fold of those sites (obs::attribution_from) — and the outcome guard.
+// The guards are protocol machinery, not telemetry: they run whatever
+// obs::enabled() says.
+template <typename Fn, typename... Args>
+auto Weaver::run_advice(Woven& w, const obs::Profiler::Site& site, const Fn& fn,
+                        Args&&... args) {
+    using Result = std::invoke_result_t<const Fn&, Args&&...>;
+    const Aspect::Guard& guard = w.aspect->guard();
+    if (guard.admit && !guard.admit()) {
+        if constexpr (std::is_void_v<Result>) return;
+        else return pass_through(args...);
+    }
+    const bool instrument = obs::enabled();
+    if (instrument && !w.first_dispatched.load(std::memory_order_relaxed) &&
+        !w.first_dispatched.exchange(true, std::memory_order_relaxed)) {
+        // First advice execution ever for this weave: mark it on the
+        // weave's own trace (install → weave → first dispatch is the chain
+        // the paper's Fig 2 walks through).
+        auto& tb = obs::TraceBuffer::global();
+        obs::TraceBuffer::ContextScope scope(tb, w.weave_ctx);
+        tb.instant("prose.weaver", "advice.first_dispatch", {{"aspect", w.aspect->name()}});
+    }
+    Clock::time_point t0 = instrument ? Clock::now() : Clock::time_point{};
+    auto done = [&] {
+        if (instrument) site.record(elapsed_ns(t0));
+        if (guard.outcome) guard.outcome(nullptr);
     };
+    try {
+        if constexpr (std::is_void_v<Result>) {
+            fn(std::forward<Args>(args)...);
+            done();
+        } else {
+            Result result = fn(std::forward<Args>(args)...);
+            done();
+            return result;
+        }
+    } catch (const std::exception& e) {
+        if (guard.outcome) guard.outcome(&e);
+        throw;
+    }
+}
 
+void Weaver::weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven) {
     for (const AdviceBinding& binding : woven.aspect->bindings()) {
         // Cost-attribution slot for this (extension, pointcut) pair — the
         // profiler's unit of blame (copied by value into every hook).
         obs::Profiler::Site site =
             obs::Profiler::global().site(woven.aspect->name(), binding.pointcut.source());
+        // Every hook is run_advice over (Woven*, Site, advice). The Woven is
+        // heap-pinned and withdraw retires it through the epoch domain after
+        // unhooking, so no hook — not even a superseded snapshot still being
+        // walked on another shard — outlives it.
+        auto hook = [w = &woven, site](const auto& fn) {
+            return [w, site, fn](auto&&... args) {
+                return run_advice(*w, site, fn, std::forward<decltype(args)>(args)...);
+            };
+        };
+        const int prio = binding.priority;
         switch (binding.kind) {
-            case AdviceKind::kBefore:
-            case AdviceKind::kAfter:
-            case AdviceKind::kAfterThrowing:
-            case AdviceKind::kAround:
-                for (rt::Method* method : plan_.methods_for(binding.pointcut, type)) {
-                    ++woven.report.methods_matched;
-                    woven.hooked_methods.push_back(method);
-                    switch (binding.kind) {
-                        case AdviceKind::kBefore:
-                            method->add_entry_hook(id.value, binding.priority,
-                                                   [this, id, timed, site,
-                                                    fn = binding.before](rt::CallFrame& f) {
-                                                       if (!allows(id)) return;
-                                                       timed(site, fn, f);
-                                                   });
-                            break;
-                        case AdviceKind::kAfter:
-                            method->add_exit_hook(id.value, binding.priority,
-                                                  [this, id, timed, site,
-                                                   fn = binding.after](rt::CallFrame& f) {
-                                                      if (!allows(id)) return;
-                                                      timed(site, fn, f);
-                                                  });
-                            break;
-                        case AdviceKind::kAfterThrowing:
-                            method->add_error_hook(
-                                id.value, binding.priority,
-                                [this, id, timed, site, fn = binding.after_throwing](
-                                    rt::CallFrame& f, std::exception_ptr e) {
-                                    if (!allows(id)) return;
-                                    timed(site, fn, f, e);
-                                });
-                            break;
-                        default:
-                            method->add_around_hook(
-                                id.value, binding.priority,
-                                [this, id, timed, site, fn = binding.around](
-                                    rt::CallFrame& f,
-                                    const std::function<rt::Value()>& proceed) {
-                                    // A gated around must not swallow the
-                                    // underlying call.
-                                    if (!allows(id)) return proceed();
-                                    return timed(site, fn, f, proceed);
-                                });
-                            break;
-                    }
-                }
-                break;
             case AdviceKind::kFieldSet:
                 for (rt::Field* field : plan_.fields_set_for(binding.pointcut, type)) {
                     ++woven.report.fields_matched;
                     woven.hooked_fields.push_back(field);
-                    field->add_set_hook(id.value, binding.priority,
-                                        [this, id, timed, site,
-                                         fn = binding.field_set](auto&&... args) {
-                                            if (!allows(id)) return;
-                                            timed(site, fn, std::forward<decltype(args)>(args)...);
-                                        });
+                    field->add_set_hook(id.value, prio, hook(binding.field_set));
                 }
                 break;
             case AdviceKind::kFieldGet:
                 for (rt::Field* field : plan_.fields_get_for(binding.pointcut, type)) {
                     ++woven.report.fields_matched;
                     woven.hooked_fields.push_back(field);
-                    field->add_get_hook(id.value, binding.priority,
-                                        [this, id, timed, site,
-                                         fn = binding.field_get](auto&&... args) {
-                                            if (!allows(id)) return;
-                                            timed(site, fn, std::forward<decltype(args)>(args)...);
-                                        });
+                    field->add_get_hook(id.value, prio, hook(binding.field_get));
+                }
+                break;
+            default:
+                for (rt::Method* m : plan_.methods_for(binding.pointcut, type)) {
+                    ++woven.report.methods_matched;
+                    woven.hooked_methods.push_back(m);
+                    if (binding.kind == AdviceKind::kBefore) {
+                        m->add_entry_hook(id.value, prio, hook(binding.before));
+                    } else if (binding.kind == AdviceKind::kAfter) {
+                        m->add_exit_hook(id.value, prio, hook(binding.after));
+                    } else if (binding.kind == AdviceKind::kAfterThrowing) {
+                        m->add_error_hook(id.value, prio, hook(binding.after_throwing));
+                    } else {
+                        m->add_around_hook(id.value, prio, hook(binding.around));
+                    }
                 }
                 break;
         }
@@ -196,7 +168,16 @@ bool Weaver::withdraw(AspectId id, WithdrawReason reason) {
     // those are touched (a member may appear once per matching binding —
     // remove_hooks clears all of an owner's hooks, later visits no-op).
     plan_.note_withdraw();
-    it->second->aspect->notify_withdraw(reason);
+    obs::KeyValues end_kv;
+    try {
+        it->second->aspect->notify_withdraw(reason);
+    } catch (const std::exception& e) {
+        // Shutdown cannot block withdrawal: a failing handler forfeits its
+        // last words, and the advice comes off regardless.
+        end_kv.emplace_back("shutdown_error", e.what());
+    } catch (...) {
+        end_kv.emplace_back("shutdown_error", "non-standard exception");
+    }
     for (rt::Method* method : it->second->hooked_methods) method->remove_hooks(id.value);
     for (rt::Field* field : it->second->hooked_fields) field->remove_hooks(id.value);
     // The superseded hook-table snapshots retired by remove_hooks capture
@@ -208,7 +189,7 @@ bool Weaver::withdraw(AspectId id, WithdrawReason reason) {
     reg.histogram("weaver.withdraw_ns").observe(elapsed_ns(t0));
     reg.counter("weaver.withdrawals").inc();
     reg.gauge("weaver.woven").set(static_cast<std::int64_t>(woven_.size()));
-    obs::TraceBuffer::global().end_span(span);
+    obs::TraceBuffer::global().end_span(span, std::move(end_kv));
     return true;
 }
 

@@ -14,6 +14,7 @@
 #include "common/ids.h"
 #include "core/aspect.h"
 #include "core/matchplan.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 #include "rt/runtime.h"
 
@@ -39,7 +40,10 @@ public:
     AspectId weave(std::shared_ptr<Aspect> aspect);
 
     /// Run the aspect's shutdown procedure, then detach all of its advice.
-    /// Returns false if the id is unknown (already withdrawn).
+    /// A throwing shutdown procedure cannot block withdrawal: its message
+    /// lands on the withdraw span as `shutdown_error` and the advice is
+    /// detached as usual. Returns false if the id is unknown (already
+    /// withdrawn).
     bool withdraw(AspectId id, WithdrawReason reason = WithdrawReason::kExplicit);
 
     /// Withdraw everything (also runs from the destructor with kExplicit).
@@ -48,28 +52,6 @@ public:
     std::shared_ptr<Aspect> find(AspectId id) const;
     const WeaveReport* report(AspectId id) const;
     std::size_t woven_count() const { return woven_.size(); }
-
-    /// Per-advice outcome observer: fires after every advice execution with
-    /// nullptr on success or the escaping exception on failure (which then
-    /// propagates unchanged). One observer per weaver — the adaptation
-    /// service uses it to quarantine extensions whose advice keeps
-    /// crashing. Pass nullptr to detach. Applies to hooks woven after the
-    /// call as well as existing ones (hooks capture the weaver, which
-    /// outlives them in the node stack).
-    using AdviceObserver = std::function<void(AspectId, const std::exception*)>;
-    void set_advice_observer(AdviceObserver fn) { advice_observer_ = std::move(fn); }
-
-    /// Per-dispatch gate: consulted before running any advice of an aspect.
-    /// Returning false skips the advice for this join point — before/after/
-    /// error/field hooks become no-ops and around advice passes straight
-    /// through to proceed(), so the application call itself is untouched.
-    /// One gate per weaver; the MIDAS receiver's resource governor uses it
-    /// to suspend an over-budget extension without unweaving it (withdrawal
-    /// runs shutdown advice and loses extension state — too heavy for a
-    /// condition that clears at the next lease window). Pass nullptr to
-    /// detach. Cost on the hot path when unset: one empty-function check.
-    using DispatchGate = std::function<bool(AspectId)>;
-    void set_dispatch_gate(DispatchGate fn) { dispatch_gate_ = std::move(fn); }
 
     rt::Runtime& runtime() { return runtime_; }
 
@@ -95,8 +77,11 @@ private:
     };
 
     void weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven);
+    /// The one composition point every advice execution passes through.
+    template <typename Fn, typename... Args>
+    static auto run_advice(Woven& w, const obs::Profiler::Site& site, const Fn& fn,
+                           Args&&... args);
     void on_type_registered(rt::TypeInfo& type);
-    bool allows(AspectId id) const { return !dispatch_gate_ || dispatch_gate_(id); }
 
     rt::Runtime& runtime_;
     rt::Runtime::ObserverId observer_;
@@ -108,8 +93,6 @@ private:
     /// still be walking a superseded hook-table snapshot whose closures
     /// dereference it until the grace period passes.
     std::map<AspectId, std::unique_ptr<Woven>> woven_;
-    AdviceObserver advice_observer_;
-    DispatchGate dispatch_gate_;
 };
 
 }  // namespace pmp::prose

@@ -62,18 +62,6 @@ AdaptationService::AdaptationService(rt::RpcEndpoint& rpc, prose::Weaver& weaver
     pointcut_cache_.cap = config_.pointcut_cache_cap;
     if (journal_) recover();
 
-    // Protocol machinery, not telemetry: the weaver reports every advice
-    // outcome and repeated script failures quarantine the extension.
-    weaver_.set_advice_observer([this](AspectId aspect, const std::exception* error) {
-        on_advice_outcome(aspect, error);
-    });
-    // The governor's enforcement point: consulted before every advice
-    // dispatch. Only installed when a budget is configured, so an
-    // ungoverned node pays nothing on its hot path.
-    if (governor_enabled()) {
-        weaver_.set_dispatch_gate([this](AspectId aspect) { return governor_allows(aspect); });
-    }
-
     // Node facilities every extension may request.
     host_builtins_.add("sys.now_ms", "", [this](List&) -> Value {
         return Value{rpc_.router().simulator().now().ns / 1'000'000};
@@ -106,12 +94,10 @@ AdaptationService::AdaptationService(rt::RpcEndpoint& rpc, prose::Weaver& weaver
 }
 
 AdaptationService::~AdaptationService() {
+    // Disarms every extension's guard first: shutdown advice runs during
+    // withdraw_all and must not count toward quarantine — nor be skipped by
+    // a suspended extension's governor.
     *alive_ = false;
-    // Detach the observer and gate before withdrawing: shutdown advice runs
-    // during withdraw_all and must not count toward quarantine — nor be
-    // skipped by a suspended extension's gate.
-    weaver_.set_advice_observer(nullptr);
-    weaver_.set_dispatch_gate(nullptr);
     discovery_.off_registrar(registrar_token_);
     withdraw_all(prose::WithdrawReason::kExplicit);
 }
@@ -155,13 +141,31 @@ void AdaptationService::compact_journal() {
     journal_->compact(st.to_snapshot());
 }
 
-void AdaptationService::on_advice_outcome(AspectId aspect, const std::exception* error) {
+prose::Aspect::Guard AdaptationService::guard_for(ExtensionId ext) {
+    prose::Aspect::Guard guard;
+    // Protocol machinery, not telemetry: every advice outcome is reported
+    // and repeated script failures quarantine the extension.
+    guard.outcome = [this, ext, alive = alive_](const std::exception* error) {
+        if (*alive) on_advice_outcome(ext, error);
+    };
+    // The governor's enforcement point, consulted before every advice
+    // dispatch: it suspends an over-budget extension without unweaving it
+    // (withdrawal runs shutdown advice and loses extension state — too
+    // heavy for a condition that clears at the next lease window). Only
+    // bound when a budget is configured, so an ungoverned node pays one
+    // empty-function check on its hot path.
+    if (governor_enabled()) {
+        guard.admit = [this, ext, alive = alive_] { return !*alive || governor_allows(ext); };
+    }
+    return guard;
+}
+
+void AdaptationService::on_advice_outcome(ExtensionId ext, const std::exception* error) {
     // The common case, once per advice call: a success with no failure
     // streak pending anywhere has nothing to reset.
     if (!error && advice_failures_.empty()) return;
-    auto at = by_aspect_.find(aspect);
-    if (at == by_aspect_.end()) return;  // hand-woven aspects are not leased code
-    ExtensionId ext = at->second;
+    // A stale hook snapshot may still report for a withdrawn extension.
+    if (installed_.find(ext) == installed_.end()) return;
     if (!error) {
         advice_failures_.erase(ext);
         return;
@@ -178,7 +182,7 @@ void AdaptationService::on_advice_outcome(AspectId aspect, const std::exception*
     if (!counts) return;
     if (++advice_failures_[ext] < config_.quarantine_after) return;
     if (!pending_quarantine_.insert(ext).second) return;
-    // Deferred: this observer fires inside the failing advice dispatch;
+    // Deferred: this guard fires inside the failing advice dispatch;
     // withdrawing the aspect here would destroy the hook list the weaver
     // is still iterating.
     rpc_.router().simulator().schedule_after(Duration{0}, [this, ext, alive = alive_]() {
@@ -188,10 +192,8 @@ void AdaptationService::on_advice_outcome(AspectId aspect, const std::exception*
     });
 }
 
-bool AdaptationService::governor_allows(AspectId aspect) {
-    auto at = by_aspect_.find(aspect);
-    if (at == by_aspect_.end()) return true;  // not leased code; not governed
-    auto gt = governor_.find(at->second);
+bool AdaptationService::governor_allows(ExtensionId ext) {
+    auto gt = governor_.find(ext);
     if (gt == governor_.end()) return true;
     GovernorState& st = gt->second;
     switch (st.mode) {
@@ -213,11 +215,11 @@ bool AdaptationService::governor_allows(AspectId aspect) {
         const double budget = static_cast<double>(config_.governor_invocation_budget);
         if (static_cast<double>(st.window_invocations) >
             budget * config_.governor_suspend_factor) {
-            governor_escalate(at->second, st, GovernorMode::kSuspended);
+            governor_escalate(ext, st, GovernorMode::kSuspended);
             // This dispatch was already granted; suspension bites from the
             // next one.
         } else if (st.window_invocations > config_.governor_invocation_budget) {
-            governor_escalate(at->second, st, GovernorMode::kThrottled);
+            governor_escalate(ext, st, GovernorMode::kThrottled);
         }
     }
     return true;
@@ -634,6 +636,7 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
                 steps_c->inc(steps);
                 if (governed) governor_charge(id, steps);
             });
+        compiled.aspect()->set_guard(guard_for(id));
         aspect = weaver_.weave(compiled.aspect());
     } catch (...) {
         // The top level may have installed wire filters before compilation
@@ -649,7 +652,6 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
     entry.wire_owner = wire_owner;
     installed_.emplace(id, std::move(entry));
     by_name_[pkg.name] = id;
-    by_aspect_[aspect] = id;
     if (governor_enabled()) governor_.emplace(id, GovernorState{});
     arm_expiry(id, lease);
     ++stats_.installs;
@@ -802,7 +804,6 @@ void AdaptationService::withdraw(ExtensionId id, prose::WithdrawReason reason) {
     }
     std::string name = it->second.info.name;
     by_name_.erase(name);
-    by_aspect_.erase(it->second.info.aspect);
     installed_.erase(it);
     advice_failures_.erase(id);
     governor_.erase(id);

@@ -194,7 +194,7 @@ public:
         std::uint64_t unquarantined = 0;
         std::uint64_t governor_throttles = 0;
         std::uint64_t governor_suspends = 0;
-        std::uint64_t governor_skipped = 0;  ///< dispatches skipped by the gate
+        std::uint64_t governor_skipped = 0;  ///< dispatches skipped by the governor
         std::uint64_t governor_watchdog_trips = 0;
         std::uint64_t governor_quarantines = 0;
         std::uint64_t compile_cache_hits = 0;
@@ -234,19 +234,22 @@ private:
     bool do_revoke(std::uint64_t ext);
     rt::Value do_list() const;
 
-    /// Weaver advice-outcome observer: counts consecutive failures per
-    /// extension and (deferred — we may be inside the failing dispatch)
-    /// quarantines past the threshold.
-    void on_advice_outcome(AspectId aspect, const std::exception* error);
+    /// The guard bound to an extension's aspect before it is woven. Both
+    /// halves go quiet once the service is torn down (alive_).
+    prose::Aspect::Guard guard_for(ExtensionId ext);
+    /// The guard's outcome half: counts consecutive failures per extension
+    /// and (deferred — we may be inside the failing dispatch) quarantines
+    /// past the threshold.
+    void on_advice_outcome(ExtensionId ext, const std::exception* error);
     void quarantine(ExtensionId id);
 
     /// Resource governor (see ReceiverConfig). governor_allows is the
-    /// weaver dispatch gate; governor_charge is the interpreter's step
+    /// guard's admit half; governor_charge is the interpreter's step
     /// observer; the window resets wherever the lease is renewed.
     bool governor_enabled() const {
         return config_.governor_step_budget != 0 || config_.governor_invocation_budget != 0;
     }
-    bool governor_allows(AspectId aspect);
+    bool governor_allows(ExtensionId ext);
     void governor_charge(ExtensionId id, std::uint64_t steps);
     void governor_window_reset(ExtensionId id);
     void recover();
@@ -324,7 +327,6 @@ private:
     IdGenerator<ExtensionId> ids_;
     std::map<ExtensionId, Entry> installed_;
     std::map<std::string, ExtensionId> by_name_;
-    std::map<AspectId, ExtensionId> by_aspect_;
 
     struct GovernorState {
         std::uint64_t window_steps = 0;

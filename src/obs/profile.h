@@ -2,7 +2,7 @@
 //
 // Independently authored extensions share one node; when the node's
 // budget burns, someone must be billable. The Profiler owns that ledger:
-// the weaver's dispatch gate feeds it one latency sample per advice
+// the weaver's advice composition point feeds it one latency sample per advice
 // execution, keyed (extension, pointcut) — so "which extension" and
 // "which join point of it" are both answerable — and the script engines'
 // step observer feeds it interpreter steps per extension (the same feed

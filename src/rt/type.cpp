@@ -140,18 +140,6 @@ Value Method::invoke_unhooked(ServiceObject& self, List args) {
     return handler_(self, args);
 }
 
-Value Method::invoke_no_obs(ServiceObject& self, List args) {
-    validate(args);
-    const AdviceTables* tables = advice_.load(std::memory_order_acquire);
-    if (tables == nullptr) [[likely]] {
-        return handler_(self, args);
-    }
-    EpochDomain::ReadGuard guard;
-    tables = advice_.load(std::memory_order_seq_cst);
-    if (tables == nullptr) return handler_(self, args);
-    return invoke_hooked(*tables, self, args);
-}
-
 Value Method::invoke_debugger_style(ServiceObject& self, List args) {
     validate(args);
     EpochDomain::ReadGuard guard;

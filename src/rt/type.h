@@ -180,12 +180,6 @@ public:
     /// Exists solely for the platform-overhead experiment (DESIGN.md E3).
     Value invoke_unhooked(ServiceObject& self, List args);
 
-    /// Full dispatch (minimal hook included) but without the obs dispatch
-    /// counters — the pre-instrumentation invoke(). Exists solely so
-    /// bench_platform_overhead can price the instrumentation itself
-    /// (no-obs vs. idle vs. enabled).
-    Value invoke_no_obs(ServiceObject& self, List args);
-
     /// Debugger-style dispatch: unconditionally enter the interception
     /// machinery (build a frame, walk the — possibly empty — advice
     /// chains), the way the JVMDI-based first PROSE prototype intercepted

@@ -173,12 +173,8 @@ void register_types(rt::Runtime& runtime) {
 
 /// Dispatch through the selected mode.
 Value call(rt::ServiceObject& obj, rt::Method& method, List args, DispatchMode mode) {
-    switch (mode) {
-        case DispatchMode::kHooked: return method.invoke(obj, std::move(args));
-        case DispatchMode::kHookedNoObs: return method.invoke_no_obs(obj, std::move(args));
-        case DispatchMode::kUnhooked: break;
-    }
-    return method.invoke_unhooked(obj, std::move(args));
+    return mode == DispatchMode::kHooked ? method.invoke(obj, std::move(args))
+                                         : method.invoke_unhooked(obj, std::move(args));
 }
 
 }  // namespace

@@ -27,10 +27,8 @@
 namespace pmp::specmini {
 
 enum class DispatchMode {
-    kUnhooked,      ///< Method::invoke_unhooked — as if PROSE were absent
-    kHooked,        ///< Method::invoke — normal platform dispatch
-    kHookedNoObs,   ///< Method::invoke_no_obs — platform dispatch without the
-                    ///< obs join-point counters (prices the instrumentation)
+    kUnhooked,  ///< Method::invoke_unhooked — as if PROSE were absent
+    kHooked,    ///< Method::invoke — normal platform dispatch
 };
 
 struct KernelResult {

@@ -1,9 +1,13 @@
 // Tests for the run-time weaver: matching, firing, withdrawal restoring the
-// baseline, weaving into late-registered classes, and shutdown notification.
+// baseline, weaving into late-registered classes, shutdown notification, and
+// the per-aspect guard at the advice composition point.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/error.h"
 #include "core/weaver.h"
+#include "obs/trace.h"
 
 namespace pmp::prose {
 namespace {
@@ -287,6 +291,154 @@ TEST_F(WeaverTest, HundredAspectsWeaveIdenticallyAndWithdrawCleanly) {
     EXPECT_FALSE(motor_->type().method("rotate")->woven());
     EXPECT_FALSE(sensor_->type().method("read")->woven());
     EXPECT_EQ(weaver_.woven_count(), 0u);
+}
+
+TEST_F(WeaverTest, ThrowingShutdownDoesNotBlockWithdrawal) {
+    obs::TraceBuffer trace;
+    obs::TraceBuffer::Redirect redirect(trace);
+    auto aspect = std::make_shared<Aspect>("grumpy");
+    aspect->before("call(* Motor.rotate(..))", [](CallFrame&) {});
+    aspect->on_withdraw([](WithdrawReason) { throw std::runtime_error("will not go"); });
+    AspectId id = weaver_.weave(aspect);
+
+    EXPECT_TRUE(weaver_.withdraw(id));
+    EXPECT_EQ(weaver_.woven_count(), 0u);
+    EXPECT_FALSE(motor_->type().method("rotate")->woven());
+    // The withdraw span still ends, and carries the handler's message.
+    const auto events = trace.events();
+    auto begin = std::find_if(events.begin(), events.end(), [](const obs::TraceEvent& e) {
+        return e.kind == obs::EventKind::kSpanBegin && e.name == "withdraw";
+    });
+    ASSERT_NE(begin, events.end());
+    auto end = std::find_if(begin, events.end(), [&](const obs::TraceEvent& e) {
+        return e.kind == obs::EventKind::kSpanEnd && e.span == begin->span;
+    });
+    ASSERT_NE(end, events.end());
+    EXPECT_EQ(end->kv, (obs::KeyValues{{"shutdown_error", "will not go"}}));
+}
+
+TEST_F(WeaverTest, ThrowingShutdownDoesNotBreakWeaverDestruction) {
+    {
+        Weaver scoped(runtime_);
+        auto aspect = std::make_shared<Aspect>("grumpy");
+        aspect->before("call(* Motor.*(..))", [](CallFrame&) {});
+        aspect->on_withdraw([](WithdrawReason) { throw std::runtime_error("will not go"); });
+        scoped.weave(aspect);
+    }
+    EXPECT_FALSE(motor_->type().method("rotate")->woven());
+}
+
+/// Every non-around advice kind, each bumping `fired_`, on `Flaky.boom`
+/// (throws) and `Motor` (method + field read/write).
+class GuardTest : public WeaverTest {
+protected:
+    GuardTest() {
+        runtime_.register_type(
+            rt::TypeInfo::Builder("Flaky")
+                .method("boom", TypeKind::kVoid, {},
+                        [](ServiceObject&, List&) -> Value { throw Error("kaput"); })
+                .build());
+        flaky_ = runtime_.create("Flaky", "flaky");
+    }
+
+    std::shared_ptr<Aspect> counting_aspect(bool& admit) {
+        auto aspect = std::make_shared<Aspect>("counting");
+        aspect->before("call(* Motor.rotate(..))", [this](CallFrame&) { ++fired_; });
+        aspect->after("call(* Motor.rotate(..))", [this](CallFrame&) { ++fired_; });
+        aspect->after_throwing("call(* Flaky.boom(..))",
+                               [this](CallFrame&, std::exception_ptr) { ++fired_; });
+        aspect->on_field_set("fieldset(Motor.position)",
+                             [this](ServiceObject&, const rt::FieldDecl&, const Value&,
+                                    Value&) { ++fired_; });
+        aspect->on_field_get("fieldget(Motor.position)",
+                             [this](ServiceObject&, const rt::FieldDecl&, Value&) { ++fired_; });
+        aspect->set_guard({[&admit] { return admit; }, nullptr});
+        return aspect;
+    }
+
+    /// One rotate (before + field set + after), one field read, one
+    /// failing call (after-throwing): five advice executions.
+    void exercise() {
+        motor_->call("rotate", {Value{1.0}});
+        motor_->get("position");
+        EXPECT_THROW(flaky_->call("boom", {}), Error);
+    }
+
+    int fired_ = 0;
+    std::shared_ptr<ServiceObject> flaky_;
+};
+
+TEST_F(GuardTest, AdmitFalseSkipsEveryNonAroundAdviceKind) {
+    bool admit = false;
+    weaver_.weave(counting_aspect(admit));
+    exercise();
+    EXPECT_EQ(fired_, 0);
+    // The call itself still ran.
+    EXPECT_DOUBLE_EQ(motor_->peek("position").as_real(), 1.0);
+
+    admit = true;
+    exercise();
+    EXPECT_EQ(fired_, 5);
+}
+
+TEST_F(GuardTest, GatedAroundStillProceedsWithHandlerResult) {
+    bool admit = false;
+    int ran = 0;
+    auto aspect = std::make_shared<Aspect>("override");
+    aspect->around("call(* Motor.rotate(..))",
+                   [&](CallFrame&, const std::function<Value()>&) -> Value {
+                       ++ran;
+                       return Value{std::int64_t{99}};  // swallows the call
+                   });
+    aspect->set_guard({[&admit] { return admit; }, nullptr});
+    weaver_.weave(aspect);
+
+    EXPECT_EQ(motor_->call("rotate", {Value{5.0}}).as_int(), 10);
+    EXPECT_EQ(ran, 0);
+    EXPECT_DOUBLE_EQ(motor_->peek("position").as_real(), 5.0);
+
+    admit = true;
+    EXPECT_EQ(motor_->call("rotate", {Value{5.0}}).as_int(), 99);
+    EXPECT_EQ(ran, 1);
+    EXPECT_DOUBLE_EQ(motor_->peek("position").as_real(), 5.0);
+}
+
+TEST_F(GuardTest, OutcomeSeesSuccessAndFailureWhichPropagatesUnchanged) {
+    std::vector<std::string> outcomes;
+    auto aspect = std::make_shared<Aspect>("picky");
+    aspect->before("call(* Motor.rotate(..))", [](CallFrame& f) {
+        if (f.args[0].as_real() > 90.0) throw AccessDenied("rotation too large");
+    });
+    aspect->set_guard({nullptr, [&](const std::exception* e) {
+                           outcomes.push_back(e ? e->what() : "ok");
+                       }});
+    weaver_.weave(aspect);
+
+    motor_->call("rotate", {Value{45.0}});
+    try {
+        motor_->call("rotate", {Value{120.0}});
+        ADD_FAILURE() << "advice failure did not propagate";
+    } catch (const AccessDenied& e) {
+        EXPECT_STREQ(e.what(), "rotation too large");
+    }
+    EXPECT_EQ(outcomes, (std::vector<std::string>{"ok", "rotation too large"}));
+    EXPECT_DOUBLE_EQ(motor_->peek("position").as_real(), 45.0);
+}
+
+TEST_F(GuardTest, SuspendedGuardedAspectLeavesUnguardedAspectAlone) {
+    int guarded = 0, unguarded = 0;
+    auto suspended = std::make_shared<Aspect>("suspended");
+    suspended->before("call(* Motor.rotate(..))", [&](CallFrame&) { ++guarded; });
+    suspended->set_guard({[] { return false; }, nullptr});
+    auto plain = std::make_shared<Aspect>("plain");
+    plain->before("call(* Motor.rotate(..))", [&](CallFrame&) { ++unguarded; });
+    weaver_.weave(suspended);
+    weaver_.weave(plain);
+
+    motor_->call("rotate", {Value{1.0}});
+    motor_->call("rotate", {Value{1.0}});
+    EXPECT_EQ(guarded, 0);
+    EXPECT_EQ(unguarded, 2);
 }
 
 }  // namespace
