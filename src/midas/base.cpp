@@ -5,7 +5,6 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "crypto/sha256.h"
-#include "midas/cell.h"
 #include "obs/trace.h"
 #include "sim/failpoint.h"
 
@@ -14,17 +13,6 @@ namespace pmp::midas {
 using rt::Dict;
 using rt::List;
 using rt::Value;
-
-namespace {
-// Install retries back off exponentially instead of hammering every
-// keep-alive tick: the delay doubles from kInstallBackoff up to
-// kInstallBackoffMax, with ±kInstallBackoffJitter randomisation so a fleet
-// of bases recovering from the same partition doesn't retry in lock-step.
-constexpr Duration kInstallBackoff = milliseconds(200);
-constexpr Duration kInstallBackoffMax = seconds(10);
-constexpr double kInstallBackoffJitter = 0.2;
-constexpr std::uint64_t kBackoffSeed = 0x51ee7ULL;  ///< jitter rng stream
-}  // namespace
 
 ExtensionBase::ExtensionBase(rt::RpcEndpoint& rpc, disco::Registrar& registrar,
                              const crypto::KeyStore& keys, BaseConfig config,
@@ -36,8 +24,24 @@ ExtensionBase::ExtensionBase(rt::RpcEndpoint& rpc, disco::Registrar& registrar,
       config_(std::move(config)),
       journal_(std::move(journal)),
       hall_store_(hall_store),
-      backoff_rng_(kBackoffSeed),
       breaker_(rpc.router().simulator(), config_.issuer, config_.breaker),
+      // One keep-alive period per attempt, with transport retries: a lost
+      // install *ack* must surface and re-send well inside the lease the
+      // node already started counting down (the re-send lands as a refresh
+      // and re-arms it), or the node pays for our blindness with an
+      // expiration.
+      local_(
+          rpc, LeaseRoster::Owner{"midas.base", "issuer", config_.issuer},
+          rt::CallOptions{.timeout = config_.keepalive_period, .retries = 2},
+          [this](const std::string& hash) { return blob_of(hash); },
+          // Breaker open toward a node: the roster skips it this round —
+          // that is the point (stop hammering a drowning receiver). Skipped
+          // rounds do NOT count as keep-alive failures; only real silence
+          // may drop a node.
+          [this](std::uint64_t node) { return breaker_.allow(NodeId{node}); },
+          [this](std::uint64_t node, const std::string& name, int code, std::uint64_t ext) {
+              apply_status(NodeId{node}, name, code, ext);
+          }),
       obs_source_(obs::Registry::global().add_source([this](obs::Rows& rows) {
           const Stats& s = stats_;
           const std::string& l = config_.issuer;
@@ -69,6 +73,7 @@ ExtensionBase::ExtensionBase(rt::RpcEndpoint& rpc, disco::Registrar& registrar,
         journal_->append(BaseDurableState::rec_epoch(epoch_));
         compact_journal();
     }
+    local_.set_terms(epoch_, config_.extension_lease.count() / 1'000'000);
     if (hall_store_ &&
         (config_.hall_retention_records > 0 || config_.hall_retention_bytes > 0)) {
         hall_store_->set_retention(
@@ -109,7 +114,7 @@ void ExtensionBase::recover() {
             auto [pkg, sig] = ExtensionPackage::open(std::span<const std::uint8_t>(sealed));
             std::string hash = crypto::to_hex(crypto::Sha256::hash(
                 std::span<const std::uint8_t>(sealed)));
-            policy_[name] = Policy{std::move(pkg), sealed, std::move(hash)};
+            policy_[name] = Policy{std::move(pkg), sealed, std::move(hash), 0};
         } catch (const std::exception& e) {
             // CRC-valid but schema-invalid (should not happen): drop the
             // one policy rather than refuse to boot.
@@ -117,6 +122,7 @@ void ExtensionBase::recover() {
                      "recovered policy '", name, "' unreadable: ", e.what());
         }
     }
+    rerank();
     for (const auto& [label, entry] : st.book) {
         AdaptedNode an;
         an.node = NodeId{entry.node};
@@ -193,7 +199,7 @@ void ExtensionBase::add_extension(ExtensionPackage pkg) {
     if (pkg.version <= last) pkg.version = last + 1;
     last = pkg.version;
 
-    Policy policy{pkg, pkg.seal(keys_, config_.issuer), ""};
+    Policy policy{pkg, pkg.seal(keys_, config_.issuer), "", 0};
     policy.hash = crypto::to_hex(
         crypto::Sha256::hash(std::span<const std::uint8_t>(policy.sealed)));
     // A changed package means a changed hash: every attached cell must
@@ -202,6 +208,7 @@ void ExtensionBase::add_extension(ExtensionPackage pkg) {
         for (auto& [_, cs] : cells_) cs.relay_has.erase(old->second.hash);
     }
     policy_[pkg.name] = std::move(policy);
+    rerank();
     catchup_dirty_ = true;
     record("policy-add", "", pkg.name);
     // Journal after the mutation: a threshold-triggered compaction inside
@@ -210,18 +217,11 @@ void ExtensionBase::add_extension(ExtensionPackage pkg) {
                                              policy_.at(pkg.name).sealed));
     sim::FailPoints::hit(config_.issuer, "policy.recorded");
 
-    for (auto& [node, adapted] : adapted_) {
-        if (adapted.probation) continue;
-        if (cell_routed(adapted)) {
-            // The direct install path is bypassed for cell members. Drop
-            // the superseded extension id instead: the next frame's roster
-            // line reverts to an install of the new content hash and the
-            // relay replaces the package on the node.
-            adapted.installed.erase(pkg.name);
-            continue;
-        }
-        std::set<std::string> visiting;
-        install_on(node, pkg.name, visiting);
+    // The superseded extension id goes: every node's line reverts to an
+    // install of the new content hash, and the receiver replaces the
+    // package on version difference.
+    for (auto& [_, adapted] : adapted_) {
+        if (!adapted.probation) repush(adapted, pkg.name);
     }
 }
 
@@ -256,11 +256,13 @@ void ExtensionBase::remove_extension(const std::string& name) {
     auto it = policy_.find(name);
     if (it == policy_.end()) return;
     policy_.erase(it);
+    rerank();
     catchup_dirty_ = true;
     record("policy-remove", "", name);
     journal(BaseDurableState::rec_policy_remove(name));
 
     for (auto& [node, adapted] : adapted_) {
+        local_.del(node.value, name);
         auto ext_it = adapted.installed.find(name);
         if (ext_it == adapted.installed.end()) continue;
         std::uint64_t ext = ext_it->second;
@@ -285,15 +287,13 @@ std::vector<ExtensionBase::AdaptedNode> ExtensionBase::adapted() const {
 }
 
 void ExtensionBase::on_service(const disco::ServiceItem& item, bool appeared) {
-    const Value* label_v = item.attributes.find("node");
-    std::string label = label_v && label_v->is_str() ? label_v->as_str() : item.id.str();
-    const Value* cell_v = item.attributes.find("cell");
-    if (appeared) {
-        adapt_node(item.provider, label,
-                   cell_v && cell_v->is_str() ? cell_v->as_str() : "");
-    }
     // Disappearance needs no action: keep-alives to the node will start
     // failing and drop_node() takes over — the same path as a crash.
+    if (!appeared) return;
+    const Value* label_v = item.attributes.find("node");
+    const Value* cell_v = item.attributes.find("cell");
+    adapt_node(item.provider, label_v && label_v->is_str() ? label_v->as_str() : item.id.str(),
+               cell_v && cell_v->is_str() ? cell_v->as_str() : "");
 }
 
 void ExtensionBase::adapt_node(NodeId node, const std::string& label,
@@ -329,10 +329,11 @@ void ExtensionBase::adapt_node(NodeId node, const std::string& label,
         journal(BaseDurableState::rec_adapt(node.value, label, it->second.since));
         sim::FailPoints::hit(config_.issuer, "adapt.recorded");
     }
-    for (const auto& [name, _] : policy_) {
-        std::set<std::string> visiting;
-        install_on(node, name, visiting);
-    }
+    // Every (re)appearance pushes the whole policy, as on first contact:
+    // the node may have restarted or let its leases lapse while out of
+    // touch, and it takes a package it still runs as a refresh.
+    it->second.installed.clear();
+    push(it->second);
     if (on_adapt_) on_adapt_(it->second);
 }
 
@@ -340,13 +341,7 @@ bool ExtensionBase::release_node(const std::string& label) {
     for (auto it = adapted_.begin(); it != adapted_.end(); ++it) {
         if (it->second.label != label) continue;
         ++stats_.nodes_handed_off;
-        breaker_.forget(it->second.node);
-        cell_forget(it->second);
-        record("handoff", label, "");
-        log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer, "node ",
-                 label, " handed off to a neighbouring base");
-        adapted_.erase(it);
-        journal(BaseDurableState::rec_node_gone(label));
+        retire(it, "handoff", " handed off to a neighbouring base");
         return true;
     }
     return false;
@@ -379,251 +374,101 @@ std::optional<SimTime> ExtensionBase::claim_stamp_of(const std::string& label) c
     return std::nullopt;
 }
 
-void ExtensionBase::install_on(NodeId node, const std::string& name,
-                               std::set<std::string>& visiting) {
-    if (auto a = adapted_.find(node); a != adapted_.end() && cell_routed(a->second)) {
-        // Batched cell: the roster sync ships installs — the next frame's
-        // diff turns every missing (node, pkg) into a put op for the relay.
-        return;
-    }
-    auto policy_it = policy_.find(name);
-    if (policy_it == policy_.end()) {
-        log_warn(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
-                 "policy references unknown extension '", name, "'");
-        return;
-    }
-    if (!visiting.insert(name).second) return;  // dependency cycle guard
-
-    // Implicit prerequisites first (paper: adding access control
-    // automatically adds session management).
-    for (const std::string& implied : policy_it->second.pkg.implies) {
-        install_on(node, implied, visiting);
-    }
-
-    if (!breaker_.allow(node)) {
-        // Breaker open toward this node: keep the package off the air. The
-        // retry ledger re-arms for the next keep-alive tick, by which time
-        // the cool-down may have elapsed (allow() then grants the probe).
-        if (auto pre = adapted_.find(node); pre != adapted_.end()) {
-            RetryState& rs = pre->second.retry[name];
-            ++rs.attempts;
-            rs.next_at = rpc_.router().simulator().now() + config_.keepalive_period;
-        }
-        return;
-    }
-    ++stats_.installs_sent;
-    std::string label;
-    if (auto pre = adapted_.find(node); pre != adapted_.end()) {
-        pre->second.retry[name].in_flight = true;
-        label = pre->second.label;
-    }
-    // Version selection: cohort members of an active rollout get the canary
-    // package, everyone else the incumbent from the policy set.
-    const Bytes* payload = &policy_it->second.sealed;
-    std::uint32_t sent_version = policy_it->second.pkg.version;
-    bool canary_sent = false;
-    if (rollout_ && rollout_->selects_canary(name, label)) {
-        if (const Bytes* canary = rollout_->canary_sealed(name)) {
-            payload = canary;
-            sent_version = rollout_->canary_version(name);
-            canary_sent = true;
+void ExtensionBase::rerank() {
+    // Implicit prerequisites rank below what implies them (paper: adding
+    // access control automatically adds session management), so installs
+    // go out prerequisites first. Names outside the policy set do not
+    // count; one pass per policy settles any chain, and a cycle stops
+    // growing at that bound.
+    const int bound = static_cast<int>(policy_.size());
+    for (auto& [_, policy] : policy_) policy.rank = 0;
+    for (int pass = 0; pass < bound; ++pass) {
+        for (auto& [_, policy] : policy_) {
+            for (const std::string& implied : policy.pkg.implies) {
+                auto it = policy_.find(implied);
+                if (it == policy_.end()) continue;
+                policy.rank = std::max(policy.rank, std::min(it->second.rank + 1, bound));
+            }
         }
     }
-    std::uint64_t push_span = obs::TraceBuffer::global().begin_span(
-        "midas.base", "pkg.push", {{"issuer", config_.issuer}, {"pkg", name}});
-    // Everything this install causes — the rpc round-trip, the receiver's
-    // verify + weave, even the first advice dispatch on the far node —
-    // nests under the push span in one causal tree (ISSUE: the Fig 2
-    // install chain must reconstruct as a single trace across nodes).
-    obs::TraceBuffer::ContextScope push_scope(
-        obs::TraceBuffer::global(), obs::TraceBuffer::global().context_of(push_span));
-    std::int64_t lease_ms = config_.extension_lease.count() / 1'000'000;
-    // One keep-alive period per attempt, with transport retries: a lost
-    // install *ack* must surface and re-send well inside the lease the node
-    // already started counting down, or the node pays for our blindness
-    // with an expiration (the re-send lands as a refresh and re-arms it).
-    // The default 2s-one-shot call would eat the whole lease first.
-    rpc_.call_async(
-        node, "adaptation", "install",
-        {Value{*payload}, Value{lease_ms},
-         Value{static_cast<std::int64_t>(epoch_)}},
-        rt::CallOptions{.timeout = config_.keepalive_period, .retries = 2},
-        [this, node, name, push_span, label, sent_version, canary_sent](
-            Value result, std::exception_ptr error, bool transport) {
-            obs::TraceBuffer::global().end_span(push_span, {{"ok", error ? "false" : "true"}});
-            auto adapted_it = adapted_.find(node);
-            if (adapted_it == adapted_.end()) return;
-            RetryState& rs = adapted_it->second.retry[name];
-            rs.in_flight = false;
-            if (error) {
-                ++stats_.install_failures;
-                ++rs.attempts;
-                Duration backoff = install_backoff_for(rs.attempts);
-                bool overloaded = false;
-                bool quarantine_refusal = false;
-                try {
-                    std::rethrow_exception(error);
-                } catch (const Overloaded& e) {
-                    // The receiver is alive but shedding installs: honor
-                    // its retry-after hint if it is the later bound.
-                    overloaded = true;
-                    if (e.retry_after() > backoff) backoff = e.retry_after();
-                    log_warn(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
-                             "install of '", name, "' on ", adapted_it->second.label,
-                             " shed: ", e.what());
-                } catch (const std::exception& e) {
-                    quarantine_refusal = is_quarantine_refusal(e);
-                    log_warn(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
-                             "install of '", name, "' on ", adapted_it->second.label,
-                             " failed: ", e.what());
-                }
-                rs.next_at = rpc_.router().simulator().now() + backoff;
-                breaker_.on_failure(node, transport || overloaded);
-                if (canary_sent && rollout_) {
-                    // Health feed: only non-transport verdicts count — a
-                    // radio fault says nothing about the canary.
-                    rollout_->note_install_error(name, label, transport || overloaded,
-                                                 quarantine_refusal);
-                }
-                return;
-            }
-            breaker_.on_success(node);
-            adapted_it->second.retry.erase(name);
-            std::uint64_t ext =
-                static_cast<std::uint64_t>(result.as_dict().at("ext").as_int());
-            if (sent_version != wanted_version(name, label)) {
-                // What this node should run moved while the install was on
-                // the air (add_extension pushed a newer policy, a promotion
-                // widened the cohort, an abort shrank it). Leave the name
-                // uninstalled: the retry loop re-pushes the now-correct
-                // version and the receiver replaces on version difference.
-                return;
-            }
-            if (canary_sent) rollout_->note_install_ok(name, label);
-            adapted_it->second.installed[name] = ext;
-            record("install", adapted_it->second.label, name);
-            journal(BaseDurableState::rec_install(node.value, adapted_it->second.label,
-                                                  name, ext));
-            sim::FailPoints::hit(config_.issuer, "install.recorded");
-        });
-    // "After install sent, before activity recorded" — the canonical
-    // crash-point: the package is on the air, nothing is journaled yet.
-    sim::FailPoints::hit(config_.issuer, "install.sent");
 }
 
-std::uint32_t ExtensionBase::wanted_version(const std::string& name,
-                                            const std::string& label) const {
-    if (rollout_ && rollout_->selects_canary(name, label)) {
-        return rollout_->canary_version(name);
+const std::string& ExtensionBase::wanted_hash(const std::string& name, const Policy& policy,
+                                              const std::string& label) const {
+    if (rollout_->selects_canary(name, label)) {
+        if (const std::string* canary = rollout_->canary_hash(name)) return *canary;
     }
-    auto it = policy_.find(name);
-    return it == policy_.end() ? 0 : it->second.pkg.version;
+    return policy.hash;
 }
 
-Duration ExtensionBase::install_backoff_for(int attempts) {
-    Duration d = kInstallBackoff;
-    for (int i = 1; i < attempts && d < kInstallBackoffMax; ++i) d *= 2;
-    if (d > kInstallBackoffMax) d = kInstallBackoffMax;
-    double swing = (backoff_rng_.next_double() * 2.0 - 1.0) * kInstallBackoffJitter;
-    return Duration{static_cast<std::int64_t>(static_cast<double>(d.count()) * (1.0 + swing))};
+const Bytes* ExtensionBase::blob_of(const std::string& hash) const {
+    for (const auto& [_, policy] : policy_) {
+        if (policy.hash == hash) return &policy.sealed;
+    }
+    // Canary blobs live in the rollout controller, not the policy set,
+    // until the rollout completes.
+    return rollout_->sealed_for_hash(hash);
+}
+
+void ExtensionBase::sync_lines(const AdaptedNode& a) {
+    for (const auto& [name, policy] : policy_) {
+        auto iit = a.installed.find(name);
+        local_.put(a.node.value, name, iit == a.installed.end() ? 0 : iit->second,
+                   wanted_hash(name, policy, a.label), policy.rank);
+    }
+}
+
+void ExtensionBase::push(AdaptedNode& a) {
+    if (a.probation || cell_routed(a)) return;  // the next tick forgets its lines
+    sync_lines(a);
+    stats_.installs_sent += local_.push(a.node.value);
+}
+
+void ExtensionBase::repush(AdaptedNode& a, const std::string& name) {
+    a.installed.erase(name);
+    push(a);
+}
+
+void ExtensionBase::unquarantine(const AdaptedNode& a, const std::string& name,
+                                 std::int64_t version) {
+    if (!cell_routed(a)) {
+        local_.unquarantine(a.node.value, name, version);
+        return;
+    }
+    cells_.at(a.cell).unq_outbox.push_back(
+        CellUnq{0, Value{Dict{{"node", Value{static_cast<std::int64_t>(a.node.value)}},
+                              {"name", Value{name}},
+                              {"version", Value{version}}}}});
 }
 
 void ExtensionBase::keepalive_tick() {
-    std::int64_t lease_ms = config_.extension_lease.count() / 1'000'000;
-    SimTime now = rpc_.router().simulator().now();
     // Re-adopt orphans the registrar still vouches for. A radio burst can
     // eat enough keep-alives to drop a perfectly healthy node, and no new
     // appearance edge will ever fire for it while its service registration
     // stays continuously renewed — drop_node() would orphan it forever. A
     // live registration is positive evidence the node is up and in range,
     // so adoption is safe; a genuinely dead node stops renewing and falls
-    // out of lookup() within its registrar lease. for_each iterates the
-    // type index in place: the old lookup() built a vector of ServiceItems
-    // (attribute dicts and all) per tick — O(cell) allocations every
-    // period even when nothing changed.
+    // out of lookup() within its registrar lease.
     registrar_.for_each("midas.adaptation", [this](const disco::ServiceItem& item) {
-        if (adapted_.contains(item.provider)) return;
-        const Value* label_v = item.attributes.find("node");
-        const Value* cell_v = item.attributes.find("cell");
-        adapt_node(item.provider,
-                   label_v && label_v->is_str() ? label_v->as_str() : item.id.str(),
-                   cell_v && cell_v->is_str() ? cell_v->as_str() : "");
+        if (!adapted_.contains(item.provider)) on_service(item, true);
     });
-    for (auto& [node, adapted] : adapted_) {
-        // A probation entry is a journal-recovered node the federation has
-        // not yet confirmed: a neighbour may have adapted it while we were
-        // down, so no traffic until the claim settles.
-        if (adapted.probation) continue;
-        // Batched cells run below, one frame per cell — not per node.
-        if (cell_routed(adapted)) continue;
-        // Breaker open toward this node: skip the whole tick for it — that
-        // is the point (stop hammering a drowning receiver). Skipped ticks
-        // do NOT count as keep-alive failures; only real answers (or their
-        // absence) may drop a node.
-        if (!breaker_.allow(node)) continue;
-        // Retry policy extensions whose install never succeeded (the radio
-        // may have eaten the package or the reply) — but at most one
-        // attempt in flight per extension, and only once its backoff
-        // window has elapsed. Without the gate a dead link costs one
-        // install per tick, forever.
-        for (const auto& [name, _] : policy_) {
-            if (adapted.installed.contains(name)) continue;
-            auto rs = adapted.retry.find(name);
-            if (rs != adapted.retry.end() &&
-                (rs->second.in_flight || now < rs->second.next_at)) {
-                continue;
-            }
-            std::set<std::string> visiting;
-            install_on(node, name, visiting);
-        }
-        for (const auto& [name, ext] : adapted.installed) {
-            ++stats_.keepalives_sent;
-            NodeId node_id = node;
-            rpc_.call_async(
-                node, "adaptation", "keepalive",
-                {Value{static_cast<std::int64_t>(ext)}, Value{lease_ms},
-                 Value{static_cast<std::int64_t>(epoch_)}},
-                rt::CallOptions{.timeout = config_.keepalive_period},
-                [this, node_id, name](Value result, std::exception_ptr error,
-                                      bool transport) {
-                    auto it = adapted_.find(node_id);
-                    if (it == adapted_.end()) return;
-                    if (error) {
-                        ++stats_.keepalive_failures;
-                        bool overloaded = false;
-                        try {
-                            std::rethrow_exception(error);
-                        } catch (const Overloaded&) {
-                            overloaded = true;
-                        } catch (...) {
-                        }
-                        breaker_.on_failure(node_id, transport || overloaded);
-                        if (++it->second.failures > config_.max_keepalive_failures) {
-                            drop_node(node_id);
-                        }
-                        return;
-                    }
-                    breaker_.on_success(node_id);
-                    it->second.failures = 0;
-                    if (const std::int64_t* escalations = result.if_int()) {
-                        // Renewed, with governor escalations to report.
-                        if (rollout_) {
-                            rollout_->note_escalations(name, it->second.label, *escalations);
-                        }
-                    } else if (!result.as_bool()) {
-                        // Receiver no longer knows the extension (expired
-                        // there, restarted, or it detected our restart via
-                        // the epoch). Drop the stale id — keeping it would
-                        // re-enter this branch every tick and storm the
-                        // node with installs — and let the backoff-gated
-                        // retry loop re-install.
-                        it->second.installed.erase(name);
-                        std::set<std::string> visiting;
-                        install_on(node_id, name, visiting);
-                    }
-                });
+
+    // The in-process roster carries every adapted node not behind an
+    // attached cell. A probation entry is a journal-recovered node the
+    // federation has not yet confirmed: a neighbour may have adapted it
+    // while we were down, so no traffic until the claim settles.
+    for (auto& [node, a] : adapted_) {
+        if (a.probation || cell_routed(a)) {
+            local_.forget(node.value);
+        } else {
+            sync_lines(a);
         }
     }
+    LeaseRoster::Sent sent = local_.round();
+    stats_.installs_sent += sent.installs;
+    stats_.keepalives_sent += sent.keepalives;
+
+    // Batched cells: one frame per cell — not per node.
     for (auto& [cell, cs] : cells_) cell_tick(cell, cs);
 }
 
@@ -643,7 +488,7 @@ void ExtensionBase::attach_cell(const std::string& cell, NodeId relay) {
 void ExtensionBase::detach_cell(const std::string& cell) {
     if (cells_.erase(cell) == 0) return;
     log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer, "cell '",
-             cell, "' detached; members fall back to direct keep-alives");
+             cell, "' detached; members move to the base's own roster");
 }
 
 const ExtensionBase::CellStats& ExtensionBase::cell_stats(const std::string& cell) const {
@@ -652,17 +497,6 @@ const ExtensionBase::CellStats& ExtensionBase::cell_stats(const std::string& cel
     return it == cells_.end() ? kNone : it->second.stats;
 }
 
-std::string ExtensionBase::policy_hash(const std::string& name) const {
-    auto it = policy_.find(name);
-    return it == policy_.end() ? std::string{} : it->second.hash;
-}
-
-void ExtensionBase::cell_forget(const AdaptedNode& a) {
-    if (a.cell.empty()) return;
-    if (auto it = cells_.find(a.cell); it != cells_.end()) {
-        it->second.members.erase(a.node);
-    }
-}
 
 void ExtensionBase::cell_tick(const std::string& cell, CellState& cs) {
     // At most one frame in flight: the call timeout equals the keep-alive
@@ -688,21 +522,11 @@ void ExtensionBase::cell_tick(const std::string& cell, CellState& cs) {
             pause.push_back(Value{static_cast<std::int64_t>(node.value)});
         }
         for (const auto& [name, policy] : policy_) {
-            // Version selection mirrors the direct path: cohort members of
-            // an active rollout are rostered on the canary's content hash.
-            const std::string* hash = &policy.hash;
-            if (rollout_ && rollout_->selects_canary(name, a.label)) {
-                if (const std::string* canary = rollout_->canary_hash(name)) {
-                    hash = canary;
-                }
-            }
             auto iit = a.installed.find(name);
-            if (iit != a.installed.end()) {
-                desired[{node.value, name}] = RosterEntry{iit->second, *hash};
-                ++stats_.keepalives_sent;
-            } else {
-                desired[{node.value, name}] = RosterEntry{0, *hash};
-            }
+            std::uint64_t ext = iit == a.installed.end() ? 0 : iit->second;
+            if (ext != 0) ++stats_.keepalives_sent;
+            desired[{node.value, name}] =
+                RosterEntry{ext, wanted_hash(name, policy, a.label), policy.rank};
         }
     }
 
@@ -713,23 +537,18 @@ void ExtensionBase::cell_tick(const std::string& cell, CellState& cs) {
     for (const auto& [key, entry] : desired) {
         auto sit = cs.synced.find(key);
         if (sit != cs.synced.end() && sit->second == entry) continue;
-        ops.push_back(Value{Dict{{"op", Value{"put"}},
-                                 {"node", Value{static_cast<std::int64_t>(key.first)}},
-                                 {"name", Value{key.second}},
-                                 {"ext", Value{static_cast<std::int64_t>(entry.ext)}},
-                                 {"hash", Value{entry.hash}}}});
+        Dict op{{"op", Value{"put"}},
+                {"node", Value{static_cast<std::int64_t>(key.first)}},
+                {"name", Value{key.second}},
+                {"ext", Value{static_cast<std::int64_t>(entry.ext)}},
+                {"hash", Value{entry.hash}}};
+        // Only a policy with prerequisites carries its rank, so frames of
+        // a policy set without `implies` stay as they were.
+        if (entry.rank != 0) op.set("rank", Value{static_cast<std::int64_t>(entry.rank)});
+        ops.push_back(Value{std::move(op)});
         if (entry.ext == 0 && !cs.relay_has.contains(entry.hash) &&
             !blobs.contains(entry.hash)) {
-            const Bytes* blob = nullptr;
-            for (const auto& [_, policy] : policy_) {
-                if (policy.hash != entry.hash) continue;
-                blob = &policy.sealed;
-                break;
-            }
-            // Canary blobs live in the rollout controller, not the policy
-            // set, until the rollout completes.
-            if (!blob && rollout_) blob = rollout_->sealed_for_hash(entry.hash);
-            if (blob) {
+            if (const Bytes* blob = blob_of(entry.hash)) {
                 blobs.set(entry.hash, Value{*blob});
                 blob_hashes.push_back(entry.hash);
             }
@@ -779,7 +598,7 @@ void ExtensionBase::cell_tick(const std::string& cell, CellState& cs) {
                 // Relay link trouble tells us nothing about individual
                 // members, so no node's failure ledger moves. A relay
                 // that stays dark past the usual threshold costs the cell
-                // its batching: detach, fall back to direct keep-alives.
+                // its batching: detach, its members move to our own roster.
                 if (++cs.failures > config_.max_keepalive_failures) {
                     log_warn(rpc_.router().simulator().now(),
                              "midas.base@" + config_.issuer, "cell '", cell,
@@ -811,10 +630,7 @@ void ExtensionBase::process_cell_reply(const std::string& cell, std::uint64_t se
         std::size_t i = 0;
         for (const auto& [key, _] : cs.synced) {
             if (i / 8 < bits.size() && (bits[i / 8] >> (i % 8)) & 1) {
-                if (auto ait = adapted_.find(NodeId{key.first}); ait != adapted_.end()) {
-                    ait->second.failures = 0;
-                    breaker_.on_success(ait->second.node);
-                }
+                apply_status(NodeId{key.first}, key.second, cellproto::kRenewed, 0);
             }
             ++i;
         }
@@ -831,7 +647,6 @@ void ExtensionBase::process_cell_reply(const std::string& cell, std::uint64_t se
         if (id > high) high = id;
         if (id <= seen0) continue;
         ++cs.stats.statuses;
-        NodeId node{static_cast<std::uint64_t>(s.at("node").as_int())};
         const std::string& name = s.at("name").as_str();
         int code = static_cast<int>(s.at("code").as_int());
         if (code == cellproto::kNeedBlob) {
@@ -841,83 +656,17 @@ void ExtensionBase::process_cell_reply(const std::string& cell, std::uint64_t se
             // entry carrying the hash, forcing the next frame to re-emit
             // their puts with the blob attached. Pending must be scrubbed
             // too: step 4 below promotes it to synced on this very reply.
-            std::string hash = policy_hash(name);
+            auto pit = policy_.find(name);
+            std::string hash = pit == policy_.end() ? "" : pit->second.hash;
             cs.relay_has.erase(hash);
             auto lost = [&hash](const auto& e) { return e.second.hash == hash; };
             std::erase_if(cs.synced, lost);
             std::erase_if(cs.pending, lost);
             continue;
         }
-        auto ait = adapted_.find(node);
-        if (ait == adapted_.end()) continue;
-        AdaptedNode& a = ait->second;
-        switch (code) {
-            case cellproto::kInstalled: {
-                std::uint64_t ext = static_cast<std::uint64_t>(s.at("ext").as_int());
-                a.failures = 0;
-                breaker_.on_success(node);
-                // Statuses carry no hash, but the roster line we sent does:
-                // compare what rode the frame against what the node should
-                // run *now* — a rollout promote/abort may have raced it.
-                const RosterEntry* sent = nullptr;
-                if (auto pit = cs.pending.find({node.value, name});
-                    pit != cs.pending.end()) {
-                    sent = &pit->second;
-                } else if (auto syit = cs.synced.find({node.value, name});
-                           syit != cs.synced.end()) {
-                    sent = &syit->second;
-                }
-                if (rollout_ && sent) {
-                    bool wants = rollout_->selects_canary(name, a.label);
-                    const std::string* canary =
-                        wants ? rollout_->canary_hash(name) : nullptr;
-                    std::string want = canary ? *canary : policy_hash(name);
-                    if (!want.empty() && sent->hash != want) {
-                        // Wrong version landed: leave the name uninstalled
-                        // so the next frame re-puts the right hash and the
-                        // relay replaces the package on the node.
-                        break;
-                    }
-                    if (wants) rollout_->note_install_ok(name, a.label);
-                }
-                a.installed[name] = ext;
-                ++stats_.installs_sent;
-                record("install", a.label, name);
-                journal(BaseDurableState::rec_install(node.value, a.label, name, ext));
-                break;
-            }
-            case cellproto::kRefused:
-                // The receiver answered — it is alive — but no longer
-                // honors the extension (lapsed there, or it spotted our
-                // epoch change). Same cure as the direct path: drop the
-                // stale id; the next frame re-installs.
-                a.failures = 0;
-                breaker_.on_success(node);
-                a.installed.erase(name);
-                break;
-            case cellproto::kTransportFail:
-            case cellproto::kShed:
-            case cellproto::kError:
-            case cellproto::kQuarantined: {
-                ++stats_.keepalive_failures;
-                const bool transport =
-                    code == cellproto::kTransportFail || code == cellproto::kShed;
-                breaker_.on_failure(node, transport);
-                // kError and kQuarantined relay a non-transport install
-                // verdict — the only cell statuses that judge the package.
-                if (!transport && rollout_ && rollout_->selects_canary(name, a.label)) {
-                    rollout_->note_install_error(name, a.label, false,
-                                                 code == cellproto::kQuarantined);
-                }
-                if (++a.failures > config_.max_keepalive_failures) drop_node(node);
-                break;
-            }
-            case cellproto::kEscalated:
-                if (rollout_) rollout_->note_escalations(name, a.label, s.at("ext").as_int());
-                break;
-            default:
-                break;
-        }
+        if (code == cellproto::kInstalled) ++stats_.installs_sent;
+        apply_status(NodeId{static_cast<std::uint64_t>(s.at("node").as_int())}, name, code,
+                     static_cast<std::uint64_t>(s.at("ext").as_int()));
     }
 
     // 3. Joins reported by the relay's registrar watch. adapt_node is
@@ -931,36 +680,102 @@ void ExtensionBase::process_cell_reply(const std::string& cell, std::uint64_t se
         adapt_node(NodeId{static_cast<std::uint64_t>(j.at("node").as_int())},
                    j.at("label").as_str(), cell);
     }
-    // adapt_node may mutate cells_ (it never erases, but re-find for form).
-    cit = cells_.find(cell);
-    if (cit == cells_.end()) return;
-    CellState& cs2 = cit->second;
-    cs2.record_seen = high;
+    // Nothing above erases cells_, so `cs` is still this cell's state.
+    cs.record_seen = high;
 
     // 4. Roster acknowledgement.
     if (r.at("resync").as_bool()) {
-        ++cs2.stats.resyncs;
-        cs2.synced.clear();
-        cs2.acked_seq = 0;  // next frame is a full roster (delta from empty)
-        cs2.pending_blobs.clear();
+        ++cs.stats.resyncs;
+        cs.synced.clear();
+        cs.acked_seq = 0;  // next frame is a full roster (delta from empty)
+        cs.pending_blobs.clear();
         // A relay that outlived a detach/re-attach keeps its applied_seq_
         // while our fresh CellState restarts at seq=0; without adopting
         // the relay's high-water mark every frame would be refused as
         // stale until seq catches up — one resync round per old frame,
         // with no fan-out the whole time.
         std::uint64_t applied = static_cast<std::uint64_t>(r.at("applied").as_int());
-        if (applied > cs2.seq) cs2.seq = applied;
+        if (applied > cs.seq) cs.seq = applied;
     } else {
-        cs2.synced = std::move(cs2.pending);
-        cs2.acked_seq = sent_seq;
-        cs2.stats.blobs_sent += cs2.pending_blobs.size();
-        for (std::string& h : cs2.pending_blobs) cs2.relay_has.insert(std::move(h));
-        cs2.pending_blobs.clear();
+        cs.synced = std::move(cs.pending);
+        cs.acked_seq = sent_seq;
+        cs.stats.blobs_sent += cs.pending_blobs.size();
+        for (std::string& h : cs.pending_blobs) cs.relay_has.insert(std::move(h));
+        cs.pending_blobs.clear();
         // Amnesties delivered by the acked frame are done; entries queued
         // after it went out (seq 0 or newer) ride the next one.
-        std::erase_if(cs2.unq_outbox, [sent_seq](const CellUnq& u) {
+        std::erase_if(cs.unq_outbox, [sent_seq](const CellUnq& u) {
             return u.seq != 0 && u.seq <= sent_seq;
         });
+    }
+}
+
+const std::string* ExtensionBase::cell_line_hash(const AdaptedNode& a,
+                                                 const std::string& name) const {
+    if (!cell_routed(a)) return nullptr;
+    const CellState& cs = cells_.at(a.cell);
+    if (auto it = cs.pending.find({a.node.value, name}); it != cs.pending.end()) {
+        return &it->second.hash;
+    }
+    auto it = cs.synced.find({a.node.value, name});
+    return it == cs.synced.end() ? nullptr : &it->second.hash;
+}
+
+void ExtensionBase::apply_status(NodeId node, const std::string& name, int code,
+                                 std::uint64_t ext) {
+    auto ait = adapted_.find(node);
+    if (ait == adapted_.end()) return;
+    AdaptedNode& a = ait->second;
+    // Only silence counts toward a drop: a node that answers at all — even
+    // with a refusal, an error or a shed — is alive and in range.
+    if (code == cellproto::kTransportFail || code == cellproto::kShed) {
+        ++stats_.keepalive_failures;
+        breaker_.on_failure(node, true);
+        if (code == cellproto::kShed) {
+            a.failures = 0;
+        } else if (++a.failures > config_.max_keepalive_failures) {
+            drop_node(node);
+        }
+        return;
+    }
+    a.failures = 0;
+    if (code == cellproto::kError || code == cellproto::kQuarantined) {
+        // A non-transport verdict on the package — the only outcomes that
+        // judge it, so the rollout's health gate hears them.
+        ++stats_.install_failures;
+        breaker_.on_failure(node, false);
+        log_warn(rpc_.router().simulator().now(), "midas.base@" + config_.issuer,
+                 "install of '", name, "' on ", a.label,
+                 code == cellproto::kQuarantined ? " refused: quarantined" : " failed");
+        if (rollout_->selects_canary(name, a.label)) {
+            rollout_->note_install_error(name, a.label, code == cellproto::kQuarantined);
+        }
+        return;
+    }
+    breaker_.on_success(node);
+    if (code == cellproto::kEscalated) {
+        rollout_->note_escalations(name, a.label, static_cast<std::int64_t>(ext));
+    } else if (code == cellproto::kRefused) {
+        // The receiver no longer honors the extension (lapsed there, or it
+        // spotted our epoch change). Drop the stale id, which would be
+        // refused every round, and re-install.
+        repush(a, name);
+    } else if (code == cellproto::kInstalled) {
+        // Compare the content the cell roster line carried with what the
+        // node should run *now*: a replacement or a rollout promote or
+        // abort may have raced the install. On a mismatch the name stays
+        // uninstalled and the roster re-installs the right hash. (The
+        // in-process roster drops replies for superseded content itself.)
+        auto pit = policy_.find(name);
+        const std::string* sent = cell_line_hash(a, name);
+        if (pit == policy_.end() || (sent && *sent != wanted_hash(name, pit->second, a.label))) {
+            return;
+        }
+        if (rollout_->selects_canary(name, a.label)) rollout_->note_install_ok(name, a.label);
+        a.installed[name] = ext;
+        record("install", a.label, name);
+        journal(BaseDurableState::rec_install(node.value, a.label, name, ext));
+        sim::FailPoints::hit(config_.issuer, "install.recorded");
     }
 }
 
@@ -968,12 +783,20 @@ void ExtensionBase::drop_node(NodeId node) {
     auto it = adapted_.find(node);
     if (it == adapted_.end()) return;
     ++stats_.nodes_dropped;
-    breaker_.forget(node);
-    cell_forget(it->second);
-    std::string label = it->second.label;
-    record("node-gone", label, "");
-    log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer, "node ",
-             label, " left; stopping keep-alives");
+    retire(it, "node-gone", " left; stopping keep-alives");
+}
+
+void ExtensionBase::retire(std::map<NodeId, AdaptedNode>::iterator it, const char* event,
+                           const char* why) {
+    const std::string label = it->second.label;
+    breaker_.forget(it->first);
+    local_.forget(it->first.value);
+    if (auto cit = cells_.find(it->second.cell); cit != cells_.end()) {
+        cit->second.members.erase(it->first);
+    }
+    record(event, label, "");
+    log_info(rpc_.router().simulator().now(), "midas.base@" + config_.issuer, "node ", label,
+             why);
     adapted_.erase(it);
     journal(BaseDurableState::rec_node_gone(label));
 }

@@ -15,11 +15,11 @@
 // symmetric mode).
 #pragma once
 
-#include "common/rng.h"
 #include "crypto/trust.h"
 #include "db/journal.h"
 #include "db/store.h"
 #include "disco/registrar.h"
+#include "midas/cell.h"
 #include "midas/durable.h"
 #include "midas/package.h"
 #include "midas/rollout.h"
@@ -105,26 +105,15 @@ public:
 
     std::vector<std::string> policy_names() const;
 
-    /// Per-(node, extension) install retry ledger. `in_flight` gates a
-    /// second send while one is outstanding (the rpc timeout is longer
-    /// than the keep-alive period); `next_at` is the earliest moment the
-    /// keep-alive loop may retry after a failure.
-    struct RetryState {
-        int attempts = 0;
-        SimTime next_at{};
-        bool in_flight = false;
-    };
-
     struct AdaptedNode {
         NodeId node;
         std::string label;
         std::map<std::string, std::uint64_t> installed;  // pkg name -> remote ext id
-        std::map<std::string, RetryState> retry;
-        int failures = 0;
+        int failures = 0;  ///< consecutive unanswered calls (only silence drops)
         SimTime since;
         bool recovered = false;  ///< restored from the journal, not yet re-seen
         bool probation = false;  ///< federation claim pending; no traffic yet
-        std::string cell;        ///< batched-lease cell, "" = direct path
+        std::string cell;        ///< batched-lease cell, "" = the base's own roster
     };
     std::size_t adapted_count() const { return adapted_.size(); }
     std::vector<AdaptedNode> adapted() const;
@@ -142,10 +131,10 @@ public:
     /// The base's counters, exported as `midas.base.*{issuer}` next to the
     /// `adapted_nodes` and `epoch` gauges read off live state.
     struct Stats {
-        std::uint64_t installs_sent = 0;
-        std::uint64_t install_failures = 0;
-        std::uint64_t keepalives_sent = 0;
-        std::uint64_t keepalive_failures = 0;  ///< call errors (timeout/unreachable)
+        std::uint64_t installs_sent = 0;       ///< in-process sends + cell-confirmed
+        std::uint64_t install_failures = 0;    ///< non-transport error replies
+        std::uint64_t keepalives_sent = 0;     ///< in-process sends + cell-framed lines
+        std::uint64_t keepalive_failures = 0;  ///< calls lost (timeout/unreachable) or shed
         std::uint64_t nodes_dropped = 0;    ///< via keep-alive failure
         std::uint64_t nodes_handed_off = 0; ///< via federation claim
         std::uint64_t recoveries = 0;       ///< journal recoveries of a prior life
@@ -166,12 +155,12 @@ public:
     /// Batched lease protocol (see midas/cell.h and docs/federation.md).
     /// After attach_cell, nodes whose adaptation advertisement carries
     /// attrs["cell"] == `cell` — plus any member the relay reports — are
-    /// kept alive through ONE delta-encoded frame per period sent to the
-    /// CellRelay at `relay`, instead of per-(node, extension) RPCs. All
-    /// bookkeeping (adapted_, failure ledgers, epoch, breakers) behaves
-    /// exactly as on the direct path. If the relay stops answering for
-    /// more than max_keepalive_failures periods the cell detaches itself
-    /// and its nodes fall back to direct keep-alives.
+    /// kept alive by the LeaseRoster of the CellRelay at `relay`, fed ONE
+    /// delta-encoded frame per period, instead of by the base's own
+    /// in-process roster. Outcomes from both go through one handler. If
+    /// the relay stops answering for more than max_keepalive_failures
+    /// periods the cell detaches itself and its nodes move back onto the
+    /// base's roster.
     void attach_cell(const std::string& cell, NodeId relay);
     void detach_cell(const std::string& cell);
 
@@ -226,6 +215,7 @@ private:
         ExtensionPackage pkg;
         Bytes sealed;      // cached signed bytes
         std::string hash;  // SHA-256 of sealed (content-hash policy sync)
+        int rank = 0;      // install order: 1 + the rank of what it implies
     };
 
     /// One (node, pkg) line of a cell roster as the base wants the relay
@@ -233,6 +223,7 @@ private:
     struct RosterEntry {
         std::uint64_t ext = 0;
         std::string hash;
+        int rank = 0;
         bool operator==(const RosterEntry&) const = default;
     };
     using RosterKey = std::pair<std::uint64_t, std::string>;
@@ -264,20 +255,36 @@ private:
     bool cell_routed(const AdaptedNode& a) const {
         return !a.cell.empty() && cells_.contains(a.cell);
     }
-    void cell_forget(const AdaptedNode& a);
     void cell_tick(const std::string& cell, CellState& cs);
     void process_cell_reply(const std::string& cell, std::uint64_t sent_seq,
                             const rt::Value& reply);
-    std::string policy_hash(const std::string& name) const;
-    /// Install `name` (prerequisites first) on an adapted node.
-    void install_on(NodeId node, const std::string& name,
-                    std::set<std::string>& visiting);
-    /// The version of `name` node `label` should run right now: the canary
-    /// for cohort members of an active rollout, else the policy's.
-    std::uint32_t wanted_version(const std::string& name, const std::string& label) const;
+    /// The one outcome path: a cellproto code for one (node, extension)
+    /// line, from the in-process roster or a cell reply.
+    void apply_status(NodeId node, const std::string& name, int code, std::uint64_t ext);
+    /// Content hash `label` should run for `policy` now: an active canary's
+    /// for its cohort, else the policy's.
+    const std::string& wanted_hash(const std::string& name, const Policy& policy,
+                                   const std::string& label) const;
+    /// The hash on the cell roster line the base last sent for (a, name);
+    /// nullptr off a cell or without a line.
+    const std::string* cell_line_hash(const AdaptedNode& a, const std::string& name) const;
+    const Bytes* blob_of(const std::string& hash) const;  ///< policy or active canary
+    void rerank();  ///< recompute every Policy::rank
+    /// Put `a`'s lines on the in-process roster as the base wants them now
+    /// (no allocation once the lines exist: it runs per node per tick).
+    void sync_lines(const AdaptedNode& a);
+    /// Sync `a`'s lines and send its missing installs now (cell members
+    /// wait for their cell's next frame).
+    void push(AdaptedNode& a);
+    /// Forget `a`'s id for `name` and push: the roster re-installs the
+    /// version `a` should run now.
+    void repush(AdaptedNode& a, const std::string& name);
+    /// Rollback amnesty: lift `a`'s quarantine of (name, version).
+    void unquarantine(const AdaptedNode& a, const std::string& name, std::int64_t version);
     void keepalive_tick();
-    Duration install_backoff_for(int attempts);
     void drop_node(NodeId node);
+    /// Forget a dropped or handed-off node: rosters, breaker, book, journal.
+    void retire(std::map<NodeId, AdaptedNode>::iterator it, const char* event, const char* why);
     void record(const std::string& event, const std::string& node_label,
                 const std::string& extension);
     /// Recover journaled state (epoch bump, policy set, book, hall events).
@@ -308,8 +315,8 @@ private:
     Stats stats_;
 
     std::unique_ptr<RolloutController> rollout_;
-    Rng backoff_rng_;
     rt::CircuitBreaker breaker_;
+    LeaseRoster local_;  ///< in-process engine: nodes not behind an attached cell
     std::uint64_t watch_token_ = 0;
     sim::TimerId keepalive_timer_;
     std::function<void(const AdaptedNode&)> on_adapt_;

@@ -57,8 +57,8 @@ struct ExtensionPackage {
 };
 
 /// A receiver refusing a quarantined (name, version) says so with this
-/// phrase; installers on the far side of the rpc boundary (the base's
-/// direct path, a cell relay) recognise the refusal by it.
+/// phrase; the installer on the far side of the rpc boundary (the lease
+/// engine, midas/cell.h) recognises the refusal by it.
 inline constexpr std::string_view kQuarantineRefusal = "is quarantined on this node";
 
 inline bool is_quarantine_refusal(const std::exception& e) {

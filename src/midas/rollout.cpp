@@ -339,12 +339,6 @@ std::size_t RolloutController::confirmed_in_cohort(const Rollout& r) const {
     return n;
 }
 
-const Bytes* RolloutController::canary_sealed(const std::string& name) const {
-    auto it = rollouts_.find(name);
-    if (it == rollouts_.end() || it->second.status != Status::kActive) return nullptr;
-    return &it->second.sealed;
-}
-
 const Bytes* RolloutController::sealed_for_hash(const std::string& hash) const {
     for (const auto& [_, r] : rollouts_) {
         if (r.status == Status::kActive && r.hash == hash) return &r.sealed;
@@ -358,11 +352,6 @@ const std::string* RolloutController::canary_hash(const std::string& name) const
     return &it->second.hash;
 }
 
-std::uint32_t RolloutController::canary_version(const std::string& name) const {
-    auto it = rollouts_.find(name);
-    return it == rollouts_.end() ? 0 : it->second.pkg.version;
-}
-
 // -------------------------------------------------------- health intake ----
 
 void RolloutController::note_install_ok(const std::string& name,
@@ -374,13 +363,10 @@ void RolloutController::note_install_ok(const std::string& name,
 }
 
 void RolloutController::note_install_error(const std::string& name,
-                                           const std::string& label, bool transport,
+                                           const std::string& label,
                                            bool quarantine_refusal) {
     auto it = rollouts_.find(name);
     if (it == rollouts_.end() || it->second.status != Status::kActive) return;
-    // Transport trouble (timeouts, out of range, shedding) says nothing
-    // about the package — radio faults must not abort a healthy rollout.
-    if (transport) return;
     // A quarantine refusal is terminal evidence: this node's receiver ran
     // the canary, watched it fail, and quarantined it. Counted once per
     // node however often the base's retries bounce off it.
@@ -489,20 +475,15 @@ void RolloutController::tick() {
 }
 
 void RolloutController::push_canary_to_cohort(Rollout& r, std::size_t from_stage) {
-    // Erasing the install bookkeeping is the push: the direct retry loop
-    // (or the next cell frame's roster diff) re-installs the name, and
-    // install selection picks the canary for cohort members. Done only for
-    // *newly covered* nodes on promotion, so each node is upgraded once.
-    for (auto& [node, a] : base_.adapted_) {
+    // Re-pushing is the upgrade: the node's roster line re-installs the
+    // name, and version selection picks the canary for cohort members.
+    // Done only for *newly covered* nodes on promotion, so each node is
+    // upgraded once.
+    for (auto& [_, a] : base_.adapted_) {
         if (a.probation) continue;
         if (!in_cohort(r, r.stage, a.label)) continue;
         if (from_stage != kNoStage && in_cohort(r, from_stage, a.label)) continue;
-        a.installed.erase(r.name);
-        a.retry.erase(r.name);
-        if (!base_.cell_routed(a)) {
-            std::set<std::string> visiting;
-            base_.install_on(node, r.name, visiting);
-        }
+        base_.repush(a, r.name);
     }
 }
 
@@ -547,7 +528,8 @@ void RolloutController::complete(Rollout& r) {
 
     // The canary graduates: it becomes the policy (and with it the catch-up
     // image, which served the pinned incumbent the whole rollout).
-    base_.policy_[r.name] = ExtensionBase::Policy{r.pkg, r.sealed, r.hash};
+    base_.policy_[r.name] = ExtensionBase::Policy{r.pkg, r.sealed, r.hash, 0};
+    base_.rerank();
     base_.catchup_dirty_ = true;
     base_.record("rollout-complete", "", r.name);
     // Journal order matters: the policy-add makes the canary the durable
@@ -563,17 +545,9 @@ void RolloutController::complete(Rollout& r) {
              "rollout of '", r.name, "' v", r.pkg.version, " complete");
 
     // Stragglers that never confirmed the canary (the completion quota is a
-    // fraction, not everyone): drop their bookkeeping so the normal install
-    // machinery brings them to the new policy version.
-    for (auto& [node, a] : base_.adapted_) {
-        if (a.probation || r.upgraded.contains(a.label)) continue;
-        if (!a.installed.contains(r.name) && !a.retry.contains(r.name)) continue;
-        a.installed.erase(r.name);
-        a.retry.erase(r.name);
-        if (!base_.cell_routed(a)) {
-            std::set<std::string> visiting;
-            base_.install_on(node, r.name, visiting);
-        }
+    // fraction, not everyone): re-push them onto the new policy version.
+    for (auto& [_, a] : base_.adapted_) {
+        if (!a.probation && !r.upgraded.contains(a.label)) base_.repush(a, r.name);
     }
 }
 
@@ -595,40 +569,17 @@ void RolloutController::abort(Rollout& r, const std::string& cause) {
              r.stage, ": ", cause, "; rolling back to v", r.incumbent_version);
 
     // Roll the cohort back to the incumbent. policy_ still holds it (the
-    // rollout never touched the policy set), so erasing the canary's
-    // bookkeeping makes the normal machinery re-push the incumbent — the
-    // receiver replaces on version difference. The unquarantine is the
-    // scoped amnesty: a node that once quarantined the incumbent's exact
-    // version (and was then upgraded) must accept it back, or rollback
-    // would strand it with nothing.
+    // rollout never touched the policy set), so re-pushing the name installs
+    // the incumbent — the receiver replaces on version difference. The
+    // unquarantine goes first and is the scoped amnesty: a node that once
+    // quarantined the incumbent's exact version (and was then upgraded)
+    // must accept it back, or rollback would strand it with nothing.
     std::int64_t incumbent = static_cast<std::int64_t>(r.incumbent_version);
-    for (auto& [node, a] : base_.adapted_) {
+    for (auto& [_, a] : base_.adapted_) {
         if (a.probation || !in_cohort(r, r.stage, a.label)) continue;
-        a.installed.erase(r.name);
-        a.retry.erase(r.name);
         ++stats_.rollback_installs;
-        if (base_.cell_routed(a)) {
-            if (auto cit = base_.cells_.find(a.cell); cit != base_.cells_.end()) {
-                cit->second.unq_outbox.push_back(ExtensionBase::CellUnq{
-                    0, Value{Dict{{"node", Value{static_cast<std::int64_t>(node.value)}},
-                                  {"name", Value{r.name}},
-                                  {"version", Value{incumbent}}}}});
-            }
-        } else {
-            base_.rpc_.call_async(
-                node, "adaptation", "unquarantine",
-                {Value{r.name}, Value{incumbent},
-                 Value{static_cast<std::int64_t>(base_.epoch_)}},
-                rt::CallOptions{.timeout = base_.config_.keepalive_period, .retries = 2},
-                [](Value, std::exception_ptr, bool) {
-                    // Best effort: a node that never quarantined the
-                    // incumbent answers false, a dark node misses the
-                    // amnesty and keeps refusing — both are visible as
-                    // install refusals and heal when the radio does.
-                });
-            std::set<std::string> visiting;
-            base_.install_on(node, r.name, visiting);
-        }
+        base_.unquarantine(a, r.name, incumbent);
+        base_.repush(a, r.name);
     }
 }
 

@@ -17,11 +17,10 @@
 //
 // A breached gate rolls the fleet back automatically: the base kept the
 // incumbent pinned in its policy set (the catch-up image therefore served
-// the incumbent the whole time), so rollback is erasing the canary's
-// install bookkeeping — the normal retry/cell-roster machinery re-pushes
-// the incumbent, which the receiver accepts as a replacement — plus a
-// scoped unquarantine so a node that once quarantined the incumbent's
-// exact version takes it back. Every decision (begin / stage / abort /
+// the incumbent the whole time), so rollback is re-pushing the name —
+// the node's lease roster installs the incumbent, which the receiver
+// accepts as a replacement — plus a scoped unquarantine so a node that
+// once quarantined the incumbent's exact version takes it back. Every decision (begin / stage / abort /
 // complete) is journaled, so a restarted base resumes a half-finished
 // rollout at the journaled stage rather than restarting at 0% or
 // completing it blindly.
@@ -171,18 +170,16 @@ private:
                std::uint32_t incumbent_version);
     void adopt(const BaseDurableState::RolloutEntry& entry);  ///< crash resume
     void snapshot_into(BaseDurableState& st) const;
-    /// Sealed canary bytes for `name`, or nullptr when inactive.
-    const Bytes* canary_sealed(const std::string& name) const;
-    /// Sealed bytes for a canary content hash (cell blob lookup).
+    /// Sealed bytes for an active canary's content hash (blob lookup).
     const Bytes* sealed_for_hash(const std::string& hash) const;
     const std::string* canary_hash(const std::string& name) const;
-    std::uint32_t canary_version(const std::string& name) const;
-    /// Health evidence from the base's direct and cell paths: install
-    /// outcomes, and governor escalations a cohort node's keep-alive reply
-    /// reported.
+    /// Health evidence from the base's lease outcomes: install outcomes,
+    /// and governor escalations a cohort node's keep-alive reply reported.
+    /// Only non-transport install errors arrive here: a radio fault says
+    /// nothing about the package and must not abort a healthy rollout.
     void note_install_ok(const std::string& name, const std::string& label);
     void note_install_error(const std::string& name, const std::string& label,
-                            bool transport, bool quarantine_refusal);
+                            bool quarantine_refusal);
     void note_escalations(const std::string& name, const std::string& label,
                           std::int64_t count);
 

@@ -11,6 +11,7 @@
 #include <set>
 
 #include "common/hash.h"
+#include "crypto/sha256.h"
 #include "disco/shard.h"
 #include "midas/node.h"
 #include "net/fault.h"
@@ -456,8 +457,9 @@ struct CellWorld {
     std::unique_ptr<CellStation> anchor;
     std::vector<std::unique_ptr<MobileNode>> nodes;
 
-    explicit CellWorld(std::uint64_t seed, int n, BaseConfig bc = make_config())
-        : net(sim, net::NetworkConfig{}, seed) {
+    explicit CellWorld(std::uint64_t seed, int n, BaseConfig bc = make_config(),
+                       net::NetworkConfig nc = {})
+        : net(sim, std::move(nc), seed) {
         hub = std::make_unique<BaseStation>(net, "hub", net::Position{0, 0}, 120.0, bc);
         hub->keys().add_key("hub", to_bytes("hk"));
         anchor = std::make_unique<CellStation>(net, "cell-east",
@@ -785,6 +787,152 @@ TEST(CellBatch, StaleFrameLeavesRelayEpochAndLeaseUntouched) {
     w.sim.run_for(seconds(3));
     EXPECT_TRUE(w.converged());
     EXPECT_EQ(w.expirations(), 0u);
+}
+
+TEST(CellBatch, InstallsGoOutPrerequisitesFirst) {
+    // "hub/access" implies "hub/session" (paper: adding access control
+    // adds session management) but sorts before it by name. The relay must
+    // send the prerequisite first. A jitter-free radio and two packages of
+    // equal sealed size make the order installs arrive in the order they
+    // were sent.
+    net::NetworkConfig still;
+    still.jitter = Duration{0};
+    CellWorld w(909, 4, CellWorld::make_config(), still);
+    ASSERT_TRUE(w.run_until([&] { return w.converged(); }));
+
+    std::map<std::string, std::vector<std::string>> order;  // node -> installs
+    for (auto& n : w.nodes) {
+        n->receiver().on_event([&order, label = n->label()](
+                                   const std::string& event, const AdaptationService::Installed& e) {
+            if (event == "install") order[label].push_back(e.name);
+        });
+    }
+    ExtensionPackage session = policy_pkg("hub/session");
+    ExtensionPackage access = policy_pkg("hub/access");
+    access.implies = {"hub/session"};
+    while (session.seal(w.hub->keys(), "hub").size() < access.seal(w.hub->keys(), "hub").size()) {
+        session.script += " ";
+    }
+    ASSERT_EQ(session.seal(w.hub->keys(), "hub").size(),
+              access.seal(w.hub->keys(), "hub").size());
+    w.hub->base().add_extension(access);
+    w.hub->base().add_extension(session);
+
+    ASSERT_TRUE(w.run_until([&] {
+        return std::all_of(w.nodes.begin(), w.nodes.end(),
+                           [](auto& n) { return n->receiver().installed_count() == 3; });
+    }));
+    for (auto& n : w.nodes) {
+        EXPECT_EQ(order[n->label()], (std::vector<std::string>{"hub/session", "hub/access"}))
+            << n->label();
+    }
+}
+
+TEST(CellBatch, ReplacementRacingAnInFlightInstallIsInstalled) {
+    // A scripted base drives a real relay: frame 1 puts v1 of a package for
+    // the member, frame 2 puts v2 while v1's install is still on the air.
+    // v1's reply lands on a line that names v2 by then: the relay must
+    // ignore it and install v2. The regression took v1's extension id for
+    // the line, so the base's hash check passed and the relay renewed v1
+    // forever.
+    sim::Simulator sim;
+    net::Network net(sim, net::NetworkConfig{}, 919);
+    NodeStack hub(net, "hub", net::Position{0, 0}, 200.0);
+    CellStation anchor(net, "cell-x", net::Position{50, 0}, 200.0);
+    MobileNode member(net, "m0", net::Position{60, 0}, 200.0);
+    crypto::KeyStore keys;
+    keys.add_key("hub", to_bytes("hk"));
+    member.trust().trust("hub", to_bytes("hk"));
+
+    auto sealed = [&keys](std::uint32_t version, const std::string& body) {
+        ExtensionPackage pkg = policy_pkg("hub/policy", body);
+        pkg.version = version;
+        return pkg.seal(keys, "hub");
+    };
+    auto hash_of = [](const Bytes& blob) {
+        return crypto::to_hex(crypto::Sha256::hash(std::span<const std::uint8_t>(blob)));
+    };
+    const Bytes v1 = sealed(1, "fun onEntry() { }");
+    const Bytes v2 = sealed(2, "fun onEntry() { let y = 1; }");
+
+    std::int64_t seq = 0;
+    std::int64_t ack = 0;
+    std::vector<std::int64_t> installed_exts;  // kInstalled records, in order
+    auto send = [&](rt::List ops, rt::Dict blobs) {
+        ++seq;
+        rt::Dict frame{{"seq", Value{seq}},
+                       {"base", Value{seq - 1}},
+                       {"epoch", Value{std::int64_t{1}}},
+                       {"lease_ms", Value{std::int64_t{2000}}},
+                       {"ack", Value{ack}},
+                       {"pause", Value{rt::List{}}},
+                       {"ops", Value{std::move(ops)}},
+                       {"blobs", Value{std::move(blobs)}}};
+        hub.rpc().call_async(anchor.id(), "midas.cell", "batch", {Value{std::move(frame)}},
+                             [&](Value reply, std::exception_ptr error) {
+                                 ASSERT_FALSE(error);
+                                 for (const Value& sv : reply.as_dict().at("statuses").as_list()) {
+                                     const rt::Dict& st = sv.as_dict();
+                                     if (st.at("id").as_int() <= ack) continue;
+                                     ack = st.at("id").as_int();
+                                     if (st.at("code").as_int() == cellproto::kInstalled) {
+                                         installed_exts.push_back(st.at("ext").as_int());
+                                     }
+                                 }
+                             });
+    };
+    auto put = [&member](const std::string& hash) {
+        return Value{rt::Dict{{"op", Value{"put"}},
+                              {"node", Value{static_cast<std::int64_t>(member.id().value)}},
+                              {"name", Value{"hub/policy"}},
+                              {"ext", Value{std::int64_t{0}}},
+                              {"hash", Value{hash}}}};
+    };
+    sim.run_for(milliseconds(100));
+    send(rt::List{put(hash_of(v1))}, rt::Dict{{hash_of(v1), Value{v1}}});
+    sim.run_for(milliseconds(1));
+    send(rt::List{put(hash_of(v2))}, rt::Dict{{hash_of(v2), Value{v2}}});
+    // Steady state: empty frames, one per period, acking the records.
+    for (int i = 0; i < 10; ++i) {
+        sim.run_for(milliseconds(800));
+        send(rt::List{}, rt::Dict{});
+    }
+    sim.run_for(milliseconds(100));
+
+    ASSERT_EQ(member.receiver().installed_count(), 1u);
+    const auto installed = member.receiver().installed();
+    EXPECT_EQ(installed[0].version, 2u);
+    EXPECT_EQ(member.receiver().stats().expirations, 0u);
+    // One install reported, and it is v2's.
+    ASSERT_EQ(installed_exts.size(), 1u);
+    EXPECT_EQ(static_cast<std::uint64_t>(installed_exts[0]), installed[0].id.value);
+}
+
+TEST(CellBatch, MemberThatRefusesAPackageStaysInTheBook) {
+    // Only silence drops a node. A member whose receiver refuses the
+    // cell's only package (it grants the issuer no "net" capability)
+    // answers every install with an error: alive, in range, and still in
+    // the base's book. The regression counted each refusal toward the
+    // drop, and the relay never re-reports a member whose registration
+    // stays live, so the member was lost for good.
+    CellWorld w(929, 3);
+    w.hub->base().remove_extension("hub/policy");
+    ExtensionPackage net_pkg = policy_pkg("hub/net");
+    net_pkg.capabilities = {"net"};
+    w.hub->base().add_extension(net_pkg);
+    for (std::size_t i = 1; i < w.nodes.size(); ++i) {
+        w.nodes[i]->receiver().allow_capabilities("hub", {"net"});
+    }
+
+    w.sim.run_for(seconds(30));
+    EXPECT_EQ(w.hub->base().stats().nodes_dropped, 0u);
+    EXPECT_EQ(w.hub->base().adapted_count(), w.nodes.size());
+    EXPECT_GE(w.hub->base().stats().install_failures, 2u);
+    EXPECT_EQ(w.nodes[0]->receiver().installed_count(), 0u);
+    for (std::size_t i = 1; i < w.nodes.size(); ++i) {
+        EXPECT_EQ(w.nodes[i]->receiver().installed_count(), 1u) << w.nodes[i]->label();
+        EXPECT_EQ(w.nodes[i]->receiver().stats().expirations, 0u) << w.nodes[i]->label();
+    }
 }
 
 // -------------------------------------------------- batched-frame chaos ----

@@ -654,6 +654,47 @@ TEST(StormScale, HundredThousandNodeReinstallStormDrainsThroughTheGate) {
     EXPECT_EQ(hub.base().stats().nodes_dropped, 0u);
 }
 
+TEST(DropRule, ShedKeepAlivesNeverDropAnAnsweringNode) {
+    // Only silence drops a node. A robot whose admission gate sheds every
+    // call still answers each keep-alive (with Overloaded): the base's
+    // breaker backs off, but the robot stays in the book and is leased
+    // again once its gate opens. The regression counted sheds toward
+    // max_keepalive_failures and dropped the robot.
+    sim::Simulator sim;
+    net::Network net(sim, net::NetworkConfig{}, 61);
+    midas::BaseConfig bc;
+    bc.issuer = "hall";
+    midas::BaseStation hall(net, "hall", net::Position{0, 0}, 100.0, bc);
+    hall.keys().add_key("hall", to_bytes("k"));
+    MobileNode robot(net, "robot", net::Position{10, 0}, 100.0);
+    robot.trust().trust("hall", to_bytes("k"));
+    ExtensionPackage pkg;
+    pkg.name = "hall/noop";
+    pkg.script = "fun onEntry() { }";
+    pkg.bindings = {PackageBinding{prose::AdviceKind::kBefore, "call(* Motor.*(..))", "onEntry", 0}};
+    hall.base().add_extension(pkg);
+    auto run_until = [&](const std::function<bool()>& pred, Duration timeout) {
+        SimTime deadline = sim.now() + timeout;
+        while (sim.now() < deadline && !pred()) sim.run_until(sim.now() + milliseconds(100));
+        return pred();
+    };
+    ASSERT_TRUE(run_until([&] { return robot.receiver().installed_count() == 1; }, seconds(10)));
+
+    net::AdmissionConfig shut;
+    shut.rate_per_sec = 0.001;
+    shut.burst = 1.0;
+    shut.queue_cap = {0, 0, 0};
+    robot.router().admission().set_config(shut);
+    sim.run_for(seconds(6));
+    EXPECT_GT(hall.base().stats().keepalive_failures, 2u);  // the sheds reached the base
+    EXPECT_EQ(hall.base().stats().nodes_dropped, 0u);
+    EXPECT_EQ(hall.base().adapted_count(), 1u);
+
+    robot.router().admission().set_config(net::AdmissionConfig{});
+    EXPECT_TRUE(run_until([&] { return robot.receiver().installed_count() == 1; }, seconds(20)));
+    EXPECT_EQ(hall.base().stats().nodes_dropped, 0u);
+}
+
 TEST(LogStorm, ZeroDisablesSuppression) {
     std::vector<std::string> lines;
     Log::set_sink([&](LogLevel, const std::string& line) { lines.push_back(line); });

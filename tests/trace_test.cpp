@@ -418,6 +418,74 @@ TEST(InstallChain, ReconstructsAsOneTreeSpanningBothNodes) {
     }
 }
 
+TEST(InstallChain, CellInstallTracesAsOneTreeFromTheBatchFrame) {
+    // The base reaches a cell member only through the relay: the base's
+    // `batch` call, the relay serving it, the relay's push span for the
+    // install, and the member's verify and weave must form one tree.
+    EnabledGuard guard;
+    obs::set_enabled(true);
+    obs::TraceBuffer::global().clear();
+    obs::FlightRecorder::global().clear();
+    sim::Simulator sim;
+    net::Network net(sim, net::NetworkConfig{}, 43);
+    BaseConfig bc;
+    bc.issuer = "hub";
+    BaseStation hub(net, "hub", net::Position{0, 0}, 120.0, bc);
+    hub.keys().add_key("hub", to_bytes("k"));
+    CellStation anchor(net, "cell-east", net::Position{100, 0}, 120.0);
+    ReceiverConfig rc;
+    rc.cell = "cell-east";
+    MobileNode robot(net, "robot", net::Position{140, 0}, 60.0, rc);
+    robot.trust().trust("hub", to_bytes("k"));
+    hub.base().attach_cell("cell-east", anchor.id());
+    hub.base().add_extension(motor_monitor_pkg());
+    SimTime deadline = sim.now() + seconds(20);
+    while (sim.now() < deadline && robot.receiver().installed_count() == 0) {
+        sim.run_until(sim.now() + milliseconds(100));
+    }
+    ASSERT_EQ(robot.receiver().installed_count(), 1u);
+
+    auto trees = obs::build_trace_trees(obs::TraceBuffer::global().events());
+    const obs::TraceTree* install_tree = nullptr;
+    for (const auto& tree : trees) {
+        for (const auto& span : tree.spans) {
+            if (span.name == "pkg.push" && span.component == "midas.cell") install_tree = &tree;
+        }
+    }
+    ASSERT_NE(install_tree, nullptr) << "no midas.cell pkg.push span traced";
+    const auto& spans = install_tree->spans;
+    auto parent_of = [&spans](const obs::SpanNode& s) -> const obs::SpanNode* {
+        auto it = std::find_if(spans.begin(), spans.end(),
+                               [&](const obs::SpanNode& p) { return p.span == s.parent; });
+        return it == spans.end() ? nullptr : &*it;
+    };
+
+    std::set<std::string> span_names;
+    std::set<std::string> components;
+    for (const auto& span : spans) {
+        span_names.insert(span.name);
+        components.insert(span.component);
+    }
+    EXPECT_TRUE(span_names.contains("pkg.verify"));
+    EXPECT_TRUE(span_names.contains("weave"));
+    EXPECT_TRUE(components.contains("midas.receiver"));
+
+    // pkg.push <- rpc.serve(batch) on the relay <- rpc.call(batch) on the base.
+    for (const auto& span : spans) {
+        if (span.name != "pkg.push") continue;
+        EXPECT_TRUE(has_kv(span.kv, "cell", "cell-east"));
+        const obs::SpanNode* serve = parent_of(span);
+        ASSERT_NE(serve, nullptr);
+        EXPECT_EQ(serve->name, "rpc.serve");
+        EXPECT_TRUE(has_kv(serve->kv, "method", "batch"));
+        const obs::SpanNode* call = parent_of(*serve);
+        ASSERT_NE(call, nullptr);
+        EXPECT_EQ(call->name, "rpc.call");
+        EXPECT_TRUE(has_kv(call->kv, "method", "batch"));
+        EXPECT_EQ(call->parent, 0u);  // the frame roots the tree
+    }
+}
+
 TEST(InstallChain, SeedReplayYieldsByteIdenticalTrees) {
     EnabledGuard guard;
     obs::set_enabled(true);
