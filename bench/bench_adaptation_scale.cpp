@@ -114,7 +114,7 @@ struct Traffic {
 /// they are excluded from BOTH arms so the comparison is pure control
 /// plane (this is conservative: it favours the un-batched baseline, whose
 /// flat discovery scope broadcasts to the whole fleet).
-bool control_plane(const net::Message& m) { return m.kind.rfind("disco.", 0) != 0; }
+bool control_plane(const net::Message& m) { return !m.kind.starts_with("disco."); }
 
 struct FleetNumbers {
     bool converged = false;

@@ -14,20 +14,42 @@
 // with the obs flag off (compiled-in-but-idle — the configuration of the
 // hooks-on column above, so the idle flag check is already inside E3's
 // small tax) against the flag on (counters counting).
+// The last section prices the per-message constant of the control plane:
+// a span on a warm trace ring, an rpc-shaped span, and one rpc control
+// round-trip between two nodes (host ns and heap allocations per call).
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 
 #include "smoke.h"
 
 #include "core/weaver.h"
 #include "net/admission.h"
+#include "net/router.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rt/rpc.h"
 #include "sim/simulator.h"
 #include "specmini/suite.h"
+
+// Heap allocations made through operator new, for the per-call allocation
+// rows. Counting is one relaxed increment, invisible next to malloc.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+    throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -301,7 +323,79 @@ int main(int argc, char** argv) {
         printf("\nspan begin+end on a warm ring: %.0f ns/op (a weave costs ~µs, an rpc\n"
                "round-trip ~ms of simulated time — span bookkeeping is noise there)\n",
                span_ns);
+
+        // The span every rpc records: run-time object and method names as
+        // kv, an outcome at the end.
+        const std::string object = "adaptation";
+        const std::string method = "keepalive";
+        const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+        t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < ops; ++i) {
+            std::uint64_t s = tb.begin_span("rt.rpc", "rpc.call",
+                                            {{"obj", object}, {"method", method}});
+            tb.end_span(s, {{"outcome", "ok"}});
+        }
+        t1 = std::chrono::steady_clock::now();
+        const double rpc_span_ns =
+            std::chrono::duration<double, std::nano>(t1 - t0).count() / ops;
+        const double rpc_span_allocs =
+            static_cast<double>(g_allocs.load(std::memory_order_relaxed) - allocs0) / ops;
+        printf("rpc-shaped span (obj/method kv, outcome at end): %.0f ns/op, "
+               "%.2f heap allocations/op\n",
+               rpc_span_ns, rpc_span_allocs);
         tb.clear();
+    }
+
+    // One control-plane rpc round-trip on a two-node radio: encode, send,
+    // deliver, admit, dispatch, reply, decode, both spans. Simulated time
+    // advances; the row reports host time and heap allocations per call.
+    {
+        sim::Simulator sim;
+        net::NetworkConfig radio;
+        radio.obs_label = "bench.rpc";
+        net::Network net(sim, radio, 1);
+        NodeId caller = net.add_node("caller", {0, 0}, 50);
+        NodeId callee = net.add_node("callee", {1, 0}, 50);
+        net::MessageRouter caller_router(net, caller);
+        net::MessageRouter callee_router(net, callee);
+        rt::Runtime caller_rt("caller");
+        rt::Runtime callee_rt("callee");
+        rt::RpcEndpoint caller_rpc(caller_router, caller_rt);
+        rt::RpcEndpoint callee_rpc(callee_router, callee_rt);
+        callee_rt.register_type(
+            rt::TypeInfo::Builder("Lease")
+                .method("keepalive", rt::TypeKind::kBool,
+                        {{"ext", rt::TypeKind::kStr}, {"ttl_ms", rt::TypeKind::kInt}},
+                        [](rt::ServiceObject&, rt::List&) -> rt::Value { return rt::Value{true}; })
+                .build());
+        callee_rt.create("Lease", "adaptation");
+        callee_rpc.export_object("adaptation");
+        caller_rpc.exempt_from_filters("adaptation");
+        callee_rpc.exempt_from_filters("adaptation");
+
+        const int calls = kRepeats == 1 ? 2'000 : 200'000;
+        int answered = 0;
+        auto one_call = [&] {
+            caller_rpc.call_async(callee, "adaptation", "keepalive",
+                                  rt::List{rt::Value{"hall/monitor"}, rt::Value{2000}},
+                                  [&answered](rt::Value r, std::exception_ptr e) {
+                                      if (!e && r.as_bool()) ++answered;
+                                  });
+            sim.run();
+        };
+        for (int i = 0; i < 1000; ++i) one_call();  // warm the rings and caches
+        answered = 0;
+        const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+        auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < calls; ++i) one_call();
+        auto t1 = std::chrono::steady_clock::now();
+        const double call_ns = std::chrono::duration<double, std::nano>(t1 - t0).count() / calls;
+        const double call_allocs =
+            static_cast<double>(g_allocs.load(std::memory_order_relaxed) - allocs0) / calls;
+        printf("rpc control round-trip: %.0f ns/call, %.1f heap allocations/call "
+               "(%d/%d answered)\n",
+               call_ns, call_allocs, answered, calls);
+        obs::TraceBuffer::global().clear();
     }
 
     obs::set_enabled(true);

@@ -168,15 +168,18 @@ bool Weaver::withdraw(AspectId id, WithdrawReason reason) {
     // those are touched (a member may appear once per matching binding —
     // remove_hooks clears all of an owner's hooks, later visits no-op).
     plan_.note_withdraw();
-    obs::KeyValues end_kv;
+    std::string shutdown_error;
+    bool shutdown_failed = false;
     try {
         it->second->aspect->notify_withdraw(reason);
     } catch (const std::exception& e) {
         // Shutdown cannot block withdrawal: a failing handler forfeits its
         // last words, and the advice comes off regardless.
-        end_kv.emplace_back("shutdown_error", e.what());
+        shutdown_failed = true;
+        shutdown_error = e.what();
     } catch (...) {
-        end_kv.emplace_back("shutdown_error", "non-standard exception");
+        shutdown_failed = true;
+        shutdown_error = "non-standard exception";
     }
     for (rt::Method* method : it->second->hooked_methods) method->remove_hooks(id.value);
     for (rt::Field* field : it->second->hooked_fields) field->remove_hooks(id.value);
@@ -189,7 +192,9 @@ bool Weaver::withdraw(AspectId id, WithdrawReason reason) {
     reg.histogram("weaver.withdraw_ns").observe(elapsed_ns(t0));
     reg.counter("weaver.withdrawals").inc();
     reg.gauge("weaver.woven").set(static_cast<std::int64_t>(woven_.size()));
-    obs::TraceBuffer::global().end_span(span, std::move(end_kv));
+    const obs::Kv end_kv{"shutdown_error", shutdown_error};
+    obs::TraceBuffer::global().end_span(
+        span, std::span<const obs::Kv>(&end_kv, shutdown_failed ? 1 : 0));
     return true;
 }
 

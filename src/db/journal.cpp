@@ -19,17 +19,30 @@ constexpr std::array<std::uint8_t, 4> kBatchMagic = {0xB5, 'G', 'C', '1'};
 // After the magic: [u32 record count][per record: u32 length][encoding]...
 constexpr std::size_t kBatchHeader = kBatchMagic.size() + 4;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-    std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables for the reflected CRC-32 (polynomial 0xEDB88320):
+// kCrc[0] is the classic byte table; kCrc[k][b] is the CRC of byte b
+// followed by k zero bytes, so eight input bytes fold in with eight
+// independent lookups instead of a chain of eight.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k) {
             c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
         }
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < 8; ++k) {
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+        }
+    }
+    return t;
 }
+
+constexpr CrcTables kCrc = make_crc_tables();
 
 void append_frame(Bytes& out, std::span<const std::uint8_t> payload) {
     append_u32(out, static_cast<std::uint32_t>(payload.size()));
@@ -136,11 +149,18 @@ std::optional<rt::Value> read_snapshot_field(std::span<const std::uint8_t> field
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-    static const std::array<std::uint32_t, 256> table = make_crc_table();
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::uint8_t b : data) {
-        c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+    const std::uint8_t* p = data.data();
+    std::size_t n = data.size();
+    // Eight bytes per step, assembled little-endian byte by byte (no
+    // unaligned or host-order loads); the tail goes a byte at a time.
+    for (; n >= 8; p += 8, n -= 8) {
+        const std::uint32_t lo = c ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+                                      std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
+        c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^ kCrc[5][(lo >> 16) & 0xFFu] ^
+            kCrc[4][lo >> 24] ^ kCrc[3][p[4]] ^ kCrc[2][p[5]] ^ kCrc[1][p[6]] ^ kCrc[0][p[7]];
     }
+    for (; n > 0; ++p, --n) c = kCrc[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 

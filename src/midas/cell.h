@@ -53,6 +53,7 @@
 
 #include "disco/registrar.h"
 #include "obs/metrics.h"
+#include "obs/symbol.h"
 
 namespace pmp::midas {
 
@@ -97,7 +98,7 @@ public:
     /// Names the `pkg.push` span (component, one attribute `key`=`label`)
     /// and the failpoint node of "install.sent".
     struct Owner {
-        std::string component;
+        Symbol component;
         std::string key;
         std::string label;
     };

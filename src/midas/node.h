@@ -25,8 +25,11 @@ class NodeStack {
 public:
     /// `disco_config` tunes the node's discovery client. Large fleets
     /// stretch `probe_period`: a probe is a broadcast, and ten thousand
-    /// nodes probing twice a second is a control-plane storm all by itself
-    /// (registrar beacons keep liveness fresh without it).
+    /// nodes probing twice a second is a control-plane storm all by itself.
+    /// Beacons refresh a registrar's last-seen time, but the client only
+    /// sweeps for silent registrars on the probe timer, so a stretched
+    /// probe also stretches how long a registrar out of contact is still
+    /// listed (and re-registered with; see ROADMAP).
     NodeStack(net::Network& network, const std::string& label, net::Position pos,
               double range, disco::DiscoveryConfig disco_config = {});
 

@@ -47,7 +47,7 @@ void ShardMesh::detach(std::size_t shard) {
 }
 
 bool ShardMesh::send(std::size_t src_shard, std::size_t dst_shard, const std::string& from_name,
-                     const std::string& to_name, const std::string& kind, Bytes payload) {
+                     const std::string& to_name, Symbol kind, Bytes payload) {
     // The sender's ambient context (its shard buffer's, when called from a
     // window) rides the frame — id namespaces are disjoint per shard, so
     // carrying it into another shard's buffer cannot collide.

@@ -58,7 +58,7 @@ public:
     /// backbone dropped the frame at send time (delivery-time failures —
     /// unknown name, crashed node — count on the destination network).
     bool send(std::size_t src_shard, std::size_t dst_shard, const std::string& from_name,
-              const std::string& to_name, const std::string& kind, Bytes payload);
+              const std::string& to_name, Symbol kind, Bytes payload);
 
     std::uint64_t sent() const {
         std::lock_guard<std::mutex> lock(mu_);

@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <array>
 #include <atomic>
 #include <cmath>
 
@@ -199,10 +200,9 @@ Duration Network::transit_time(const Message& msg) {
     return config_.base_latency + size_cost + jitter;
 }
 
-void Network::schedule_delivery(const Message& msg, std::uint64_t to_epoch,
-                                Duration extra_delay) {
+void Network::schedule_delivery(Message msg, std::uint64_t to_epoch, Duration delay) {
     if (auto* receiver = find(msg.to)) ++receiver->in_flight;
-    sim_.schedule_after(transit_time(msg) + extra_delay, [this, msg, to_epoch]() {
+    sim_.schedule_after(delay, [this, msg = std::move(msg), to_epoch]() {
         auto it = nodes_.find(msg.to);
         if (it == nodes_.end()) {
             ++stats_.dropped_out_of_range;
@@ -248,7 +248,7 @@ void Network::schedule_delivery(const Message& msg, std::uint64_t to_epoch,
     });
 }
 
-bool Network::send(const Message& msg) {
+bool Network::send(Message msg) {
     ++stats_.sent;
     const auto* receiver = find(msg.to);
     if (!receiver || !in_contact(msg.from, msg.to)) {
@@ -281,24 +281,33 @@ bool Network::send(const Message& msg) {
         if (verdict.reordered) ++stats_.fault_reordered;
         if (extra_delay.count() > 0) ++stats_.fault_delayed;
     }
-    schedule_delivery(msg, receiver->epoch, extra_delay);
+    // Draw every copy's transit time first, in the order the copies are
+    // scheduled (the jitter stream is part of a seed's replay), so that
+    // the last copy can take the message by move.
+    std::array<Duration, 3> delays;
+    std::size_t copies = 0;
+    delays[copies++] = transit_time(msg) + extra_delay;
     if (fault_duplicate) {
         ++stats_.fault_duplicated;
-        schedule_delivery(msg, receiver->epoch, extra_delay);
+        delays[copies++] = transit_time(msg) + extra_delay;
     }
     if (config_.duplicate_probability > 0 && rng_.chance(config_.duplicate_probability)) {
         ++stats_.duplicated;
-        schedule_delivery(msg, receiver->epoch);
+        delays[copies++] = transit_time(msg);
     }
+    const std::uint64_t epoch = receiver->epoch;
+    for (std::size_t i = 0; i + 1 < copies; ++i) schedule_delivery(msg, epoch, delays[i]);
+    schedule_delivery(std::move(msg), epoch, delays[copies - 1]);
     return true;
 }
 
-std::size_t Network::broadcast(NodeId from, const std::string& kind, Bytes payload) {
+std::size_t Network::broadcast(NodeId from, Symbol kind, Bytes payload) {
     std::size_t scheduled = 0;
-    for (NodeId neighbor : neighbors(from)) {
-        Message copy{from, neighbor, kind, payload};
-        copy.trace = obs::TraceBuffer::global().current();
-        if (send(copy)) ++scheduled;
+    const obs::TraceContext ctx = obs::TraceBuffer::global().current();
+    std::vector<NodeId> targets = neighbors(from);
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+        Bytes body = i + 1 == targets.size() ? std::move(payload) : payload;
+        if (send(Message{from, targets[i], kind, std::move(body), ctx})) ++scheduled;
     }
     return scheduled;
 }

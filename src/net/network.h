@@ -37,12 +37,12 @@ struct Position {
     bool operator==(const Position&) const = default;
 };
 
-/// One datagram. `kind` is the protocol discriminator (e.g. "disco.request",
-/// "midas.install"); `payload` is the protocol-specific encoding.
+/// One datagram. `kind` is the protocol discriminator (e.g. "disco.probe",
+/// "rpc.call"), interned; `payload` is the protocol-specific encoding.
 struct Message {
     NodeId from;
     NodeId to;
-    std::string kind;
+    Symbol kind;
     Bytes payload;
     /// Causal context riding the datagram (a real radio would put a few
     /// bytes of it in a header). The router stamps the sender's ambient
@@ -54,6 +54,7 @@ struct Message {
     obs::TraceContext trace;
 
     /// Approximate on-air size, used for the per-byte latency component.
+    /// The kind is charged at its text length, as if spelled on the air.
     std::size_t wire_size() const { return kind.size() + payload.size() + 16; }
 };
 
@@ -145,12 +146,13 @@ public:
 
     /// Unicast. Checks contact at send time and again at delivery time (the
     /// receiver may have moved away mid-flight). Returns false if dropped at
-    /// send time.
-    bool send(const Message& msg);
+    /// send time. The message moves into its delivery; only a duplicated
+    /// frame copies it.
+    bool send(Message msg);
 
     /// Broadcast to every node currently in contact with the sender.
     /// Returns the number of deliveries scheduled.
-    std::size_t broadcast(NodeId from, const std::string& kind, Bytes payload);
+    std::size_t broadcast(NodeId from, Symbol kind, Bytes payload);
 
     /// Local ingress for frames that arrive from outside this radio — the
     /// cross-shard backbone (net::ShardMesh) terminates here. Runs the tap
@@ -188,8 +190,7 @@ private:
         std::uint64_t in_flight = 0;  // deliveries scheduled to this node
     };
 
-    void schedule_delivery(const Message& msg, std::uint64_t to_epoch,
-                           Duration extra_delay = Duration{0});
+    void schedule_delivery(Message msg, std::uint64_t to_epoch, Duration delay);
     /// Erase a tombstoned node once its in-flight deliveries have drained.
     void compact(NodeId id);
     Duration transit_time(const Message& msg);

@@ -1,5 +1,7 @@
 #include "net/router.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -11,34 +13,44 @@ MessageRouter::MessageRouter(Network& network, NodeId self)
     network_.set_handler(self_, [this](const Message& msg) { dispatch(msg); });
 }
 
-void MessageRouter::route(const std::string& kind, Handler handler) {
-    handlers_[kind] = std::move(handler);
+void MessageRouter::route(Symbol kind, Handler handler) {
+    auto it = std::find(kinds_.begin(), kinds_.end(), kind);
+    if (it != kinds_.end()) {
+        *handlers_[it - kinds_.begin()] = std::move(handler);
+        return;
+    }
+    kinds_.push_back(kind);
+    handlers_.push_back(std::make_unique<Handler>(std::move(handler)));
 }
 
-void MessageRouter::unroute(const std::string& kind) { handlers_.erase(kind); }
+void MessageRouter::unroute(Symbol kind) {
+    auto it = std::find(kinds_.begin(), kinds_.end(), kind);
+    if (it == kinds_.end()) return;
+    handlers_.erase(handlers_.begin() + (it - kinds_.begin()));
+    kinds_.erase(it);
+}
 
-bool MessageRouter::send(NodeId to, const std::string& kind, Bytes payload) {
-    Message msg{self_, to, kind, std::move(payload)};
+bool MessageRouter::send(NodeId to, Symbol kind, Bytes payload) {
     // Stamp the sender's causal position onto the frame; delivery on the
     // far side restores it, which is how a trace crosses the radio.
-    msg.trace = obs::TraceBuffer::global().current();
-    return network_.send(msg);
+    return network_.send(
+        Message{self_, to, kind, std::move(payload), obs::TraceBuffer::global().current()});
 }
 
-std::size_t MessageRouter::broadcast(const std::string& kind, Bytes payload) {
+std::size_t MessageRouter::broadcast(Symbol kind, Bytes payload) {
     return network_.broadcast(self_, kind, std::move(payload));
 }
 
 bool MessageRouter::send_remote(std::size_t dst_shard, const std::string& to_name,
-                                const std::string& kind, Bytes payload) {
+                                Symbol kind, Bytes payload) {
     if (mesh_ == nullptr) return false;
     return mesh_->send(my_shard_, dst_shard, network_.name_of(self_), to_name, kind,
                        std::move(payload));
 }
 
 void MessageRouter::dispatch(const Message& msg) {
-    auto it = handlers_.find(msg.kind);
-    if (it == handlers_.end()) {
+    auto it = std::find(kinds_.begin(), kinds_.end(), msg.kind);
+    if (it == kinds_.end()) {
         log_debug(network_.simulator().now(), "net.router",
                   network_.name_of(self_), " dropped unrouted kind '", msg.kind, "'");
         return;
@@ -48,7 +60,8 @@ void MessageRouter::dispatch(const Message& msg) {
     // to contain their own errors (RPC replies an error); anything that
     // still escapes is logged and dropped, exactly like a garbled frame.
     try {
-        it->second(msg);
+        Handler& handler = *handlers_[it - kinds_.begin()];
+        handler(msg);
     } catch (const std::exception& e) {
         static obs::Counter& handler_errors =
             obs::Registry::global().counter("net.router.handler_errors");

@@ -2,11 +2,14 @@
 //
 // A node runs several protocol endpoints at once (discovery client, RPC,
 // adaptation service, lease renewals...). The Network delivers each node a
-// single stream of messages; the router fans them out by `kind`.
+// single stream of messages; the router fans them out by `kind`. Kinds are
+// interned Symbols, so dispatch compares pointers over the node's handful
+// of routes instead of hashing a string per delivery.
 #pragma once
 
+#include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "net/admission.h"
 #include "net/mesh.h"
@@ -23,11 +26,11 @@ public:
 
     /// Register the handler for an exact message kind (e.g. "rpc.call").
     /// Replaces any previous handler for the kind.
-    void route(const std::string& kind, Handler handler);
-    void unroute(const std::string& kind);
+    void route(Symbol kind, Handler handler);
+    void unroute(Symbol kind);
 
-    bool send(NodeId to, const std::string& kind, Bytes payload);
-    std::size_t broadcast(const std::string& kind, Bytes payload);
+    bool send(NodeId to, Symbol kind, Bytes payload);
+    std::size_t broadcast(Symbol kind, Bytes payload);
 
     /// Join the cross-shard backbone: after this, send_remote() reaches
     /// nodes on other shards by name. The mesh must outlive the router
@@ -40,8 +43,8 @@ public:
 
     /// Send to a named node on another shard over the backbone. Returns
     /// false when no mesh is attached or the backbone dropped the frame.
-    bool send_remote(std::size_t dst_shard, const std::string& to_name,
-                     const std::string& kind, Bytes payload);
+    bool send_remote(std::size_t dst_shard, const std::string& to_name, Symbol kind,
+                     Bytes payload);
 
     NodeId self() const { return self_; }
     Network& network() { return network_; }
@@ -60,7 +63,11 @@ private:
     Network& network_;
     NodeId self_;
     AdmissionQueue admission_;
-    std::unordered_map<std::string, Handler> handlers_;
+    /// Routes as parallel arrays: dispatch scans the contiguous kinds.
+    /// Handlers are boxed so that a handler may route another kind while
+    /// it runs without moving itself.
+    std::vector<Symbol> kinds_;
+    std::vector<std::unique_ptr<Handler>> handlers_;
     ShardMesh* mesh_ = nullptr;  ///< null until attach_mesh
     std::size_t my_shard_ = 0;
 };

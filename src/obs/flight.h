@@ -15,6 +15,16 @@
 // crash-restart gives no such opportunity (power first, then nothing);
 // there the supervisor reads the chip at the moment of impact, so the
 // dump survives the *node* but lives in supervisor memory, not a journal.
+//
+// Mirroring is lazy. The root TraceBuffer keeps the recent past anyway, so
+// the black box copies from it only when it must: when a tail is read or
+// dumped, when the root ring is cleared, and when the root ring is about
+// to overwrite an event the black box has not copied yet (once per ring's
+// worth of events). Recording an event therefore costs the black box
+// nothing, and what it holds is exactly what an eager copy of every event
+// would hold. Reading the root ring from a dumping shard worker is safe
+// for the same reason the root ring needs no lock: its owner (the
+// coordinator) is parked at the window barrier while workers run.
 #pragma once
 
 #include <cstdint>
@@ -29,20 +39,12 @@ namespace pmp::obs {
 
 class FlightRecorder {
 public:
-    explicit FlightRecorder(std::size_t capacity = 256);
+    static constexpr std::size_t kCapacity = 256;
 
     static FlightRecorder& global();
 
-    /// Mirror one event (called by the global TraceBuffer on every push).
-    void observe(const TraceEvent& ev);
-
     /// Retained tail, oldest first.
-    std::vector<TraceEvent> tail() const;
-
-private:
-    std::vector<TraceEvent> tail_locked() const;
-
-public:
+    std::vector<TraceEvent> tail();
 
     /// One frozen post-mortem: who died, why, when, and the event tail
     /// leading up to it.
@@ -59,29 +61,30 @@ public:
 
     const std::vector<Dump>& dumps() const { return dumps_; }
 
-    std::size_t size() const {
-        std::lock_guard<std::mutex> lock(mu_);
-        return size_;
-    }
-    std::size_t capacity() const {
-        std::lock_guard<std::mutex> lock(mu_);
-        return ring_.size();
-    }
-    /// Resize the ring (drops retained events; dumps are untouched).
-    void set_capacity(std::size_t capacity);
-
     /// Forget retained events and dumps (tests).
     void clear();
 
     static constexpr std::size_t kMaxDumps = 32;
 
 private:
+    friend class TraceBuffer;
+    FlightRecorder() : ring_(kCapacity) {}
+
+    /// Copy the root ring's events recorded since the last catch-up.
+    void catch_up();
+    /// The root ring is about to be cleared: keep what it holds, then
+    /// count its events from zero again.
+    void root_cleared();
+    void catch_up_locked();
+    std::vector<TraceEvent> tail_locked() const;
+
     /// Crashes and quarantines can fire from any shard worker; the black
     /// box is one shared ring, so it locks (it is never on a hot path).
-    mutable std::mutex mu_;
-    std::vector<TraceEvent> ring_;
+    std::mutex mu_;
+    std::vector<EventRecord> ring_;  ///< rendered only by tail() and dump()
     std::size_t head_ = 0;
     std::size_t size_ = 0;
+    std::uint64_t mirrored_ = 0;  ///< root events recorded() up to here are copied
     std::vector<Dump> dumps_;
 };
 

@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include <bit>
+
 #include "obs/flight.h"
 #include "obs/metrics.h"
 
@@ -14,12 +16,56 @@ const char* event_kind_name(EventKind k) {
     return "?";
 }
 
+// ---------------------------------------------------------- EventRecord ----
+
+void EventRecord::record(SimTime at, EventKind kind, std::uint64_t span, std::uint64_t trace,
+                         std::uint64_t parent, Symbol component, Symbol name, KvArgs kv) {
+    this->at = at;
+    this->kind = kind;
+    this->span = span;
+    this->trace = trace;
+    this->parent = parent;
+    this->component = component;
+    this->name = name;
+    nkv_ = 0;
+    spill_.clear();
+    text_.clear();
+    for (const Kv& p : kv) add_kv(p.key, p.value);
+}
+
+void EventRecord::add_kv(std::string_view key, std::string_view value) {
+    const auto at = static_cast<std::uint32_t>(text_.size());
+    const KvPos p{at, static_cast<std::uint32_t>(key.size()),
+                  at + static_cast<std::uint32_t>(key.size()),
+                  static_cast<std::uint32_t>(value.size())};
+    text_.append(key);
+    text_.append(value);
+    if (nkv_ < kInlineKv) {
+        inline_[nkv_] = p;
+    } else {
+        spill_.push_back(p);
+    }
+    ++nkv_;
+}
+
+TraceEvent EventRecord::render() const {
+    TraceEvent ev{at, kind, span, trace, parent, component.str(), name.str(), {}};
+    ev.kv.reserve(nkv_);
+    for (std::size_t i = 0; i < nkv_; ++i) {
+        const KvPos& p = pos(i);
+        ev.kv.emplace_back(text_.substr(p.key_at, p.key_len),
+                           text_.substr(p.value_at, p.value_len));
+    }
+    return ev;
+}
+
 namespace {
 // Per-thread redirect target (see TraceBuffer::Redirect).
 thread_local TraceBuffer* tl_redirect = nullptr;
 }  // namespace
 
-TraceBuffer::TraceBuffer(std::size_t capacity) : ring_(capacity == 0 ? 1 : capacity) {}
+TraceBuffer::TraceBuffer(std::size_t capacity)
+    : ring_(capacity == 0 ? 1 : capacity), open_spans_(std::bit_ceil(ring_.size())) {}
 
 TraceBuffer& TraceBuffer::root() {
     static TraceBuffer buffer;
@@ -34,47 +80,56 @@ TraceBuffer::Redirect::Redirect(TraceBuffer& target) : saved_(tl_redirect) {
 
 TraceBuffer::Redirect::~Redirect() { tl_redirect = saved_; }
 
-void TraceBuffer::push(TraceEvent ev) {
+EventRecord& TraceBuffer::claim() {
     if (size_ == ring_.size()) {
+        // The black box copies from the root ring lazily (see flight.h):
+        // once a ring's worth of events has been recorded since its last
+        // catch-up, the slot about to be overwritten is one it lacks.
+        if (unmirrored_ == ring_.size()) {
+            if (this == &root()) FlightRecorder::global().catch_up();
+            unmirrored_ = 0;
+        }
         ++dropped_;  // overwrite the oldest
         // If the evictee is a begin whose end has not been recorded yet,
         // forget its open-span entry: a later end_span is then an orphan
         // and says so, instead of silently claiming a linkage the ring no
         // longer holds.
-        const TraceEvent& evicted = ring_[head_];
+        const EventRecord& evicted = ring_[head_];
         if (evicted.kind == EventKind::kSpanBegin) {
-            auto it = open_spans_.find(evicted.span);
-            if (it != open_spans_.end() && it->second.slot == head_) open_spans_.erase(it);
+            OpenSpan& open = open_entry(evicted.span);
+            if (open.span == evicted.span && open.slot == head_) open = OpenSpan{};
         }
     } else {
         ++size_;
     }
-    // Only the process-wide root buffer feeds the flight recorder; scratch
-    // buffers in tests and per-shard buffers stay out of the black box.
-    // (Compared against root(), not global(): a thread-local redirect must
-    // not accidentally feed its shard's events into the black box.)
-    if (this == &TraceBuffer::root()) FlightRecorder::global().observe(ev);
-    ring_[head_] = std::move(ev);
-    head_ = (head_ + 1) % ring_.size();
+    return ring_[head_];
+}
+
+void TraceBuffer::commit() {
+    if (++head_ == ring_.size()) head_ = 0;
     ++recorded_;
+    ++unmirrored_;
 }
 
-std::uint64_t TraceBuffer::begin_span(std::string component, std::string name, KeyValues kv) {
-    return begin_span_at(now(), std::move(component), std::move(name), std::move(kv));
+const TraceBuffer::OpenSpan* TraceBuffer::find_open(std::uint64_t span) const {
+    const OpenSpan& open = open_spans_[span & (open_spans_.size() - 1)];
+    return span != 0 && open.span == span ? &open : nullptr;
 }
 
-void TraceBuffer::end_span(std::uint64_t span, KeyValues kv) {
-    end_span_at(now(), span, std::move(kv));
+std::uint64_t TraceBuffer::begin_span(Symbol component, Symbol name, KvArgs kv) {
+    return begin_span_at(now(), component, name, kv);
 }
 
-void TraceBuffer::instant(std::string component, std::string name, KeyValues kv) {
-    instant_at(now(), std::move(component), std::move(name), std::move(kv));
+void TraceBuffer::end_span(std::uint64_t span, KvArgs kv) { end_span_at(now(), span, kv); }
+
+void TraceBuffer::instant(Symbol component, Symbol name, KvArgs kv) {
+    instant_at(now(), component, name, kv);
 }
 
 TraceContext TraceBuffer::context_of(std::uint64_t span) const {
-    auto it = open_spans_.find(span);
-    if (span == 0 || it == open_spans_.end()) return TraceContext{};
-    return TraceContext{it->second.trace, span};
+    const OpenSpan* open = find_open(span);
+    if (open == nullptr) return TraceContext{};
+    return TraceContext{open->trace, span};
 }
 
 TraceContext TraceBuffer::new_root() {
@@ -82,47 +137,49 @@ TraceContext TraceBuffer::new_root() {
     return TraceContext{id_base_ + ++next_trace_, 0};
 }
 
-std::uint64_t TraceBuffer::begin_span_at(SimTime at, std::string component, std::string name,
-                                         KeyValues kv) {
+std::uint64_t TraceBuffer::begin_span_at(SimTime at, Symbol component, Symbol name,
+                                         KvArgs kv) {
     if (!detail::g_enabled) return 0;
     std::uint64_t id = id_base_ + ++next_span_;
-    TraceEvent ev{at,  EventKind::kSpanBegin,    id, 0, 0, std::move(component),
-                  std::move(name), std::move(kv)};
-    if (current_.valid()) {
-        ev.trace = current_.trace_id;
-        ev.parent = current_.parent_span;
-    } else {
-        ev.trace = id_base_ + ++next_trace_;  // no caller: this span roots a new trace
-    }
-    open_spans_.emplace(id, OpenSpan{ev.trace, ev.parent, head_});
-    push(std::move(ev));
+    std::uint64_t trace = current_.trace_id;
+    std::uint64_t parent = current_.parent_span;
+    // No caller: this span roots a new trace.
+    if (!current_.valid()) trace = id_base_ + ++next_trace_;
+    EventRecord& rec = claim();
+    rec.record(at, EventKind::kSpanBegin, id, trace, parent, component, name, kv);
+    open_entry(id) = OpenSpan{id, trace, parent, head_};
+    commit();
     return id;
 }
 
-void TraceBuffer::end_span_at(SimTime at, std::uint64_t span, KeyValues kv) {
+void TraceBuffer::end_span_at(SimTime at, std::uint64_t span, KvArgs kv) {
     if (!detail::g_enabled || span == 0) return;
-    TraceEvent ev{at, EventKind::kSpanEnd, span, 0, 0, {}, {}, std::move(kv)};
-    auto it = open_spans_.find(span);
-    if (it != open_spans_.end()) {
-        ev.trace = it->second.trace;
-        ev.parent = it->second.parent;
-        open_spans_.erase(it);
-    } else {
+    // Resolve the begin before claiming a slot: the slot may be the
+    // begin's own, and the end still inherits its linkage.
+    OpenSpan open;
+    if (const OpenSpan* found = find_open(span)) {
+        open = *found;
+        open_entry(span) = OpenSpan{};
+    }
+    EventRecord& rec = claim();
+    rec.record(at, EventKind::kSpanEnd, span, open.trace, open.parent, Symbol(), Symbol(), kv);
+    if (open.span == 0) {
         // The begin was evicted (or never recorded): account for it
         // honestly rather than emitting a dangling linkage.
         ++orphan_ends_;
         static Counter& orphans = Registry::global().counter("obs.trace.orphan_ends");
         orphans.inc();
-        ev.kv.emplace_back("orphan", "true");
+        rec.add_kv("orphan", "true");
     }
-    push(std::move(ev));
+    commit();
 }
 
-void TraceBuffer::instant_at(SimTime at, std::string component, std::string name, KeyValues kv) {
+void TraceBuffer::instant_at(SimTime at, Symbol component, Symbol name, KvArgs kv) {
     if (!detail::g_enabled) return;
-    TraceEvent ev{at,  EventKind::kInstant,      0, current_.trace_id, current_.parent_span,
-                  std::move(component), std::move(name), std::move(kv)};
-    push(std::move(ev));
+    EventRecord& rec = claim();
+    rec.record(at, EventKind::kInstant, 0, current_.trace_id, current_.parent_span, component,
+               name, kv);
+    commit();
 }
 
 std::vector<TraceEvent> TraceBuffer::events() const {
@@ -131,12 +188,18 @@ std::vector<TraceEvent> TraceBuffer::events() const {
     // Oldest event sits at head_ when full, at 0 otherwise.
     std::size_t start = size_ == ring_.size() ? head_ : 0;
     for (std::size_t i = 0; i < size_; ++i) {
-        out.push_back(ring_[(start + i) % ring_.size()]);
+        out.push_back(ring_[(start + i) % ring_.size()].render());
     }
     return out;
 }
 
 void TraceBuffer::clear() {
+    // Only the process-wide root buffer feeds the flight recorder; scratch
+    // buffers in tests and per-shard buffers stay out of the black box.
+    // (Compared against root(), not global(): a thread-local redirect must
+    // not accidentally feed its shard's events into the black box.)
+    if (this == &root()) FlightRecorder::global().root_cleared();
+    unmirrored_ = 0;
     head_ = 0;
     size_ = 0;
     dropped_ = 0;
@@ -144,7 +207,7 @@ void TraceBuffer::clear() {
     orphan_ends_ = 0;
     next_span_ = 0;
     next_trace_ = 0;
-    open_spans_.clear();
+    open_spans_.assign(open_spans_.size(), OpenSpan{});
     // current_ is deliberately left alone: it belongs to live ContextScope
     // frames on the stack, not to the ring's contents.
 }

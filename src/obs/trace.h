@@ -21,16 +21,28 @@
 // distant past, not growing without bound. An end_span whose begin was
 // already evicted is counted (`obs.trace.orphan_ends`) and tagged
 // `orphan=true` so exporters render it honestly instead of silently.
+//
+// Representation: a ring slot is an EventRecord, not a TraceEvent. Its
+// component and name are interned Symbols, and its kv pairs sit in a small
+// inline array over one text buffer that keeps its capacity when the slot
+// is reused, so recording into a warm ring allocates nothing. Callers pass
+// kv pairs as borrowed string_views (Kv); the slot copies the text.
+// Readers — events(), the exporters, flight dumps — get TraceEvents
+// rendered from the records.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/time.h"
+#include "obs/symbol.h"
 
 namespace pmp::obs {
 
@@ -52,6 +64,7 @@ struct TraceContext {
     bool operator==(const TraceContext&) const = default;
 };
 
+/// A recorded event as readers see it (exporters, flight dumps, tests).
 struct TraceEvent {
     SimTime at;
     EventKind kind = EventKind::kInstant;
@@ -63,6 +76,69 @@ struct TraceEvent {
     KeyValues kv;
 
     bool operator==(const TraceEvent&) const = default;
+};
+
+/// One key/value argument of a recording call. Borrowed: the ring copies
+/// the text into its slot before the call returns.
+struct Kv {
+    std::string_view key;
+    std::string_view value;
+};
+
+/// The kv arguments of one recording call: a braced list at the call site
+/// (`{{"obj", name}, {"outcome", "ok"}}`) or a span of Kv the caller built.
+class KvArgs {
+public:
+    KvArgs() = default;
+    KvArgs(std::initializer_list<Kv> kv) : kv_(kv.begin(), kv.size()) {}
+    KvArgs(std::span<const Kv> kv) : kv_(kv) {}
+
+    const Kv* begin() const { return kv_.data(); }
+    const Kv* end() const { return kv_.data() + kv_.size(); }
+
+private:
+    std::span<const Kv> kv_;
+};
+
+/// An event in the form the rings store it (see the file comment). The
+/// kv text lives in one buffer per record; an inline array of kInlineKv
+/// (offset, length) pairs locates it, and further pairs spill into a side
+/// vector. Recording into a record reuses the buffer's and the vector's
+/// capacity, so a warm record never allocates.
+class EventRecord {
+public:
+    static constexpr std::size_t kInlineKv = 4;
+
+    SimTime at;
+    EventKind kind = EventKind::kInstant;
+    std::uint64_t span = 0;
+    std::uint64_t trace = 0;
+    std::uint64_t parent = 0;
+    Symbol component;
+    Symbol name;
+
+    /// Overwrite the whole record (the kv text reuses the buffer).
+    void record(SimTime at, EventKind kind, std::uint64_t span, std::uint64_t trace,
+                std::uint64_t parent, Symbol component, Symbol name, KvArgs kv);
+    void add_kv(std::string_view key, std::string_view value);
+
+    TraceEvent render() const;
+
+private:
+    struct KvPos {
+        std::uint32_t key_at = 0;
+        std::uint32_t key_len = 0;
+        std::uint32_t value_at = 0;
+        std::uint32_t value_len = 0;
+    };
+    const KvPos& pos(std::size_t i) const {
+        return i < kInlineKv ? inline_[i] : spill_[i - kInlineKv];
+    }
+
+    std::uint32_t nkv_ = 0;
+    std::array<KvPos, kInlineKv> inline_;
+    std::vector<KvPos> spill_;  ///< pairs past kInlineKv
+    std::string text_;          ///< every key and value, back to back
 };
 
 /// A TraceBuffer is confined to one thread at a time: the root buffer to
@@ -103,15 +179,14 @@ public:
     /// installed clock (the live simulator); SimTime::zero() without one.
     /// The span joins the ambient trace (parented under its parent_span),
     /// or roots a fresh trace when no context is installed.
-    std::uint64_t begin_span(std::string component, std::string name, KeyValues kv = {});
-    void end_span(std::uint64_t span, KeyValues kv = {});
-    void instant(std::string component, std::string name, KeyValues kv = {});
+    std::uint64_t begin_span(Symbol component, Symbol name, KvArgs kv = {});
+    void end_span(std::uint64_t span, KvArgs kv = {});
+    void instant(Symbol component, Symbol name, KvArgs kv = {});
 
     /// Explicit-time variants for callers that carry their own SimTime.
-    std::uint64_t begin_span_at(SimTime at, std::string component, std::string name,
-                                KeyValues kv = {});
-    void end_span_at(SimTime at, std::uint64_t span, KeyValues kv = {});
-    void instant_at(SimTime at, std::string component, std::string name, KeyValues kv = {});
+    std::uint64_t begin_span_at(SimTime at, Symbol component, Symbol name, KvArgs kv = {});
+    void end_span_at(SimTime at, std::uint64_t span, KvArgs kv = {});
+    void instant_at(SimTime at, Symbol component, Symbol name, KvArgs kv = {});
 
     /// The ambient causal context (invalid when nothing is executing on
     /// behalf of a span).
@@ -179,27 +254,42 @@ private:
     /// this one feeds the flight recorder.
     static TraceBuffer& root();
 
-    void push(TraceEvent ev);
+    /// The black box reads the root ring (see flight.h).
+    friend class FlightRecorder;
+
+    /// The slot the next event is written into. Evicts the oldest event
+    /// when the ring is full; commit() then publishes the slot.
+    EventRecord& claim();
+    void commit();
 
     /// Book-keeping for spans whose begin is still in the ring: lets
     /// end_span inherit the begin's context and detect orphans honestly.
+    /// A flat table indexed by span id, capacity() rounded up to a power
+    /// of two: a begin still in the ring is at most capacity() spans old,
+    /// so two live entries never share an index.
     struct OpenSpan {
+        std::uint64_t span = 0;  ///< 0 = free
         std::uint64_t trace = 0;
         std::uint64_t parent = 0;
         std::size_t slot = 0;  ///< ring slot of the begin event
     };
+    OpenSpan& open_entry(std::uint64_t span) {
+        return open_spans_[span & (open_spans_.size() - 1)];
+    }
+    const OpenSpan* find_open(std::uint64_t span) const;
 
-    std::vector<TraceEvent> ring_;
+    std::vector<EventRecord> ring_;
     std::size_t head_ = 0;  ///< next write position
     std::size_t size_ = 0;
     std::uint64_t dropped_ = 0;
     std::uint64_t recorded_ = 0;
     std::uint64_t orphan_ends_ = 0;
+    std::uint64_t unmirrored_ = 0;  ///< recorded since the black box last caught up
     std::uint64_t next_span_ = 0;
     std::uint64_t next_trace_ = 0;
     std::uint64_t id_base_ = 0;  ///< namespace offset; survives clear()
     TraceContext current_;
-    std::map<std::uint64_t, OpenSpan> open_spans_;  ///< bounded by ring capacity
+    std::vector<OpenSpan> open_spans_;
     bool detail_ = false;
     struct ClockEntry {
         std::uint64_t token;

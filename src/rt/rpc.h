@@ -9,10 +9,11 @@
 // that MIDAS can adapt (the paper's implicit marshaling extensions).
 #pragma once
 
-#include <deque>
+#include <array>
 #include <functional>
-#include <map>
 #include <set>
+#include <span>
+#include <string_view>
 #include <unordered_map>
 
 #include "net/router.h"
@@ -41,6 +42,22 @@ struct CallOptions {
     int retries = 0;
     Duration retry_backoff = milliseconds(100);
 };
+
+/// The rpc envelopes, written straight into one pre-sized buffer in the
+/// canonical encoding of the Dicts they stand for (keys ascending):
+///   call   {args, id, method, obj}
+///   result {id, ok=true, result}
+///   error  {emsg, etype, id, ok=false[, retry_ms]}
+/// `args` is the encoding of the argument List, made once per call_async
+/// and reused by every retry.
+namespace rpc_wire {
+Bytes call(std::uint64_t id, std::string_view object, std::string_view method,
+           std::span<const std::uint8_t> args);
+Bytes result(std::uint64_t id, const Value& result);
+/// `retry_after` > 0 adds retry_ms (rounded up to whole milliseconds).
+Bytes error(std::uint64_t id, std::string_view etype, std::string_view message,
+            Duration retry_after = Duration{0});
+}  // namespace rpc_wire
 
 class RpcEndpoint {
 public:
@@ -118,26 +135,37 @@ public:
     std::size_t reply_cache_size() const { return reply_cache_.size(); }
 
 private:
-    using AttemptHandler = RichReplyHandler;
+    struct Call;  ///< one call_async, shared by its attempts (rpc.cpp)
 
-    void call_once(NodeId target, const std::string& object, const std::string& method,
-                   List args, Duration timeout, AttemptHandler on_done);
+    /// Exactly one of the two handlers is set.
+    void start_call(NodeId target, const std::string& object, const std::string& method,
+                    List args, CallOptions options, ReplyHandler on_reply,
+                    RichReplyHandler on_rich_reply);
+    void send_attempt(std::shared_ptr<Call> call);
+    /// An attempt ended: retry it (budget permitting) or answer the caller.
+    void attempt_done(std::shared_ptr<Call> call, Value result, std::exception_ptr error,
+                      bool transport);
     void on_call(const net::Message& msg, bool control);
     void on_reply(const net::Message& msg, bool control);
+    /// Decode an inbound envelope: in place on the control channel (and
+    /// whenever no wire filter is installed), through the inbound filters
+    /// otherwise.
+    Value decode_envelope(const net::Message& msg, bool control) const;
     /// Dispatch one admitted call and send (and cache) its reply.
     void execute_call(NodeId from, bool control, std::uint64_t call_id,
                       const std::string& object_name, const std::string& method, List args);
     /// Admission priority of an inbound call (see net::AdmitClass): the
     /// control plane (exempt objects) outranks installs outranks app calls.
     net::AdmitClass classify(const std::string& object, const std::string& method) const;
-    static Bytes encode_error(std::uint64_t call_id, const std::string& etype,
-                              const std::string& message, Duration retry_after = Duration{0});
     [[noreturn]] static void rethrow_remote(const std::string& etype, const std::string& message,
                                             Duration retry_after);
 
     struct Pending {
-        AttemptHandler handler;
+        std::shared_ptr<Call> call;
         sim::TimerId timeout_timer;
+        /// The fail-fast notification of a call unreachable at send time
+        /// (unset otherwise); cancelled with the endpoint like the timeout.
+        sim::TimerId unreachable_timer;
         SimTime sent_at;           ///< virtual send time, for round-trip stats
         std::uint64_t span = 0;    ///< obs trace span covering the round-trip
         /// The call's causal position ({trace, span}), restored around
@@ -169,18 +197,44 @@ private:
     std::vector<std::string> exempt_prefixes_;
 
     /// At-most-once execution under a duplicating radio: recently answered
-    /// (caller, call id) pairs map to their wire-ready reply, which is
-    /// re-sent verbatim on a duplicate call instead of re-dispatching.
-    /// Bounded FIFO — a dup arriving after eviction re-executes, which the
+    /// (caller, call id) pairs keep their wire-ready reply, which is re-sent
+    /// verbatim on a duplicate call instead of re-dispatching. One flat ring
+    /// of kReplyCacheCap slots, oldest overwritten first, with a chained
+    /// hash index on the key; a slot's reply buffer keeps its capacity for
+    /// the next reply. A dup arriving after eviction re-executes, which the
     /// receiver-side handlers keep idempotent anyway.
     static constexpr std::size_t kReplyCacheCap = 256;
-    using ReplyCacheKey = std::pair<std::uint64_t, std::uint64_t>;  // (caller, call id)
-    std::map<ReplyCacheKey, Bytes> reply_cache_;
-    std::deque<ReplyCacheKey> reply_cache_order_;
+    struct ReplyCacheKey {
+        std::uint64_t caller = 0;
+        std::uint64_t call_id = 0;
+        bool operator==(const ReplyCacheKey&) const = default;
+    };
+    class ReplyCache {
+    public:
+        ReplyCache() { buckets_.fill(kNone); }
+        const Bytes* find(ReplyCacheKey key) const;
+        /// Returns true when the insert evicted the oldest entry.
+        bool insert(ReplyCacheKey key, const Bytes& reply);
+        std::size_t size() const { return slots_.size(); }
+
+    private:
+        static constexpr std::uint16_t kNone = 0xFFFF;
+        struct Slot {
+            ReplyCacheKey key;
+            Bytes reply;
+            std::uint16_t next = kNone;  ///< next slot in the same bucket
+        };
+        static std::size_t bucket_of(ReplyCacheKey key);
+
+        std::vector<Slot> slots_;  ///< grows to kReplyCacheCap, then wraps
+        std::size_t oldest_ = 0;   ///< next slot to overwrite once full
+        std::array<std::uint16_t, kReplyCacheCap> buckets_;  ///< chain heads
+    };
+    ReplyCache reply_cache_;
     /// Calls admitted but still waiting in the node's admission queue. A
     /// duplicate frame arriving meanwhile is dropped (not re-queued): the
-    /// original's reply is coming.
-    std::set<ReplyCacheKey> inflight_;
+    /// original's reply is coming. Almost always empty.
+    std::vector<ReplyCacheKey> inflight_;
     /// Exports the at-most-once cache level, `rpc.reply_cache_size{node}`.
     obs::Source obs_source_;  // last: unregisters before the cache it reads
 };

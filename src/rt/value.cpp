@@ -4,6 +4,7 @@
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 
@@ -12,40 +13,51 @@ namespace pmp::rt {
 // ---------------------------------------------------------------- Dict ----
 
 Dict::Dict(std::initializer_list<Entry> entries) {
+    entries_.reserve(entries.size());
     for (const auto& e : entries) set(e.first, e.second);
 }
 
-std::vector<Dict::Entry>::iterator Dict::lower_bound(const std::string& key) {
+std::vector<Dict::Entry>::iterator Dict::lower_bound(std::string_view key) {
     return std::lower_bound(entries_.begin(), entries_.end(), key,
-                            [](const Entry& e, const std::string& k) { return e.first < k; });
+                            [](const Entry& e, std::string_view k) { return e.first < k; });
 }
 
-std::vector<Dict::Entry>::const_iterator Dict::lower_bound(const std::string& key) const {
+std::vector<Dict::Entry>::const_iterator Dict::lower_bound(std::string_view key) const {
     return std::lower_bound(entries_.begin(), entries_.end(), key,
-                            [](const Entry& e, const std::string& k) { return e.first < k; });
+                            [](const Entry& e, std::string_view k) { return e.first < k; });
 }
 
-void Dict::set(const std::string& key, Value value) {
+void Dict::set(std::string key, Value value) {
+    if (entries_.empty() || entries_.back().first < key) {
+        entries_.emplace_back(std::move(key), std::move(value));
+        return;
+    }
     auto it = lower_bound(key);
     if (it != entries_.end() && it->first == key) {
         it->second = std::move(value);
     } else {
-        entries_.insert(it, Entry{key, std::move(value)});
+        entries_.insert(it, Entry{std::move(key), std::move(value)});
     }
 }
 
-const Value* Dict::find(const std::string& key) const {
+const Value* Dict::find(std::string_view key) const {
     auto it = lower_bound(key);
     if (it != entries_.end() && it->first == key) return &it->second;
     return nullptr;
 }
 
-const Value& Dict::at(const std::string& key) const {
-    if (const Value* v = find(key)) return *v;
-    throw TypeError("dict has no key '" + key + "'");
+Value* Dict::find(std::string_view key) {
+    return const_cast<Value*>(std::as_const(*this).find(key));
 }
 
-bool Dict::erase(const std::string& key) {
+const Value& Dict::at(std::string_view key) const {
+    if (const Value* v = find(key)) return *v;
+    throw TypeError("dict has no key '" + std::string(key) + "'");
+}
+
+Value& Dict::at(std::string_view key) { return const_cast<Value&>(std::as_const(*this).at(key)); }
+
+bool Dict::erase(std::string_view key) {
     auto it = lower_bound(key);
     if (it != entries_.end() && it->first == key) {
         entries_.erase(it);
@@ -192,36 +204,62 @@ std::string Value::to_string() const {
     return os.str();
 }
 
+namespace codec {
+
+void put_header(Bytes& out, Value::Kind kind, std::size_t count) {
+    out.push_back(static_cast<std::uint8_t>(kind));
+    append_u32(out, static_cast<std::uint32_t>(count));
+}
+
+void put_key(Bytes& out, std::string_view key) {
+    append_u32(out, static_cast<std::uint32_t>(key.size()));
+    append(out, as_bytes(key));
+}
+
+void put_int(Bytes& out, std::int64_t v) {
+    out.push_back(static_cast<std::uint8_t>(Value::Kind::kInt));
+    append_u64(out, static_cast<std::uint64_t>(v));
+}
+
+void put_bool(Bytes& out, bool v) {
+    out.push_back(static_cast<std::uint8_t>(Value::Kind::kBool));
+    out.push_back(v ? 1 : 0);
+}
+
+void put_str(Bytes& out, std::string_view s) {
+    out.push_back(static_cast<std::uint8_t>(Value::Kind::kStr));
+    put_key(out, s);
+}
+
+}  // namespace codec
+
 void Value::encode(Bytes& out) const {
-    out.push_back(static_cast<std::uint8_t>(kind_));
     switch (kind_) {
-        case Kind::kNull: break;
-        case Kind::kBool: out.push_back(scalar_.b ? 1 : 0); break;
-        case Kind::kInt: append_u64(out, static_cast<std::uint64_t>(scalar_.i)); break;
+        case Kind::kNull: out.push_back(static_cast<std::uint8_t>(kind_)); break;
+        case Kind::kBool: codec::put_bool(out, scalar_.b); break;
+        case Kind::kInt: codec::put_int(out, scalar_.i); break;
         case Kind::kReal: {
             std::uint64_t bits;
             static_assert(sizeof(bits) == sizeof(scalar_.d));
             std::memcpy(&bits, &scalar_.d, sizeof(bits));
+            out.push_back(static_cast<std::uint8_t>(kind_));
             append_u64(out, bits);
             break;
         }
-        case Kind::kStr:
-            append_u32(out, static_cast<std::uint32_t>(str_.size()));
-            append(out, as_bytes(str_));
-            break;
+        case Kind::kStr: codec::put_str(out, str_); break;
         case Kind::kBlob:
+            out.push_back(static_cast<std::uint8_t>(kind_));
             append_u32(out, static_cast<std::uint32_t>(blob_.size()));
             append(out, std::span<const std::uint8_t>(blob_));
             break;
         case Kind::kList:
-            append_u32(out, static_cast<std::uint32_t>(list_.size()));
+            codec::put_header(out, kind_, list_.size());
             for (const auto& v : list_) v.encode(out);
             break;
         case Kind::kDict:
-            append_u32(out, static_cast<std::uint32_t>(dict_.size()));
+            codec::put_header(out, kind_, dict_.size());
             for (const auto& [k, v] : dict_) {
-                append_u32(out, static_cast<std::uint32_t>(k.size()));
-                append(out, as_bytes(k));
+                codec::put_key(out, k);
                 v.encode(out);
             }
             break;
@@ -230,8 +268,31 @@ void Value::encode(Bytes& out) const {
 
 Bytes Value::encode() const {
     Bytes out;
+    out.reserve(encoded_size());
     encode(out);
     return out;
+}
+
+std::size_t Value::encoded_size() const {
+    switch (kind_) {
+        case Kind::kNull: return 1;
+        case Kind::kBool: return codec::kBoolSize;
+        case Kind::kInt:
+        case Kind::kReal: return codec::kIntSize;
+        case Kind::kStr: return codec::str_size(str_);
+        case Kind::kBlob: return 5 + blob_.size();
+        case Kind::kList: {
+            std::size_t n = codec::kHeaderSize;
+            for (const auto& v : list_) n += v.encoded_size();
+            return n;
+        }
+        case Kind::kDict: {
+            std::size_t n = codec::kHeaderSize;
+            for (const auto& [k, v] : dict_) n += codec::key_size(k) + v.encoded_size();
+            return n;
+        }
+    }
+    return 1;
 }
 
 Value Value::decode(ByteReader& reader) {
@@ -273,11 +334,14 @@ Value Value::decode(ByteReader& reader) {
             if (n > reader.remaining()) {
                 throw ParseError("dict size exceeds available bytes", 0, 0);
             }
+            // Canonical encodings list keys in order, so set() appends;
+            // out-of-order or duplicate keys still land where set() puts them.
             Dict dict;
+            dict.reserve(n);
             for (std::uint32_t i = 0; i < n; ++i) {
                 std::uint32_t klen = reader.read_u32();
                 std::string key = reader.read_string(klen);
-                dict.set(key, decode(reader));
+                dict.set(std::move(key), decode(reader));
             }
             return Value{std::move(dict)};
         }

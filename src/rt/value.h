@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,18 +35,23 @@ public:
     Dict() = default;
     Dict(std::initializer_list<Entry> entries);
 
-    /// Insert or overwrite.
-    void set(const std::string& key, Value value);
+    /// Insert or overwrite. A key above every present key is appended
+    /// without a search, so building a dict in key order (decoding a
+    /// canonical encoding) is linear.
+    void set(std::string key, Value value);
 
     /// nullptr if absent.
-    const Value* find(const std::string& key) const;
+    const Value* find(std::string_view key) const;
+    Value* find(std::string_view key);
 
     /// Reference to the value; throws TypeError if absent.
-    const Value& at(const std::string& key) const;
+    const Value& at(std::string_view key) const;
+    Value& at(std::string_view key);
 
-    bool contains(const std::string& key) const { return find(key) != nullptr; }
-    bool erase(const std::string& key);
+    bool contains(std::string_view key) const { return find(key) != nullptr; }
+    bool erase(std::string_view key);
 
+    void reserve(std::size_t n) { entries_.reserve(n); }
     std::size_t size() const { return entries_.size(); }
     bool empty() const { return entries_.empty(); }
     const_iterator begin() const { return entries_.begin(); }
@@ -54,8 +60,8 @@ public:
     bool operator==(const Dict&) const;
 
 private:
-    std::vector<Entry>::iterator lower_bound(const std::string& key);
-    std::vector<Entry>::const_iterator lower_bound(const std::string& key) const;
+    std::vector<Entry>::iterator lower_bound(std::string_view key);
+    std::vector<Entry>::const_iterator lower_bound(std::string_view key) const;
 
     std::vector<Entry> entries_;  // kept sorted by key
 };
@@ -207,7 +213,10 @@ public:
 
     /// Canonical binary encoding (self-delimiting).
     void encode(Bytes& out) const;
+    /// Encodes into a buffer sized by encoded_size(): one allocation.
     Bytes encode() const;
+    /// Exact byte length of encode().
+    std::size_t encoded_size() const;
     static Value decode(ByteReader& reader);
     static Value decode(std::span<const std::uint8_t> data);
 
@@ -241,5 +250,23 @@ private:
         Dict dict_;
     };
 };
+
+/// Writers for the canonical encoding, for code that emits a value's bytes
+/// without building the Value first (the rpc envelopes). Value::encode is
+/// made of the same writers. A dict written this way is canonical only if
+/// its keys are written in ascending order.
+namespace codec {
+constexpr std::size_t kIntSize = 9;     ///< tag + u64
+constexpr std::size_t kBoolSize = 2;    ///< tag + byte
+constexpr std::size_t kHeaderSize = 5;  ///< list/dict tag + u32 count
+constexpr std::size_t key_size(std::string_view key) { return 4 + key.size(); }
+constexpr std::size_t str_size(std::string_view s) { return 5 + s.size(); }
+
+void put_header(Bytes& out, Value::Kind kind, std::size_t count);  ///< list or dict
+void put_key(Bytes& out, std::string_view key);
+void put_int(Bytes& out, std::int64_t v);
+void put_bool(Bytes& out, bool v);
+void put_str(Bytes& out, std::string_view s);
+}  // namespace codec
 
 }  // namespace pmp::rt

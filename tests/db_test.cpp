@@ -1,7 +1,12 @@
 // Tests for the hall database: append, query predicates, sources, replay.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <vector>
+
 #include "common/error.h"
+#include "db/journal.h"
 #include "db/store.h"
 
 namespace pmp::db {
@@ -219,6 +224,53 @@ TEST(ReplayCursor, GapsPreserveRelativeTiming) {
 TEST(ReplayCursor, EmptyIsDone) {
     ReplayCursor cursor({});
     EXPECT_TRUE(cursor.done());
+}
+
+// ----------------------------------------------------------------- crc32 ----
+// The journal frames and the catch-up image are checksummed with the
+// sliced CRC-32; it must agree with the classic byte-at-a-time loop on
+// every length and at every alignment of the input.
+
+std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t n) {
+    static const std::array<std::uint32_t, 256> table = [] {
+        std::array<std::uint32_t, 256> t{};
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            std::uint32_t c = i;
+            for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+        return t;
+    }();
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswerAtEveryAlignment) {
+    std::vector<std::uint8_t> buf(9 + 8);
+    for (std::size_t start = 0; start < 8; ++start) {
+        std::memcpy(buf.data() + start, "123456789", 9);
+        EXPECT_EQ(crc32(std::span<const std::uint8_t>(buf.data() + start, 9)), 0xCBF43926u)
+            << "start " << start;
+    }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceOnEveryLengthAndAlignment) {
+    std::vector<std::uint8_t> buf(4100 + 8);
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (auto& b : buf) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = static_cast<std::uint8_t>(x);
+    }
+    for (std::size_t start : {0, 1, 2, 3, 5, 7}) {
+        for (std::size_t len = 0; len <= 4100; ++len) {
+            const std::uint8_t* p = buf.data() + start;
+            ASSERT_EQ(crc32(std::span<const std::uint8_t>(p, len)), crc32_bytewise(p, len))
+                << "start " << start << " len " << len;
+        }
+    }
 }
 
 }  // namespace

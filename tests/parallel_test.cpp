@@ -338,7 +338,7 @@ ChaosRun run_shard_chaos(std::size_t workers) {
 
         auto journal_handler = [&w, i](const char* who) {
             return [&w, i, who](const net::Message& m) {
-                w.journal.push_back(std::string(who) + " got " + m.kind + " at " +
+                w.journal.push_back(std::string(who) + " got " + m.kind.str() + " at " +
                                     to_string(w.net->simulator().now()));
                 obs::TraceBuffer::global().instant("chaos.node", "deliver",
                                                    {{"who", who}, {"kind", m.kind}});

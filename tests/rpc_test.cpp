@@ -2,6 +2,7 @@
 // caller identity and hook transparency across the wire.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 
 #include "common/error.h"
@@ -356,6 +357,54 @@ TEST_F(RpcTest, ExemptionMatchesByPrefix) {
     EXPECT_FALSE(a_rpc_.is_exempt("other"));
 }
 
+TEST_F(RpcTest, RetriedCallResendsIdenticalArgs) {
+    // Replies from the server are cut until 800 ms, so the first two
+    // attempts execute on the callee but time out on the caller; the third
+    // gets its reply through. Every execution must see the same args: the
+    // retry re-sends the bytes encoded once at call_async.
+    std::vector<List> seen;
+    b_rt_.register_type(TypeInfo::Builder("Recorder")
+                            .method("note", TypeKind::kInt,
+                                    {{"a", TypeKind::kAny}, {"b", TypeKind::kAny},
+                                     {"c", TypeKind::kAny}},
+                                    [&seen](ServiceObject&, List& args) -> Value {
+                                        seen.push_back(args);
+                                        return Value{static_cast<std::int64_t>(seen.size())};
+                                    })
+                            .build());
+    b_rt_.create("Recorder", "recorder");
+    b_rpc_.export_object("recorder");
+
+    net::FaultPlan plan;
+    net::PartitionWindow cut{SimTime::zero(), SimTime::zero() + milliseconds(800), {b_id_},
+                             {a_id_}};
+    cut.one_way = true;
+    plan.partitions.push_back(cut);
+    net_.set_fault_plan(plan, 3);
+
+    const List args{Value{"world"}, Value{List{Value{1}, Value{Bytes{1, 2, 3}}}},
+                    Value{Dict{{"k", Value{2.5}}, {"n", Value{}}}}};
+    bool done = false;
+    Value out;
+    std::exception_ptr error;
+    CallOptions opts;
+    opts.timeout = milliseconds(300);
+    opts.retries = 2;
+    opts.retry_backoff = milliseconds(100);
+    a_rpc_.call_async(b_id_, "recorder", "note", args, opts,
+                      [&](Value r, std::exception_ptr e) {
+                          done = true;
+                          out = std::move(r);
+                          error = e;
+                      });
+    sim_.run();
+    ASSERT_TRUE(done);
+    ASSERT_FALSE(error);
+    EXPECT_EQ(out.as_int(), 3);
+    ASSERT_EQ(seen.size(), 3u);
+    for (const List& got : seen) EXPECT_EQ(got, args);
+}
+
 TEST_F(RpcTest, ConcurrentCallsCorrelate) {
     std::vector<std::string> results(3);
     int done = 0;
@@ -371,6 +420,68 @@ TEST_F(RpcTest, ConcurrentCallsCorrelate) {
     EXPECT_EQ(done, 3);
     EXPECT_EQ(results[0], "hello 0");
     EXPECT_EQ(results[2], "hello 2");
+}
+
+// ------------------------------------------------------------ envelopes ----
+// The envelope writers must produce exactly the canonical encoding of the
+// Dict each envelope stands for: the wire bytes (and so every virtual-time
+// stamp that depends on them) are those of the Dict-built encoding.
+
+Bytes dict_call(std::uint64_t id, const std::string& obj, const std::string& method,
+                const List& args) {
+    return Value{Dict{{"id", Value{static_cast<std::int64_t>(id)}},
+                      {"obj", Value{obj}},
+                      {"method", Value{method}},
+                      {"args", Value{args}}}}
+        .encode();
+}
+
+TEST(RpcWire, CallEnvelopeEqualsDictEncoding) {
+    const std::vector<List> shapes{
+        {},
+        {Value{"world"}, Value{42}, Value{true}, Value{}},
+        {Value{List{Value{1}, Value{List{Value{2.5}}}}}, Value{Dict{{"k", Value{"v"}}}}},
+        {Value{Bytes(300, 0xAB)}, Value{Bytes{}}},
+    };
+    for (const List& args : shapes) {
+        Bytes wire = Value{args}.encode();
+        EXPECT_EQ(rpc_wire::call(7, "greeter", "greet", wire),
+                  dict_call(7, "greeter", "greet", args));
+    }
+    EXPECT_EQ(rpc_wire::call(0, "", "", Value{List{}}.encode()), dict_call(0, "", "", {}));
+}
+
+TEST(RpcWire, ResultEnvelopeEqualsDictEncoding) {
+    const std::vector<Value> results{
+        Value{},
+        Value{"hello"},
+        Value{List{Value{1}, Value{Dict{{"a", Value{Bytes{9, 8}}}}}}},
+        Value{Bytes(5000, 0x11)},
+    };
+    for (const Value& r : results) {
+        EXPECT_EQ(rpc_wire::result(12, r),
+                  (Value{Dict{{"id", Value{12}}, {"ok", Value{true}}, {"result", r}}}.encode()));
+    }
+}
+
+TEST(RpcWire, ErrorEnvelopeEqualsDictEncoding) {
+    auto dict_error = [](std::int64_t id, const std::string& etype, const std::string& msg,
+                         std::optional<std::int64_t> retry_ms) {
+        Dict d{{"id", Value{id}},
+               {"ok", Value{false}},
+               {"etype", Value{etype}},
+               {"emsg", Value{msg}}};
+        if (retry_ms) d.set("retry_ms", Value{*retry_ms});
+        return Value{std::move(d)}.encode();
+    };
+    EXPECT_EQ(rpc_wire::error(3, "AccessDenied", "not allowed"),
+              dict_error(3, "AccessDenied", "not allowed", std::nullopt));
+    EXPECT_EQ(rpc_wire::error(4, "RemoteError", ""), dict_error(4, "RemoteError", "", {}));
+    // retry_ms rounds a sub-millisecond remainder up.
+    EXPECT_EQ(rpc_wire::error(5, "Overloaded", "shed", microseconds(1500)),
+              dict_error(5, "Overloaded", "shed", 2));
+    EXPECT_EQ(rpc_wire::error(6, "Overloaded", "shed", milliseconds(250)),
+              dict_error(6, "Overloaded", "shed", 250));
 }
 
 }  // namespace

@@ -184,6 +184,35 @@ TEST(FlightRecorder, DumpFreezesTheTail) {
     EXPECT_EQ(obs::FlightRecorder::global().dumps()[0].events.size(), 1u);
 }
 
+TEST(FlightRecorder, KeepsTheNewestEventsAcrossRootWrapAndClear) {
+    // The black box copies from the root ring lazily; whatever the root
+    // ring has since overwritten or cleared, the tail is the newest
+    // kCapacity events recorded, in order.
+    obs::TraceBuffer::global().clear();
+    obs::FlightRecorder::global().clear();
+    auto record = [](int from, int to) {
+        for (int i = from; i < to; ++i) {
+            obs::TraceBuffer::global().instant("test", "tick", {{"i", std::to_string(i)}});
+        }
+    };
+    auto expect_tail_ends_at = [](int last) {
+        auto tail = obs::FlightRecorder::global().tail();
+        ASSERT_EQ(tail.size(), obs::FlightRecorder::kCapacity);
+        for (std::size_t k = 0; k < tail.size(); ++k) {
+            EXPECT_EQ(tail[k].kv.at(0).second,
+                      std::to_string(last + 1 - static_cast<int>(tail.size() - k)));
+        }
+    };
+    record(0, 3000);  // the root ring (1024) wraps twice
+    expect_tail_ends_at(2999);
+    record(3000, 5000);
+    obs::TraceBuffer::global().clear();  // the black box keeps its copy
+    expect_tail_ends_at(4999);
+    record(5000, 5010);
+    expect_tail_ends_at(5009);
+    obs::FlightRecorder::global().clear();
+}
+
 TEST(FlightRecorder, DumpsAreBounded) {
     obs::FlightRecorder::global().clear();
     for (std::size_t i = 0; i < obs::FlightRecorder::kMaxDumps + 5; ++i) {
@@ -282,6 +311,97 @@ TEST(TraceTrees, JsonRoundTripPreservesCausalFields) {
     snap.trace.push_back(ev);
     obs::Snapshot back = obs::snapshot_from_json(obs::to_json(snap));
     EXPECT_EQ(back, snap);
+}
+
+// ------------------------------------------------------ event records ----
+// Ring slots store interned names and inline kv storage; what readers get
+// back (events(), exports, flight dumps) must be exactly what was recorded.
+
+TEST(TraceRecord, SpilledKvAndBuiltComponentRoundTripExportAndFlightDump) {
+    obs::TraceBuffer::global().clear();
+    obs::FlightRecorder::global().clear();
+    auto& tb = obs::TraceBuffer::global();
+
+    // More pairs than the inline capacity, including a long value, an
+    // empty one and a repeated key (kv is an ordered list, not a map).
+    const std::string long_value(200, 'x');
+    static_assert(obs::EventRecord::kInlineKv < 7);
+    std::uint64_t span = tb.begin_span("rt.rpc", "rpc.call",
+                                       {{"obj", "adaptation"},
+                                        {"method", "install"},
+                                        {"a", "1"},
+                                        {"b", long_value},
+                                        {"c", ""},
+                                        {"a", "again"},
+                                        {"d", "4"}});
+    // A component name built at run time, as a per-node role names itself.
+    const std::string component = "midas.receiver@" + std::string("hall/robot-") +
+                                  std::to_string(17);
+    tb.instant(component, std::string("governor.") + "throttle", {{"node", "robot-17"}});
+    tb.end_span(span, {{"outcome", "ok"}, {"k1", "v1"}, {"k2", "v2"}, {"k3", "v3"},
+                       {"k4", "v4"}});
+
+    const std::vector<obs::TraceEvent> events = tb.events();
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_EQ(events[0].kv, (obs::KeyValues{{"obj", "adaptation"},
+                                            {"method", "install"},
+                                            {"a", "1"},
+                                            {"b", long_value},
+                                            {"c", ""},
+                                            {"a", "again"},
+                                            {"d", "4"}}));
+    EXPECT_EQ(events[1].component, "midas.receiver@hall/robot-17");
+    EXPECT_EQ(events[1].name, "governor.throttle");
+    EXPECT_EQ(events[1].kv, (obs::KeyValues{{"node", "robot-17"}}));
+    EXPECT_EQ(events[2].kind, obs::EventKind::kSpanEnd);
+    EXPECT_EQ(events[2].kv.size(), 5u);
+    EXPECT_EQ(events[2].kv.back(), std::make_pair(std::string("k4"), std::string("v4")));
+
+    obs::Snapshot snap;
+    snap.trace = events;
+    EXPECT_EQ(obs::snapshot_from_json(obs::to_json(snap)), snap);
+
+    const auto& dump = obs::FlightRecorder::global().dump("robot-17", "crash", SimTime{9});
+    EXPECT_EQ(dump.events, events);
+}
+
+TEST(TraceRecord, ReusedSlotsForgetTheirPreviousKv) {
+    // A ring of two slots: every slot is rewritten several times with
+    // fewer, then more, pairs than it held before.
+    obs::TraceBuffer buf(2);
+    buf.instant("test", "wide", {{"a", "1"}, {"b", "2"}, {"c", "3"}, {"d", "4"}, {"e", "5"}});
+    buf.instant("test", "wide2", {{"f", std::string(64, 'f')}, {"g", "7"}, {"h", "8"},
+                                  {"i", "9"}, {"j", "10"}, {"k", "11"}});
+    buf.instant("test", "narrow", {{"z", "26"}});
+    buf.instant("test", "none");
+    auto events = buf.events();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].name, "narrow");
+    EXPECT_EQ(events[0].kv, (obs::KeyValues{{"z", "26"}}));
+    EXPECT_EQ(events[1].name, "none");
+    EXPECT_TRUE(events[1].kv.empty());
+    buf.instant("test", "wide3", {{"a", "1"}, {"b", "2"}, {"c", "3"}, {"d", "4"}, {"e", "5"}});
+    EXPECT_EQ(buf.events()[1].kv.size(), 5u);
+    EXPECT_EQ(buf.events()[1].kv[4], std::make_pair(std::string("e"), std::string("5")));
+}
+
+TEST(TraceRecord, OpenSpanTableSurvivesWrapAndOrphansHonestly) {
+    // Spans outnumbering the ring: ends whose begins are still retained
+    // link up; ends whose begins were evicted are orphans.
+    obs::TraceBuffer buf(8);
+    std::vector<std::uint64_t> spans;
+    for (int i = 0; i < 20; ++i) spans.push_back(buf.begin_span("test", "s"));
+    // The last 8 begins fill the ring; the 9th-from-last is gone.
+    EXPECT_TRUE(buf.context_of(spans[19]).valid());
+    EXPECT_TRUE(buf.context_of(spans[12]).valid());
+    EXPECT_FALSE(buf.context_of(spans[11]).valid());
+    buf.end_span(spans[19]);  // evicts spans[12]'s begin
+    EXPECT_EQ(buf.orphan_ends(), 0u);
+    buf.end_span(spans[12]);
+    EXPECT_EQ(buf.orphan_ends(), 1u);
+    auto events = buf.events();
+    EXPECT_EQ(events.back().span, spans[12]);
+    EXPECT_TRUE(has_kv(events.back().kv, "orphan", "true"));
 }
 
 // --------------------------------------------------------------- profiler ----

@@ -243,6 +243,59 @@ TEST(ValueEncode, CanonicalAcrossInsertionOrder) {
     EXPECT_EQ(Value{d1}.encode(), Value{d2}.encode());
 }
 
+// Hand-built dict encoding: header, then (key, value) in the given order.
+Bytes dict_bytes(const std::vector<std::pair<std::string, Value>>& entries) {
+    Bytes out;
+    codec::put_header(out, Value::Kind::kDict, entries.size());
+    for (const auto& [k, v] : entries) {
+        codec::put_key(out, k);
+        v.encode(out);
+    }
+    return out;
+}
+
+TEST(ValueEncode, DecodingUnsortedDictEqualsSetBuilt) {
+    Dict built;
+    built.set("m", Value{1});
+    built.set("b", Value{"two"});
+    built.set("x", Value{List{Value{3}}});
+    Value back = Value::decode(std::span<const std::uint8_t>(
+        dict_bytes({{"m", Value{1}}, {"x", Value{List{Value{3}}}}, {"b", Value{"two"}}})));
+    EXPECT_EQ(back, Value{built});
+    // And it re-encodes canonically (sorted), not in wire order.
+    EXPECT_EQ(back.encode(), Value{built}.encode());
+}
+
+TEST(ValueEncode, DecodingDuplicateKeysEqualsSetBuilt) {
+    // set() semantics: the last occurrence of a key wins, wherever it sits.
+    Dict built;
+    built.set("a", Value{1});
+    built.set("c", Value{2});
+    built.set("a", Value{3});
+    built.set("c", Value{4});
+    built.set("b", Value{5});
+    Value back = Value::decode(std::span<const std::uint8_t>(dict_bytes(
+        {{"a", Value{1}}, {"c", Value{2}}, {"a", Value{3}}, {"c", Value{4}}, {"b", Value{5}}})));
+    EXPECT_EQ(back, Value{built});
+    EXPECT_EQ(back.as_dict().size(), 3u);
+    EXPECT_EQ(back.as_dict().at("a"), Value{3});
+    EXPECT_EQ(back.as_dict().at("c"), Value{4});
+}
+
+TEST(ValueEncode, WritersMatchValueEncoding) {
+    Bytes out;
+    codec::put_int(out, -7);
+    codec::put_bool(out, true);
+    codec::put_str(out, "hi");
+    Bytes want = Value{-7}.encode();
+    append(want, Value{true}.encode());
+    append(want, Value{"hi"}.encode());
+    EXPECT_EQ(out, want);
+    EXPECT_EQ(codec::kIntSize, Value{-7}.encode().size());
+    EXPECT_EQ(codec::kBoolSize, Value{true}.encode().size());
+    EXPECT_EQ(codec::str_size("hi"), Value{"hi"}.encode().size());
+}
+
 TEST(ValueEncode, TruncatedInputThrows) {
     Bytes enc = Value{"hello"}.encode();
     enc.resize(enc.size() - 2);
@@ -305,6 +358,14 @@ TEST_P(ValueRoundTrip, EncodeDecodeIdentity) {
         EXPECT_EQ(back, v) << v.to_string();
         // Canonical: re-encoding the decoded value gives identical bytes.
         EXPECT_EQ(back.encode(), v.encode());
+    }
+}
+
+TEST_P(ValueRoundTrip, EncodedSizeMatchesEncoding) {
+    Rng rng(GetParam());
+    for (int i = 0; i < 50; ++i) {
+        Value v = random_value(rng, 0);
+        EXPECT_EQ(v.encoded_size(), v.encode().size()) << v.to_string();
     }
 }
 
