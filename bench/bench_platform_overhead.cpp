@@ -14,9 +14,13 @@
 // with the obs flag off (compiled-in-but-idle — the configuration of the
 // hooks-on column above, so the idle flag check is already inside E3's
 // small tax) against the flag on (counters counting).
-// The last section prices the per-message constant of the control plane:
+// A further section prices the per-message constant of the control plane:
 // a span on a warm trace ring, an rpc-shaped span, and one rpc control
 // round-trip between two nodes (host ns and heap allocations per call).
+// The last one prices an extension install's builtin namespace: heap
+// allocations per install through a receiver (verify, static check,
+// compile-cache hit, ScriptAspect, weave) and heap bytes retained per
+// live installed aspect.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -24,11 +28,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <malloc.h>
 #include <new>
 
 #include "smoke.h"
 
 #include "core/weaver.h"
+#include "midas/node.h"
 #include "net/admission.h"
 #include "net/router.h"
 #include "obs/metrics.h"
@@ -38,18 +44,30 @@
 #include "specmini/suite.h"
 
 // Heap allocations made through operator new, for the per-call allocation
-// rows. Counting is one relaxed increment, invisible next to malloc.
+// rows, and the bytes they hold (malloc's usable size), for the retained-
+// bytes row. Counting is two relaxed updates, invisible next to malloc.
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::int64_t> g_live_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+    if (void* p = std::malloc(n == 0 ? 1 : n)) {
+        g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                               std::memory_order_relaxed);
+        return p;
+    }
     throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+    if (p) {
+        g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                               std::memory_order_relaxed);
+    }
+    std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace {
 
@@ -395,6 +413,66 @@ int main(int argc, char** argv) {
         printf("rpc control round-trip: %.0f ns/call, %.1f heap allocations/call "
                "(%d/%d answered)\n",
                call_ns, call_allocs, answered, calls);
+        obs::TraceBuffer::global().clear();
+    }
+
+    // An install's builtin namespace: `n` distinct extensions installed in
+    // process on one receiver, all live at the end. Every install runs the
+    // whole receiver path (open + verify, static check, compile-cache hit,
+    // ScriptAspect with its top level, weave); what an install's namespace
+    // costs is the part of these rows that changes with how the receiver
+    // composes the extension's builtins. The advice matches no object on
+    // the node: every weave republishes the hook tables it touches, which
+    // would make the per-install rows grow with the number of live aspects.
+    {
+        sim::Simulator sim;
+        net::Network net(sim, net::NetworkConfig{}, 1);
+        midas::MobileNode node(net, "robot", {0, 0}, 50);
+        node.trust().trust("hall", to_bytes("hall-key"));
+        node.receiver().allow_capabilities("hall", {"net", "log"});
+        crypto::KeyStore keys;
+        keys.add_key("hall", to_bytes("hall-key"));
+        auto sealed = [&keys](const std::string& name) {
+            midas::ExtensionPackage pkg;
+            pkg.name = name;
+            pkg.script = R"(
+                let posts = 0;
+                fun onEntry() {
+                    owner.post("collector", "post",
+                               [sys.node(), {"device": ctx.target(), "action": ctx.method()}]);
+                    posts = posts + 1;
+                }
+                fun onShutdown(reason) { log.info("bye ", reason); }
+            )";
+            pkg.bindings = {midas::PackageBinding{prose::AdviceKind::kBefore,
+                                                  "call(* Lamp.*(..))", "onEntry", 0}};
+            pkg.capabilities = {"net", "log"};
+            return pkg.seal(keys, "hall");
+        };
+        const int n = kRepeats == 1 ? 16 : 768;
+        std::vector<Bytes> packages;
+        for (int i = 0; i < n; ++i) packages.push_back(sealed("hall/ext" + std::to_string(i)));
+        // Warm the compile and pointcut caches, the trace ring and the
+        // weaver's plan with one install of the same script.
+        node.receiver().install_from(NodeId{1}, sealed("hall/warm"), 60'000);
+        obs::TraceBuffer::global().clear();
+
+        const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+        const std::int64_t bytes0 = g_live_bytes.load(std::memory_order_relaxed);
+        auto t0 = std::chrono::steady_clock::now();
+        for (const Bytes& pkg : packages) node.receiver().install_from(NodeId{1}, pkg, 60'000);
+        auto t1 = std::chrono::steady_clock::now();
+        const double install_us =
+            std::chrono::duration<double, std::micro>(t1 - t0).count() / n;
+        const double install_allocs =
+            static_cast<double>(g_allocs.load(std::memory_order_relaxed) - allocs0) / n;
+        const double retained_kib =
+            static_cast<double>(g_live_bytes.load(std::memory_order_relaxed) - bytes0) / n /
+            1024.0;
+        printf("\n=== extension install: the builtin namespace ===\n"
+               "receiver install (%zu live): %.1f us/install, %.1f heap allocations/install, "
+               "%.2f KiB retained per live aspect\n",
+               node.receiver().installed_count(), install_us, install_allocs, retained_kib);
         obs::TraceBuffer::global().clear();
     }
 

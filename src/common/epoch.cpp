@@ -127,6 +127,9 @@ void EpochDomain::retire(std::function<void()> reclaim) {
 
 std::vector<EpochDomain::Retired> EpochDomain::collect_ripe() {
     std::vector<Retired> ripe;
+    // The guard check covers only entries retired before this snapshot: a
+    // later one may be walked by a reader whose guard came after the check.
+    const std::uint64_t seen = epoch_.load(std::memory_order_seq_cst);
     // Any live guard anywhere may have been taken before any retirement we
     // know about — defer everything. (Guards taken *after* a retirement
     // can only observe the new pointer, so this is conservative but safe.)
@@ -143,7 +146,7 @@ std::vector<EpochDomain::Retired> EpochDomain::collect_ripe() {
     }
     std::vector<Retired> keep;
     for (auto& r : retired_) {
-        if (r.epoch <= min_local) {
+        if (r.epoch <= min_local && r.epoch <= seen) {
             ripe.push_back(std::move(r));
         } else {
             keep.push_back(std::move(r));

@@ -8,10 +8,17 @@ namespace pmp::prose {
 using rt::Value;
 using script::BuiltinRegistry;
 
-/// The join point the advice currently executing can see. Saved/restored
-/// around every script invocation so nested interceptions (e.g. proceed()
-/// triggering further woven calls) see their own join point.
+namespace {
+
+/// The join point the advice currently executing can see.
 struct CurrentJoinPoint {
+    CurrentJoinPoint() = default;
+    explicit CurrentJoinPoint(rt::CallFrame& f, const std::function<Value()>* p = nullptr)
+        : frame(&f), proceed(p) {}
+    CurrentJoinPoint(rt::ServiceObject& self, const rt::FieldDecl& f, const Value* old_v,
+                     Value* new_v)
+        : field_self(&self), field(&f), old_value(old_v), new_value(new_v) {}
+
     rt::CallFrame* frame = nullptr;
     const std::function<Value()>* proceed = nullptr;
     std::string error_message;
@@ -22,75 +29,69 @@ struct CurrentJoinPoint {
     Value* new_value = nullptr;
 };
 
-struct ScriptAspect::State {
-    std::unique_ptr<script::Engine> engine;
-    CurrentJoinPoint jp;
+/// The join point of the script call running on this thread. Each entry
+/// into an engine (advice; the top level and onShutdown with none) installs
+/// its own for the call, so a nested interception (proceed() reaching more
+/// woven calls) sees its own and the outer one is restored on the way out.
+thread_local const CurrentJoinPoint* t_jp = nullptr;
 
-    rt::CallFrame& frame() {
-        if (!jp.frame) throw ScriptError("no method join point is active");
-        return *jp.frame;
-    }
+class JoinPointScope {
+public:
+    explicit JoinPointScope(const CurrentJoinPoint* next) : saved_(t_jp) { t_jp = next; }
+    ~JoinPointScope() { t_jp = saved_; }
+    JoinPointScope(const JoinPointScope&) = delete;
+    JoinPointScope& operator=(const JoinPointScope&) = delete;
 
-    rt::ServiceObject& target() {
-        if (jp.frame) return jp.frame->self;
-        if (jp.field_self) return *jp.field_self;
-        throw ScriptError("no join point is active");
-    }
-
-    /// Run `function` with the given join point installed.
-    Value fire(const std::string& function, CurrentJoinPoint next) {
-        CurrentJoinPoint saved = std::move(jp);
-        jp = std::move(next);
-        try {
-            Value out = engine->call(function, {});
-            jp = std::move(saved);
-            return out;
-        } catch (...) {
-            jp = std::move(saved);
-            throw;
-        }
-    }
+private:
+    const CurrentJoinPoint* saved_;
 };
 
-const std::vector<std::pair<std::string, std::string>>& ctx_builtin_names() {
-    static const std::vector<std::pair<std::string, std::string>> kNames = {
-        {"ctx.type", ""},        {"ctx.target", ""},     {"ctx.method", ""},
-        {"ctx.args", ""},        {"ctx.arg", ""},        {"ctx.set_arg", ""},
-        {"ctx.result", ""},      {"ctx.set_result", ""}, {"ctx.proceed", ""},
-        {"ctx.error", ""},       {"ctx.deny", ""},       {"ctx.set_note", ""},
-        {"ctx.note", ""},        {"ctx.field", ""},      {"ctx.oldval", ""},
-        {"ctx.newval", ""},      {"ctx.set_newval", ""}, {"ctx.get_field", "target"},
-        {"ctx.set_field", "target"},
-    };
-    return kNames;
+const CurrentJoinPoint& current() {
+    static const CurrentJoinPoint kNone;
+    return t_jp ? *t_jp : kNone;
 }
 
-void ScriptAspect::install_ctx_builtins(BuiltinRegistry& reg,
-                                        const std::shared_ptr<State>& state) {
-    State* s = state.get();  // registry lives inside the interpreter owned by state
+rt::CallFrame& frame() {
+    if (!current().frame) throw ScriptError("no method join point is active");
+    return *current().frame;
+}
 
-    reg.add("ctx.type", "", [s](rt::List&) -> Value {
-        return Value{s->target().type().name()};
+rt::ServiceObject& target() {
+    if (current().frame) return current().frame->self;
+    if (current().field_self) return *current().field_self;
+    throw ScriptError("no join point is active");
+}
+
+/// Run `function` with `next` as the current join point.
+Value fire(script::Engine& engine, const std::string& function, const CurrentJoinPoint& next) {
+    JoinPointScope scope(&next);
+    return engine.call(function, {});
+}
+
+/// The ctx.* builtins: one table for the process, reading the join point
+/// of whichever advice is running on the calling thread.
+BuiltinRegistry make_ctx_layer() {
+    BuiltinRegistry reg;
+    reg.add("ctx.type", "", [](rt::List&) -> Value { return Value{target().type().name()}; });
+    reg.add("ctx.target", "", [](rt::List&) -> Value { return Value{target().name()}; });
+    reg.add("ctx.method", "", [](rt::List&) -> Value {
+        return Value{frame().method.decl().name};
     });
-    reg.add("ctx.target", "", [s](rt::List&) -> Value { return Value{s->target().name()}; });
-    reg.add("ctx.method", "", [s](rt::List&) -> Value {
-        return Value{s->frame().method.decl().name};
-    });
-    reg.add("ctx.args", "", [s](rt::List&) -> Value { return Value{s->frame().args}; });
-    reg.add("ctx.arg", "", [s](rt::List& args) -> Value {
+    reg.add("ctx.args", "", [](rt::List&) -> Value { return Value{frame().args}; });
+    reg.add("ctx.arg", "", [](rt::List& args) -> Value {
         if (args.size() != 1 || !args[0].is_int()) throw ScriptError("ctx.arg expects an index");
-        auto& call_args = s->frame().args;
+        auto& call_args = frame().args;
         std::int64_t i = args[0].as_int();
         if (i < 0 || i >= static_cast<std::int64_t>(call_args.size())) {
             throw ScriptError("ctx.arg index out of range");
         }
         return call_args[static_cast<std::size_t>(i)];
     });
-    reg.add("ctx.set_arg", "", [s](rt::List& args) -> Value {
+    reg.add("ctx.set_arg", "", [](rt::List& args) -> Value {
         if (args.size() != 2 || !args[0].is_int()) {
             throw ScriptError("ctx.set_arg expects (index, value)");
         }
-        auto& call_args = s->frame().args;
+        auto& call_args = frame().args;
         std::int64_t i = args[0].as_int();
         if (i < 0 || i >= static_cast<std::int64_t>(call_args.size())) {
             throw ScriptError("ctx.set_arg index out of range");
@@ -98,84 +99,84 @@ void ScriptAspect::install_ctx_builtins(BuiltinRegistry& reg,
         call_args[static_cast<std::size_t>(i)] = args[1];
         return Value{};
     });
-    reg.add("ctx.result", "", [s](rt::List&) -> Value { return s->frame().result; });
-    reg.add("ctx.set_result", "", [s](rt::List& args) -> Value {
+    reg.add("ctx.result", "", [](rt::List&) -> Value { return frame().result; });
+    reg.add("ctx.set_result", "", [](rt::List& args) -> Value {
         if (args.size() != 1) throw ScriptError("ctx.set_result expects (value)");
-        s->frame().result = args[0];
+        frame().result = args[0];
         return Value{};
     });
-    reg.add("ctx.proceed", "", [s](rt::List&) -> Value {
-        if (!s->jp.proceed) throw ScriptError("ctx.proceed is only valid in around advice");
-        s->frame().result = (*s->jp.proceed)();
-        return s->frame().result;
+    reg.add("ctx.proceed", "", [](rt::List&) -> Value {
+        if (!current().proceed) throw ScriptError("ctx.proceed is only valid in around advice");
+        frame().result = (*current().proceed)();
+        return frame().result;
     });
-    reg.add("ctx.error", "", [s](rt::List&) -> Value { return Value{s->jp.error_message}; });
+    reg.add("ctx.error", "", [](rt::List&) -> Value { return Value{current().error_message}; });
     // Per-call annotations (implicit context shared by cooperating
     // extensions along one invocation, e.g. session info).
-    reg.add("ctx.set_note", "", [s](rt::List& args) -> Value {
+    reg.add("ctx.set_note", "", [](rt::List& args) -> Value {
         if (args.size() != 2 || !args[0].is_str()) {
             throw ScriptError("ctx.set_note expects (key, value)");
         }
-        s->frame().notes.set(args[0].as_str(), args[1]);
+        frame().notes.set(args[0].as_str(), args[1]);
         return Value{};
     });
-    reg.add("ctx.note", "", [s](rt::List& args) -> Value {
+    reg.add("ctx.note", "", [](rt::List& args) -> Value {
         if (args.size() != 1 || !args[0].is_str()) {
             throw ScriptError("ctx.note expects (key)");
         }
-        const Value* v = s->frame().notes.find(args[0].as_str());
+        const Value* v = frame().notes.find(args[0].as_str());
         return v ? *v : Value{};
     });
-    reg.add("ctx.deny", "", [s](rt::List& args) -> Value {
-        (void)s;
+    reg.add("ctx.deny", "", [](rt::List& args) -> Value {
         std::string why = args.empty() ? "denied by extension"
                                        : (args[0].is_str() ? args[0].as_str()
                                                            : args[0].to_string());
         throw AccessDenied(why);
     });
 
-    reg.add("ctx.field", "", [s](rt::List&) -> Value {
-        if (!s->jp.field) throw ScriptError("no field join point is active");
-        return Value{s->jp.field->name};
+    reg.add("ctx.field", "", [](rt::List&) -> Value {
+        if (!current().field) throw ScriptError("no field join point is active");
+        return Value{current().field->name};
     });
-    reg.add("ctx.oldval", "", [s](rt::List&) -> Value {
-        if (!s->jp.old_value) throw ScriptError("ctx.oldval: no field-set join point");
-        return *s->jp.old_value;
+    reg.add("ctx.oldval", "", [](rt::List&) -> Value {
+        if (!current().old_value) throw ScriptError("ctx.oldval: no field-set join point");
+        return *current().old_value;
     });
-    reg.add("ctx.newval", "", [s](rt::List&) -> Value {
-        if (!s->jp.new_value) throw ScriptError("ctx.newval: no field join point");
-        return *s->jp.new_value;
+    reg.add("ctx.newval", "", [](rt::List&) -> Value {
+        if (!current().new_value) throw ScriptError("ctx.newval: no field join point");
+        return *current().new_value;
     });
-    reg.add("ctx.set_newval", "", [s](rt::List& args) -> Value {
+    reg.add("ctx.set_newval", "", [](rt::List& args) -> Value {
         if (args.size() != 1) throw ScriptError("ctx.set_newval expects (value)");
-        if (!s->jp.new_value) throw ScriptError("ctx.set_newval: no field join point");
-        *s->jp.new_value = args[0];
+        if (!current().new_value) throw ScriptError("ctx.set_newval: no field join point");
+        *current().new_value = args[0];
         return Value{};
     });
 
-    // Target state access is a real capability: it lets the extension read
-    // and write the adapted object's fields directly.
-    reg.add("ctx.get_field", "target", [s](rt::List& args) -> Value {
+    // Target state access is a real capability: it lets the extension
+    // read and write the adapted object's fields directly.
+    reg.add("ctx.get_field", "target", [](rt::List& args) -> Value {
         if (args.size() != 1 || !args[0].is_str()) {
             throw ScriptError("ctx.get_field expects (name)");
         }
-        return s->target().peek(args[0].as_str());
+        return target().peek(args[0].as_str());
     });
-    reg.add("ctx.set_field", "target", [s](rt::List& args) -> Value {
+    reg.add("ctx.set_field", "target", [](rt::List& args) -> Value {
         if (args.size() != 2 || !args[0].is_str()) {
             throw ScriptError("ctx.set_field expects (name, value)");
         }
-        s->target().poke(args[0].as_str(), args[1]);
+        target().poke(args[0].as_str(), args[1]);
         return Value{};
     });
+    return reg;
+}
 
-    // Keep ctx_builtin_names() honest: every advertised name must really be
-    // installed (a drifting list would make static checks false-reject).
-    for (const auto& [name, _] : ctx_builtin_names()) {
-        if (!reg.find(name)) {
-            throw ScriptError("internal: ctx builtin list names unknown '" + name + "'");
-        }
-    }
+}  // namespace
+
+std::shared_ptr<const BuiltinRegistry> extension_builtins(const BuiltinRegistry& host) {
+    static const BuiltinRegistry ctx = make_ctx_layer();
+    return std::make_shared<const BuiltinRegistry>(
+        ctx.over(std::make_shared<const BuiltinRegistry>(host)));
 }
 
 ScriptAspect::ScriptAspect(std::string name, const std::string& source,
@@ -192,27 +193,21 @@ ScriptAspect::ScriptAspect(std::string name,
                            std::shared_ptr<const script::CompiledUnit> unit,
                            std::vector<ScriptBinding> bindings, script::Sandbox sandbox,
                            const BuiltinRegistry& host_builtins, Value config,
-                           script::EngineMode mode)
-    : state_(std::make_shared<State>()) {
+                           script::EngineMode mode) {
     std::shared_ptr<const script::Program> program = unit->program;
-
-    // Compose the extension's view of the world: core library + host
-    // facilities + join-point access.
-    auto registry = std::make_shared<BuiltinRegistry>(host_builtins);
-    install_ctx_builtins(*registry, state_);
-
     if (mode == script::EngineMode::kVm) {
-        state_->engine = std::make_unique<script::Vm>(std::move(unit), std::move(sandbox),
-                                                      std::move(registry));
+        engine_ = std::make_shared<script::Vm>(std::move(unit), std::move(sandbox),
+                                               extension_builtins(host_builtins));
     } else {
-        state_->engine = std::make_unique<script::Interpreter>(program, std::move(sandbox),
-                                                               std::move(registry));
+        engine_ = std::make_shared<script::Interpreter>(program, std::move(sandbox),
+                                                        extension_builtins(host_builtins));
     }
-    state_->engine->set_global("config", std::move(config));
-    state_->engine->run_top_level();
+    engine_->set_global("config", std::move(config));
+    JoinPointScope top_level(nullptr);  // runs outside any join point
+    engine_->run_top_level();
 
     aspect_ = std::make_shared<Aspect>(std::move(name));
-    std::shared_ptr<State> state = state_;
+    std::shared_ptr<script::Engine> engine = engine_;
 
     for (const ScriptBinding& binding : bindings) {
         if (!program->find_function(binding.function)) {
@@ -224,29 +219,24 @@ ScriptAspect::ScriptAspect(std::string name,
             case AdviceKind::kBefore:
                 aspect_->before(
                     std::move(pc),
-                    [state, fn](rt::CallFrame& frame) {
-                        CurrentJoinPoint jp;
-                        jp.frame = &frame;
-                        state->fire(fn, std::move(jp));
+                    [engine, fn](rt::CallFrame& frame) {
+                        fire(*engine, fn, CurrentJoinPoint(frame));
                     },
                     binding.priority);
                 break;
             case AdviceKind::kAfter:
                 aspect_->after(
                     std::move(pc),
-                    [state, fn](rt::CallFrame& frame) {
-                        CurrentJoinPoint jp;
-                        jp.frame = &frame;
-                        state->fire(fn, std::move(jp));
+                    [engine, fn](rt::CallFrame& frame) {
+                        fire(*engine, fn, CurrentJoinPoint(frame));
                     },
                     binding.priority);
                 break;
             case AdviceKind::kAfterThrowing:
                 aspect_->after_throwing(
                     std::move(pc),
-                    [state, fn](rt::CallFrame& frame, std::exception_ptr error) {
-                        CurrentJoinPoint jp;
-                        jp.frame = &frame;
+                    [engine, fn](rt::CallFrame& frame, std::exception_ptr error) {
+                        CurrentJoinPoint jp(frame);
                         try {
                             if (error) std::rethrow_exception(error);
                         } catch (const std::exception& e) {
@@ -254,19 +244,16 @@ ScriptAspect::ScriptAspect(std::string name,
                         } catch (...) {
                             jp.error_message = "unknown error";
                         }
-                        state->fire(fn, std::move(jp));
+                        fire(*engine, fn, jp);
                     },
                     binding.priority);
                 break;
             case AdviceKind::kAround:
                 aspect_->around(
                     std::move(pc),
-                    [state, fn](rt::CallFrame& frame,
-                                const std::function<Value()>& proceed) -> Value {
-                        CurrentJoinPoint jp;
-                        jp.frame = &frame;
-                        jp.proceed = &proceed;
-                        Value out = state->fire(fn, std::move(jp));
+                    [engine, fn](rt::CallFrame& frame,
+                                 const std::function<Value()>& proceed) -> Value {
+                        Value out = fire(*engine, fn, CurrentJoinPoint(frame, &proceed));
                         // Convention: if the function returns a value, that
                         // is the call result; a null return keeps whatever
                         // proceed()/set_result established.
@@ -277,27 +264,18 @@ ScriptAspect::ScriptAspect(std::string name,
             case AdviceKind::kFieldSet:
                 aspect_->on_field_set(
                     std::move(pc),
-                    [state, fn](rt::ServiceObject& self, const rt::FieldDecl& field,
-                                const Value& old_value, Value& new_value) {
-                        CurrentJoinPoint jp;
-                        jp.field_self = &self;
-                        jp.field = &field;
-                        jp.old_value = &old_value;
-                        jp.new_value = &new_value;
-                        state->fire(fn, std::move(jp));
+                    [engine, fn](rt::ServiceObject& self, const rt::FieldDecl& field,
+                                 const Value& old_value, Value& new_value) {
+                        fire(*engine, fn, {self, field, &old_value, &new_value});
                     },
                     binding.priority);
                 break;
             case AdviceKind::kFieldGet:
                 aspect_->on_field_get(
                     std::move(pc),
-                    [state, fn](rt::ServiceObject& self, const rt::FieldDecl& field,
-                                Value& value) {
-                        CurrentJoinPoint jp;
-                        jp.field_self = &self;
-                        jp.field = &field;
-                        jp.new_value = &value;
-                        state->fire(fn, std::move(jp));
+                    [engine, fn](rt::ServiceObject& self, const rt::FieldDecl& field,
+                                 Value& value) {
+                        fire(*engine, fn, {self, field, nullptr, &value});
                     },
                     binding.priority);
                 break;
@@ -307,13 +285,13 @@ ScriptAspect::ScriptAspect(std::string name,
     if (program->find_function("onShutdown")) {
         // A failing script cannot prevent withdrawal: the weaver catches
         // whatever the shutdown procedure throws.
-        aspect_->on_withdraw([state](WithdrawReason reason) {
-            state->engine->call("onShutdown",
-                                {Value{std::string(withdraw_reason_name(reason))}});
+        aspect_->on_withdraw([engine](WithdrawReason reason) {
+            JoinPointScope none(nullptr);
+            engine->call("onShutdown", {Value{std::string(withdraw_reason_name(reason))}});
         });
     }
 }
 
-script::Engine& ScriptAspect::engine() { return *state_->engine; }
+script::Engine& ScriptAspect::engine() { return *engine_; }
 
 }  // namespace pmp::prose

@@ -6,16 +6,8 @@
 // once (initialising extension globals from the shipped `config`), and each
 // binding becomes native advice that invokes the corresponding script
 // function inside the sandbox. During advice execution the script sees the
-// current join point through the `ctx.*` builtins:
-//
-//   ctx.type() / ctx.target() / ctx.method()    what was intercepted
-//   ctx.arg(i) / ctx.args() / ctx.set_arg(i,v)  call arguments
-//   ctx.result() / ctx.set_result(v)            after / around
-//   ctx.proceed()                               around only
-//   ctx.error()                                 after-throwing
-//   ctx.field() / ctx.oldval() / ctx.newval() / ctx.set_newval(v)   field advice
-//   ctx.deny(msg)                               veto -> AccessDenied at caller
-//   ctx.get_field(n) / ctx.set_field(n, v)      target state   [capability "target"]
+// current join point through the `ctx.*` builtins (one table, in
+// script_aspect.cpp; docs/advicescript.md describes them).
 //
 // The shutdown procedure is the script function `onShutdown(reason)`, run
 // when the aspect is withdrawn (lease expiry, replacement, or explicit).
@@ -35,11 +27,12 @@
 
 namespace pmp::prose {
 
-/// Names and required capabilities of the ctx.* join-point builtins that
-/// every script aspect gets. Static checkers (which run before any join
-/// point exists) declare these as known functions. install_ctx_builtins
-/// verifies at aspect build time that the list is complete.
-const std::vector<std::pair<std::string, std::string>>& ctx_builtin_names();
+/// The namespace an extension script resolves against: the process-wide
+/// ctx.* layer over `host`, whose layers are shared, not copied.
+/// ScriptAspect builds its engine on it; an installer checks a script
+/// against it first, so both resolve through the same chain.
+std::shared_ptr<const script::BuiltinRegistry> extension_builtins(
+    const script::BuiltinRegistry& host);
 
 /// Binds one advice kind + pointcut to a script function.
 struct ScriptBinding {
@@ -64,8 +57,9 @@ public:
     /// missing, and whatever the top-level raises when it runs.
     ///
     /// `host_builtins` supplies node facilities (log.*, net.*, db.*, ...)
-    /// on top of the core library; the sandbox decides which of those the
-    /// extension may actually use. `config` is exposed to the script as the
+    /// on top of the core library, and the engine resolves against
+    /// extension_builtins(host_builtins); the sandbox decides which of
+    /// those the extension may actually use. `config` is exposed to the script as the
     /// global `config` before the top level runs.
     ScriptAspect(std::string name, const std::string& source,
                  std::vector<ScriptBinding> bindings, script::Sandbox sandbox,
@@ -87,12 +81,7 @@ public:
     script::Engine& engine();
 
 private:
-    struct State;
-
-    static void install_ctx_builtins(script::BuiltinRegistry& reg,
-                                     const std::shared_ptr<State>& state);
-
-    std::shared_ptr<State> state_;
+    std::shared_ptr<script::Engine> engine_;
     std::shared_ptr<Aspect> aspect_;
 };
 

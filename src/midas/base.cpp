@@ -74,12 +74,6 @@ ExtensionBase::ExtensionBase(rt::RpcEndpoint& rpc, disco::Registrar& registrar,
         compact_journal();
     }
     local_.set_terms(epoch_, config_.extension_lease.count() / 1'000'000);
-    if (hall_store_ &&
-        (config_.hall_retention_records > 0 || config_.hall_retention_bytes > 0)) {
-        hall_store_->set_retention(
-            db::Retention{config_.hall_retention_records, config_.hall_retention_bytes},
-            config_.issuer);
-    }
     build_catchup_object();
     registrar_.register_permanent("midas.catchup",
                                   Dict{{"issuer", Value{config_.issuer}}});
@@ -656,8 +650,13 @@ void ExtensionBase::process_cell_reply(const std::string& cell, std::uint64_t se
             // entry carrying the hash, forcing the next frame to re-emit
             // their puts with the blob attached. Pending must be scrubbed
             // too: step 4 below promotes it to synced on this very reply.
-            auto pit = policy_.find(name);
-            std::string hash = pit == policy_.end() ? "" : pit->second.hash;
+            // The lost hash is the one the member's roster line carries —
+            // a canary's, during a rollout — not necessarily the policy's.
+            auto ait = adapted_.find(NodeId{static_cast<std::uint64_t>(s.at("node").as_int())});
+            const std::string* line =
+                ait == adapted_.end() ? nullptr : cell_line_hash(ait->second, name);
+            if (!line) continue;
+            std::string hash = *line;
             cs.relay_has.erase(hash);
             auto lost = [&hash](const auto& e) { return e.second.hash == hash; };
             std::erase_if(cs.synced, lost);

@@ -42,10 +42,6 @@ struct BaseConfig {
     /// — its size tracks the policy set, not the fleet — so catch-up bytes
     /// per restarted node stay flat as the federation grows.
     std::size_t catchup_chunk_bytes = 4096;
-    /// Hall event-store retention installed when journaling (see
-    /// db::Retention). Zero fields are unlimited — the seed behavior.
-    std::size_t hall_retention_records = 0;
-    std::size_t hall_retention_bytes = 0;
     /// Caller-side circuit breaker over the install / keep-alive paths:
     /// after `breaker.threshold` consecutive Overloaded-or-timeout failures
     /// toward one node, traffic to it is short-circuited for a doubling

@@ -560,9 +560,10 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
         if (sandbox.deadline_steps == 0) sandbox.deadline_steps = 1;
     }
 
-    // Per-extension builtins: owner.post reaches back to whatever node
-    // installed this extension (the base station or a peer).
-    script::BuiltinRegistry builtins = host_builtins_;
+    // Per-extension builtins over a snapshot of the host's: owner.post
+    // reaches back to whatever node installed this extension.
+    script::BuiltinRegistry builtins(
+        std::make_shared<const script::BuiltinRegistry>(host_builtins_));
     rt::RpcEndpoint* rpc = &rpc_;
     NodeId owner = base;
 
@@ -610,14 +611,10 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
         std::shared_ptr<const script::CompiledUnit> unit = compiled_unit_for(pkg.script);
         // Scripts are input from outside: the static checker rejects
         // packages with diagnostics (undefined names, unknown builtins, bad
-        // arity...) before anything is compiled or woven. It sees the same
-        // world the script will: host and per-extension builtins plus the
-        // ctx.* join-point builtins that ScriptAspect adds during compilation.
-        script::BuiltinRegistry checkable = builtins;
-        for (const auto& [name, capability] : prose::ctx_builtin_names()) {
-            checkable.add(name, capability, [](List&) -> Value { return Value{}; });
-        }
-        auto diagnostics = script::check(*unit->program, checkable);
+        // arity...) before anything is compiled or woven. It resolves
+        // through the chain the engine will: the ctx.* join-point layer
+        // over the per-extension, host and core builtins.
+        auto diagnostics = script::check(*unit->program, *prose::extension_builtins(builtins));
         if (!diagnostics.empty()) {
             throw ScriptError("extension '" + pkg.name + "' rejected by static check: " +
                               script::format_diagnostics(diagnostics));

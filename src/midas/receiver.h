@@ -118,8 +118,10 @@ public:
     void allow_capabilities(const std::string& issuer, std::set<std::string> caps);
 
     /// Expose a node facility to extension scripts (e.g. "robot.freeze").
+    /// Only extensions installed afterwards see it.
     void add_host_builtin(const std::string& name, const std::string& capability,
                           script::BuiltinRegistry::Fn fn);
+    const script::BuiltinRegistry& host_builtins() const { return host_builtins_; }
 
     struct Installed {
         ExtensionId id;

@@ -15,15 +15,27 @@ using rt::List;
 using rt::Value;
 
 void BuiltinRegistry::add(const std::string& name, const std::string& capability, Fn fn) {
-    entries_[name] = Entry{capability, std::move(fn)};
+    if (!own_) own_ = std::make_shared<Table>();
+    else if (own_.use_count() > 1) own_ = std::make_shared<Table>(*own_);
+    (*own_)[name] = Entry{capability, std::move(fn)};
 }
 
 const BuiltinRegistry::Entry* BuiltinRegistry::find(const std::string& name) const {
-    auto it = entries_.find(name);
-    return it == entries_.end() ? nullptr : &it->second;
+    if (own_) {
+        if (auto it = own_->find(name); it != own_->end()) return &it->second;
+    }
+    return parent_ ? parent_->find(name) : nullptr;
 }
 
-BuiltinRegistry BuiltinRegistry::with_core() {
+BuiltinRegistry BuiltinRegistry::over(std::shared_ptr<const BuiltinRegistry> parent) const {
+    BuiltinRegistry layer = *this;
+    layer.parent_ = std::move(parent);
+    return layer;
+}
+
+namespace {
+
+BuiltinRegistry core_library() {
     BuiltinRegistry reg;
 
     reg.add("len", "", [](List& args) -> Value {
@@ -240,6 +252,13 @@ BuiltinRegistry BuiltinRegistry::with_core() {
     });
 
     return reg;
+}
+
+}  // namespace
+
+BuiltinRegistry BuiltinRegistry::with_core() {
+    static const auto core = std::make_shared<const BuiltinRegistry>(core_library());
+    return BuiltinRegistry(core);
 }
 
 }  // namespace pmp::script

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -42,10 +43,12 @@ struct Sandbox {
 /// node (logging, network, database, robot control, the current join
 /// point) declares the capability it needs.
 ///
-/// Entries are stable once added: add() replaces the Entry in place, so an
-/// `Entry*` resolved at Vm construction stays valid (and picks up the new
-/// fn) for the registry's lifetime. Engines snapshot the registry via
-/// shared_ptr; entries must all be registered before an engine is built.
+/// A registry is one layer: its own entries over an optional shared,
+/// immutable parent that find() falls through to (docs/advicescript.md).
+/// Copies share the entries until one of them adds (copy on write), so a
+/// copy never sees what is added to the original later. An `Entry*` from
+/// find() stays valid while the registry lives and is not added to;
+/// engines hold it as shared_ptr<const>, built after every add().
 class BuiltinRegistry {
 public:
     using Fn = std::function<rt::Value(rt::List& args)>;
@@ -55,17 +58,30 @@ public:
         Fn fn;
     };
 
-    /// Register `name` (e.g. "net.post"); replaces an existing entry.
+    BuiltinRegistry() = default;
+    /// An empty layer over `parent`.
+    explicit BuiltinRegistry(std::shared_ptr<const BuiltinRegistry> parent)
+        : parent_(std::move(parent)) {}
+
+    /// Register `name` (e.g. "net.post") in this layer; replaces an entry
+    /// of the same name here and shadows one below.
     void add(const std::string& name, const std::string& capability, Fn fn);
 
+    /// This layer first, then the parent chain.
     const Entry* find(const std::string& name) const;
 
-    /// The core library: len, str, push, keys, range, math and string
-    /// helpers — no capabilities required.
+    /// This layer's entries (shared, not copied) over `parent` instead.
+    BuiltinRegistry over(std::shared_ptr<const BuiltinRegistry> parent) const;
+
+    /// An empty layer over the core library (len, str, push, keys, range,
+    /// math and string helpers; no capabilities), built once per process.
     static BuiltinRegistry with_core();
 
 private:
-    std::unordered_map<std::string, Entry> entries_;
+    using Table = std::unordered_map<std::string, Entry>;
+
+    std::shared_ptr<Table> own_;  ///< null while the layer is empty
+    std::shared_ptr<const BuiltinRegistry> parent_;
 };
 
 }  // namespace pmp::script

@@ -719,6 +719,100 @@ TEST(CellBatch, NeedBlobOnSyncedRosterForcesPutResendWithBlob) {
     EXPECT_TRUE(script.reblobbed);
 }
 
+TEST(CellBatch, NeedBlobForCanaryLineResendsTheCanaryBlob) {
+    // Same scripted relay, but the member sits in a rollout's canary
+    // cohort: its roster line carries the canary's hash, not the policy's.
+    // When the relay reports it lost that blob, the base must un-sync the
+    // line and re-send the canary blob. The regression: the status was
+    // mapped back to the policy's hash, so the canary hash stayed in
+    // relay_has, the line stayed synced, and the blob never came again.
+    sim::Simulator sim;
+    net::Network net(sim, net::NetworkConfig{}, 616);
+    BaseConfig bc = CellWorld::make_config();
+    bc.rollout.stages = {1.0};               // the member is in the cohort
+    bc.rollout.stage_window = seconds(3600);  // and stays a canary
+    BaseStation hub(net, "hub", net::Position{0, 0}, 200.0, bc);
+    hub.keys().add_key("hub", to_bytes("hk"));
+    NodeStack relayhost(net, "relayhost", net::Position{50, 0}, 200.0);
+    NodeStack member(net, "m0", net::Position{60, 0}, 200.0);
+
+    struct ScriptState {
+        std::uint64_t member = 0;
+        bool sent_join = false;
+        std::set<std::string> blobs_seen;  // hashes delivered so far
+        std::string canary;                // the second hash ever delivered
+        bool reported_need_blob = false;
+        bool reblobbed = false;  // a frame carried the canary blob after the report
+    } script;
+    script.member = member.id().value;
+
+    auto& runtime = relayhost.rpc().runtime();
+    auto type =
+        rt::TypeInfo::Builder("ScriptedCanaryRelay")
+            .method("batch", rt::TypeKind::kDict, {{"frame", rt::TypeKind::kDict}},
+                    [&script](rt::ServiceObject&, rt::List& args) -> Value {
+                        const rt::Dict& frame = args[0].as_dict();
+                        std::int64_t seq = frame.at("seq").as_int();
+                        bool has_ops = !frame.at("ops").as_list().empty();
+                        for (const auto& [hash, _] : frame.at("blobs").as_dict()) {
+                            if (script.reported_need_blob && hash == script.canary) {
+                                script.reblobbed = true;
+                            }
+                            if (script.blobs_seen.insert(hash).second &&
+                                script.blobs_seen.size() == 2) {
+                                script.canary = hash;
+                            }
+                        }
+                        rt::List statuses;
+                        rt::List joins;
+                        if (!script.sent_join) {
+                            script.sent_join = true;
+                            joins.push_back(Value{rt::Dict{
+                                {"id", Value{std::int64_t{1}}},
+                                {"node",
+                                 Value{static_cast<std::int64_t>(script.member)}},
+                                {"label", Value{std::string("m0")}}}});
+                        } else if (!script.canary.empty() && !has_ops &&
+                                   !script.reported_need_blob) {
+                            script.reported_need_blob = true;
+                            statuses.push_back(Value{rt::Dict{
+                                {"id", Value{std::int64_t{2}}},
+                                {"node",
+                                 Value{static_cast<std::int64_t>(script.member)}},
+                                {"name", Value{std::string("hub/policy")}},
+                                {"code",
+                                 Value{std::int64_t{cellproto::kNeedBlob}}},
+                                {"ext", Value{std::int64_t{0}}}}});
+                        }
+                        return Value{rt::Dict{
+                            {"applied", Value{seq}},
+                            {"resync", Value{false}},
+                            {"bitmap_seq", Value{seq}},
+                            {"ok", Value{Bytes{}}},
+                            {"statuses", Value{std::move(statuses)}},
+                            {"joins", Value{std::move(joins)}}}};
+                    })
+            .build();
+    runtime.register_type(type);
+    auto relay_object = runtime.create("ScriptedCanaryRelay", "midas.cell");
+    relayhost.rpc().export_object("midas.cell");
+
+    hub.base().attach_cell("cell-x", relayhost.id());
+    hub.base().add_extension(policy_pkg("hub/policy"));
+    auto run_until = [&](const std::function<bool()>& pred) {
+        SimTime deadline = sim.now() + seconds(20);
+        while (sim.now() < deadline && !pred()) sim.run_until(sim.now() + milliseconds(100));
+        return pred();
+    };
+    ASSERT_TRUE(run_until([&] { return script.blobs_seen.size() == 1; }));
+
+    hub.base().begin_rollout(policy_pkg("hub/policy", "fun onEntry() { let canary = 1; }"));
+    ASSERT_TRUE(hub.base().rollout().selects_canary("hub/policy", "m0"));
+    ASSERT_TRUE(run_until([&] { return script.reblobbed; }));
+    EXPECT_TRUE(script.reported_need_blob);
+    EXPECT_EQ(script.blobs_seen.size(), 2u);
+}
+
 TEST(CellBatch, ReattachToSurvivingRelayResyncsInOneRound) {
     // The relay outlives a detach/re-attach (e.g. a transient backhaul
     // partition makes the base give up on the cell, then re-adopt it).

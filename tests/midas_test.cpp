@@ -429,6 +429,40 @@ TEST_F(MidasTest, SecureChannelExtensionEncryptsRpc) {
     EXPECT_EQ(robot_->rpc().wire_filter_count(), 0u);
 }
 
+TEST_F(MidasTest, HostBuiltinReachesOnlyExtensionsInstalledAfterIt) {
+    ExtensionPackage pkg;
+    pkg.name = "hall-a/uses-x";
+    pkg.script = "let calls = 0; fun onEntry() { calls = calls + x(); }";
+    pkg.bindings = {
+        PackageBinding{prose::AdviceKind::kBefore, "call(* Motor.*(..))", "onEntry", 0}};
+
+    // Before "x" exists the install-time check rejects the package.
+    base_->base().add_extension(pkg);
+    ASSERT_TRUE(run_until([&] { return robot_->receiver().stats().rejections >= 1; }));
+    EXPECT_EQ(robot_->receiver().installed_count(), 0u);
+
+    // Added now, "x" reaches the base's next attempt.
+    int x_calls = 0;
+    robot_->receiver().add_host_builtin("x", "", [&x_calls](rt::List&) -> Value {
+        ++x_calls;
+        return Value{std::int64_t{1}};
+    });
+    ASSERT_TRUE(run_until([&] { return robot_->receiver().installed_count() == 1; },
+                          seconds(60)));
+    motor_->call("rotate", {Value{1.0}});
+    EXPECT_EQ(x_calls, 1);
+}
+
+TEST_F(MidasTest, ReceiversShareOneCoreLibrary) {
+    MobileNode other(net_, "robot:1:2", net::Position{20, 0}, 100.0);
+    const script::BuiltinRegistry::Entry* len = robot_->receiver().host_builtins().find("len");
+    ASSERT_NE(len, nullptr);
+    EXPECT_EQ(other.receiver().host_builtins().find("len"), len);
+    // Host facilities are per receiver: each sys.node names its own node.
+    EXPECT_NE(other.receiver().host_builtins().find("sys.node"),
+              robot_->receiver().host_builtins().find("sys.node"));
+}
+
 TEST(MidasPeerTest, SymmetricPeersAdaptEachOther) {
     sim::Simulator sim;
     net::Network net(sim, net::NetworkConfig{}, 5);

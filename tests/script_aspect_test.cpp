@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "core/script_aspect.h"
 #include "core/weaver.h"
+#include "script/check.h"
 
 namespace pmp::prose {
 namespace {
@@ -276,6 +277,144 @@ TEST_F(ScriptAspectTest, ProceedOutsideAroundFails) {
     weave("fun onEntry() { ctx.proceed(); }",
           {{AdviceKind::kBefore, "call(* Motor.rotate(..))", "onEntry"}});
     EXPECT_THROW(motor_->call("rotate", {Value{1.0}}), ScriptError);
+}
+
+// ------------------------------------------------------------ namespace ----
+
+/// Every join-point builtin, as docs/advicescript.md lists them.
+const char* const kCtxNames[] = {
+    "ctx.type",   "ctx.target",   "ctx.method",  "ctx.args",      "ctx.arg",
+    "ctx.set_arg", "ctx.result",  "ctx.set_result", "ctx.proceed", "ctx.error",
+    "ctx.deny",   "ctx.set_note", "ctx.note",    "ctx.field",     "ctx.oldval",
+    "ctx.newval", "ctx.set_newval", "ctx.get_field", "ctx.set_field",
+};
+
+TEST_F(ScriptAspectTest, EveryCtxNamePassesTheCheckAndResolvesInBothEngines) {
+    std::shared_ptr<const BuiltinRegistry> world = extension_builtins(host_);
+    for (const char* name : kCtxNames) {
+        const std::string source = std::string("fun probe() { return ") + name + "(); }";
+        EXPECT_TRUE(script::check(script::parse(source), *world).empty()) << name;
+        for (script::EngineMode mode :
+             {script::EngineMode::kVm, script::EngineMode::kInterpreter}) {
+            ScriptAspect sa("probe", source, {}, Sandbox{}, host_, Value{}, mode);
+            // Called outside any join point: each builtin runs (or refuses
+            // with its own message), none is an unknown function.
+            try {
+                sa.engine().call("probe", {});
+            } catch (const Error& e) {
+                EXPECT_EQ(std::string(e.what()).find("unknown function"), std::string::npos)
+                    << name << ": " << e.what();
+            }
+        }
+    }
+    EXPECT_FALSE(script::check(script::parse("fun probe() { ctx.bogus(); }"), *world).empty());
+    // The core library and the host layer are reached through the same chain.
+    EXPECT_EQ(world->find("len"), host_.find("len"));
+}
+
+TEST_F(ScriptAspectTest, LayersShareTheCoreAndSnapshotTheHost) {
+    EXPECT_NE(BuiltinRegistry::with_core().find("len"), nullptr);
+    EXPECT_EQ(BuiltinRegistry::with_core().find("len"),
+              BuiltinRegistry::with_core().find("len"));
+
+    // A layer built over the host before "x" is added never sees it (the
+    // interpreter resolves at call time, so this is the snapshot itself).
+    auto before = std::make_shared<const BuiltinRegistry>(host_);
+    host_.add("x", "", [](List&) -> Value { return Value{std::int64_t{1}}; });
+    auto after = std::make_shared<const BuiltinRegistry>(host_);
+    EXPECT_EQ(before->find("x"), nullptr);
+    EXPECT_NE(after->find("x"), nullptr);
+    auto program = std::make_shared<const script::Program>(
+        script::parse("fun f() { return x(); }"));
+    script::Interpreter old_world(program, Sandbox{}, before);
+    script::Interpreter new_world(program, Sandbox{}, after);
+    EXPECT_THROW(old_world.call("f", {}), ScriptError);
+    EXPECT_EQ(new_world.call("f", {}).as_int(), 1);
+}
+
+/// What a script's ctx.* call raises outside a join point, as the caller
+/// sees it: the top level and onShutdown run with no join point.
+struct OutsideTexts {
+    std::string top_level;
+    std::string shutdown_type;
+    std::string shutdown_method;
+    std::string shutdown_field;
+};
+
+OutsideTexts outside_texts(const BuiltinRegistry& host) {
+    OutsideTexts out;
+    try {
+        ScriptAspect("top", "ctx.method();", {}, Sandbox{}, host);
+    } catch (const Error& e) {
+        out.top_level = e.what();
+    }
+    const std::pair<std::string, std::string*> shutdowns[] = {
+        {"ctx.type", &out.shutdown_type},
+        {"ctx.method", &out.shutdown_method},
+        {"ctx.field", &out.shutdown_field},
+    };
+    for (const auto& [name, text] : shutdowns) {
+        ScriptAspect sa("down", "fun onShutdown(reason) { " + name + "(); }", {}, Sandbox{},
+                        host);
+        try {
+            sa.aspect()->notify_withdraw(WithdrawReason::kExplicit);
+        } catch (const Error& e) {
+            *text = e.what();
+        }
+    }
+    return out;
+}
+
+TEST_F(ScriptAspectTest, CtxOutsideAJoinPointKeepsItsErrorTexts) {
+    OutsideTexts plain = outside_texts(host_);
+    EXPECT_EQ(plain.top_level, "no method join point is active");
+    EXPECT_EQ(plain.shutdown_type, "no join point is active");
+    EXPECT_EQ(plain.shutdown_method, "no method join point is active");
+    EXPECT_EQ(plain.shutdown_field, "no field join point is active");
+
+    // The same from inside another extension's advice: the outer join
+    // point must not leak into a top level or an onShutdown run there.
+    OutsideTexts nested;
+    host_.add("nested", "", [&](List&) -> Value {
+        nested = outside_texts(host_);
+        return Value{};
+    });
+    weave("fun onEntry() { nested(); }",
+          {{AdviceKind::kBefore, "call(* Motor.rotate(..))", "onEntry", 0, {}}});
+    motor_->call("rotate", {Value{1.0}});
+    EXPECT_EQ(nested.top_level, plain.top_level);
+    EXPECT_EQ(nested.shutdown_type, plain.shutdown_type);
+    EXPECT_EQ(nested.shutdown_method, plain.shutdown_method);
+    EXPECT_EQ(nested.shutdown_field, plain.shutdown_field);
+}
+
+TEST_F(ScriptAspectTest, NestedInterceptionSeesItsOwnJoinPoint) {
+    // The outer around advice proceeds into a call that a second aspect
+    // intercepts; each must see its own method, and the outer one again
+    // once proceed() returns.
+    runtime_.register_type(
+        rt::TypeInfo::Builder("Relay")
+            .method("forward", TypeKind::kInt, {},
+                    [this](ServiceObject&, List&) -> Value {
+                        return motor_->call("rotate", {Value{2.0}});
+                    })
+            .build());
+    auto relay = runtime_.create("Relay", "relay");
+    weave(R"(
+        let seen = [];
+        fun around() { seen = push(seen, ctx.method()); ctx.proceed();
+                       seen = push(seen, ctx.method()); }
+    )",
+          {{AdviceKind::kAround, "call(* Relay.forward(..))", "around", 0, {}}});
+    std::shared_ptr<ScriptAspect> outer = keep_alive_.back();
+    weave("let seen = []; fun before() { seen = push(seen, ctx.method()); }",
+          {{AdviceKind::kBefore, "call(* Motor.rotate(..))", "before", 0, {}}});
+    std::shared_ptr<ScriptAspect> inner = keep_alive_.back();
+
+    relay->call("forward", {});
+    EXPECT_EQ(*outer->engine().global("seen"),
+              (Value{List{Value{"forward"}, Value{"forward"}}}));
+    EXPECT_EQ(*inner->engine().global("seen"), (Value{List{Value{"rotate"}}}));
 }
 
 }  // namespace
