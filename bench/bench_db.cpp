@@ -2,10 +2,13 @@
 //
 // Measures the store operations the Fig 6 applications lean on: appending
 // intercepted actions, querying a robot's action list, filtering by time
-// range, listing sources, and replay-cursor iteration. Two storage
+// range, listing sources, and replay-cursor iteration. Three storage
 // sections ride along (docs/storage.md): group-commit WAL append
-// throughput, and recovery traffic per restarted node as the fleet grows.
+// throughput, the hall journal's ingest/compaction/restore trio, and
+// recovery traffic per restarted node as the fleet grows.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "smoke.h"
 
@@ -156,6 +159,72 @@ void BM_JournalAppend(benchmark::State& state) {
         static_cast<double>(payload * std::max<std::uint64_t>(appended, 1));
 }
 BENCHMARK(BM_JournalAppend)->Arg(0)->Arg(4096)->Arg(16384)->Arg(65536);
+
+// ---------------------------------------------------------------------------
+// Hall journal ingest (docs/storage.md): a durable base's hall store taking
+// N monitor records, each journaled through the append hook, compactions
+// included. Reports the storage trio — write cost (`ns_per_record`,
+// `rewrite_bytes_per_record`: snapshot bytes written per record), space
+// (`disk_bytes_per_live_byte`: snapshot + previous chain + WAL over the
+// store's own serialized size) — and the read side (`restore_us`: decode
+// and replay of the medium a restart would read). With byte-paced
+// compaction the per-record cost is flat in N; a fixed record cadence
+// re-encodes the whole log every few hundred records and grows linearly.
+
+void BM_HallJournal(benchmark::State& state) {
+    const auto records = static_cast<int>(state.range(0));
+    double ingest_ns = 0;
+    double rewrite_bytes = 0;
+    double compactions = 0;
+    double disk_per_live = 0;
+    double restore_us = 0;
+    for (auto _ : state) {
+        sim::Simulator sim;
+        net::Network net(sim, net::NetworkConfig{}, 29);
+        auto disk = std::make_shared<db::JournalStorage>();
+        midas::BaseConfig bc;
+        bc.issuer = "hall";
+        midas::BaseStation hub(net, "hall", net::Position{0, 0}, 120.0, bc, {}, disk);
+        db::EventStore& store = hub.store();
+
+        // A compaction empties the WAL: count the chain it wrote then.
+        std::size_t last_wal = disk->wal.size();
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < records; ++i) {
+            store.append("robot:" + std::to_string(i % 64), SimTime{std::int64_t{i} * 1'000'000},
+                         motor_action(i));
+            if (disk->wal.size() < last_wal) {
+                rewrite_bytes += static_cast<double>(disk->snapshot.size());
+                compactions += 1;
+            }
+            last_wal = disk->wal.size();
+        }
+        const auto t1 = std::chrono::steady_clock::now();
+        ingest_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
+
+        state.PauseTiming();
+        const double on_disk = static_cast<double>(disk->snapshot.size() +
+                                                   disk->snapshot_prev.size() + disk->wal.size());
+        disk_per_live += on_disk / static_cast<double>(store.snapshot().size());
+        state.ResumeTiming();
+
+        const auto r0 = std::chrono::steady_clock::now();
+        midas::BaseDurableState restored =
+            midas::BaseDurableState::replay(db::Journal(disk).restore());
+        const auto r1 = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(restored.events.size());
+        restore_us += std::chrono::duration<double, std::micro>(r1 - r0).count();
+    }
+    const double n = static_cast<double>(state.iterations());
+    state.SetItemsProcessed(state.iterations() * records);
+    state.counters["ns_per_record"] = ingest_ns / (n * records);
+    state.counters["compactions"] = compactions / n;
+    state.counters["rewrite_bytes_per_record"] = rewrite_bytes / (n * records);
+    state.counters["disk_bytes_per_live_byte"] = disk_per_live / n;
+    state.counters["restore_us"] = restore_us / n;
+}
+BENCHMARK(BM_HallJournal)->Arg(1'000)->Arg(10'000)->Arg(100'000)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Recovery traffic at fleet scale (docs/storage.md). The catch-up image a

@@ -19,6 +19,10 @@ constexpr std::array<std::uint8_t, 4> kBatchMagic = {0xB5, 'G', 'C', '1'};
 // After the magic: [u32 record count][per record: u32 length][encoding]...
 constexpr std::size_t kBatchHeader = kBatchMagic.size() + 4;
 
+// Record floor of the compaction policy (Journal::compaction_due): a tiny
+// or empty snapshot is not rewritten after every few records.
+constexpr std::size_t kCompactThreshold = 256;
+
 // Slicing-by-8 tables for the reflected CRC-32 (polynomial 0xEDB88320):
 // kCrc[0] is the classic byte table; kCrc[k][b] is the CRC of byte b
 // followed by k zero bytes, so eight input bytes fold in with eight
@@ -237,6 +241,11 @@ void Journal::append(const rt::Value& record) {
     } else {
         arm_flush_timer();
     }
+}
+
+bool Journal::compaction_due() const {
+    return wal_records_ >= kCompactThreshold &&
+           storage_->wal.size() + pending_.size() >= storage_->snapshot.size();
 }
 
 void Journal::flush() {

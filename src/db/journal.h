@@ -55,11 +55,6 @@ struct JournalStorage {
 /// hand-crafted frames.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
-/// WAL records a journal owner lets accumulate before it folds its state
-/// into a fresh snapshot (Journal::compact). The base and the receiver both
-/// compact on this cadence.
-inline constexpr std::size_t kCompactThreshold = 256;
-
 /// Group-commit and snapshot-chunking knobs. The all-zero default commits
 /// every record on its own and writes each snapshot as a single chunk.
 struct JournalConfig {
@@ -130,6 +125,13 @@ public:
     /// Records appended since construction or the last compact(), buffered
     /// or flushed — the compaction-threshold input.
     std::size_t wal_records() const { return wal_records_; }
+
+    /// The one compaction policy, asked after each append: true once the
+    /// WAL holds at least 256 records and at least as many bytes (flushed
+    /// plus pending) as the current snapshot chain, so a compaction follows
+    /// as many new bytes as it rewrites — amortized O(1) per journaled
+    /// byte. docs/storage.md gives the restore and footprint bounds.
+    bool compaction_due() const;
 
     /// Records currently buffered and not yet flushed (tests).
     std::size_t pending_records() const { return pending_count_; }

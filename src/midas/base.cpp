@@ -147,7 +147,7 @@ void ExtensionBase::recover() {
 void ExtensionBase::journal(const rt::Value& rec) {
     if (!journal_) return;
     journal_->append(rec);
-    if (journal_->wal_records() >= db::kCompactThreshold) compact_journal();
+    if (journal_->compaction_due()) compact_journal();
 }
 
 void ExtensionBase::compact_journal() {
@@ -164,13 +164,8 @@ void ExtensionBase::compact_journal() {
         entry.installed = a.installed;
         st.book[a.label] = std::move(entry);
     }
-    if (hall_store_) {
-        for (const db::Record& rec : hall_store_->query(db::Query{})) {
-            st.events.push_back(BaseDurableState::Event{rec.source, rec.at, rec.data});
-        }
-    }
     if (rollout_) rollout_->snapshot_into(st);
-    journal_->compact(st.to_snapshot());
+    journal_->compact(st.to_snapshot(hall_store_));
 }
 
 void ExtensionBase::record(const std::string& event, const std::string& node_label,

@@ -121,7 +121,7 @@ Value BaseDurableState::rec_rollout_complete(const std::string& name) {
     return Value{Dict{{"op", Value{"rollout-complete"}}, {"name", Value{name}}}};
 }
 
-rt::Value BaseDurableState::to_snapshot() const {
+rt::Value BaseDurableState::to_snapshot(const db::EventStore* hall) const {
     Dict versions;
     for (const auto& [name, v] : last_version) versions.set(name, Value{i64(v)});
 
@@ -141,10 +141,20 @@ rt::Value BaseDurableState::to_snapshot() const {
     }
 
     List event_list;
-    for (const Event& ev : events) {
-        event_list.push_back(Value{Dict{{"source", Value{ev.source}},
-                                        {"at_ns", Value{ev.at.ns}},
-                                        {"data", ev.data}}});
+    auto add_event = [&](const std::string& source, SimTime at, const Value& data) {
+        event_list.push_back(Value{Dict{{"source", Value{source}},
+                                        {"at_ns", Value{at.ns}},
+                                        {"data", data}}});
+    };
+    if (hall) {
+        event_list.reserve(hall->size());
+        for (std::uint64_t seq = hall->base_seq() + 1; seq <= hall->base_seq() + hall->size();
+             ++seq) {
+            const db::Record& rec = hall->at(seq);
+            add_event(rec.source, rec.at, rec.data);
+        }
+    } else {
+        for (const Event& ev : events) add_event(ev.source, ev.at, ev.data);
     }
 
     List rollout_list;

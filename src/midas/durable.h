@@ -38,6 +38,7 @@
 
 #include "common/time.h"
 #include "db/journal.h"
+#include "db/store.h"
 #include "obs/trace.h"
 #include "rt/value.h"
 
@@ -89,8 +90,10 @@ struct BaseDurableState {
     /// Fold snapshot + WAL into state. Total: never throws.
     static BaseDurableState replay(const db::Journal::Restored& restored);
 
-    /// Serialize for db::Journal::compact().
-    rt::Value to_snapshot() const;
+    /// Serialize for db::Journal::compact(). With `hall`, the event list is
+    /// read from that store in place and `events` is ignored — the base's
+    /// compaction walks its live hall log instead of copying it first.
+    rt::Value to_snapshot(const db::EventStore* hall = nullptr) const;
 
     // Record builders (the write side of the formats above).
     static rt::Value rec_epoch(std::uint64_t epoch);

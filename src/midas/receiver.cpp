@@ -126,7 +126,7 @@ void AdaptationService::recover() {
 void AdaptationService::journal(const rt::Value& rec) {
     if (!journal_) return;
     journal_->append(rec);
-    if (journal_->wal_records() >= db::kCompactThreshold) compact_journal();
+    if (journal_->compaction_due()) compact_journal();
 }
 
 void AdaptationService::compact_journal() {

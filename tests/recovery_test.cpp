@@ -4,11 +4,14 @@
 // resolving a hand-off that raced a base restart. See docs/recovery.md.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "db/journal.h"
 #include "midas/federation.h"
 #include "midas/node.h"
 #include "midas/supervisor.h"
 #include "net/fault.h"
+#include "obs/metrics.h"
 #include "robot/devices.h"
 #include "sim/failpoint.h"
 
@@ -268,6 +271,61 @@ TEST(JournalChunkedSnapshot, CorruptChunkWithoutFallbackReportsCorrupt) {
 }
 
 // ---------------------------------------------------------------------------
+// Compaction policy: byte-paced against the snapshot chain, with a record
+// floor (db::Journal::compaction_due, docs/storage.md).
+
+TEST(JournalCompaction, NotDueBeforeWalReachesSnapshotBytes) {
+    // Unbatched, and batched under a batch_bytes no append reaches: the
+    // buffered group counts toward the WAL bytes exactly as flushed frames
+    // do. WAL bytes per docs/storage.md: a one-record frame costs
+    // 8 (frame header) + 8 (batch header) + 4 (length) + the encoding; a
+    // buffered group costs its 8-byte batch header once, then 4 + encoding.
+    for (std::size_t batch : {std::size_t{0}, std::size_t{1} << 20}) {
+        SCOPED_TRACE(batch);
+        auto disk = std::make_shared<db::JournalStorage>();
+        db::Journal j(disk, db::JournalConfig{.batch_bytes = batch});
+        j.compact(Value{std::string(40'000, 's')});
+        const std::size_t snapshot = disk->snapshot.size();
+        std::size_t records = 0;
+        std::size_t wal_bytes = 0;
+        while (!j.compaction_due()) {
+            Value r = rec(static_cast<std::int64_t>(records) * 1'000'003);
+            wal_bytes += (batch > 0 ? (records == 0 ? 8 : 0) : 16) + 4 + r.encode().size();
+            j.append(r);
+            ++records;
+            ASSERT_EQ(j.compaction_due(), records >= 256 && wal_bytes >= snapshot)
+                << records << " records, " << wal_bytes << " of " << snapshot << " bytes";
+            ASSERT_LT(records, 100'000u);
+        }
+        EXPECT_GT(records, 256u);  // the byte bound, not the floor, decided
+        if (batch > 0) {
+            EXPECT_TRUE(disk->wal.empty());  // due while all of it is buffered
+            EXPECT_EQ(j.pending_records(), records);
+        } else {
+            EXPECT_EQ(disk->wal.size(), wal_bytes);
+        }
+        j.compact(Value{std::string(40'000, 't')});
+        EXPECT_FALSE(j.compaction_due());
+    }
+}
+
+TEST(JournalCompaction, RecordFloorHoldsForEmptyOrTinySnapshot) {
+    for (bool tiny : {false, true}) {
+        SCOPED_TRACE(tiny);
+        auto disk = std::make_shared<db::JournalStorage>();
+        db::Journal j(disk);
+        if (tiny) j.compact(rec(0));
+        for (std::int64_t i = 0; i < 255; ++i) {
+            j.append(rec(i));
+            EXPECT_FALSE(j.compaction_due()) << "after " << (i + 1) << " records";
+        }
+        EXPECT_GE(disk->wal.size(), disk->snapshot.size());  // bytes already there
+        j.append(rec(255));
+        EXPECT_TRUE(j.compaction_due());
+    }
+}
+
+// ---------------------------------------------------------------------------
 // EventStore::restore rejects malformed input with typed errors.
 
 TEST(EventStoreRestore, MalformedInputsRaiseTypedErrors) {
@@ -463,6 +521,105 @@ TEST(BaseRecovery, ShortOutageReadoptsLiveLeaseUnderNewEpoch) {
     w.sim.run_for(seconds(5));
     EXPECT_EQ(w.robot->receiver().installed_count(), 1u);
     EXPECT_EQ(w.robot->receiver().installed()[0].base_epoch, 2u);
+}
+
+// A durable base over a disk that already holds a prior life with a
+// `nodes`-entry adapted book (one installed extension each), fed hall
+// records straight into its store — the append hook journals each one.
+struct BookWorld {
+    sim::Simulator sim;
+    net::Network net;
+    std::shared_ptr<db::JournalStorage> disk;
+    std::unique_ptr<BaseStation> hall;
+
+    BookWorld(const std::string& name, int nodes)
+        : net(sim, net::NetworkConfig{}, 17), disk(std::make_shared<db::JournalStorage>()) {
+        disk->name = name;
+        {
+            db::Journal j(disk);
+            j.append(BaseDurableState::rec_epoch(1));
+            for (int n = 0; n < nodes; ++n) {
+                const std::string label = "fleet" + std::to_string(n);
+                const auto node = static_cast<std::uint64_t>(1000 + n);
+                j.append(BaseDurableState::rec_adapt(node, label, SimTime{n * 1'000'000LL}));
+                j.append(BaseDurableState::rec_install(node, label, "hall/monitoring",
+                                                       static_cast<std::uint64_t>(n + 1)));
+            }
+        }
+        start();
+    }
+
+    void start() {
+        BaseConfig bc;
+        bc.issuer = "hall";
+        hall = std::make_unique<BaseStation>(net, "hall", net::Position{0, 0}, 100.0, bc,
+                                             disco::RegistrarConfig{}, disk);
+    }
+
+    void crash() {
+        hall->journal()->power_off();
+        net.remove_node(hall->id());
+        hall.reset();
+    }
+
+    void post(int i) {
+        hall->store().append("robot:" + std::to_string(i % 37), SimTime{i * 1'000LL},
+                             Value{Dict{{"device", Value{"motor:x"}},
+                                        {"action", Value{"rotate"}},
+                                        {"degrees", Value{static_cast<double>(i % 360)}}}});
+    }
+
+    std::uint64_t compactions() const {
+        return obs::Registry::global().counter("db.journal.compactions", disk->name).value();
+    }
+};
+
+TEST(BaseCompaction, HallLogGrowthCompactsLogarithmically) {
+    BookWorld w("hall-log-growth", 1'000);
+    ASSERT_EQ(w.hall->base().adapted_count(), 1'000u);
+    constexpr int kRecords = 20'000;
+    const std::uint64_t before = w.compactions();
+    for (int i = 0; i < kRecords; ++i) w.post(i);
+    ASSERT_EQ(w.hall->store().size(), static_cast<std::size_t>(kRecords));
+    // Byte-paced: the snapshot at least doubles between compactions of an
+    // append-only log, so their count grows with log2 of the log, not with
+    // its length (a fixed 256-record cadence would compact 78 times).
+    const double bound = 2.0 * std::log2(kRecords / 256.0) + 4.0;
+    EXPECT_LE(static_cast<double>(w.compactions() - before), bound);
+}
+
+TEST(BaseCompaction, CrashIntoLongUncompactedWalRestoresLiveState) {
+    BookWorld w("hall-long-wal", 1'000);
+    // Past a few compactions, then 1,500 records on: the crash lands well
+    // into a WAL the byte pacing has not folded yet.
+    const std::uint64_t start = w.compactions();
+    int posted = 0;
+    while (w.compactions() < start + 3) w.post(posted++);
+    for (const int end = posted + 1'500; posted < end;) w.post(posted++);
+    ASSERT_GT(w.hall->journal()->wal_records(), 256u);
+
+    const std::vector<db::Record> hall_log = w.hall->store().query(db::Query{});
+    auto book_of = [](BaseStation& b) {
+        std::map<std::string, std::pair<std::uint64_t, std::map<std::string, std::uint64_t>>>
+            book;
+        for (const auto& a : b.base().adapted()) {
+            book[a.label] = {a.node.value, a.installed};
+        }
+        return book;
+    };
+    const auto book = book_of(*w.hall);
+
+    w.crash();
+    w.start();
+    EXPECT_EQ(w.hall->base().epoch(), 3u);
+    EXPECT_EQ(book_of(*w.hall), book);
+    const std::vector<db::Record> recovered = w.hall->store().query(db::Query{});
+    ASSERT_EQ(recovered.size(), hall_log.size());
+    for (std::size_t i = 0; i < recovered.size(); ++i) {
+        ASSERT_EQ(recovered[i].source, hall_log[i].source) << i;
+        ASSERT_EQ(recovered[i].at, hall_log[i].at) << i;
+        ASSERT_EQ(recovered[i].data, hall_log[i].data) << i;
+    }
 }
 
 TEST(EpochProtocol, KeepaliveFromNewerEpochWithdrawsStaleLease) {
@@ -665,6 +822,51 @@ TEST(Quarantine, SurvivesReceiverRestart) {
     // The quarantine list came back; the crash-time manifest is readable;
     // the base's continuing pushes of the bad version still bounce.
     EXPECT_TRUE(w.robot->receiver().is_quarantined("hall/flaky", version));
+    w.sim.run_for(seconds(5));
+    EXPECT_EQ(w.robot->receiver().installed_count(), 0u);
+}
+
+TEST(Quarantine, SurvivesCrashIntoLongUncompactedWal) {
+    QuarantineWorld w;
+    auto crash_robot = [&] {
+        w.robot->journal()->power_off();
+        w.net.remove_node(w.robot->id());
+        w.robot.reset();
+    };
+    // A previous life quarantined thousands of retired builds; this life's
+    // recovery folds them into a large snapshot chain, so hundreds of small
+    // records can follow before the WAL is worth compacting.
+    constexpr int kRetired = 4'000;
+    auto retired = [](int i) { return "hall/retired-build-" + std::to_string(i); };
+    crash_robot();
+    {
+        db::Journal j(w.robot_disk);
+        for (int i = 0; i < kRetired; ++i) {
+            j.append(ReceiverDurableState::rec_quarantine(retired(i), 1));
+        }
+    }
+    w.start_robot();
+    ASSERT_TRUE(w.robot->receiver().is_quarantined(retired(kRetired - 1), 1));
+
+    w.hall->base().add_extension(throwing_pkg());
+    ASSERT_TRUE(w.run_until([&] { return w.robot->receiver().installed_count() == 1; }));
+    std::uint32_t version = w.robot->receiver().installed()[0].version;
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_THROW(w.motor->call("rotate", {Value{1.0}}), std::exception);
+    }
+    w.sim.run_for(milliseconds(10));
+    ASSERT_TRUE(w.robot->receiver().is_quarantined("hall/flaky", version));
+    constexpr int kLifted = 300;
+    for (int i = 0; i < kLifted; ++i) ASSERT_TRUE(w.robot->receiver().unquarantine(retired(i), 1));
+    ASSERT_GT(w.robot->journal()->wal_records(), 256u);
+
+    crash_robot();
+    w.sim.run_for(seconds(1));
+    w.start_robot();
+    EXPECT_TRUE(w.robot->receiver().is_quarantined("hall/flaky", version));
+    for (int i = 0; i < kRetired; ++i) {
+        ASSERT_EQ(w.robot->receiver().is_quarantined(retired(i), 1), i >= kLifted) << i;
+    }
     w.sim.run_for(seconds(5));
     EXPECT_EQ(w.robot->receiver().installed_count(), 0u);
 }
