@@ -10,7 +10,8 @@
 //   unhooked        — metaobject dispatch as if PROSE were absent
 //   hooked_unwoven  — dispatch with the minimal hook, nothing woven
 //                     ("methods not affected are not slowed")
-//   woven_noop      — do-nothing native before-advice (the 900 ns analog)
+//   woven_noop      — do-nothing native before-advice (the 900 ns analog),
+//                     with obs on and, as a second row, with obs off
 //   woven_script    — do-nothing *script* before-advice (shipped-code cost)
 //   woven_around    — do-nothing around advice (proceed() chain)
 //
@@ -24,6 +25,7 @@
 
 #include "core/script_aspect.h"
 #include "core/weaver.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -113,6 +115,22 @@ void BM_DispatchWovenNoopBefore(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_DispatchWovenNoopBefore);
+
+void BM_DispatchWovenNoopBeforeObsOff(benchmark::State& state) {
+    // The same call with instrumentation switched off around the timed
+    // loop; the gap to the row above is what obs costs an advised call.
+    Fixture f;
+    auto aspect = std::make_shared<prose::Aspect>("noop-obs-off");
+    aspect->before("call(* Target.poke(..))", [](rt::CallFrame&) {});
+    f.weaver->weave(aspect);
+    const bool was = obs::enabled();
+    obs::set_enabled(false);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(f.method->invoke(*f.obj, {Value{1}}));
+    }
+    obs::set_enabled(was);
+}
+BENCHMARK(BM_DispatchWovenNoopBeforeObsOff);
 
 void BM_DispatchWovenScriptBefore(benchmark::State& state) {
     Fixture f;
@@ -212,6 +230,9 @@ public:
         printf("%-34s %10.1f ns\n", "per-interception overhead (paper ~200ns):",
                woven - plain);
         printf("%-34s %10.2fx\n", "ratio (paper ~1.29x):", plain > 0 ? woven / plain : 0);
+        double woven_off = t("BM_DispatchWovenNoopBeforeObsOff");
+        printf("%-34s %10.1f ns (ratio %.2fx)\n", "do-nothing interception, obs off:",
+               woven_off, plain > 0 ? woven_off / plain : 0);
         printf("%-34s %10.1f ns (vs unhooked %.1f ns)\n",
                "dormant minimal hook cost:",
                t("BM_DispatchHookedUnwoven") - t("BM_DispatchUnhooked"),

@@ -119,6 +119,7 @@ void EpochDomain::retire(std::function<void()> reclaim) {
     {
         std::lock_guard<std::mutex> lock(mu_);
         retired_.push_back(Retired{e, std::move(reclaim)});
+        pending_.store(retired_.size(), std::memory_order_seq_cst);
     }
     retired_total_.fetch_add(1, std::memory_order_relaxed);
     epoch_metrics().retired.inc();
@@ -153,10 +154,15 @@ std::vector<EpochDomain::Retired> EpochDomain::collect_ripe() {
         }
     }
     retired_.swap(keep);
+    pending_.store(retired_.size(), std::memory_order_seq_cst);
     return ripe;
 }
 
 void EpochDomain::reap() {
+    // Nothing waiting: no lock. A racing retire() stores pending_ before
+    // its own reap() reads guards_ (all seq_cst), so either this load sees
+    // its entry or that reap sees the guard this thread just released.
+    if (pending_.load(std::memory_order_seq_cst) == 0) return;
     // Deleters run outside the lock: reclaiming a Woven can tear down
     // aspect state that itself logs, meters, or retires more entries.
     std::vector<Retired> ripe = collect_ripe();
@@ -167,8 +173,7 @@ void EpochDomain::reap() {
 }
 
 std::size_t EpochDomain::pending() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return retired_.size();
+    return pending_.load(std::memory_order_seq_cst);
 }
 
 }  // namespace pmp

@@ -61,7 +61,8 @@ public:
     /// Pins reclamation for unregistered threads. No-op on a thread that
     /// carries a Participant (its safety comes from the epoch protocol).
     /// Nestable; cheap (one thread-local bump, one shared atomic bump on
-    /// the 0 -> 1 transition).
+    /// the 0 -> 1 transition). The last release reaps, which takes the
+    /// domain lock only when something is waiting to be reclaimed.
     class ReadGuard {
     public:
         ReadGuard();
@@ -80,7 +81,8 @@ public:
     void retire(std::function<void()> reclaim);
 
     /// Reclaim everything whose grace period has passed (called
-    /// opportunistically from retire()/quiescent(); exposed for tests).
+    /// opportunistically from retire()/quiescent() and the last guard
+    /// release; exposed for tests). Lock-free when nothing is pending.
     void reap();
 
     /// Retired entries not yet reclaimed.
@@ -113,9 +115,11 @@ private:
     std::atomic<std::uint64_t> epoch_{1};
     std::atomic<std::int64_t> guards_{0};
 
-    mutable std::mutex mu_;
+    std::mutex mu_;
     std::vector<Slot*> slots_;       // stable addresses; reused after unregister
     std::vector<Retired> retired_;
+    // retired_.size(), stored under mu_ and read without it by reap().
+    std::atomic<std::size_t> pending_{0};
 
     std::atomic<std::uint64_t> retired_total_{0};
     std::atomic<std::uint64_t> reclaimed_total_{0};

@@ -36,9 +36,11 @@ Weaver::~Weaver() {
 }
 
 // In order: the aspect's admit guard, the weave's first-dispatch instant,
-// profiler timing into the (extension, pointcut) site — the per-aspect view
-// is a fold of those sites (obs::attribution_from) — and the outcome guard.
-// The guards are protocol machinery, not telemetry: they run whatever
+// profiler counting and timing into the (extension, pointcut) site — the
+// per-aspect view is a fold of those sites (obs::attribution_from) — and
+// the outcome guard. Every execution is counted; the clock is read for the
+// site's sampled ones and for the first execution of every weave. The
+// guards are protocol machinery, not telemetry: they run whatever
 // obs::enabled() says.
 template <typename Fn, typename... Args>
 auto Weaver::run_advice(Woven& w, const obs::Profiler::Site& site, const Fn& fn,
@@ -50,6 +52,7 @@ auto Weaver::run_advice(Woven& w, const obs::Profiler::Site& site, const Fn& fn,
         else return pass_through(args...);
     }
     const bool instrument = obs::enabled();
+    bool timed = instrument && site.count();
     if (instrument && !w.first_dispatched.load(std::memory_order_relaxed) &&
         !w.first_dispatched.exchange(true, std::memory_order_relaxed)) {
         // First advice execution ever for this weave: mark it on the
@@ -58,10 +61,11 @@ auto Weaver::run_advice(Woven& w, const obs::Profiler::Site& site, const Fn& fn,
         auto& tb = obs::TraceBuffer::global();
         obs::TraceBuffer::ContextScope scope(tb, w.weave_ctx);
         tb.instant("prose.weaver", "advice.first_dispatch", {{"aspect", w.aspect->name()}});
+        timed = true;
     }
-    Clock::time_point t0 = instrument ? Clock::now() : Clock::time_point{};
+    Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
     auto done = [&] {
-        if (instrument) site.record(elapsed_ns(t0));
+        if (timed) site.time(elapsed_ns(t0));
         if (guard.outcome) guard.outcome(nullptr);
     };
     try {

@@ -71,9 +71,11 @@ struct RolloutConfig {
     int escalation_tolerance = 3;
     /// Latency gate: abort when the canary's windowed advice p95 exceeds
     /// `latency_factor` × the incumbent's baseline p95 with at least
-    /// `latency_min_samples` in both. 0 disables (the default: advice
-    /// latency is wall-clock, so an armed gate trades bit-identical seed
-    /// replay for regression coverage — see docs/rollout.md).
+    /// `latency_min_samples` *timed* samples in both (one advice execution
+    /// in obs::Profiler::kTimeEvery per site is timed). 0 disables (the
+    /// default: advice latency is wall-clock, so an armed gate trades
+    /// bit-identical seed replay for regression coverage — see
+    /// docs/rollout.md).
     double latency_factor = 0.0;
     std::uint64_t latency_min_samples = 50;
 };

@@ -53,6 +53,10 @@ public:
     void inc(std::uint64_t n = 1) {
         if (detail::g_enabled) value_.fetch_add(n, std::memory_order_relaxed);
     }
+    /// inc() that returns the count before it (0 while disabled).
+    std::uint64_t fetch_inc() {
+        return detail::g_enabled ? value_.fetch_add(1, std::memory_order_relaxed) : 0;
+    }
     std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
     void reset() { value_.store(0, std::memory_order_relaxed); }
 

@@ -40,14 +40,23 @@ std::vector<ExtensionCost> attribution_from(const Snapshot& snap) {
                                                        ? std::string{}
                                                        : label.substr(bar + 1)};
     };
+    std::map<std::string, std::uint64_t> calls;
+    for (const CounterSample& c : snap.counters) {
+        if (c.name == "profile.advice_calls") calls[c.label] = c.value;
+    }
     for (const HistogramSample& h : snap.histograms) {
         if (h.name != "profile.advice_ns") continue;
         auto [ext, pointcut] = split(h.label);
+        auto n = calls.find(h.label);
+        const std::uint64_t invocations = n == calls.end() ? h.count : n->second;
+        const double total_ns =
+            h.count == 0 ? 0.0
+                         : h.sum / static_cast<double>(h.count) * static_cast<double>(invocations);
         ExtensionCost& cost = by_ext[ext];
         cost.extension = ext;
-        cost.invocations += h.count;
-        cost.total_ns += h.sum;
-        cost.sites.push_back(SiteCost{ext, pointcut, h.count, h.sum, h.p95});
+        cost.invocations += invocations;
+        cost.total_ns += total_ns;
+        cost.sites.push_back(SiteCost{ext, pointcut, invocations, total_ns, h.p95});
     }
     for (const CounterSample& c : snap.counters) {
         if (c.name != "profile.steps") continue;

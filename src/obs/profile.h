@@ -2,9 +2,10 @@
 //
 // Independently authored extensions share one node; when the node's
 // budget burns, someone must be billable. The Profiler owns that ledger:
-// the weaver's advice composition point feeds it one latency sample per advice
-// execution, keyed (extension, pointcut) — so "which extension" and
-// "which join point of it" are both answerable — and the script engines'
+// the weaver's advice composition point counts every advice execution and
+// times one in Profiler::kTimeEvery of them (plus the first of every
+// weave), keyed (extension, pointcut) — so "which extension" and "which
+// join point of it" are both answerable — and the script engines'
 // step observer feeds it interpreter steps per extension (the same feed
 // the resource governor meters; both now draw from one observer).
 //
@@ -32,6 +33,11 @@ class Profiler {
 public:
     static Profiler& global();
 
+    /// A site times the executions its own exact count numbers 0, N, 2N...
+    /// The decision is per site, so a periodic call mix across sites cannot
+    /// starve one of them of samples.
+    static constexpr std::uint64_t kTimeEvery = 32;
+
     /// Pinned registry slots for one (extension, pointcut) dispatch site,
     /// resolved once at weave time; the woven hooks carry the Site by
     /// value and record without any lookup.
@@ -39,6 +45,11 @@ public:
         Counter* calls = nullptr;
         Histogram* advice_ns = nullptr;
 
+        /// Count one execution; true when it is one to time.
+        bool count() const { return calls->fetch_inc() % kTimeEvery == 0; }
+        /// The latency of an execution count() already counted.
+        void time(double ns) const { advice_ns->observe(ns); }
+        /// One counted, timed execution.
         void record(double ns) const {
             calls->inc();
             advice_ns->observe(ns);
@@ -76,7 +87,9 @@ struct ExtensionCost {
 };
 
 /// Fold `profile.*` samples out of a snapshot (live or parsed from JSON)
-/// into per-extension bills, by descending total_ns.
+/// into per-extension bills, by descending total_ns. A site's invocations
+/// are its exact `profile.advice_calls`; its total_ns is the timed samples'
+/// mean times that count.
 std::vector<ExtensionCost> attribution_from(const Snapshot& snap);
 
 // ---------------------------------------------------------------------------

@@ -115,6 +115,107 @@ TEST(EpochDomain, CountersTrackRetirements) {
     EXPECT_EQ(domain.reclaimed_total(), domain.retired_total());
 }
 
+TEST(EpochDomain, GuardReleaseReclaimsWhatWasRetiredUnderIt) {
+    // No explicit reap(): the last guard's release is the reap.
+    auto& domain = EpochDomain::global();
+    bool freed = false;
+    {
+        EpochDomain::ReadGuard guard;
+        domain.retire([&]() { freed = true; });
+        EXPECT_FALSE(freed);
+    }
+    EXPECT_TRUE(freed);
+    EXPECT_EQ(domain.pending(), 0u);
+}
+
+TEST(EpochDomain, RetiredWithNoGuardLiveIsReclaimedByTheNextReap) {
+    // Nothing pins the global domain here: retire()'s own reap frees it.
+    bool freed = false;
+    EpochDomain::global().retire([&]() { freed = true; });
+    EXPECT_TRUE(freed);
+    EXPECT_EQ(EpochDomain::global().pending(), 0u);
+
+    // A participant that has not quiesced defers an entry; its next
+    // quiescent() is the next reap and frees it.
+    EpochDomain domain;
+    std::atomic<bool> freed_later{false};
+    std::thread worker([&]() {
+        EpochDomain::Participant p(domain);
+        domain.retire([&]() { freed_later.store(true); });
+        EXPECT_FALSE(freed_later.load());
+        EXPECT_EQ(domain.pending(), 1u);
+        p.quiescent();
+        EXPECT_TRUE(freed_later.load());
+        EXPECT_EQ(domain.pending(), 0u);
+    });
+    worker.join();
+}
+
+TEST(EpochDomain, QuietGuardCyclesReclaimNothingAndLoseNothing) {
+    // A release with nothing pending returns before the domain lock; one
+    // with something pending still reclaims it. Interleave both shapes,
+    // plus retirements between guards, and account for every entry.
+    auto& domain = EpochDomain::global();
+    domain.reap();
+    ASSERT_EQ(domain.pending(), 0u);
+    std::uint64_t retired = 0, freed = 0;
+    for (int i = 0; i < 100'000; ++i) {
+        const std::uint64_t reclaimed0 = domain.reclaimed_total();
+        const bool under_guard = i % 97 == 0;
+        {
+            EpochDomain::ReadGuard guard;
+            if (under_guard) {
+                domain.retire([&]() { ++freed; });
+                ++retired;
+                ASSERT_EQ(freed + 1, retired);
+            }
+        }
+        ASSERT_EQ(domain.reclaimed_total() - reclaimed0, under_guard ? 1u : 0u) << i;
+        if (i % 89 == 0) {
+            domain.retire([&]() { ++freed; });
+            ++retired;
+        }
+        ASSERT_EQ(freed, retired) << i;
+    }
+    EXPECT_EQ(domain.pending(), 0u);
+}
+
+TEST(EpochDomain, GuardReleaseRacingRetireFreesNothingEarlyAndLosesNothing) {
+    // A reader thread cycles guards while this thread retires. `gen` is
+    // odd exactly while the reader holds its guard, so an entry retired
+    // after seeing odd `gen` must not be freed while `gen` still reads the
+    // same value. Every entry must be gone once the reader stops: either
+    // its final release or the retirer's own reap saw it.
+    auto& domain = EpochDomain::global();
+    std::atomic<std::uint64_t> gen{0};
+    std::atomic<bool> done{false};
+    std::atomic<int> early{0}, freed{0};
+    std::thread reader([&]() {
+        while (!done.load()) {
+            EpochDomain::ReadGuard guard;
+            gen.fetch_add(1);
+            for (int spin = 0; spin < 32; ++spin) (void)done.load(std::memory_order_relaxed);
+            gen.fetch_add(1);
+        }
+    });
+    constexpr int kEntries = 5'000;
+    std::uint64_t last = 0;
+    for (int i = 0; i < kEntries; ++i) {
+        // One retirement per reader step, so the two really interleave.
+        while (gen.load() == last) std::this_thread::yield();
+        const std::uint64_t seen = last = gen.load();
+        domain.retire([&, seen]() {
+            if (seen % 2 == 1 && gen.load() == seen) early.fetch_add(1);
+            freed.fetch_add(1);
+        });
+    }
+    done.store(true);
+    reader.join();
+    EXPECT_EQ(early.load(), 0);
+    EXPECT_EQ(freed.load(), kEntries);
+    EXPECT_EQ(domain.pending(), 0u);
+}
+
 // ------------------------------------------------- RCU hook publication ----
 
 std::shared_ptr<rt::TypeInfo> calc_type() {

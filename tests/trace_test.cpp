@@ -436,6 +436,27 @@ TEST(Profiler, AttributionFoldsSitesIntoExtensionBills) {
     EXPECT_EQ(bills.front().extension, "extA");
 }
 
+TEST(Profiler, AttributionBillsExactCallsAtTheSampledMean) {
+    // 320 executions, 10 of them timed: the bill is 320 calls at the
+    // timed mean, not the 10 samples' sum.
+    obs::Snapshot snap;
+    snap.counters.push_back({"profile.advice_calls", "extS|call(* T.m(..))", 320});
+    obs::HistogramSample h;
+    h.name = "profile.advice_ns";
+    h.label = "extS|call(* T.m(..))";
+    h.count = 10;
+    h.sum = 10 * 250.0;
+    snap.histograms.push_back(h);
+
+    auto bills = obs::attribution_from(snap);
+    ASSERT_EQ(bills.size(), 1u);
+    EXPECT_EQ(bills[0].invocations, 320u);
+    EXPECT_DOUBLE_EQ(bills[0].total_ns, 320 * 250.0);
+    ASSERT_EQ(bills[0].sites.size(), 1u);
+    EXPECT_EQ(bills[0].sites[0].invocations, 320u);
+    EXPECT_DOUBLE_EQ(bills[0].sites[0].total_ns, 320 * 250.0);
+}
+
 // --------------------------------------------- end-to-end: install chain ----
 
 ExtensionPackage motor_monitor_pkg() {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <random>
 
 #include "common/error.h"
 #include "core/weaver.h"
@@ -439,6 +441,126 @@ TEST_F(GuardTest, SuspendedGuardedAspectLeavesUnguardedAspectAlone) {
     motor_->call("rotate", {Value{1.0}});
     EXPECT_EQ(guarded, 0);
     EXPECT_EQ(unguarded, 2);
+}
+
+// ------------------------------------------------- sampled advice timing ----
+
+constexpr std::uint64_t kTimeEvery = obs::Profiler::kTimeEvery;
+
+/// The profiler's slots for one dispatch site, zeroed so the test reads
+/// only its own executions (the registry is process-wide).
+obs::Profiler::Site fresh_site(const std::string& extension, const std::string& pointcut) {
+    obs::Profiler::Site site = obs::Profiler::global().site(extension, pointcut);
+    site.calls->reset();
+    site.advice_ns->reset();
+    return site;
+}
+
+// The registry folds a family's labels past the 64th into one overflow
+// slot, and a full run of this binary weaves more sites than that. Pinning
+// the sites the weaver tests below read during static initialisation gives
+// each its own slot whatever runs first.
+const obs::Profiler::Site kPinnedSites[] = {
+    obs::Profiler::global().site("sampled-count", "call(* Sensor.read(..))"),
+    obs::Profiler::global().site("sampled-mix", "call(* Motor.rotate(..))"),
+    obs::Profiler::global().site("sampled-mix", "call(* Sensor.read(..))"),
+};
+
+std::uint64_t timed_of(std::uint64_t calls) { return (calls + kTimeEvery - 1) / kTimeEvery; }
+
+TEST_F(WeaverTest, SampledTimingCountsEveryCallAndTimesOneInN) {
+    const std::uint64_t calls = 5 * kTimeEvery + 3;  // not a multiple of N
+    std::uint64_t outcomes = 0;
+    auto sampled = [&] {
+        auto aspect = std::make_shared<Aspect>("sampled-count");
+        aspect->before("call(* Sensor.read(..))", [](CallFrame&) {});
+        aspect->set_guard({nullptr, [&](const std::exception* e) { outcomes += e ? 0 : 1; }});
+        return aspect;
+    };
+    AspectId id = weaver_.weave(sampled());
+    obs::Profiler::Site site = fresh_site("sampled-count", "call(* Sensor.read(..))");
+
+    for (std::uint64_t i = 0; i < calls; ++i) sensor_->call("read", {});
+    EXPECT_EQ(site.calls->value(), calls);
+    // Executions 0, N, 2N, ... of the site are timed: the first call is one.
+    EXPECT_EQ(site.advice_ns->count(), timed_of(calls));
+    EXPECT_EQ(outcomes, calls);
+
+    // A new weave of the same extension lands mid-period on the site's
+    // count, and its first execution is timed all the same.
+    weaver_.withdraw(id);
+    weaver_.weave(sampled());
+    sensor_->call("read", {});
+    EXPECT_EQ(site.calls->value(), calls + 1);
+    EXPECT_EQ(site.advice_ns->count(), timed_of(calls) + 1);
+    EXPECT_EQ(outcomes, calls + 1);
+}
+
+TEST_F(WeaverTest, SampledTimingIsPerSiteUnderAPeriodicCallMix) {
+    // N-1 rotates, then one read, over and over. A thread-wide 1-in-N
+    // countdown would land on the same slot of this mix every time and
+    // leave the other site with its first-dispatch sample alone.
+    auto aspect = std::make_shared<Aspect>("sampled-mix");
+    aspect->before("call(* Motor.rotate(..))", [](CallFrame&) {});
+    aspect->before("call(* Sensor.read(..))", [](CallFrame&) {});
+    weaver_.weave(aspect);
+    obs::Profiler::Site rotate = fresh_site("sampled-mix", "call(* Motor.rotate(..))");
+    obs::Profiler::Site read = fresh_site("sampled-mix", "call(* Sensor.read(..))");
+
+    const std::uint64_t rounds = 3 * kTimeEvery;
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+        for (std::uint64_t i = 0; i + 1 < kTimeEvery; ++i) motor_->call("rotate", {Value{1.0}});
+        sensor_->call("read", {});
+    }
+    EXPECT_EQ(rotate.calls->value(), rounds * (kTimeEvery - 1));
+    EXPECT_EQ(read.calls->value(), rounds);
+    EXPECT_EQ(rotate.advice_ns->count(), timed_of(rounds * (kTimeEvery - 1)));
+    EXPECT_EQ(read.advice_ns->count(), timed_of(rounds));
+}
+
+TEST(SampledTiming, QuantilesStayWithinOneBucketOfExactTiming) {
+    // Two sites in the same period-N mix as above, fed seeded latencies:
+    // each "exact" site records every call, each "sampled" site only the
+    // calls its own count() selects — the weaver's decision.
+    obs::Registry reg;
+    auto site = [&reg](const std::string& label) {
+        return obs::Profiler::Site{&reg.counter("profile.advice_calls", label),
+                                   &reg.histogram("profile.advice_ns", label)};
+    };
+    obs::Profiler::Site exact_fast = site("exact|fast"), exact_slow = site("exact|slow");
+    obs::Profiler::Site sampled_fast = site("sampled|fast"), sampled_slow = site("sampled|slow");
+    std::mt19937_64 rng(21);
+    std::lognormal_distribution<double> fast(std::log(400.0), 0.6);
+    std::lognormal_distribution<double> slow(std::log(6000.0), 0.9);
+    auto feed = [](const obs::Profiler::Site& exact, const obs::Profiler::Site& sampled,
+                   double ns) {
+        exact.record(ns);
+        if (sampled.count()) sampled.time(ns);
+    };
+    for (std::uint64_t r = 0; r < 500 * kTimeEvery; ++r) {
+        for (std::uint64_t i = 0; i + 1 < kTimeEvery; ++i) {
+            feed(exact_fast, sampled_fast, fast(rng));
+        }
+        feed(exact_slow, sampled_slow, slow(rng));
+    }
+
+    const std::vector<double>& bounds = obs::Histogram::latency_ns_bounds();
+    auto bucket = [&](double v) {
+        return static_cast<long>(std::lower_bound(bounds.begin(), bounds.end(), v) -
+                                 bounds.begin());
+    };
+    for (auto [exact, sampled] : {std::pair{exact_fast, sampled_fast},
+                                  std::pair{exact_slow, sampled_slow}}) {
+        EXPECT_EQ(sampled.calls->value(), exact.calls->value());
+        EXPECT_EQ(sampled.advice_ns->count(), timed_of(exact.calls->value()));
+        for (double q : {0.50, 0.95}) {
+            EXPECT_LE(std::abs(bucket(sampled.advice_ns->quantile(q)) -
+                               bucket(exact.advice_ns->quantile(q))),
+                      1)
+                << "q=" << q << " exact=" << exact.advice_ns->quantile(q)
+                << " sampled=" << sampled.advice_ns->quantile(q);
+        }
+    }
 }
 
 }  // namespace
