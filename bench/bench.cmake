@@ -24,3 +24,6 @@ pmp_bench(bench_adaptation_scale)
 pmp_bench(bench_trust)
 pmp_bench(bench_tspace)
 pmp_bench(bench_script)
+
+# The script-engine ablation times the reference interpreter (tests/support).
+target_link_libraries(bench_interception PRIVATE pmp_script_oracle)

@@ -1,19 +1,20 @@
-// AdviceScript execution cost — the price of shipping *interpreted* code
-// to devices (our substitution for the paper's compiled Java extensions,
-// DESIGN.md §2).
+// AdviceScript execution cost on the bytecode Vm, the engine the product
+// runs — the price of shipping script code to devices (our substitution
+// for the paper's compiled Java extensions, DESIGN.md §2).
 //
-// E2 showed ~150 ns for a do-nothing script interception vs ~50 ns native;
-// this bench breaks the interpreter itself down: compile (parse + check +
-// top level), call dispatch, arithmetic loops, recursion, string and
-// container work — the operations real extensions (monitoring, access
-// control, batching) are made of.
+// E2 measures a whole script interception; this bench breaks the engine
+// itself down: the install path (parse + check + compile + top level),
+// call dispatch, arithmetic loops, recursion, string and container work —
+// the operations real extensions (monitoring, access control, batching)
+// are made of.
 #include <benchmark/benchmark.h>
 
 #include "smoke.h"
 
 #include "script/check.h"
-#include "script/interp.h"
+#include "script/compile.h"
 #include "script/parser.h"
+#include "script/vm.h"
 
 namespace {
 
@@ -21,18 +22,19 @@ using namespace pmp;
 using rt::List;
 using rt::Value;
 using script::BuiltinRegistry;
-using script::Interpreter;
 using script::Program;
 using script::Sandbox;
+using script::Vm;
 
-Interpreter make(const std::string& source) {
+std::unique_ptr<Vm> make(const std::string& source) {
     auto program = std::make_shared<const Program>(script::parse(source));
     Sandbox sandbox;
     sandbox.step_budget = 100'000'000;
-    Interpreter interp(program, sandbox,
-                       std::make_shared<BuiltinRegistry>(BuiltinRegistry::with_core()));
-    interp.run_top_level();
-    return interp;
+    auto vm = std::make_unique<Vm>(
+        script::compile(program), sandbox,
+        std::make_shared<BuiltinRegistry>(BuiltinRegistry::with_core()));
+    vm->run_top_level();
+    return vm;
 }
 
 const char* kMonitoringLikeScript = R"(
@@ -50,33 +52,33 @@ void BM_CompileMonitoringExtension(benchmark::State& state) {
         auto program = std::make_shared<const Program>(script::parse(kMonitoringLikeScript));
         auto diags = script::check(*program, reg);
         Sandbox sandbox;
-        Interpreter interp(program, sandbox, std::make_shared<BuiltinRegistry>(reg));
-        interp.run_top_level();
+        Vm vm(script::compile(program), sandbox, std::make_shared<BuiltinRegistry>(reg));
+        vm.run_top_level();
         benchmark::DoNotOptimize(diags);
     }
 }
 BENCHMARK(BM_CompileMonitoringExtension);
 
 void BM_CallDispatchEmptyFunction(benchmark::State& state) {
-    auto interp = make("fun f() { }");
+    auto vm = make("fun f() { }");
     for (auto _ : state) {
-        benchmark::DoNotOptimize(interp.call("f", {}));
+        benchmark::DoNotOptimize(vm->call("f", {}));
     }
 }
 BENCHMARK(BM_CallDispatchEmptyFunction);
 
 void BM_MonitoringAdviceBody(benchmark::State& state) {
-    auto interp = make(kMonitoringLikeScript);
+    auto vm = make(kMonitoringLikeScript);
     std::int64_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            interp.call("onEntry", {Value{"motor:x"}, Value{"rotate"}, Value{++i}}));
+            vm->call("onEntry", {Value{"motor:x"}, Value{"rotate"}, Value{++i}}));
     }
 }
 BENCHMARK(BM_MonitoringAdviceBody);
 
 void BM_ArithmeticLoop(benchmark::State& state) {
-    auto interp = make(R"(
+    auto vm = make(R"(
         fun sum(n) {
             let s = 0;
             let i = 0;
@@ -85,7 +87,7 @@ void BM_ArithmeticLoop(benchmark::State& state) {
         }
     )");
     for (auto _ : state) {
-        benchmark::DoNotOptimize(interp.call("sum", {Value{1000}}));
+        benchmark::DoNotOptimize(vm->call("sum", {Value{1000}}));
     }
     state.counters["ns_per_iteration"] = benchmark::Counter(
         1000.0 * static_cast<double>(state.iterations()),
@@ -94,15 +96,15 @@ void BM_ArithmeticLoop(benchmark::State& state) {
 BENCHMARK(BM_ArithmeticLoop);
 
 void BM_RecursiveFib(benchmark::State& state) {
-    auto interp = make("fun fib(n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }");
+    auto vm = make("fun fib(n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }");
     for (auto _ : state) {
-        benchmark::DoNotOptimize(interp.call("fib", {Value{12}}));
+        benchmark::DoNotOptimize(vm->call("fib", {Value{12}}));
     }
 }
 BENCHMARK(BM_RecursiveFib);
 
 void BM_StringBuilding(benchmark::State& state) {
-    auto interp = make(R"(
+    auto vm = make(R"(
         fun build(n) {
             let s = "";
             for (i in range(n)) { s = s + "x" + str(i); }
@@ -110,13 +112,13 @@ void BM_StringBuilding(benchmark::State& state) {
         }
     )");
     for (auto _ : state) {
-        benchmark::DoNotOptimize(interp.call("build", {Value{100}}));
+        benchmark::DoNotOptimize(vm->call("build", {Value{100}}));
     }
 }
 BENCHMARK(BM_StringBuilding);
 
 void BM_DictHeavyAccessControl(benchmark::State& state) {
-    auto interp = make(R"(
+    auto vm = make(R"(
         let policy = {"alice": true, "bob": true, "carol": false};
         fun allowed(who, method) {
             if (!contains(policy, who)) { return false; }
@@ -128,7 +130,7 @@ void BM_DictHeavyAccessControl(benchmark::State& state) {
     int i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            interp.call("allowed", {Value{callers[i++ & 3]}, Value{"rotate"}}));
+            vm->call("allowed", {Value{callers[i++ & 3]}, Value{"rotate"}}));
     }
 }
 BENCHMARK(BM_DictHeavyAccessControl);

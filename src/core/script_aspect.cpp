@@ -181,36 +181,31 @@ std::shared_ptr<const BuiltinRegistry> extension_builtins(const BuiltinRegistry&
 
 ScriptAspect::ScriptAspect(std::string name, const std::string& source,
                            std::vector<ScriptBinding> bindings, script::Sandbox sandbox,
-                           const BuiltinRegistry& host_builtins, Value config,
-                           script::EngineMode mode)
+                           const BuiltinRegistry& host_builtins, Value config)
     : ScriptAspect(std::move(name),
                    script::compile(std::make_shared<const script::Program>(
                        script::parse(source))),
                    std::move(bindings), std::move(sandbox), host_builtins,
-                   std::move(config), mode) {}
+                   std::move(config)) {}
 
 ScriptAspect::ScriptAspect(std::string name,
                            std::shared_ptr<const script::CompiledUnit> unit,
                            std::vector<ScriptBinding> bindings, script::Sandbox sandbox,
-                           const BuiltinRegistry& host_builtins, Value config,
-                           script::EngineMode mode) {
-    std::shared_ptr<const script::Program> program = unit->program;
-    if (mode == script::EngineMode::kVm) {
-        engine_ = std::make_shared<script::Vm>(std::move(unit), std::move(sandbox),
-                                               extension_builtins(host_builtins));
-    } else {
-        engine_ = std::make_shared<script::Interpreter>(program, std::move(sandbox),
-                                                        extension_builtins(host_builtins));
-    }
+                           const BuiltinRegistry& host_builtins, Value config)
+    : ScriptAspect(std::move(name),
+                   std::make_shared<script::Vm>(std::move(unit), std::move(sandbox),
+                                                extension_builtins(host_builtins)),
+                   std::move(bindings), std::move(config)) {}
+
+ScriptAspect::ScriptAspect(std::string name, std::shared_ptr<script::Engine> engine,
+                           std::vector<ScriptBinding> bindings, Value config)
+    : engine_(engine), aspect_(std::make_shared<Aspect>(std::move(name))) {
     engine_->set_global("config", std::move(config));
     JoinPointScope top_level(nullptr);  // runs outside any join point
     engine_->run_top_level();
 
-    aspect_ = std::make_shared<Aspect>(std::move(name));
-    std::shared_ptr<script::Engine> engine = engine_;
-
     for (const ScriptBinding& binding : bindings) {
-        if (!program->find_function(binding.function)) {
+        if (!engine->has_function(binding.function)) {
             throw ScriptError("extension script defines no function '" + binding.function + "'");
         }
         const std::string fn = binding.function;
@@ -282,7 +277,7 @@ ScriptAspect::ScriptAspect(std::string name,
         }
     }
 
-    if (program->find_function("onShutdown")) {
+    if (engine->has_function("onShutdown")) {
         // A failing script cannot prevent withdrawal: the weaver catches
         // whatever the shutdown procedure throws.
         aspect_->on_withdraw([engine](WithdrawReason reason) {

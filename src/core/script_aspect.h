@@ -21,7 +21,6 @@
 #include "core/aspect.h"
 #include "script/compile.h"
 #include "script/engine.h"
-#include "script/interp.h"
 #include "script/parser.h"
 #include "script/vm.h"
 
@@ -45,12 +44,8 @@ struct ScriptBinding {
     std::optional<Pointcut> parsed;
 };
 
-/// Compiles script source into a weavable Aspect.
-///
-/// The advice hot path executes on the bytecode VM by default; the
-/// tree-walking Interpreter remains available as the reference engine
-/// (differential testing, debugging) via EngineMode::kInterpreter. Both
-/// engines are observably identical — results, typed errors, step counts.
+/// Compiles script source into a weavable Aspect whose advice runs on the
+/// bytecode Vm.
 class ScriptAspect {
 public:
     /// Throws ParseError on bad source, ScriptError if a bound function is
@@ -63,16 +58,21 @@ public:
     /// global `config` before the top level runs.
     ScriptAspect(std::string name, const std::string& source,
                  std::vector<ScriptBinding> bindings, script::Sandbox sandbox,
-                 const script::BuiltinRegistry& host_builtins, rt::Value config = rt::Value{},
-                 script::EngineMode mode = script::EngineMode::kVm);
+                 const script::BuiltinRegistry& host_builtins, rt::Value config = rt::Value{});
 
     /// Build from an already-compiled unit (the MIDAS receiver caches one
     /// CompiledUnit per distinct script hash and shares it across installs;
     /// compilation happens once, not per aspect instance).
     ScriptAspect(std::string name, std::shared_ptr<const script::CompiledUnit> unit,
                  std::vector<ScriptBinding> bindings, script::Sandbox sandbox,
-                 const script::BuiltinRegistry& host_builtins, rt::Value config = rt::Value{},
-                 script::EngineMode mode = script::EngineMode::kVm);
+                 const script::BuiltinRegistry& host_builtins, rt::Value config = rt::Value{});
+
+    /// Build around a ready engine whose top level has not run yet, made
+    /// over extension_builtins(...). The constructors above make a Vm and
+    /// delegate here; tests and the tree-walk bench hand in the reference
+    /// interpreter.
+    ScriptAspect(std::string name, std::shared_ptr<script::Engine> engine,
+                 std::vector<ScriptBinding> bindings, rt::Value config = rt::Value{});
 
     /// The weavable product. One instance per ScriptAspect.
     const std::shared_ptr<Aspect>& aspect() const { return aspect_; }

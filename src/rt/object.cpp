@@ -32,10 +32,6 @@ Value ServiceObject::call(std::string_view method, List args) {
     return require_method(method).invoke(*this, std::move(args));
 }
 
-Value ServiceObject::call_unhooked(std::string_view method, List args) {
-    return require_method(method).invoke_unhooked(*this, std::move(args));
-}
-
 Value ServiceObject::get(std::string_view field) {
     std::size_t idx = require_field(field);
     Value value = fields_[idx];

@@ -27,9 +27,6 @@ public:
     /// Invoke through the platform dispatch path (minimal hook included).
     Value call(std::string_view method, List args = {});
 
-    /// Invoke as if the platform were absent (E3 baseline only).
-    Value call_unhooked(std::string_view method, List args = {});
-
     /// Field access. Reads and writes flow through the field's hook slot so
     /// state-change join points fire (the paper's quality-assurance
     /// extension intercepts robot state changes this way).

@@ -177,14 +177,16 @@ public:
     Value invoke(ServiceObject& self, List args);
 
     /// Dispatch as if the adaptation platform were absent: no hook at all.
-    /// Exists solely for the platform-overhead experiment (DESIGN.md E3).
+    /// Stays here because the E3 baseline (specmini's kUnhooked mode) must
+    /// reach the private handler_ the same way invoke() does.
     Value invoke_unhooked(ServiceObject& self, List args);
 
     /// Debugger-style dispatch: unconditionally enter the interception
     /// machinery (build a frame, walk the — possibly empty — advice
     /// chains), the way the JVMDI-based first PROSE prototype intercepted
-    /// every call whether or not advice was attached. Exists solely for the
-    /// v1-vs-v2 ablation in bench_interception; real dispatch is invoke().
+    /// every call whether or not advice was attached. Stays here because
+    /// the v1-vs-v2 ablation row needs the private advice chain walk that
+    /// invoke() itself runs; real dispatch is invoke().
     Value invoke_debugger_style(ServiceObject& self, List args);
 
     /// True if any advice is attached.

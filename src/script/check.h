@@ -6,7 +6,7 @@
 // fault. The checker performs the analyses that need no execution:
 //
 //   * references to variables that can never be defined at that point
-//     (mirrors the interpreter's scoping exactly, including the rule that
+//     (mirrors the engine's scoping exactly, including the rule that
 //     only top-level `let`s create globals)
 //   * calls to functions that are neither user-defined nor registered
 //     builtins, and wrong arity for user-defined functions
@@ -16,7 +16,7 @@
 //   * unreachable statements after return/break/continue/throw
 //
 // The checker is advisory by design (it must never reject a program the
-// interpreter would run), so it reports diagnostics instead of throwing.
+// engine would run), so it reports diagnostics instead of throwing.
 #pragma once
 
 #include <set>
@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "script/ast.h"
-#include "script/interp.h"
+#include "script/sandbox.h"
 
 namespace pmp::script {
 

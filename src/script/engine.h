@@ -1,12 +1,10 @@
 // The AdviceScript execution-engine contract.
 //
-// Two engines implement it: the tree-walking Interpreter (the reference
-// semantics) and the bytecode Vm (the compiled hot path). They are
-// observably identical — same results, same typed errors with the same
-// messages, same step accounting — which the differential property suite
-// enforces. Hosts (ScriptAspect, the MIDAS receiver, tests) program
-// against this interface so the engine is a deployment choice, not an
-// API fork.
+// The product's one engine, the bytecode Vm, implements it; so does the
+// tree-walking reference interpreter the tests keep as their oracle.
+// Hosts (ScriptAspect, the MIDAS receiver) program against this interface,
+// which is what lets a differential test or the tree-walk bench hand a
+// ScriptAspect the oracle instead of a Vm.
 #pragma once
 
 #include <cstdint>
@@ -18,12 +16,6 @@
 #include "script/sandbox.h"
 
 namespace pmp::script {
-
-/// Which engine a host should construct for a program.
-enum class EngineMode {
-    kVm,           ///< compiled bytecode (default; the hot path)
-    kInterpreter,  ///< tree-walking reference implementation
-};
 
 class Engine {
 public:

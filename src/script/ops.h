@@ -2,11 +2,11 @@
 //
 // Every semantic decision an engine makes at runtime — arithmetic and
 // comparison rules, index/member access, lvalue resolution, budget
-// enforcement, error message formatting — lives here, so the tree-walking
-// Interpreter and the bytecode Vm cannot drift apart. The differential
-// property suite asserts the two engines are observably identical; this
-// module is what makes that a structural guarantee rather than a test
-// fixture's hope.
+// enforcement, error message formatting — lives here, so the bytecode Vm
+// and the tree-walking reference interpreter the tests check it against
+// cannot drift apart. The differential suites assert the two are
+// observably identical; this module is what makes that a structural
+// guarantee rather than a test fixture's hope.
 #pragma once
 
 #include <cstdint>

@@ -7,8 +7,8 @@
 // hostile extension cannot wedge the node. The hosting layer (MIDAS
 // receiver) decides which capabilities a package gets.
 //
-// Both AdviceScript engines — the tree-walking Interpreter (reference
-// implementation) and the bytecode Vm (hot path) — share this contract.
+// The bytecode Vm enforces this contract, and so does the tree-walking
+// reference interpreter the tests compare it with.
 #pragma once
 
 #include <functional>

@@ -1,9 +1,10 @@
-// AdviceScript bytecode virtual machine — the hot-path engine.
+// AdviceScript bytecode virtual machine — the one engine the product runs.
 //
 // Executes CompiledUnits (script/compile.h) with the exact observable
-// semantics of the reference Interpreter: same results, same typed errors
-// with the same messages, same step counts (the compiler emits a kTick at
-// every interpreter tick point). What changes is the cost model:
+// semantics of the tree-walking reference interpreter the tests keep as
+// their oracle: same results, same typed errors with the same messages,
+// same step counts (the compiler emits a kTick at every point the
+// interpreter ticks). What the compiled form changes is the cost model:
 //
 //   * locals are frame slots (no per-variable hash lookups);
 //   * each distinct builtin callee is resolved once at Vm construction to

@@ -16,9 +16,9 @@
 #include "midas/node.h"
 #include "robot/devices.h"
 #include "script/compile.h"
-#include "script/interp.h"
 #include "script/parser.h"
 #include "script/vm.h"
+#include "support/interp.h"
 
 namespace pmp {
 namespace {

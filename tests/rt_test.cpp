@@ -221,7 +221,7 @@ TEST_F(RtTest, DebuggerStyleDispatchIsSemanticallyIdentical) {
 TEST_F(RtTest, UnhookedInvokeBypassesHooks) {
     Method* add = obj_->type().method("add");
     add->add_entry_hook(1, 0, [](CallFrame&) { throw AccessDenied("no"); });
-    EXPECT_EQ(obj_->call_unhooked("add", {Value{4}}).as_int(), 4);
+    EXPECT_EQ(add->invoke_unhooked(*obj_, {Value{4}}).as_int(), 4);
 }
 
 TEST_F(RtTest, FieldReadWriteAndTypeCheck) {

@@ -6,6 +6,7 @@
 #include "core/script_aspect.h"
 #include "core/weaver.h"
 #include "script/check.h"
+#include "support/interp.h"
 
 namespace pmp::prose {
 namespace {
@@ -294,9 +295,12 @@ TEST_F(ScriptAspectTest, EveryCtxNamePassesTheCheckAndResolvesInBothEngines) {
     for (const char* name : kCtxNames) {
         const std::string source = std::string("fun probe() { return ") + name + "(); }";
         EXPECT_TRUE(script::check(script::parse(source), *world).empty()) << name;
-        for (script::EngineMode mode :
-             {script::EngineMode::kVm, script::EngineMode::kInterpreter}) {
-            ScriptAspect sa("probe", source, {}, Sandbox{}, host_, Value{}, mode);
+        // The shipped Vm, then the reference interpreter handed in through
+        // the Engine seam over the same namespace.
+        auto oracle = std::make_shared<script::Interpreter>(
+            std::make_shared<const script::Program>(script::parse(source)), Sandbox{}, world);
+        for (ScriptAspect sa : {ScriptAspect("probe", source, {}, Sandbox{}, host_),
+                                ScriptAspect("probe", oracle, {})}) {
             // Called outside any join point: each builtin runs (or refuses
             // with its own message), none is an unknown function.
             try {

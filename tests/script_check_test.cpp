@@ -6,6 +6,7 @@
 #include "robot/devices.h"
 #include "script/check.h"
 #include "script/parser.h"
+#include "support/interp.h"
 
 namespace pmp::script {
 namespace {

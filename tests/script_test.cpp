@@ -1,11 +1,18 @@
 // Tests for AdviceScript: lexing, parsing, evaluation semantics, the
-// capability sandbox and resource budgets.
+// capability sandbox and resource budgets. Every language case runs on the
+// shipped bytecode Vm and on the reference interpreter, and the two must
+// agree.
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <typeinfo>
+
 #include "common/error.h"
-#include "script/interp.h"
+#include "script/compile.h"
 #include "script/parser.h"
 #include "script/token.h"
+#include "script/vm.h"
+#include "support/interp.h"
 
 namespace pmp::script {
 namespace {
@@ -14,21 +21,88 @@ using rt::Dict;
 using rt::List;
 using rt::Value;
 
-Interpreter make_interp(const std::string& source, Sandbox sandbox = {},
-                        std::shared_ptr<BuiltinRegistry> builtins = nullptr) {
+/// What one engine made of a call: a value, or a typed error.
+struct Outcome {
+    Value value;
+    std::exception_ptr error;
+    std::string type;
+    std::string message;
+    std::uint64_t steps = 0;
+};
+
+template <typename Fn>
+Outcome capture(Engine& engine, Fn&& fn) {
+    Outcome out;
+    try {
+        out.value = fn(engine);
+    } catch (const std::exception& e) {
+        out.error = std::current_exception();
+        out.type = typeid(e).name();
+        out.message = e.what();
+    }
+    out.steps = engine.last_call_steps();
+    return out;
+}
+
+/// One script on the shipped Vm and on the reference interpreter. Each
+/// call runs on both; their values or typed errors (with messages) and
+/// step counts must agree, and the Vm's outcome is returned or rethrown.
+class Engines {
+public:
+    Engines(const std::string& source, Sandbox sandbox,
+            std::shared_ptr<BuiltinRegistry> builtins) {
+        auto program = std::make_shared<const Program>(parse(source));
+        oracle_ = std::make_unique<Interpreter>(program, sandbox, builtins);
+        vm_ = std::make_unique<Vm>(compile(program), std::move(sandbox), std::move(builtins));
+        both([](Engine& e) {
+            e.run_top_level();
+            return Value{};
+        });
+    }
+
+    Value call(std::string_view name, const List& args) {
+        return both([&](Engine& e) { return e.call(name, args); });
+    }
+
+    const Value* global(const std::string& name) const {
+        const Value* mine = vm_->global(name);
+        const Value* theirs = oracle_->global(name);
+        EXPECT_EQ(mine == nullptr, theirs == nullptr) << name;
+        if (mine && theirs) {
+            EXPECT_EQ(*mine, *theirs) << name;
+        }
+        return mine;
+    }
+
+private:
+    template <typename Fn>
+    Value both(Fn&& fn) {
+        Outcome want = capture(*oracle_, fn);
+        Outcome got = capture(*vm_, fn);
+        EXPECT_EQ(got.type, want.type);
+        EXPECT_EQ(got.message, want.message);
+        EXPECT_EQ(got.value, want.value);
+        EXPECT_EQ(got.steps, want.steps);
+        if (got.error) std::rethrow_exception(got.error);
+        return got.value;
+    }
+
+    std::unique_ptr<Interpreter> oracle_;
+    std::unique_ptr<Vm> vm_;
+};
+
+Engines make_engines(const std::string& source, Sandbox sandbox = {},
+                     std::shared_ptr<BuiltinRegistry> builtins = nullptr) {
     if (!builtins) {
         builtins = std::make_shared<BuiltinRegistry>(BuiltinRegistry::with_core());
     }
-    auto program = std::make_shared<const Program>(parse(source));
-    Interpreter interp(program, std::move(sandbox), std::move(builtins));
-    interp.run_top_level();
-    return interp;
+    return Engines(source, std::move(sandbox), std::move(builtins));
 }
 
 /// Evaluate an expression by wrapping it in a function.
 Value eval(const std::string& expr) {
-    auto interp = make_interp("fun f() { return " + expr + "; }");
-    return interp.call("f", {});
+    auto engines = make_engines("fun f() { return " + expr + "; }");
+    return engines.call("f", {});
 }
 
 // ------------------------------------------------------------- lexer ----
@@ -127,20 +201,20 @@ TEST(Interp, LogicShortCircuits) {
 }
 
 TEST(Interp, IfElseChain) {
-    auto interp = make_interp(R"(
+    auto engines = make_engines(R"(
         fun grade(x) {
             if (x >= 90) { return "A"; }
             else if (x >= 80) { return "B"; }
             else { return "C"; }
         }
     )");
-    EXPECT_EQ(interp.call("grade", {Value{95}}).as_str(), "A");
-    EXPECT_EQ(interp.call("grade", {Value{85}}).as_str(), "B");
-    EXPECT_EQ(interp.call("grade", {Value{10}}).as_str(), "C");
+    EXPECT_EQ(engines.call("grade", {Value{95}}).as_str(), "A");
+    EXPECT_EQ(engines.call("grade", {Value{85}}).as_str(), "B");
+    EXPECT_EQ(engines.call("grade", {Value{10}}).as_str(), "C");
 }
 
 TEST(Interp, WhileWithBreakContinue) {
-    auto interp = make_interp(R"(
+    auto engines = make_engines(R"(
         fun f() {
             let sum = 0;
             let i = 0;
@@ -153,11 +227,11 @@ TEST(Interp, WhileWithBreakContinue) {
             return sum;  // 1+3+5+7+9
         }
     )");
-    EXPECT_EQ(interp.call("f", {}).as_int(), 25);
+    EXPECT_EQ(engines.call("f", {}).as_int(), 25);
 }
 
 TEST(Interp, ForInListAndDict) {
-    auto interp = make_interp(R"(
+    auto engines = make_engines(R"(
         fun sum_list(l) {
             let s = 0;
             for (x in l) { s = s + x; }
@@ -169,71 +243,71 @@ TEST(Interp, ForInListAndDict) {
             return s;
         }
     )");
-    EXPECT_EQ(interp.call("sum_list", {Value{List{Value{1}, Value{2}, Value{3}}}}).as_int(),
+    EXPECT_EQ(engines.call("sum_list", {Value{List{Value{1}, Value{2}, Value{3}}}}).as_int(),
               6);
-    EXPECT_EQ(interp.call("join_keys", {Value{Dict{{"b", Value{1}}, {"a", Value{2}}}}})
+    EXPECT_EQ(engines.call("join_keys", {Value{Dict{{"b", Value{1}}, {"a", Value{2}}}}})
                   .as_str(),
               "ab");  // sorted iteration
 }
 
 TEST(Interp, FunctionsAndRecursion) {
-    auto interp = make_interp(R"(
+    auto engines = make_engines(R"(
         fun fib(n) {
             if (n < 2) { return n; }
             return fib(n - 1) + fib(n - 2);
         }
     )");
-    EXPECT_EQ(interp.call("fib", {Value{10}}).as_int(), 55);
+    EXPECT_EQ(engines.call("fib", {Value{10}}).as_int(), 55);
 }
 
 TEST(Interp, FunctionArityChecked) {
-    auto interp = make_interp("fun f(a, b) { return a; }");
-    EXPECT_THROW(interp.call("f", {Value{1}}), ScriptError);
+    auto engines = make_engines("fun f(a, b) { return a; }");
+    EXPECT_THROW(engines.call("f", {Value{1}}), ScriptError);
 }
 
 TEST(Interp, UnknownFunctionThrows) {
-    auto interp = make_interp("");
-    EXPECT_THROW(interp.call("missing", {}), ScriptError);
+    auto engines = make_engines("");
+    EXPECT_THROW(engines.call("missing", {}), ScriptError);
 }
 
 TEST(Interp, GlobalsPersistAcrossCalls) {
-    auto interp = make_interp(R"(
+    auto engines = make_engines(R"(
         let counter = 0;
         fun bump() { counter = counter + 1; return counter; }
     )");
-    EXPECT_EQ(interp.call("bump", {}).as_int(), 1);
-    EXPECT_EQ(interp.call("bump", {}).as_int(), 2);
-    ASSERT_NE(interp.global("counter"), nullptr);
-    EXPECT_EQ(interp.global("counter")->as_int(), 2);
+    EXPECT_EQ(engines.call("bump", {}).as_int(), 1);
+    EXPECT_EQ(engines.call("bump", {}).as_int(), 2);
+    ASSERT_NE(engines.global("counter"), nullptr);
+    EXPECT_EQ(engines.global("counter")->as_int(), 2);
 }
 
 TEST(Interp, LocalsDoNotLeakBetweenFunctions) {
-    auto interp = make_interp(R"(
+    auto engines = make_engines(R"(
         fun set_local() { let x = 5; return x; }
         fun read_x() { return x; }
     )");
-    interp.call("set_local", {});
-    EXPECT_THROW(interp.call("read_x", {}), ScriptError);
+    engines.call("set_local", {});
+    EXPECT_THROW(engines.call("read_x", {}), ScriptError);
 }
 
 TEST(Interp, BlockScoping) {
-    auto interp = make_interp(R"(
+    auto engines = make_engines(R"(
         fun f() {
             let x = 1;
             { let x = 2; }
             return x;
         }
     )");
-    EXPECT_EQ(interp.call("f", {}).as_int(), 1);
+    EXPECT_EQ(engines.call("f", {}).as_int(), 1);
 }
 
 TEST(Interp, AssignToUndeclaredThrows) {
-    auto interp = make_interp("fun f() { y = 1; }");
-    EXPECT_THROW(interp.call("f", {}), ScriptError);
+    auto engines = make_engines("fun f() { y = 1; }");
+    EXPECT_THROW(engines.call("f", {}), ScriptError);
 }
 
 TEST(Interp, IndexingAndAppendIdiom) {
-    auto interp = make_interp(R"(
+    auto engines = make_engines(R"(
         fun f() {
             let l = [10, 20];
             l[0] = 11;
@@ -241,7 +315,7 @@ TEST(Interp, IndexingAndAppendIdiom) {
             return l;
         }
     )");
-    Value result = interp.call("f", {});
+    Value result = engines.call("f", {});
     EXPECT_EQ(result, (Value{List{Value{11}, Value{20}, Value{30}}}));
 }
 
@@ -251,7 +325,7 @@ TEST(Interp, IndexOutOfRangeThrows) {
 }
 
 TEST(Interp, DictLiteralsMembersAndAssignment) {
-    auto interp = make_interp(R"(
+    auto engines = make_engines(R"(
         fun f() {
             let d = {"a": 1, "nested": {"x": 2}};
             d["b"] = 5;
@@ -260,7 +334,7 @@ TEST(Interp, DictLiteralsMembersAndAssignment) {
             return d.a + d["b"] + d.c + d.nested.x;
         }
     )");
-    EXPECT_EQ(interp.call("f", {}).as_int(), 15);
+    EXPECT_EQ(engines.call("f", {}).as_int(), 15);
 }
 
 TEST(Interp, MissingDictKeyReadsNull) {
@@ -269,9 +343,9 @@ TEST(Interp, MissingDictKeyReadsNull) {
 }
 
 TEST(Interp, ThrowCarriesMessage) {
-    auto interp = make_interp("fun f() { throw \"custom failure\"; }");
+    auto engines = make_engines("fun f() { throw \"custom failure\"; }");
     try {
-        interp.call("f", {});
+        engines.call("f", {});
         FAIL() << "expected ScriptError";
     } catch (const ScriptError& e) {
         EXPECT_NE(std::string(e.what()).find("custom failure"), std::string::npos);
@@ -279,8 +353,8 @@ TEST(Interp, ThrowCarriesMessage) {
 }
 
 TEST(Interp, UserFunctionShadowsBuiltin) {
-    auto interp = make_interp("fun len(x) { return 999; }\nfun f() { return len([1]); }");
-    EXPECT_EQ(interp.call("f", {}).as_int(), 999);
+    auto engines = make_engines("fun len(x) { return 999; }\nfun f() { return len([1]); }");
+    EXPECT_EQ(engines.call("f", {}).as_int(), 999);
 }
 
 // ------------------------------------------------------------ budgets ----
@@ -288,21 +362,21 @@ TEST(Interp, UserFunctionShadowsBuiltin) {
 TEST(Sandbox, StepBudgetStopsInfiniteLoop) {
     Sandbox sb;
     sb.step_budget = 10'000;
-    auto interp = make_interp("fun spin() { while (true) { } }", sb);
-    EXPECT_THROW(interp.call("spin", {}), ResourceExhausted);
+    auto engines = make_engines("fun spin() { while (true) { } }", sb);
+    EXPECT_THROW(engines.call("spin", {}), ResourceExhausted);
 }
 
 TEST(Sandbox, RecursionLimitEnforced) {
     Sandbox sb;
     sb.max_recursion = 16;
-    auto interp = make_interp("fun down(n) { return down(n + 1); }", sb);
-    EXPECT_THROW(interp.call("down", {Value{0}}), ResourceExhausted);
+    auto engines = make_engines("fun down(n) { return down(n + 1); }", sb);
+    EXPECT_THROW(engines.call("down", {Value{0}}), ResourceExhausted);
 }
 
 TEST(Sandbox, BudgetResetsPerCall) {
     Sandbox sb;
     sb.step_budget = 5'000;
-    auto interp = make_interp(R"(
+    auto engines = make_engines(R"(
         fun work() {
             let i = 0;
             while (i < 100) { i = i + 1; }
@@ -311,7 +385,7 @@ TEST(Sandbox, BudgetResetsPerCall) {
     )", sb);
     // Each call is within budget even though the total across calls is not.
     for (int i = 0; i < 20; ++i) {
-        EXPECT_EQ(interp.call("work", {}).as_int(), 100);
+        EXPECT_EQ(engines.call("work", {}).as_int(), 100);
     }
 }
 
@@ -324,15 +398,15 @@ TEST(Sandbox, CapabilityGatesBuiltin) {
     });
 
     Sandbox denied;  // no capabilities
-    auto interp1 = make_interp("fun f() { net.post(); }", denied, builtins);
-    EXPECT_THROW(interp1.call("f", {}), AccessDenied);
+    auto engines1 = make_engines("fun f() { net.post(); }", denied, builtins);
+    EXPECT_THROW(engines1.call("f", {}), AccessDenied);
     EXPECT_EQ(fired, 0);
 
     Sandbox granted;
     granted.capabilities.insert("net");
-    auto interp2 = make_interp("fun f() { net.post(); }", granted, builtins);
-    interp2.call("f", {});
-    EXPECT_EQ(fired, 1);
+    auto engines2 = make_engines("fun f() { net.post(); }", granted, builtins);
+    engines2.call("f", {});
+    EXPECT_EQ(fired, 2);  // once per engine
 }
 
 // ------------------------------------------------------ core builtins ----

@@ -1,4 +1,4 @@
-#include "script/interp.h"
+#include "support/interp.h"
 
 #include "common/error.h"
 #include "script/ops.h"

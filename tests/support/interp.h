@@ -1,14 +1,16 @@
-// AdviceScript tree-walking interpreter — the reference implementation.
+// AdviceScript tree-walking interpreter — the reference semantics.
 //
-// The bytecode Vm (script/vm.h) is the hot path used in production; this
-// interpreter defines the semantics the Vm must reproduce bit-for-bit
-// (results, typed errors, step accounting). It stays wired behind the
-// differential-testing flag (EngineMode::kInterpreter) and the property
-// suite compares the two on random programs every build.
+// The product runs AdviceScript on one engine, the bytecode Vm
+// (script/vm.h). This interpreter lives next to the tests as their oracle:
+// it defines the semantics the Vm must reproduce bit-for-bit (results,
+// typed errors, step accounting), the differential suites (vm_test,
+// property_test, script_test) compare the two on every build, and
+// bench_interception times it as the tree-walk baseline of the
+// script-engine ablation. It plugs in through the script::Engine seam, so
+// a ScriptAspect can be built around it like around a Vm.
 //
-// The Sandbox / BuiltinRegistry contract lives in script/sandbox.h and is
-// shared by both engines; the shared runtime semantics live in
-// script/ops.h.
+// The Sandbox / BuiltinRegistry contract (script/sandbox.h) and the shared
+// runtime semantics (script/ops.h) come from the shipped library.
 #pragma once
 
 #include <memory>

@@ -1,7 +1,8 @@
 // Differential tests for the AdviceScript bytecode VM against the
-// reference tree-walking Interpreter: identical results, identical typed
-// errors (same message text), identical step counts. The VM is the hot
-// path; the interpreter is the executable spec.
+// reference tree-walking Interpreter (the test oracle in tests/support):
+// identical results, identical typed errors (same message text), identical
+// step counts. The VM is the engine the product runs; the interpreter is
+// the executable spec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,9 +11,9 @@
 
 #include "common/error.h"
 #include "script/compile.h"
-#include "script/interp.h"
 #include "script/parser.h"
 #include "script/vm.h"
+#include "support/interp.h"
 
 namespace pmp::script {
 namespace {
