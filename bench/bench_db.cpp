@@ -166,10 +166,11 @@ BENCHMARK(BM_JournalAppend)->Arg(0)->Arg(4096)->Arg(16384)->Arg(65536);
 // included. Reports the storage trio — write cost (`ns_per_record`,
 // `rewrite_bytes_per_record`: snapshot bytes written per record), space
 // (`disk_bytes_per_live_byte`: snapshot + previous chain + WAL over the
-// store's own serialized size) — and the read side (`restore_us`: decode
-// and replay of the medium a restart would read). With byte-paced
-// compaction the per-record cost is flat in N; a fixed record cadence
-// re-encodes the whole log every few hundred records and grows linearly.
+// encoded size of the base's snapshot of the store) — and the read side
+// (`restore_us`: decode and replay of the medium a restart would read).
+// With byte-paced compaction the per-record cost is flat in N; a fixed
+// record cadence re-encodes the whole log every few hundred records and
+// grows linearly.
 
 void BM_HallJournal(benchmark::State& state) {
     const auto records = static_cast<int>(state.range(0));
@@ -205,7 +206,9 @@ void BM_HallJournal(benchmark::State& state) {
         state.PauseTiming();
         const double on_disk = static_cast<double>(disk->snapshot.size() +
                                                    disk->snapshot_prev.size() + disk->wal.size());
-        disk_per_live += on_disk / static_cast<double>(store.snapshot().size());
+        const double live = static_cast<double>(
+            midas::BaseDurableState{}.to_snapshot(&store).encode().size());
+        disk_per_live += on_disk / live;
         state.ResumeTiming();
 
         const auto r0 = std::chrono::steady_clock::now();

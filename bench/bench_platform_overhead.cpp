@@ -9,7 +9,10 @@
 //   noop-woven — a do-nothing extension trapping every kernel method
 //                (suite-level view of E2)
 //
-// and report per-kernel and geomean slowdowns.
+// and report per-kernel and geomean slowdowns. Every A/B figure here comes
+// from compare_arms: interleaved pairs in alternating order, read as the
+// median per-pair ratio with its inter-quartile range, and a < 2% target
+// reads "unresolved" while that range straddles it.
 // A second section prices the observability layer itself: the hooked suite
 // with the obs flag off (compiled-in-but-idle — the configuration of the
 // hooks-on column above, so the idle flag check is already inside E3's
@@ -23,6 +26,7 @@
 // live installed aspect.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -30,6 +34,7 @@
 #include <cstdlib>
 #include <malloc.h>
 #include <new>
+#include <vector>
 
 #include "smoke.h"
 
@@ -76,7 +81,7 @@ using specmini::DispatchMode;
 using specmini::Suite;
 
 std::uint64_t kScale = 300'000;
-int kRepeats = 9;
+int kRepeats = 11;  // alternating pairs per comparison
 
 double run_once(Suite& suite, const std::string& kernel, DispatchMode mode) {
     auto start = std::chrono::steady_clock::now();
@@ -86,25 +91,97 @@ double run_once(Suite& suite, const std::string& kernel, DispatchMode mode) {
     return std::chrono::duration<double>(stop - start).count();
 }
 
-/// Best-of-N wall times for both modes, strictly interleaved so slow drift
-/// on a shared vCPU (noisy neighbours, frequency scaling) hits both modes
-/// equally instead of biasing whichever ran later.
-std::pair<double, double> measure_pair(Suite& suite, const std::string& kernel) {
-    double best_base = 1e9, best_hooked = 1e9;
-    for (int i = 0; i < kRepeats; ++i) {
-        best_base = std::min(best_base, run_once(suite, kernel, DispatchMode::kUnhooked));
-        best_hooked = std::min(best_hooked, run_once(suite, kernel, DispatchMode::kHooked));
-    }
-    return {best_base, best_hooked};
+/// Median and quartiles (linear interpolation) of a sample.
+struct Spread {
+    double median = 0, q1 = 0, q3 = 0;
+};
+
+Spread spread(std::vector<double> xs) {
+    std::sort(xs.begin(), xs.end());
+    auto quantile = [&](double q) {
+        const double pos = q * static_cast<double>(xs.size() - 1);
+        const auto lo = static_cast<std::size_t>(pos);
+        if (lo + 1 >= xs.size()) return xs[lo];
+        return xs[lo] + (pos - static_cast<double>(lo)) * (xs[lo + 1] - xs[lo]);
+    };
+    return {quantile(0.5), quantile(0.25), quantile(0.75)};
 }
 
-double measure(Suite& suite, const std::string& kernel, DispatchMode mode) {
-    double best = 1e9;
+/// One A/B comparison: kRepeats pairs, the arms' order alternating from
+/// pair to pair so slow drift on a shared vCPU (noisy neighbours,
+/// frequency scaling) and whichever arm runs second on a warm cache bias
+/// neither. Each pair yields one ratio b/a; the table reads their median
+/// and inter-quartile range.
+struct ArmComparison {
+    double a_s = 0, b_s = 0;     ///< median wall time of each arm
+    std::vector<double> ratios;  ///< b/a, one per pair
+};
+
+template <typename A, typename B>
+ArmComparison compare_arms(A&& a, B&& b) {
+    std::vector<double> ta, tb;
+    ArmComparison out;
     for (int i = 0; i < kRepeats; ++i) {
-        best = std::min(best, run_once(suite, kernel, mode));
+        double x = 0, y = 0;
+        if (i % 2 == 0) {
+            x = a();
+            y = b();
+        } else {
+            y = b();
+            x = a();
+        }
+        ta.push_back(x);
+        tb.push_back(y);
+        out.ratios.push_back(y / x);
     }
-    return best;
+    out.a_s = spread(ta).median;
+    out.b_s = spread(tb).median;
+    return out;
 }
+
+/// An ablation table: one compare_arms row per kernel, and a suite row
+/// whose spread is over per-pair geomeans across the kernels.
+class Ablation {
+public:
+    Ablation(const char* a_name, const char* b_name) {
+        printf("%-10s %14s %14s %9s %17s\n", "kernel", a_name, b_name, "overhead",
+               "IQR");
+    }
+
+    void row(const std::string& kernel, const ArmComparison& c) {
+        const Spread r = spread(c.ratios);
+        printf("%-10s %14.4f %14.4f %+8.1f%% [%+6.1f%%,%+6.1f%%]\n", kernel.c_str(), c.a_s,
+               c.b_s, pct(r.median), pct(r.q1), pct(r.q3));
+        ratios_.push_back(c.ratios);
+    }
+
+    /// Prints the suite row and returns its spread.
+    Spread geomean() const {
+        std::vector<double> per_pair;
+        for (std::size_t i = 0; i < ratios_.front().size(); ++i) {
+            double log_sum = 0;
+            for (const auto& kernel : ratios_) log_sum += std::log(kernel[i]);
+            per_pair.push_back(std::exp(log_sum / static_cast<double>(ratios_.size())));
+        }
+        const Spread g = spread(per_pair);
+        printf("\n%-10s %+38.1f%% [%+6.1f%%,%+6.1f%%]\n", "geomean", pct(g.median),
+               pct(g.q1), pct(g.q3));
+        return g;
+    }
+
+    static double pct(double ratio) { return (ratio - 1.0) * 100; }
+
+    /// "met" / "missed" when the whole IQR sits on one side of the target
+    /// overhead, "unresolved" when it straddles it.
+    static const char* verdict(const Spread& s, double target_pct) {
+        if (pct(s.q3) < target_pct) return "met";
+        if (pct(s.q1) >= target_pct) return "missed";
+        return "unresolved";
+    }
+
+private:
+    std::vector<std::vector<double>> ratios_;
+};
 
 }  // namespace
 
@@ -124,36 +201,34 @@ int main(int argc, char** argv) {
 
     printf("=== E3: platform overhead on the specmini suite "
            "(paper: ~7%% on SPECjvm, hooks on / nothing woven) ===\n");
-    printf("scale: %llu dispatched calls per kernel, best of %d runs\n\n",
+    printf("scale: %llu dispatched calls per kernel; each overhead is the median of %d\n"
+           "alternating-pair ratios, with its inter-quartile range\n\n",
            static_cast<unsigned long long>(kScale), kRepeats);
-    printf("%-10s %12s %12s %9s %14s %9s\n", "kernel", "baseline(s)", "hooks-on(s)",
-           "overhead", "noop-woven(s)", "overhead");
 
-    double geo_hooks = 1.0, geo_noop = 1.0;
-    int n = 0;
+    Ablation e3("baseline(s)", "hooks-on(s)");
     for (const std::string& kernel : Suite::kernel_names()) {
-        // Warm up once per kernel.
-        run_once(suite, kernel, DispatchMode::kUnhooked);
-
-        auto [baseline, hooks_on] = measure_pair(suite, kernel);
-
-        auto aspect = std::make_shared<prose::Aspect>("noop");
-        aspect->before("call(* Spec*.*(..))", [](rt::CallFrame&) {});
-        AspectId id = weaver.weave(aspect);
-        double noop = measure(suite, kernel, DispatchMode::kHooked);
-        weaver.withdraw(id);
-
-        double oh_hooks = hooks_on / baseline - 1.0;
-        double oh_noop = noop / baseline - 1.0;
-        geo_hooks *= hooks_on / baseline;
-        geo_noop *= noop / baseline;
-        ++n;
-        printf("%-10s %12.4f %12.4f %8.1f%% %14.4f %8.1f%%\n", kernel.c_str(), baseline,
-               hooks_on, oh_hooks * 100, noop, oh_noop * 100);
+        run_once(suite, kernel, DispatchMode::kUnhooked);  // warm up
+        e3.row(kernel,
+               compare_arms([&] { return run_once(suite, kernel, DispatchMode::kUnhooked); },
+                            [&] { return run_once(suite, kernel, DispatchMode::kHooked); }));
     }
-    printf("\n%-10s %34.1f%% %23.1f%%\n", "geomean",
-           (std::pow(geo_hooks, 1.0 / n) - 1.0) * 100,
-           (std::pow(geo_noop, 1.0 / n) - 1.0) * 100);
+    e3.geomean();
+
+    // A do-nothing extension trapping every kernel method. The baseline
+    // arm dispatches without the hook, so the woven aspect never sees it.
+    printf("\n");
+    auto noop_aspect = std::make_shared<prose::Aspect>("noop");
+    noop_aspect->before("call(* Spec*.*(..))", [](rt::CallFrame&) {});
+    AspectId noop_id = weaver.weave(noop_aspect);
+    Ablation noop("baseline(s)", "noop-woven(s)");
+    for (const std::string& kernel : Suite::kernel_names()) {
+        run_once(suite, kernel, DispatchMode::kHooked);  // warm up
+        noop.row(kernel,
+                 compare_arms([&] { return run_once(suite, kernel, DispatchMode::kUnhooked); },
+                              [&] { return run_once(suite, kernel, DispatchMode::kHooked); }));
+    }
+    noop.geomean();
+    weaver.withdraw(noop_id);
     printf("\npaper reference: hooks-on geomean ~7%% (JIT stub bloat on a 500MHz P2); the\n"
            "shape to check is: hooks-on is a small single-digit tax, noop-woven adds a\n"
            "per-call constant on every intercepted method.\n");
@@ -163,32 +238,27 @@ int main(int argc, char** argv) {
     //   idle    — invoke with obs disabled: counters compiled in, flag off
     //   enabled — invoke with obs enabled: counters counting
     printf("\n=== instrumentation ablation: cost of the obs counters on hooked dispatch ===\n");
-    printf("%-10s %12s %12s %9s\n", "kernel", "idle(s)", "enabled(s)", "overhead");
-
-    double geo_enabled = 1.0;
-    n = 0;
+    Ablation instrumentation("idle(s)", "enabled(s)");
     for (const std::string& kernel : Suite::kernel_names()) {
         run_once(suite, kernel, DispatchMode::kHooked);  // warm up
-
-        double idle = 1e9, on = 1e9;
-        for (int i = 0; i < kRepeats; ++i) {
-            obs::set_enabled(false);
-            idle = std::min(idle, run_once(suite, kernel, DispatchMode::kHooked));
-            obs::set_enabled(true);
-            on = std::min(on, run_once(suite, kernel, DispatchMode::kHooked));
-            obs::set_enabled(false);
-        }
-
-        geo_enabled *= on / idle;
-        ++n;
-        printf("%-10s %12.4f %12.4f %8.1f%%\n", kernel.c_str(), idle, on,
-               (on / idle - 1.0) * 100);
+        instrumentation.row(kernel, compare_arms(
+                                        [&] {
+                                            obs::set_enabled(false);
+                                            return run_once(suite, kernel,
+                                                            DispatchMode::kHooked);
+                                        },
+                                        [&] {
+                                            obs::set_enabled(true);
+                                            double t = run_once(suite, kernel,
+                                                                DispatchMode::kHooked);
+                                            obs::set_enabled(false);
+                                            return t;
+                                        }));
     }
-    double enabled_overhead = (std::pow(geo_enabled, 1.0 / n) - 1.0) * 100;
-    printf("\n%-10s %34.1f%%\n", "geomean", enabled_overhead);
-    printf("\nenabled-instrumentation overhead over idle: %.1f%% (the idle flag check\n"
-           "itself sits inside the hooks-on column of E3 above)\n",
-           enabled_overhead);
+    const Spread enabled = instrumentation.geomean();
+    printf("\nenabled-instrumentation overhead over idle: %.1f%% (target: < 2%%: %s; the\n"
+           "idle flag check itself sits inside the hooks-on column of E3 above)\n",
+           Ablation::pct(enabled.median), Ablation::verdict(enabled, 2.0));
 
     // --- overload-protection ablation: the robustness layer's hot-path tax.
     //
@@ -197,9 +267,8 @@ int main(int argc, char** argv) {
     // admission queue fronts every inbound rpc dispatch. Both must be
     // invisible on an unloaded node (<2%) or they could not default on.
     printf("\n=== overload ablation: governor gate + admission on the unloaded path ===\n");
-    printf("%-10s %12s %12s %9s\n", "kernel", "unguarded(s)", "guarded(s)", "overhead");
-    // The guard is bound before weaving, so every repeat weaves a fresh
-    // no-op aspect — unguarded, then guarded with an always-admitting
+    // The guard is bound before weaving, so every run weaves a fresh
+    // no-op aspect — unguarded, or guarded with an always-admitting
     // governor — and withdraws it after its run.
     auto run_noop = [&](const std::string& kernel, bool guarded) {
         auto aspect = std::make_shared<prose::Aspect>("noop");
@@ -210,23 +279,15 @@ int main(int argc, char** argv) {
         weaver.withdraw(id);
         return t;
     };
-    double geo_gate = 1.0;
-    n = 0;
+    Ablation overload("unguarded(s)", "guarded(s)");
     for (const std::string& kernel : Suite::kernel_names()) {
         run_noop(kernel, false);  // warm up
-        double ungated = 1e9, gated = 1e9;
-        for (int i = 0; i < kRepeats; ++i) {
-            ungated = std::min(ungated, run_noop(kernel, false));
-            gated = std::min(gated, run_noop(kernel, true));
-        }
-        geo_gate *= gated / ungated;
-        ++n;
-        printf("%-10s %12.4f %12.4f %8.1f%%\n", kernel.c_str(), ungated, gated,
-               (gated / ungated - 1.0) * 100);
+        overload.row(kernel, compare_arms([&] { return run_noop(kernel, false); },
+                                          [&] { return run_noop(kernel, true); }));
     }
-    double gate_overhead = (std::pow(geo_gate, 1.0 / n) - 1.0) * 100;
-    printf("\ngovernor-gate overhead on woven noop dispatch: %.1f%% (target: < 2%%)\n",
-           gate_overhead);
+    const Spread gate = overload.geomean();
+    printf("\ngovernor-gate overhead on woven noop dispatch: %.1f%% (target: < 2%%: %s)\n",
+           Ablation::pct(gate.median), Ablation::verdict(gate, 2.0));
 
     // Admission fast path: offer() with tokens on hand and empty queues,
     // against calling the same work directly.
@@ -271,30 +332,27 @@ int main(int argc, char** argv) {
     //   3. the raw span cost on a warm ring — what each platform
     //      operation pays to be traced
     printf("\n=== tracing ablation: causal tracing on the hooked suite ===\n");
-    printf("%-10s %12s %14s %9s\n", "kernel", "obs-idle(s)", "tracing-on(s)", "overhead");
-    double geo_traced = 1.0;
-    n = 0;
+    Ablation tracing("obs-idle(s)", "tracing-on(s)");
     for (const std::string& kernel : Suite::kernel_names()) {
         run_once(suite, kernel, DispatchMode::kHooked);  // warm up
-        double idle = 1e9, traced = 1e9;
-        for (int i = 0; i < kRepeats; ++i) {
-            obs::set_enabled(false);
-            idle = std::min(idle, run_once(suite, kernel, DispatchMode::kHooked));
-            obs::set_enabled(true);
-            obs::TraceBuffer::global().set_detail(false);
-            traced = std::min(traced, run_once(suite, kernel, DispatchMode::kHooked));
-            obs::set_enabled(false);
-        }
-        geo_traced *= traced / idle;
-        ++n;
-        printf("%-10s %12.4f %14.4f %8.1f%%\n", kernel.c_str(), idle, traced,
-               (traced / idle - 1.0) * 100);
+        tracing.row(kernel, compare_arms(
+                                [&] {
+                                    obs::set_enabled(false);
+                                    return run_once(suite, kernel, DispatchMode::kHooked);
+                                },
+                                [&] {
+                                    obs::set_enabled(true);
+                                    obs::TraceBuffer::global().set_detail(false);
+                                    double t = run_once(suite, kernel, DispatchMode::kHooked);
+                                    obs::set_enabled(false);
+                                    return t;
+                                }));
     }
-    double traced_overhead = (std::pow(geo_traced, 1.0 / n) - 1.0) * 100;
-    printf("\ntracing-on overhead (detail off): %.1f%% (target: < 2%% — spans live at\n"
-           "platform operations, not on the dispatch hot path, so leaving the trace\n"
+    const Spread traced = tracing.geomean();
+    printf("\ntracing-on overhead (detail off): %.1f%% (target: < 2%%: %s — spans live\n"
+           "at platform operations, not on the dispatch hot path, so leaving the trace\n"
            "ring on permanently costs what the idle counters cost)\n",
-           traced_overhead);
+           Ablation::pct(traced.median), Ablation::verdict(traced, 2.0));
 
     // Detail tier: per-advice spans on a woven noop, the worst case (the
     // advice body is free, so the span machinery is the whole bill).
@@ -302,29 +360,27 @@ int main(int argc, char** argv) {
     auto traced_aspect = std::make_shared<prose::Aspect>("noop");
     traced_aspect->before("call(* Spec*.*(..))", [](rt::CallFrame&) {});
     AspectId traced_id = weaver.weave(traced_aspect);
-    printf("\n%-10s %14s %14s %9s\n", "kernel", "detail-off(s)", "detail-on(s)",
-           "overhead");
-    double geo_detail = 1.0;
-    n = 0;
+    printf("\n");
+    Ablation detail("detail-off(s)", "detail-on(s)");
+    auto& trace_buffer = obs::TraceBuffer::global();
     for (const std::string& kernel : Suite::kernel_names()) {
         run_once(suite, kernel, DispatchMode::kHooked);  // warm up
-        double off = 1e9, on = 1e9;
-        for (int i = 0; i < kRepeats; ++i) {
-            obs::TraceBuffer::global().set_detail(false);
-            off = std::min(off, run_once(suite, kernel, DispatchMode::kHooked));
-            obs::TraceBuffer::global().set_detail(true);
-            on = std::min(on, run_once(suite, kernel, DispatchMode::kHooked));
-            obs::TraceBuffer::global().set_detail(false);
-        }
-        geo_detail *= on / off;
-        ++n;
-        printf("%-10s %14.4f %14.4f %8.1f%%\n", kernel.c_str(), off, on,
-               (on / off - 1.0) * 100);
+        detail.row(kernel, compare_arms(
+                               [&] {
+                                   trace_buffer.set_detail(false);
+                                   return run_once(suite, kernel, DispatchMode::kHooked);
+                               },
+                               [&] {
+                                   trace_buffer.set_detail(true);
+                                   double t = run_once(suite, kernel, DispatchMode::kHooked);
+                                   trace_buffer.set_detail(false);
+                                   return t;
+                               }));
     }
     weaver.withdraw(traced_id);
     printf("\ndetail-span overhead on woven noop dispatch: %.1f%% (the debugging tier:\n"
            "flip obs::TraceBuffer::set_detail(true) only while chasing a dispatch bug)\n",
-           (std::pow(geo_detail, 1.0 / n) - 1.0) * 100);
+           Ablation::pct(detail.geomean().median));
 
     // Raw span cost: what one traced platform operation pays.
     {

@@ -4,6 +4,10 @@
 // its base station, which persists it here. The Fig 6 monitoring tool then
 // queries by robot and time range, and the remote-replication / simulation
 // applications replay selected ranges.
+//
+// The store itself is in memory. Its durability is the owning base's
+// journal: the append hook writes each record as an `event` record, and a
+// restarted base appends the replayed events back (midas/durable.h).
 #pragma once
 
 #include <cstdint>
@@ -34,17 +38,7 @@ struct Query {
     std::size_t limit = SIZE_MAX;
 };
 
-/// Retention policy: the hall event log must not grow without bound
-/// across epochs. Zero fields are unlimited. When a cap is exceeded the
-/// oldest records are trimmed (counter `db.eventstore.compactions`);
-/// sequence numbers are never reused — trimmed seqs simply no longer
-/// resolve.
-struct Retention {
-    std::size_t max_records = 0;  ///< keep at most this many records
-    std::size_t max_bytes = 0;    ///< keep at most ~this many payload bytes
-};
-
-/// Append-only event store with per-source indexing.
+/// Append-only, in-memory event store; queries scan in append order.
 class EventStore {
 public:
     /// Append and return the assigned sequence number.
@@ -56,26 +50,9 @@ public:
     std::vector<std::string> sources() const;
 
     std::size_t size() const { return records_.size(); }
+    /// The record with sequence number `seq` (1-based); throws Error if
+    /// there is none.
     const Record& at(std::uint64_t seq) const;
-
-    /// Install a retention policy (label tags the compaction counter,
-    /// typically the owning node's label). Applies immediately and on
-    /// every subsequent append.
-    void set_retention(Retention retention, std::string label = {});
-    const Retention& retention() const { return retention_; }
-
-    /// Sequence number of the oldest retained record, or base_seq()+1 ==
-    /// next assigned seq when empty. Seqs at or below base_seq() were
-    /// trimmed by retention.
-    std::uint64_t base_seq() const { return base_seq_; }
-
-    /// Serialize the whole store as {base_seq, records} (canonical Value
-    /// encoding) — the hall's database surviving a base-station restart.
-    Bytes snapshot() const;
-    /// Rebuild from snapshot() bytes. Malformed or hostile input raises a
-    /// typed pmp::Error describing what was wrong — never an unstructured
-    /// escape from the decoder.
-    static EventStore restore(std::span<const std::uint8_t> snapshot);
 
     /// Observer invoked after every append — how the extension base
     /// journals hall records as they arrive. Pass nullptr to detach.
@@ -84,16 +61,7 @@ public:
     }
 
 private:
-    void apply_retention();
-    static std::size_t approx_size(const Record& rec);
-
-    std::vector<Record> records_;  // seq == base_seq_ + index + 1
-    std::uint64_t base_seq_ = 0;   // seqs <= base_seq_ were trimmed
-    Retention retention_;
-    std::string label_;
-    std::vector<std::size_t> sizes_;  // parallel to records_; only kept
-                                      // while byte retention is active
-    std::size_t bytes_ = 0;
+    std::vector<Record> records_;  // seq == index + 1
     std::function<void(const Record&)> append_hook_;
 };
 

@@ -16,6 +16,29 @@ std::uint64_t u64(const Value& v) { return static_cast<std::uint64_t>(v.as_int()
 
 const std::string& str_at(const Dict& d, const char* key) { return d.at(key).as_str(); }
 
+/// Apply the snapshot's records, then the WAL's, in order. A record that
+/// does not apply (unknown op, missing or mistyped field) is skipped and
+/// counted, as is a snapshot that is not a record list at all.
+template <typename State>
+void replay_records(State& st, const db::Journal::Restored& restored,
+                    void (*apply)(State&, const Value&)) {
+    auto apply_one = [&](const Value& rec) {
+        try {
+            apply(st, rec);
+        } catch (const std::exception&) {
+            ++st.skipped_records;
+        }
+    };
+    if (restored.snapshot) {
+        if (restored.snapshot->is_list()) {
+            for (const Value& rec : restored.snapshot->as_list()) apply_one(rec);
+        } else {
+            ++st.skipped_records;
+        }
+    }
+    for (const Value& rec : restored.wal) apply_one(rec);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- base ----
@@ -32,16 +55,26 @@ Value BaseDurableState::rec_policy_add(const std::string& name, std::uint32_t ve
                       {"sealed", Value{sealed}}}};
 }
 
-Value BaseDurableState::rec_policy_remove(const std::string& name) {
-    return Value{Dict{{"op", Value{"policy-remove"}}, {"name", Value{name}}}};
+Value BaseDurableState::rec_policy_remove(const std::string& name,
+                                          std::optional<std::uint32_t> version) {
+    Dict d{{"op", Value{"policy-remove"}}, {"name", Value{name}}};
+    if (version) d.set("version", Value{i64(*version)});
+    return Value{std::move(d)};
 }
 
 Value BaseDurableState::rec_adapt(std::uint64_t node, const std::string& label,
-                                  SimTime since) {
-    return Value{Dict{{"op", Value{"adapt"}},
-                      {"node", Value{i64(node)}},
-                      {"label", Value{label}},
-                      {"since_ns", Value{since.ns}}}};
+                                  SimTime since,
+                                  const std::map<std::string, std::uint64_t>* installed) {
+    Dict d{{"op", Value{"adapt"}},
+           {"node", Value{i64(node)}},
+           {"label", Value{label}},
+           {"since_ns", Value{since.ns}}};
+    if (installed) {
+        Dict exts;
+        for (const auto& [name, ext] : *installed) exts.set(name, Value{i64(ext)});
+        d.set("installed", Value{std::move(exts)});
+    }
+    return Value{std::move(d)};
 }
 
 Value BaseDurableState::rec_install(std::uint64_t node, const std::string& label,
@@ -122,97 +155,42 @@ Value BaseDurableState::rec_rollout_complete(const std::string& name) {
 }
 
 rt::Value BaseDurableState::to_snapshot(const db::EventStore* hall) const {
-    Dict versions;
-    for (const auto& [name, v] : last_version) versions.set(name, Value{i64(v)});
-
-    List policy_list;
+    List out;
+    out.reserve(1 + last_version.size() + book.size() + (hall ? hall->size() : events.size()) +
+                rollouts.size());
+    out.push_back(rec_epoch(epoch));
     for (const auto& [name, sealed] : policies) {
-        policy_list.push_back(Value{Dict{{"name", Value{name}}, {"sealed", Value{sealed}}}});
+        auto v = last_version.find(name);
+        out.push_back(rec_policy_add(name, v == last_version.end() ? 0 : v->second, sealed));
     }
-
-    List book_list;
+    // A removed name keeps its last version so a re-add still bumps past it.
+    for (const auto& [name, version] : last_version) {
+        if (!policies.contains(name)) out.push_back(rec_policy_remove(name, version));
+    }
     for (const auto& [label, entry] : book) {
-        Dict installed;
-        for (const auto& [name, ext] : entry.installed) installed.set(name, Value{i64(ext)});
-        book_list.push_back(Value{Dict{{"node", Value{i64(entry.node)}},
-                                       {"label", Value{label}},
-                                       {"since_ns", Value{entry.since.ns}},
-                                       {"installed", Value{std::move(installed)}}}});
+        out.push_back(rec_adapt(entry.node, label, entry.since, &entry.installed));
     }
-
-    List event_list;
-    auto add_event = [&](const std::string& source, SimTime at, const Value& data) {
-        event_list.push_back(Value{Dict{{"source", Value{source}},
-                                        {"at_ns", Value{at.ns}},
-                                        {"data", data}}});
-    };
     if (hall) {
-        event_list.reserve(hall->size());
-        for (std::uint64_t seq = hall->base_seq() + 1; seq <= hall->base_seq() + hall->size();
-             ++seq) {
+        for (std::uint64_t seq = 1; seq <= hall->size(); ++seq) {
             const db::Record& rec = hall->at(seq);
-            add_event(rec.source, rec.at, rec.data);
+            out.push_back(rec_event(rec.source, rec.at, rec.data));
         }
     } else {
-        for (const Event& ev : events) add_event(ev.source, ev.at, ev.data);
+        for (const Event& ev : events) out.push_back(rec_event(ev.source, ev.at, ev.data));
     }
-
-    List rollout_list;
-    for (const auto& [_, r] : rollouts) rollout_list.push_back(encode_rollout(r));
-
-    // "rollouts" is a new optional key: pre-rollout replay logic only at()s
-    // the keys it knows, so it reads this snapshot unchanged, and the
-    // loader below find()s it so old snapshots without the key still load.
-    return Value{Dict{{"epoch", Value{i64(epoch)}},
-                      {"versions", Value{std::move(versions)}},
-                      {"policies", Value{std::move(policy_list)}},
-                      {"book", Value{std::move(book_list)}},
-                      {"events", Value{std::move(event_list)}},
-                      {"rollouts", Value{std::move(rollout_list)}}}};
+    for (const auto& [_, r] : rollouts) out.push_back(rec_rollout_begin(r));
+    return Value{std::move(out)};
 }
 
 namespace {
 
-void base_load_snapshot(BaseDurableState& st, const Value& snap) {
-    const Dict& d = snap.as_dict();
-    st.epoch = u64(d.at("epoch"));
-    for (const auto& [name, v] : d.at("versions").as_dict()) {
-        st.last_version[name] = static_cast<std::uint32_t>(v.as_int());
-    }
-    for (const Value& p : d.at("policies").as_list()) {
-        const Dict& pd = p.as_dict();
-        st.policies[str_at(pd, "name")] = pd.at("sealed").as_blob();
-    }
-    for (const Value& b : d.at("book").as_list()) {
-        const Dict& bd = b.as_dict();
-        BaseDurableState::BookEntry entry;
-        entry.node = u64(bd.at("node"));
-        entry.label = str_at(bd, "label");
-        entry.since = SimTime{bd.at("since_ns").as_int()};
-        for (const auto& [name, ext] : bd.at("installed").as_dict()) {
-            entry.installed[name] = u64(ext);
-        }
-        st.book[entry.label] = std::move(entry);
-    }
-    for (const Value& e : d.at("events").as_list()) {
-        const Dict& ed = e.as_dict();
-        st.events.push_back(BaseDurableState::Event{
-            str_at(ed, "source"), SimTime{ed.at("at_ns").as_int()}, ed.at("data")});
-    }
-    // Optional: snapshots written before the rollout controller existed
-    // carry no "rollouts" key.
-    if (const Value* rl = d.find("rollouts")) {
-        for (const Value& r : rl->as_list()) {
-            BaseDurableState::RolloutEntry entry = decode_rollout(r.as_dict());
-            st.rollouts[entry.name] = std::move(entry);
-        }
-    }
-}
-
 void base_apply(BaseDurableState& st, const Value& rec) {
     const Dict& d = rec.as_dict();
     const std::string& op = str_at(d, "op");
-    if (op == "epoch") {
+    if (op == "event") {  // first: hall events are most of a base's log
+        st.events.push_back(BaseDurableState::Event{
+            str_at(d, "source"), SimTime{d.at("at_ns").as_int()}, d.at("data")});
+    } else if (op == "epoch") {
         st.epoch = u64(d.at("epoch"));
     } else if (op == "policy-add") {
         const std::string& name = str_at(d, "name");
@@ -222,10 +200,15 @@ void base_apply(BaseDurableState& st, const Value& rec) {
         if (version > last) last = version;
     } else if (op == "policy-remove") {
         const std::string& name = str_at(d, "name");
-        st.policies.erase(name);
         // last_version survives removal so a re-added policy still bumps
-        // past what receivers may hold. The revokes sent alongside the
-        // removal are implied: drop the name from every book entry.
+        // past what receivers may hold; a snapshot record carries it.
+        if (const Value* v = d.find("version")) {
+            auto& last = st.last_version[name];
+            last = std::max(last, static_cast<std::uint32_t>(v->as_int()));
+        }
+        st.policies.erase(name);
+        // The revokes sent alongside the removal are implied: drop the
+        // name from every book entry.
         for (auto& [_, entry] : st.book) entry.installed.erase(name);
     } else if (op == "adapt") {
         const std::string& label = str_at(d, "label");
@@ -235,6 +218,12 @@ void base_apply(BaseDurableState& st, const Value& rec) {
         entry.node = node;
         entry.label = label;
         entry.since = SimTime{d.at("since_ns").as_int()};
+        if (const Value* installed = d.find("installed")) {
+            entry.installed.clear();
+            for (const auto& [name, ext] : installed->as_dict()) {
+                entry.installed[name] = u64(ext);
+            }
+        }
     } else if (op == "install") {
         const std::string& label = str_at(d, "label");
         BaseDurableState::BookEntry& entry = st.book[label];
@@ -243,9 +232,6 @@ void base_apply(BaseDurableState& st, const Value& rec) {
         entry.installed[str_at(d, "name")] = u64(d.at("ext"));
     } else if (op == "node-gone") {
         st.book.erase(str_at(d, "label"));
-    } else if (op == "event") {
-        st.events.push_back(BaseDurableState::Event{
-            str_at(d, "source"), SimTime{d.at("at_ns").as_int()}, d.at("data")});
     } else if (op == "rollout-begin") {
         BaseDurableState::RolloutEntry entry = decode_rollout(d);
         // The canary's version is claimed the moment the rollout begins, so
@@ -276,23 +262,7 @@ void base_apply(BaseDurableState& st, const Value& rec) {
 
 BaseDurableState BaseDurableState::replay(const db::Journal::Restored& restored) {
     BaseDurableState st;
-    if (restored.snapshot) {
-        try {
-            base_load_snapshot(st, *restored.snapshot);
-        } catch (const std::exception&) {
-            // A snapshot the CRC accepted but the schema does not: start
-            // empty and let the WAL contribute what it can.
-            st = BaseDurableState{};
-            ++st.skipped_records;
-        }
-    }
-    for (const rt::Value& rec : restored.wal) {
-        try {
-            base_apply(st, rec);
-        } catch (const std::exception&) {
-            ++st.skipped_records;
-        }
-    }
+    replay_records(st, restored, base_apply);
     return st;
 }
 
@@ -377,40 +347,18 @@ Value ReceiverDurableState::rec_flight(const std::string& reason, SimTime at,
 }
 
 rt::Value ReceiverDurableState::to_snapshot() const {
-    List manifest_list;
+    List out;
     for (const ManifestEntry& m : manifest) {
-        manifest_list.push_back(Value{Dict{{"name", Value{m.name}},
-                                           {"version", Value{i64(m.version)}},
-                                           {"issuer", Value{m.issuer}}}});
+        out.push_back(rec_install(m.name, m.version, m.issuer));
     }
-    List quarantine_list;
     for (const auto& [name, version] : quarantined) {
-        quarantine_list.push_back(
-            Value{Dict{{"name", Value{name}}, {"version", Value{i64(version)}}}});
+        out.push_back(rec_quarantine(name, version));
     }
-    List flight_list;
-    for (const FlightDump& f : flights) {
-        flight_list.push_back(rec_flight(f.reason, f.at, f.events));
-    }
-    return Value{Dict{{"manifest", Value{std::move(manifest_list)}},
-                      {"quarantined", Value{std::move(quarantine_list)}},
-                      {"flights", Value{std::move(flight_list)}}}};
+    for (const FlightDump& f : flights) out.push_back(rec_flight(f.reason, f.at, f.events));
+    return Value{std::move(out)};
 }
 
 namespace {
-
-void receiver_apply_flight(ReceiverDurableState& st, const Dict& d) {
-    ReceiverDurableState::FlightDump dump;
-    dump.reason = str_at(d, "reason");
-    dump.at = SimTime{d.at("at_ns").as_int()};
-    for (const Value& ev : d.at("events").as_list()) {
-        dump.events.push_back(decode_trace_event(ev));
-    }
-    st.flights.push_back(std::move(dump));
-    while (st.flights.size() > ReceiverDurableState::kMaxFlights) {
-        st.flights.erase(st.flights.begin());
-    }
-}
 
 void receiver_apply(ReceiverDurableState& st, const Value& rec) {
     const Dict& d = rec.as_dict();
@@ -436,7 +384,16 @@ void receiver_apply(ReceiverDurableState& st, const Value& rec) {
             str_at(d, "name"), static_cast<std::uint32_t>(d.at("version").as_int())};
         std::erase(st.quarantined, key);
     } else if (op == "flight") {
-        receiver_apply_flight(st, d);
+        ReceiverDurableState::FlightDump dump;
+        dump.reason = str_at(d, "reason");
+        dump.at = SimTime{d.at("at_ns").as_int()};
+        for (const Value& ev : d.at("events").as_list()) {
+            dump.events.push_back(decode_trace_event(ev));
+        }
+        st.flights.push_back(std::move(dump));
+        while (st.flights.size() > ReceiverDurableState::kMaxFlights) {
+            st.flights.erase(st.flights.begin());
+        }
     } else {
         ++st.skipped_records;
     }
@@ -446,38 +403,7 @@ void receiver_apply(ReceiverDurableState& st, const Value& rec) {
 
 ReceiverDurableState ReceiverDurableState::replay(const db::Journal::Restored& restored) {
     ReceiverDurableState st;
-    if (restored.snapshot) {
-        try {
-            const Dict& d = restored.snapshot->as_dict();
-            for (const Value& m : d.at("manifest").as_list()) {
-                const Dict& md = m.as_dict();
-                st.manifest.push_back(ReceiverDurableState::ManifestEntry{
-                    str_at(md, "name"), static_cast<std::uint32_t>(md.at("version").as_int()),
-                    str_at(md, "issuer")});
-            }
-            for (const Value& q : d.at("quarantined").as_list()) {
-                const Dict& qd = q.as_dict();
-                st.quarantined.emplace_back(
-                    str_at(qd, "name"), static_cast<std::uint32_t>(qd.at("version").as_int()));
-            }
-            // Older snapshots predate the flight-recorder records.
-            if (const Value* fl = d.find("flights")) {
-                for (const Value& f : fl->as_list()) {
-                    receiver_apply_flight(st, f.as_dict());
-                }
-            }
-        } catch (const std::exception&) {
-            st = ReceiverDurableState{};
-            ++st.skipped_records;
-        }
-    }
-    for (const rt::Value& rec : restored.wal) {
-        try {
-            receiver_apply(st, rec);
-        } catch (const std::exception&) {
-            ++st.skipped_records;
-        }
-    }
+    replay_records(st, restored, receiver_apply);
     return st;
 }
 

@@ -2,21 +2,28 @@
 //
 // The journal (db::Journal) frames and checksums opaque rt::Values; this
 // module defines what MIDAS actually writes into those frames and how a
-// restarted node folds snapshot + WAL back into live state. Records are
-// dicts tagged with an "op" key; unknown or malformed records are skipped
-// (counted) rather than fatal, so a newer node can always read an older
-// journal.
+// restarted node folds them back into live state. Records are dicts tagged
+// with an "op" key; unknown or malformed records are skipped (counted)
+// rather than fatal, so a newer node can always read an older journal.
+//
+// There is one format. A snapshot is the compacted log: a list of the same
+// records, built by the same rec_* builders and replayed by the same apply
+// step as the WAL that follows it. Fields marked [snapshot] are written
+// only by to_snapshot(); a WAL record never carries them.
 //
 // Base journal ops:
 //   epoch         {epoch}                       — adopted at (re)start
 //   policy-add    {name, version, sealed}       — sealed signed package
-//   policy-remove {name}
-//   adapt         {node, label, since_ns}       — adapted-node book entry
+//   policy-remove {name, [snapshot] version}    — version: last_version of a
+//                                                 removed name, kept so a
+//                                                 re-add still bumps past it
+//   adapt         {node, label, since_ns,       — adapted-node book entry
+//                  [snapshot] installed}          installed: name -> ext id
 //   install       {node, label, name, ext}      — remote ext id recorded
 //   node-gone     {label}                       — dropped or handed off
 //   event         {source, at_ns, data}         — hall EventStore record
-//   rollout-begin {name, version, sealed, incumbent, stages_bp}
-//                                               — staged canary opened
+//   rollout-begin {name, version, sealed, incumbent, stages_bp,
+//                  stage, status, cause}        — staged canary opened
 //   rollout-stage {name, stage}                 — promoted to stage index
 //   rollout-abort {name, cause}                 — health gate breached
 //   rollout-complete {name}                     — final stage confirmed
@@ -33,6 +40,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,6 +64,7 @@ struct BaseDurableState {
         std::string label;
         SimTime since;
         std::map<std::string, std::uint64_t> installed;  ///< name -> remote ext
+        bool operator==(const BookEntry&) const = default;
     };
     std::map<std::string, BookEntry> book;  ///< keyed by node label
 
@@ -63,6 +72,7 @@ struct BaseDurableState {
         std::string source;
         SimTime at;
         rt::Value data;
+        bool operator==(const Event&) const = default;
     };
     std::vector<Event> events;
 
@@ -82,25 +92,33 @@ struct BaseDurableState {
         std::uint32_t stage = 0;              ///< current stage index
         int status = 0;                       ///< 0 active, 1 aborted, 2 complete
         std::string abort_cause;
+        bool operator==(const RolloutEntry&) const = default;
     };
     std::map<std::string, RolloutEntry> rollouts;
 
     std::size_t skipped_records = 0;  ///< malformed/unknown records ignored
 
-    /// Fold snapshot + WAL into state. Total: never throws.
+    bool operator==(const BaseDurableState&) const = default;
+
+    /// Fold snapshot records, then WAL records, into state. Total: never
+    /// throws.
     static BaseDurableState replay(const db::Journal::Restored& restored);
 
-    /// Serialize for db::Journal::compact(). With `hall`, the event list is
-    /// read from that store in place and `events` is ignored — the base's
-    /// compaction walks its live hall log instead of copying it first.
+    /// The compacted log for db::Journal::compact(): a list of records that
+    /// replays to this state. With `hall`, the event records are read from
+    /// that store in place and `events` is ignored — the base's compaction
+    /// walks its live hall log instead of copying it first.
     rt::Value to_snapshot(const db::EventStore* hall = nullptr) const;
 
-    // Record builders (the write side of the formats above).
+    // Record builders (the write side of the formats above). The optional
+    // arguments are the [snapshot] fields.
     static rt::Value rec_epoch(std::uint64_t epoch);
     static rt::Value rec_policy_add(const std::string& name, std::uint32_t version,
                                     const Bytes& sealed);
-    static rt::Value rec_policy_remove(const std::string& name);
-    static rt::Value rec_adapt(std::uint64_t node, const std::string& label, SimTime since);
+    static rt::Value rec_policy_remove(const std::string& name,
+                                       std::optional<std::uint32_t> version = std::nullopt);
+    static rt::Value rec_adapt(std::uint64_t node, const std::string& label, SimTime since,
+                               const std::map<std::string, std::uint64_t>* installed = nullptr);
     static rt::Value rec_install(std::uint64_t node, const std::string& label,
                                  const std::string& name, std::uint64_t ext);
     static rt::Value rec_node_gone(const std::string& label);
@@ -120,6 +138,7 @@ struct ReceiverDurableState {
         std::string name;
         std::uint32_t version = 0;
         std::string issuer;
+        bool operator==(const ManifestEntry&) const = default;
     };
     std::vector<ManifestEntry> manifest;
     std::vector<std::pair<std::string, std::uint32_t>> quarantined;  ///< (name, version)
@@ -131,13 +150,17 @@ struct ReceiverDurableState {
         std::string reason;
         SimTime at;
         std::vector<obs::TraceEvent> events;
+        bool operator==(const FlightDump&) const = default;
     };
     static constexpr std::size_t kMaxFlights = 8;
     std::vector<FlightDump> flights;
 
     std::size_t skipped_records = 0;
 
+    bool operator==(const ReceiverDurableState&) const = default;
+
     static ReceiverDurableState replay(const db::Journal::Restored& restored);
+    /// The compacted log: install, quarantine and flight records.
     rt::Value to_snapshot() const;
 
     static rt::Value rec_install(const std::string& name, std::uint32_t version,

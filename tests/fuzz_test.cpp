@@ -6,7 +6,7 @@
 #include "common/rng.h"
 #include "core/pointcut.h"
 #include "db/journal.h"
-#include "db/store.h"
+#include "midas/durable.h"
 #include "midas/node.h"
 #include "midas/package.h"
 #include "script/parser.h"
@@ -274,30 +274,120 @@ TEST_P(FuzzSweep, JournalBatchAndChunkRestoreIsTotal) {
     }
 }
 
-TEST_P(FuzzSweep, EventStoreRestoreThrowsOnlyTypedErrors) {
-    Rng rng(GetParam());
+/// A base state holding every kind of snapshot record: a live policy, a
+/// removed one, a book entry with installs, hall events and a rollout.
+midas::BaseDurableState fuzz_base_state() {
+    midas::BaseDurableState st;
+    st.epoch = 3;
+    st.last_version = {{"hall/a", 2}, {"hall/gone", 5}};
+    st.policies["hall/a"] = to_bytes("sealed-a");
+    auto& entry = st.book["robot:1"];
+    entry.node = 7;
+    entry.label = "robot:1";
+    entry.since = SimTime{100};
+    entry.installed = {{"hall/a", 11}};
+    for (std::int64_t n = 1; n <= 3; ++n) {
+        st.events.push_back({"robot:1", SimTime{n * 1000}, rt::Value{n}});
+    }
+    midas::BaseDurableState::RolloutEntry r;
+    r.name = "hall/a";
+    r.version = 2;
+    r.sealed = to_bytes("sealed-a2");
+    r.incumbent_version = 1;
+    r.stages_bp = {5000, 10000};
+    r.stage = 1;
+    st.rollouts[r.name] = r;
+    return st;
+}
+
+/// A receiver state with manifest, quarantine and flight records.
+midas::ReceiverDurableState fuzz_receiver_state() {
+    midas::ReceiverDurableState st;
+    st.manifest = {{"hall/a", 2, "hall"}, {"hall/b", 1, "hall"}};
+    st.quarantined = {{"hall/c", 4}};
+    obs::TraceEvent ev;
+    ev.at = SimTime{500};
+    ev.kind = obs::EventKind::kInstant;
+    ev.component = "midas.receiver";
+    ev.name = "pkg.quarantine";
+    ev.kv = {{"pkg", "hall/c"}};
+    st.flights.push_back({"quarantine:hall/c", SimTime{600}, {ev}});
+    return st;
+}
+
+template <typename State>
+std::size_t skipped_replaying(const rt::Value& snapshot) {
+    db::Journal::Restored restored;
+    restored.snapshot = snapshot;
+    State st;
+    EXPECT_NO_THROW(st = State::replay(restored));
+    return st.skipped_records;
+}
+
+/// Damages `snapshot` (a record list) every way a restart could meet it.
+template <typename State>
+void fuzz_snapshot_replay(Rng& rng, const rt::Value& snapshot) {
+    const rt::List& records = snapshot.as_list();
+    EXPECT_EQ(skipped_replaying<State>(snapshot), 0u);
+    EXPECT_EQ(skipped_replaying<State>(rt::Value{std::int64_t{7}}), 1u);  // not a list
+
+    // Bit flips in the encoding: whatever still decodes replays totally.
+    const Bytes good = snapshot.encode();
     for (int i = 0; i < 200; ++i) {
-        Bytes garbage = random_bytes(rng, 96);
-        try {
-            db::EventStore::restore(std::span<const std::uint8_t>(garbage));
-        } catch (const Error&) {  // ParseError or TypeError, both fine
-        }
-    }
-    // Mutated real snapshots: structurally valid encodings with damage.
-    db::EventStore store;
-    for (std::int64_t n = 1; n <= 5; ++n) {
-        store.append("robot", SimTime{n * 1000}, rt::Value{n});
-    }
-    Bytes good = store.snapshot();
-    for (int i = 0; i < 300; ++i) {
         Bytes bad = good;
-        bad[rng.next_below(bad.size())] ^=
-            static_cast<std::uint8_t>(1u << rng.next_below(8));
-        try {
-            db::EventStore::restore(std::span<const std::uint8_t>(bad));
-        } catch (const Error&) {
+        for (std::uint64_t f = 1 + rng.next_below(3); f > 0; --f) {
+            bad[rng.next_below(bad.size())] ^=
+                static_cast<std::uint8_t>(1u << rng.next_below(8));
         }
+        rt::Value decoded;
+        try {
+            decoded = rt::Value::decode(std::span<const std::uint8_t>(bad));
+        } catch (const Error&) {
+            continue;
+        }
+        const std::size_t skipped = skipped_replaying<State>(decoded);
+        if (decoded.is_list()) {
+            EXPECT_LE(skipped, decoded.as_list().size());
+        } else {
+            EXPECT_EQ(skipped, 1u);
+        }
+        if (decoded == snapshot) EXPECT_EQ(skipped, 0u);
     }
+
+    // Field damage: a mistyped field skips exactly its record, and so does
+    // a dropped one unless the field is optional.
+    for (int i = 0; i < 200; ++i) {
+        rt::List damaged = records;
+        const std::size_t at = rng.next_below(damaged.size());
+        rt::Dict d = damaged[at].as_dict();
+        std::vector<std::string> keys;
+        for (const auto& [k, _] : d) keys.push_back(k);
+        const std::string key = keys[rng.next_below(keys.size())];
+        const std::string op = d.at("op").as_str();
+        const bool optional = (op == "adapt" && key == "installed") ||
+                              (op == "policy-remove" && key == "version");
+        std::size_t want = 1;
+        if (rng.chance(0.5)) {
+            d.erase(key);
+            if (optional) want = 0;
+        } else {
+            if (key == "data") continue;  // an event payload may be anything
+            d.set(key, rt::Value{});
+        }
+        damaged[at] = rt::Value{std::move(d)};
+        EXPECT_EQ(skipped_replaying<State>(rt::Value{std::move(damaged)}), want)
+            << op << "." << key;
+    }
+}
+
+TEST_P(FuzzSweep, DurableSnapshotReplayIsTotal) {
+    // The compacted log a restarted base or receiver folds back in. A
+    // snapshot the CRC accepted can still be damaged; replay must never
+    // throw, and skipped_records must count the records it could not apply.
+    Rng rng(GetParam());
+    fuzz_snapshot_replay<midas::BaseDurableState>(rng, fuzz_base_state().to_snapshot());
+    fuzz_snapshot_replay<midas::ReceiverDurableState>(rng,
+                                                      fuzz_receiver_state().to_snapshot());
 }
 
 TEST_P(FuzzSweep, ReceiverInstallVerifyPathIsTotal) {

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
+#include "common/rng.h"
 #include "db/journal.h"
+#include "midas/durable.h"
 #include "midas/federation.h"
 #include "midas/node.h"
 #include "midas/supervisor.h"
@@ -326,39 +329,299 @@ TEST(JournalCompaction, RecordFloorHoldsForEmptyOrTinySnapshot) {
 }
 
 // ---------------------------------------------------------------------------
-// EventStore::restore rejects malformed input with typed errors.
+// Durable record formats: the bytes every WAL record encodes to. A snapshot
+// is a list of these same records, so pinning them pins both. The hex was
+// captured from the dict-building encoder; any rewrite of the codec must
+// reproduce it byte for byte.
 
-TEST(EventStoreRestore, MalformedInputsRaiseTypedErrors) {
-    // Raw garbage: the decoder's own typed escape.
-    Bytes garbage = to_bytes("\xff\xfe\x01junk");
-    EXPECT_THROW(db::EventStore::restore(std::span(garbage)), Error);
-
-    // Valid encoding, wrong shape: not a {base_seq, records} dict.
-    Bytes not_list = Value{std::int64_t{42}}.encode();
-    EXPECT_THROW(db::EventStore::restore(std::span(not_list)), Error);
-
-    auto with_records = [](rt::List records) {
-        return Value{Dict{{"base_seq", Value{std::int64_t{0}}},
-                          {"records", Value{std::move(records)}}}}
-            .encode();
-    };
-    // A record that is not a dict.
-    Bytes bad_rec = with_records(rt::List{Value{std::string("x")}});
-    EXPECT_THROW(db::EventStore::restore(std::span(bad_rec)), Error);
-
-    // A record missing its source.
-    Bytes no_source = with_records(rt::List{
-        Value{Dict{{"at_ns", Value{std::int64_t{1}}}, {"data", Value{std::int64_t{0}}}}}});
-    EXPECT_THROW(db::EventStore::restore(std::span(no_source)), Error);
-
-    // The round trip still works.
-    db::EventStore store;
-    store.append("robot", SimTime{123}, Value{std::int64_t{9}});
-    Bytes snap = store.snapshot();
-    db::EventStore back = db::EventStore::restore(std::span(snap));
-    ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back.at(1).source, "robot");
+std::string hex(const Bytes& bytes) {
+    static const char* digits = "0123456789abcdef";
+    std::string out;
+    out.reserve(bytes.size() * 2);
+    for (std::uint8_t b : bytes) {
+        out += digits[b >> 4];
+        out += digits[b & 0x0F];
+    }
+    return out;
 }
+
+BaseDurableState::RolloutEntry golden_rollout() {
+    BaseDurableState::RolloutEntry r;
+    r.name = "hall/policy";
+    r.version = 4;
+    r.sealed = Bytes{1, 2, 3};
+    r.incumbent_version = 3;
+    r.stages_bp = {100, 1000, 10000};
+    return r;
+}
+
+obs::TraceEvent golden_trace_event() {
+    obs::TraceEvent ev;
+    ev.at = SimTime{2'500'000};
+    ev.kind = obs::EventKind::kInstant;
+    ev.span = 5;
+    ev.trace = 4;
+    ev.parent = 2;
+    ev.component = "midas.receiver";
+    ev.name = "pkg.quarantine";
+    ev.kv = {{"pkg", "hall/policy"}, {"version", "3"}};
+    return ev;
+}
+
+TEST(DurableFormat, GoldenWalBytesForEveryOp) {
+    using B = BaseDurableState;
+    using R = ReceiverDurableState;
+    const Value data{Dict{{"method", Value{"move"}}, {"dx", Value{std::int64_t{-3}}}}};
+    const std::vector<std::pair<Value, std::string>> golden = {
+        {B::rec_epoch(7),
+         "07000000020000000565706f6368020000000000000007000000026f7004000000056570"
+         "6f6368"},
+        {B::rec_policy_add("hall/policy", 3, Bytes{0xde, 0xad, 0xbe, 0xef}),
+         "0700000004000000046e616d65040000000b68616c6c2f706f6c696379000000026f7004"
+         "0000000a706f6c6963792d616464000000067365616c65640500000004deadbeef000000"
+         "0776657273696f6e020000000000000003"},
+        {B::rec_policy_remove("hall/policy"),
+         "0700000002000000046e616d65040000000b68616c6c2f706f6c696379000000026f7004"
+         "0000000d706f6c6963792d72656d6f7665"},
+        {B::rec_adapt(42, "robot:1:1", SimTime{1'500'000}),
+         "0700000004000000056c6162656c0400000009726f626f743a313a31000000046e6f6465"
+         "02000000000000002a000000026f70040000000561646170740000000873696e63655f6e"
+         "7302000000000016e360"},
+        {B::rec_install(42, "robot:1:1", "hall/policy", 9),
+         "070000000500000003657874020000000000000009000000056c6162656c040000000972"
+         "6f626f743a313a31000000046e616d65040000000b68616c6c2f706f6c69637900000004"
+         "6e6f646502000000000000002a000000026f700400000007696e7374616c6c"},
+        {B::rec_node_gone("robot:1:1"),
+         "0700000002000000056c6162656c0400000009726f626f743a313a31000000026f700400"
+         "0000096e6f64652d676f6e65"},
+        {B::rec_event("robot:1:1", SimTime{2'000'000}, data),
+         "07000000040000000561745f6e730200000000001e848000000004646174610700000002"
+         "00000002647802fffffffffffffffd000000066d6574686f6404000000046d6f76650000"
+         "00026f7004000000056576656e7400000006736f757263650400000009726f626f743a31"
+         "3a31"},
+        {B::rec_rollout_begin(golden_rollout()),
+         "0700000009000000056361757365040000000000000009696e63756d62656e7402000000"
+         "0000000003000000046e616d65040000000b68616c6c2f706f6c696379000000026f7004"
+         "0000000d726f6c6c6f75742d626567696e000000067365616c6564050000000301020300"
+         "0000057374616765020000000000000000000000097374616765735f6270060000000302"
+         "00000000000000640200000000000003e802000000000000271000000006737461747573"
+         "0200000000000000000000000776657273696f6e020000000000000004"},
+        {B::rec_rollout_stage("hall/policy", 1),
+         "0700000003000000046e616d65040000000b68616c6c2f706f6c696379000000026f7004"
+         "0000000d726f6c6c6f75742d7374616765000000057374616765020000000000000001"},
+        {B::rec_rollout_abort("hall/policy", "error-rate"),
+         "0700000003000000056361757365040000000a6572726f722d72617465000000046e616d"
+         "65040000000b68616c6c2f706f6c696379000000026f70040000000d726f6c6c6f75742d"
+         "61626f7274"},
+        {B::rec_rollout_complete("hall/policy"),
+         "0700000002000000046e616d65040000000b68616c6c2f706f6c696379000000026f7004"
+         "00000010726f6c6c6f75742d636f6d706c657465"},
+        {R::rec_install("hall/policy", 3, "hall"),
+         "070000000400000006697373756572040000000468616c6c000000046e616d6504000000"
+         "0b68616c6c2f706f6c696379000000026f700400000007696e7374616c6c000000077665"
+         "7273696f6e020000000000000003"},
+        {R::rec_withdraw("hall/policy"),
+         "0700000002000000046e616d65040000000b68616c6c2f706f6c696379000000026f7004"
+         "000000087769746864726177"},
+        {R::rec_quarantine("hall/policy", 3),
+         "0700000003000000046e616d65040000000b68616c6c2f706f6c696379000000026f7004"
+         "0000000a71756172616e74696e650000000776657273696f6e020000000000000003"},
+        {R::rec_unquarantine("hall/policy", 3),
+         "0700000003000000046e616d65040000000b68616c6c2f706f6c696379000000026f7004"
+         "0000000c756e71756172616e74696e650000000776657273696f6e020000000000000003"},
+        {R::rec_flight("quarantine:hall/policy", SimTime{3'000'000}, {golden_trace_event()}),
+         "07000000040000000561745f6e730200000000002dc6c0000000066576656e7473060000"
+         "000107000000080000000561745f6e730200000000002625a000000004636f6d70040000"
+         "000e6d696461732e7265636569766572000000046b696e64020000000000000002000000"
+         "026b7606000000020700000002000000016b0400000003706b670000000176040000000b"
+         "68616c6c2f706f6c6963790700000002000000016b040000000776657273696f6e000000"
+         "0176040000000133000000046e616d65040000000e706b672e71756172616e74696e6500"
+         "000006706172656e74020000000000000002000000047370616e02000000000000000500"
+         "0000057472616365020000000000000004000000026f700400000006666c696768740000"
+         "0006726561736f6e040000001671756172616e74696e653a68616c6c2f706f6c696379"},
+    };
+    for (const auto& [record, want] : golden) {
+        EXPECT_EQ(hex(record.encode()), want) << record.as_dict().at("op").as_str();
+    }
+}
+
+TEST(DurableFormat, GoldenSnapshotOnlyFields) {
+    // The two optional fields only to_snapshot() writes. Without them the
+    // same builders write the WAL bytes pinned above.
+    const std::map<std::string, std::uint64_t> installed{{"hall/policy", 9}, {"hall/x", 10}};
+    EXPECT_EQ(hex(BaseDurableState::rec_policy_remove("hall/policy", 5).encode()),
+              "0700000003000000046e616d65040000000b68616c6c2f706f6c696379000000026f7004"
+              "0000000d706f6c6963792d72656d6f76650000000776657273696f6e0200000000000000"
+              "05");
+    EXPECT_EQ(hex(BaseDurableState::rec_adapt(42, "robot:1:1", SimTime{1'500'000}, &installed)
+                      .encode()),
+              "070000000500000009696e7374616c6c656407000000020000000b68616c6c2f706f6c69"
+              "63790200000000000000090000000668616c6c2f7802000000000000000a000000056c61"
+              "62656c0400000009726f626f743a313a31000000046e6f646502000000000000002a0000"
+              "00026f70040000000561646170740000000873696e63655f6e7302000000000016e360");
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot ≡ log: replaying the WAL alone, and replaying the compacted
+// snapshot plus the WAL tail, yield the same durable state at every
+// compaction point of a seeded history.
+
+/// A seeded base journal history: policies added, replaced, removed and
+/// re-added; nodes adapted (sometimes by a new device under an old label),
+/// extended and gone; hall events; rollouts begun, promoted, aborted and
+/// completed; the odd restart.
+std::vector<Value> base_history(std::uint64_t seed, int records) {
+    Rng rng(seed);
+    std::map<std::string, std::uint32_t> version;
+    std::vector<Value> out;
+    std::uint64_t epoch = 1;
+    std::uint64_t ext = 0;
+    std::int64_t now = 0;
+    out.push_back(BaseDurableState::rec_epoch(epoch));
+    auto name = [&] { return "hall/p" + std::to_string(rng.next_below(4)); };
+    auto label = [&] { return "robot:" + std::to_string(rng.next_below(6)); };
+    auto node = [&](const std::string& l) {
+        return 100 * static_cast<std::uint64_t>(l.back() - '0') + rng.next_below(2);
+    };
+    while (static_cast<int>(out.size()) < records) {
+        now += 1 + static_cast<std::int64_t>(rng.next_below(1'000'000));
+        const std::uint64_t pick = rng.next_below(100);
+        if (pick < 10) {  // add, or replace a live policy
+            const std::string n = name();
+            const std::uint32_t v = ++version[n];
+            out.push_back(
+                BaseDurableState::rec_policy_add(n, v, to_bytes(n + "@" + std::to_string(v))));
+        } else if (pick < 15) {
+            out.push_back(BaseDurableState::rec_policy_remove(name()));
+        } else if (pick < 27) {
+            const std::string l = label();
+            out.push_back(BaseDurableState::rec_adapt(node(l), l, SimTime{now}));
+        } else if (pick < 42) {
+            const std::string l = label();
+            out.push_back(BaseDurableState::rec_install(node(l), l, name(), ++ext));
+        } else if (pick < 47) {
+            out.push_back(BaseDurableState::rec_node_gone(label()));
+        } else if (pick < 82) {
+            const std::string l = label();
+            out.push_back(BaseDurableState::rec_event(
+                l, SimTime{now}, Value{Dict{{"action", Value{"rotate"}},
+                                            {"degrees", Value{static_cast<std::int64_t>(
+                                                            rng.next_below(360))}}}}));
+        } else if (pick < 87) {
+            BaseDurableState::RolloutEntry r;
+            r.name = name();
+            r.incumbent_version = version[r.name];
+            r.version = ++version[r.name];
+            r.sealed = to_bytes(r.name + "@" + std::to_string(r.version));
+            r.stages_bp = {1000, 5000, 10000};
+            out.push_back(BaseDurableState::rec_rollout_begin(r));
+        } else if (pick < 92) {
+            out.push_back(BaseDurableState::rec_rollout_stage(
+                name(), static_cast<std::uint32_t>(1 + rng.next_below(2))));
+        } else if (pick < 95) {
+            out.push_back(BaseDurableState::rec_rollout_abort(name(), "error-rate"));
+        } else if (pick < 98) {
+            out.push_back(BaseDurableState::rec_rollout_complete(name()));
+        } else {
+            out.push_back(BaseDurableState::rec_epoch(++epoch));
+        }
+    }
+    return out;
+}
+
+/// A seeded receiver journal history: installs and replacements,
+/// withdrawals, quarantines lifted and re-imposed, and many more flight
+/// dumps than the receiver keeps.
+std::vector<Value> receiver_history(std::uint64_t seed, int records) {
+    Rng rng(seed);
+    std::vector<Value> out;
+    std::int64_t now = 0;
+    auto name = [&] { return "hall/p" + std::to_string(rng.next_below(4)); };
+    auto version = [&] { return static_cast<std::uint32_t>(1 + rng.next_below(3)); };
+    while (static_cast<int>(out.size()) < records) {
+        now += 1 + static_cast<std::int64_t>(rng.next_below(1'000'000));
+        const std::uint64_t pick = rng.next_below(100);
+        if (pick < 30) {
+            out.push_back(ReceiverDurableState::rec_install(name(), version(), "hall"));
+        } else if (pick < 50) {
+            out.push_back(ReceiverDurableState::rec_withdraw(name()));
+        } else if (pick < 65) {
+            out.push_back(ReceiverDurableState::rec_quarantine(name(), version()));
+        } else if (pick < 80) {
+            out.push_back(ReceiverDurableState::rec_unquarantine(name(), version()));
+        } else {
+            std::vector<obs::TraceEvent> events;
+            for (std::uint64_t e = rng.next_below(3); e > 0; --e) {
+                obs::TraceEvent ev;
+                ev.at = SimTime{now - static_cast<std::int64_t>(e)};
+                ev.kind = static_cast<obs::EventKind>(rng.next_below(3));
+                ev.span = rng.next_below(1000);
+                ev.trace = rng.next_below(1000);
+                ev.component = "midas.receiver";
+                ev.name = "advice.error";
+                ev.kv = {{"pkg", name()}};
+                events.push_back(std::move(ev));
+            }
+            out.push_back(ReceiverDurableState::rec_flight("quarantine:" + name(),
+                                                           SimTime{now}, events));
+        }
+    }
+    return out;
+}
+
+/// Appends `history` to a never-compacted journal and to one compacted at
+/// every compaction point (snapshot = to_snapshot() of the state replayed
+/// there), comparing the two replays at each point and at the end.
+template <typename State>
+void expect_snapshot_equals_log(const std::vector<Value>& history) {
+    auto log_disk = std::make_shared<db::JournalStorage>();
+    auto compacted_disk = std::make_shared<db::JournalStorage>();
+    db::Journal log(log_disk);
+    db::Journal compacted(compacted_disk);
+    int compactions = 0;
+    for (std::size_t i = 0; i < history.size(); ++i) {
+        log.append(history[i]);
+        compacted.append(history[i]);
+        if (!compacted.compaction_due()) continue;
+        compacted.compact(State::replay(compacted.restore()).to_snapshot());
+        ++compactions;
+        const State from_log = State::replay(log.restore());
+        const State from_snapshot = State::replay(compacted.restore());
+        ASSERT_EQ(from_log.skipped_records, 0u);
+        ASSERT_TRUE(from_snapshot == from_log) << "after record " << i;
+    }
+    EXPECT_GE(compactions, 2);
+    EXPECT_TRUE(State::replay(compacted.restore()) == State::replay(log.restore()));
+}
+
+class SnapshotEqualsLog : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SnapshotEqualsLog, BaseHistory) {
+    const std::vector<Value> history = base_history(GetParam(), 2000);
+    expect_snapshot_equals_log<BaseDurableState>(history);
+
+    // The base compacts from its live hall store; the event records it
+    // writes from there are the ones it writes from `events`.
+    db::Journal::Restored restored;
+    restored.wal = history;
+    const BaseDurableState st = BaseDurableState::replay(restored);
+    ASSERT_FALSE(st.events.empty());
+    db::EventStore hall;
+    for (const auto& ev : st.events) hall.append(ev.source, ev.at, ev.data);
+    EXPECT_EQ(st.to_snapshot(&hall), st.to_snapshot());
+}
+
+TEST_P(SnapshotEqualsLog, ReceiverHistory) {
+    const std::vector<Value> history = receiver_history(GetParam(), 1500);
+    expect_snapshot_equals_log<ReceiverDurableState>(history);
+
+    db::Journal::Restored restored;
+    restored.wal = history;
+    const ReceiverDurableState st = ReceiverDurableState::replay(restored);
+    EXPECT_EQ(st.flights.size(), ReceiverDurableState::kMaxFlights);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotEqualsLog, ::testing::Range<std::uint64_t>(1, 9));
 
 // ---------------------------------------------------------------------------
 // CrashPlan expansion: deterministic, seed-sensitive, window-bounded.

@@ -838,20 +838,14 @@ TEST(DurableSkew, EveryFieldMutationOfABeginRecordStaysTotal) {
 }
 
 TEST(DurableSkew, SnapshotsCrossRolloutVersionsBothWays) {
-    // Backward: a snapshot written before rollouts existed (no "rollouts"
-    // key) loads cleanly, and WAL rollout records after it still apply.
+    // A rollout begun after the last compaction: the snapshot holds no
+    // rollout-begin record, and the WAL's begin still applies on top.
     BaseDurableState old_state;
     old_state.epoch = 2;
-    Value old_snap = old_state.to_snapshot();
-    {
-        Dict d = old_snap.as_dict();
-        ASSERT_TRUE(d.erase("rollouts"));
-        old_snap = Value{std::move(d)};
-    }
     auto disk = std::make_shared<db::JournalStorage>();
     {
         db::Journal j(disk);
-        j.compact(old_snap);
+        j.compact(old_state.to_snapshot());
         j.append(BaseDurableState::rec_rollout_begin(sample_entry()));
     }
     BaseDurableState st = BaseDurableState::replay(db::Journal(disk).restore());
@@ -859,32 +853,34 @@ TEST(DurableSkew, SnapshotsCrossRolloutVersionsBothWays) {
     EXPECT_EQ(st.epoch, 2u);
     ASSERT_TRUE(st.rollouts.contains("hall/policy"));
 
-    // Forward: a snapshot from a *newer* build (extra top-level key, extra
-    // per-rollout field) reads back with nothing lost and nothing fatal.
+    // A rollout compacted into the snapshot by a *newer* build (an extra
+    // field on its rollout-begin record) reads back with nothing skipped,
+    // and the WAL's promotion after the snapshot still applies.
     BaseDurableState new_state;
     new_state.epoch = 5;
     new_state.rollouts["hall/policy"] = sample_entry();
-    Value new_snap = new_state.to_snapshot();
-    {
-        Dict d = new_snap.as_dict();
-        d.set("rollout-schedules", Value{List{}});  // future sibling feature
-        List rl = d.at("rollouts").as_list();
-        Dict r0 = rl[0].as_dict();
-        r0.set("pause_until_ns", Value{std::int64_t{99}});  // future field
-        rl[0] = Value{std::move(r0)};
-        d.set("rollouts", Value{std::move(rl)});
-        new_snap = Value{std::move(d)};
+    List records = new_state.to_snapshot().as_list();
+    bool found = false;
+    for (Value& r : records) {
+        Dict d = r.as_dict();
+        if (d.at("op").as_str() != "rollout-begin") continue;
+        d.set("pause_until_ns", Value{std::int64_t{99}});  // future field
+        r = Value{std::move(d)};
+        found = true;
     }
+    ASSERT_TRUE(found);
     auto disk2 = std::make_shared<db::JournalStorage>();
     {
         db::Journal j(disk2);
-        j.compact(new_snap);
+        j.compact(Value{std::move(records)});
+        j.append(BaseDurableState::rec_rollout_stage("hall/policy", 2));
     }
     BaseDurableState st2 = BaseDurableState::replay(db::Journal(disk2).restore());
     EXPECT_EQ(st2.skipped_records, 0u);
     EXPECT_EQ(st2.epoch, 5u);
     ASSERT_TRUE(st2.rollouts.contains("hall/policy"));
-    EXPECT_EQ(st2.rollouts.at("hall/policy").stage, 1u);
+    EXPECT_EQ(st2.rollouts.at("hall/policy").stage, 2u);
+    EXPECT_EQ(st2.last_version.at("hall/policy"), 7u);
 }
 
 // ---------------------------------------------------------- chaos soak ----
