@@ -62,10 +62,10 @@ rt::ServiceObject& target() {
     throw ScriptError("no join point is active");
 }
 
-/// Run `function` with `next` as the current join point.
-Value fire(script::Engine& engine, const std::string& function, const CurrentJoinPoint& next) {
+/// Run `fn` with `next` as the current join point.
+Value fire(script::Engine& engine, script::FunctionHandle fn, const CurrentJoinPoint& next) {
     JoinPointScope scope(&next);
-    return engine.call(function, {});
+    return engine.call(fn, {});
 }
 
 /// The ctx.* builtins: one table for the process, reading the join point
@@ -204,11 +204,13 @@ ScriptAspect::ScriptAspect(std::string name, std::shared_ptr<script::Engine> eng
     JoinPointScope top_level(nullptr);  // runs outside any join point
     engine_->run_top_level();
 
+    // Each entry point is bound here, once: an advice invocation calls the
+    // handle and hashes no name.
     for (const ScriptBinding& binding : bindings) {
-        if (!engine->has_function(binding.function)) {
+        const script::FunctionHandle fn = engine->find_function(binding.function);
+        if (!fn) {
             throw ScriptError("extension script defines no function '" + binding.function + "'");
         }
-        const std::string fn = binding.function;
         Pointcut pc = binding.parsed ? *binding.parsed : Pointcut::parse(binding.pointcut);
         switch (binding.kind) {
             case AdviceKind::kBefore:
@@ -277,12 +279,12 @@ ScriptAspect::ScriptAspect(std::string name, std::shared_ptr<script::Engine> eng
         }
     }
 
-    if (engine->has_function("onShutdown")) {
+    if (const script::FunctionHandle shutdown = engine->find_function("onShutdown")) {
         // A failing script cannot prevent withdrawal: the weaver catches
         // whatever the shutdown procedure throws.
-        aspect_->on_withdraw([engine](WithdrawReason reason) {
+        aspect_->on_withdraw([engine, shutdown](WithdrawReason reason) {
             JoinPointScope none(nullptr);
-            engine->call("onShutdown", {Value{std::string(withdraw_reason_name(reason))}});
+            engine->call(shutdown, {Value{std::string(withdraw_reason_name(reason))}});
         });
     }
 }

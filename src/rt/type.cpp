@@ -22,6 +22,14 @@ DispatchMetrics& dispatch_metrics() {
     return m;
 }
 
+/// Position of `name` in `names`; SIZE_MAX if absent.
+std::size_t index_of(const std::vector<std::string>& names, std::string_view name) {
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        if (names[i] == name) return i;
+    }
+    return SIZE_MAX;
+}
+
 // SmallVec is move-only (dispatch never copies); building an RCU snapshot
 // aside is the one place a deep copy is needed.
 template <typename Fn>
@@ -359,17 +367,19 @@ std::shared_ptr<TypeInfo> TypeInfo::Builder::build() {
     }
     for (auto& m : methods_) type->methods_.push_back(std::move(m));
     for (auto& f : fields_) type->fields_.push_back(std::move(f));
-    for (std::size_t i = 0; i < type->methods_.size(); ++i) {
-        const auto& decl = type->methods_[i]->decl();
-        if (!type->method_index_.emplace(decl.name, i).second) {
-            throw TypeError("duplicate method '" + decl.name + "' in type '" + type->name_ + "'");
+    for (const auto& m : type->methods_) {
+        const std::string& name = m->decl().name;
+        if (index_of(type->method_names_, name) != SIZE_MAX) {
+            throw TypeError("duplicate method '" + name + "' in type '" + type->name_ + "'");
         }
+        type->method_names_.push_back(name);
     }
-    for (std::size_t i = 0; i < type->fields_.size(); ++i) {
-        const auto& decl = type->fields_[i].decl();
-        if (!type->field_index_.emplace(decl.name, i).second) {
-            throw TypeError("duplicate field '" + decl.name + "' in type '" + type->name_ + "'");
+    for (const Field& f : type->fields_) {
+        const std::string& name = f.decl().name;
+        if (index_of(type->field_names_, name) != SIZE_MAX) {
+            throw TypeError("duplicate field '" + name + "' in type '" + type->name_ + "'");
         }
+        type->field_names_.push_back(name);
     }
     return type;
 }
@@ -382,28 +392,27 @@ bool TypeInfo::is_a(std::string_view ancestor_name) const {
 }
 
 Method* TypeInfo::method(std::string_view name) {
-    auto it = method_index_.find(std::string(name));
-    return it == method_index_.end() ? nullptr : methods_[it->second].get();
+    const std::size_t i = index_of(method_names_, name);
+    return i == SIZE_MAX ? nullptr : methods_[i].get();
 }
 
 const Method* TypeInfo::method(std::string_view name) const {
-    auto it = method_index_.find(std::string(name));
-    return it == method_index_.end() ? nullptr : methods_[it->second].get();
+    const std::size_t i = index_of(method_names_, name);
+    return i == SIZE_MAX ? nullptr : methods_[i].get();
 }
 
 Field* TypeInfo::field(std::string_view name) {
-    auto it = field_index_.find(std::string(name));
-    return it == field_index_.end() ? nullptr : &fields_[it->second];
+    const std::size_t i = index_of(field_names_, name);
+    return i == SIZE_MAX ? nullptr : &fields_[i];
 }
 
 const Field* TypeInfo::field(std::string_view name) const {
-    auto it = field_index_.find(std::string(name));
-    return it == field_index_.end() ? nullptr : &fields_[it->second];
+    const std::size_t i = index_of(field_names_, name);
+    return i == SIZE_MAX ? nullptr : &fields_[i];
 }
 
 std::size_t TypeInfo::field_index(std::string_view name) const {
-    auto it = field_index_.find(std::string(name));
-    return it == field_index_.end() ? SIZE_MAX : it->second;
+    return index_of(field_names_, name);
 }
 
 std::vector<Method*> TypeInfo::methods() {

@@ -15,7 +15,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "rt/small_vec.h"
@@ -325,9 +324,13 @@ private:
     std::string name_;
     std::shared_ptr<TypeInfo> parent_;
     std::vector<std::unique_ptr<Method>> methods_;
-    std::unordered_map<std::string, std::size_t> method_index_;
     std::vector<Field> fields_;
-    std::unordered_map<std::string, std::size_t> field_index_;
+    /// Parallel to methods_ / fields_: what method() and field_index()
+    /// scan. A type declares a handful of members, and a scan of a flat
+    /// name list (length first, then bytes) looks a std::string_view up
+    /// faster than hashing it, and builds no std::string.
+    std::vector<std::string> method_names_;
+    std::vector<std::string> field_names_;
 };
 
 }  // namespace pmp::rt

@@ -178,7 +178,7 @@ private:
     }
 
     void stmt(const Stmt& s) {
-        emit(Op::kTick, 0, 0, s.line);
+        emit(Op::kTick, 1, 0, s.line);
         switch (s.kind) {
             case Stmt::Kind::kLet: {
                 expr(*s.expr);
@@ -338,7 +338,7 @@ private:
     }
 
     void expr(const Expr& e) {
-        emit(Op::kTick, 0, 0, e.line);
+        emit(Op::kTick, 1, 0, e.line);
         switch (e.kind) {
             case Expr::Kind::kLiteral: emit(Op::kConst, u_.constant(e.literal)); return;
             case Expr::Kind::kVar: {
@@ -433,6 +433,43 @@ private:
     int max_slots_ = 0;
 };
 
+bool is_jump(Op op) {
+    return op == Op::kJump || op == Op::kJumpIfFalse || op == Op::kAndShort ||
+           op == Op::kOrShort || op == Op::kForNext;
+}
+
+/// Merge each run of consecutive same-line kTicks into its first one, which
+/// then charges the run's total, and remap jump targets to the shortened
+/// stream. A tick some jump lands on starts a new run: a jump must charge
+/// exactly the steps from its target onward.
+void fuse_ticks(Chunk& chunk) {
+    std::vector<Insn>& code = chunk.code;
+    const std::size_t n = code.size();
+    std::vector<bool> is_target(n + 1, false);
+    for (const Insn& in : code) {
+        if (is_jump(in.op)) is_target[static_cast<std::size_t>(in.a)] = true;
+    }
+    std::vector<std::int32_t> remap(n + 1);
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Insn in = code[i];
+        // code[out - 1] is what original insn i - 1 became, so it is a tick
+        // only if insn i - 1 was one (or was fused into one).
+        if (in.op == Op::kTick && out > 0 && !is_target[i] && code[out - 1].op == Op::kTick &&
+            code[out - 1].line == in.line) {
+            code[out - 1].a += in.a;
+            continue;
+        }
+        remap[i] = static_cast<std::int32_t>(out);
+        code[out++] = in;
+    }
+    remap[n] = static_cast<std::int32_t>(out);
+    code.resize(out);
+    for (Insn& in : code) {
+        if (is_jump(in.op)) in.a = remap[static_cast<std::size_t>(in.a)];
+    }
+}
+
 }  // namespace
 
 std::shared_ptr<const CompiledUnit> compile(std::shared_ptr<const Program> program) {
@@ -443,10 +480,12 @@ std::shared_ptr<const CompiledUnit> compile(std::shared_ptr<const Program> progr
     for (std::size_t i = 0; i < fns.size(); ++i) {
         ChunkCompiler c(b, /*top_level=*/false);
         u.functions.push_back(c.compile_function(fns[i]));
+        fuse_ticks(u.functions.back());
         u.function_index.try_emplace(fns[i].name, i);  // first decl wins
     }
     ChunkCompiler top(b, /*top_level=*/true);
     u.top_level = top.compile_top(b.program().top_level);
+    fuse_ticks(u.top_level);
     return b.take();
 }
 
@@ -520,7 +559,7 @@ void list_chunk(const CompiledUnit& unit, const Chunk& chunk, std::string& out) 
                 out += " " + unit.builtin_names[in.a] + "/" + std::to_string(in.b);
                 break;
             case Op::kTick:
-                out += " line " + std::to_string(in.line);
+                out += " " + std::to_string(in.a) + " line " + std::to_string(in.line);
                 break;
             default:
                 if (in.a || in.b) {

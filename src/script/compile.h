@@ -15,10 +15,15 @@
 //     outside a loop, return at top level, non-assignable targets) to
 //     kFail instructions carrying the interpreter's exact message, so the
 //     error surfaces at the same dynamic point with the same text;
-//   * emits an explicit kTick at every point the reference interpreter
-//     ticks (each statement execution, each expression evaluation), so
-//     step counts — and therefore budget/deadline error lines — are
-//     identical between engines.
+//   * charges a step at every point the reference interpreter ticks (each
+//     statement execution, each expression evaluation) with an explicit
+//     kTick carrying its step count in `a`. Each chunk is emitted one
+//     tick per step, then a pass fuses every run of consecutive same-line
+//     ticks that no jump lands inside into one kTick charging the run's
+//     length. The Vm charges a crossing of the budget or deadline inside
+//     a fused tick at the exact step, so step counts — and therefore
+//     budget/deadline error types and lines — stay identical between
+//     engines.
 //
 // Names lexically outside any local scope compile to by-name global
 // accesses, which is exactly the interpreter's scope-walk fallback.
@@ -36,7 +41,7 @@
 namespace pmp::script {
 
 enum class Op : std::uint8_t {
-    kTick,          // step accounting; line = source line charged
+    kTick,          // charge a steps, all on source line `line`
     kConst,         // push constants[a]
     kLoadLocal,     // push slots[a]
     kStoreLocal,    // slots[a] = pop

@@ -5,6 +5,10 @@
 // Hosts (ScriptAspect, the MIDAS receiver) program against this interface,
 // which is what lets a differential test or the tree-walk bench hand a
 // ScriptAspect the oracle instead of a Vm.
+//
+// Entry points are bound, not named, on the hot path: a host resolves a
+// function once (find_function) and calls the handle, so an advice
+// invocation hashes no name. call-by-name is find_function plus call.
 #pragma once
 
 #include <cstdint>
@@ -12,10 +16,20 @@
 #include <string>
 #include <string_view>
 
+#include "common/error.h"
 #include "rt/value.h"
 #include "script/sandbox.h"
 
 namespace pmp::script {
+
+/// A script function bound by Engine::find_function: null when the script
+/// defines no such function, otherwise valid for the lifetime of the engine
+/// that returned it, and callable on that engine only. What `impl` points
+/// to is the engine's own business.
+struct FunctionHandle {
+    const void* impl = nullptr;
+    explicit operator bool() const { return impl != nullptr; }
+};
 
 class Engine {
 public:
@@ -24,12 +38,21 @@ public:
     /// Execute top-level statements (global `let`s etc.). Call once.
     virtual void run_top_level() = 0;
 
-    virtual bool has_function(std::string_view name) const = 0;
+    /// Bind a function by name; a null handle if the script has none.
+    virtual FunctionHandle find_function(std::string_view name) const = 0;
 
-    /// Invoke a named function. Throws ScriptError for script faults,
+    /// Invoke a bound function. Throws ScriptError for script faults,
     /// AccessDenied for capability violations, ResourceExhausted for
     /// budget overruns, DeadlineExceeded for watchdog overruns.
-    virtual rt::Value call(std::string_view name, rt::List args) = 0;
+    virtual rt::Value call(FunctionHandle fn, rt::List args) = 0;
+
+    /// find_function + call, for one-off calls; ScriptError if the script
+    /// defines no such function.
+    rt::Value call(std::string_view name, rt::List args) {
+        const FunctionHandle fn = find_function(name);
+        if (!fn) throw ScriptError("no function '" + std::string(name) + "'");
+        return call(fn, std::move(args));
+    }
 
     /// Read/write a global (tests and host glue).
     virtual const rt::Value* global(const std::string& name) const = 0;

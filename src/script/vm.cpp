@@ -1,5 +1,7 @@
 #include "script/vm.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "script/ops.h"
 
@@ -23,6 +25,10 @@ Vm::Vm(std::shared_ptr<const CompiledUnit> unit, Sandbox sandbox,
             entry, entry != nullptr && sandbox_.allows(entry->capability), &name});
     }
     global_refs_.assign(unit_->names.size(), nullptr);
+    max_frame_slots_ = static_cast<std::size_t>(unit_->top_level.n_slots);
+    for (const Chunk& fn : unit_->functions) {
+        max_frame_slots_ = std::max(max_frame_slots_, static_cast<std::size_t>(fn.n_slots));
+    }
     step_limit_ = sandbox_.step_budget;
     if (sandbox_.deadline_steps != 0 && sandbox_.deadline_steps < step_limit_) {
         step_limit_ = sandbox_.deadline_steps;
@@ -34,15 +40,16 @@ void Vm::run_top_level() {
     invoke(unit_->top_level, {}, /*counts_depth=*/false);
 }
 
-Value Vm::call(std::string_view name, List args) {
-    const Chunk* chunk = unit_->find_function(name);
-    if (!chunk) throw ScriptError("no function '" + std::string(name) + "'");
+Value Vm::call(FunctionHandle fn, List args) {
+    const Chunk* chunk = static_cast<const Chunk*>(fn.impl);
+    if (!chunk) throw ScriptError("call of an unbound script function");
     if (call_nesting_ > 0) {
         // Re-entrant call (host builtin calling back into script): one
         // invocation for budget purposes, so don't reset the meter and
         // don't report to the observer twice.
         return invoke(*chunk, std::move(args), /*counts_depth=*/true);
     }
+    if (arena_.size() > 1 && frames_.empty()) merge_arena();
     steps_ = 0;
     const std::uint64_t before = total_steps_;
     ++call_nesting_;
@@ -105,39 +112,67 @@ void Vm::push_frame(const Chunk& chunk, std::size_t argc, bool counts_depth) {
                                     "'");
         }
     }
-    std::vector<Value> slots = acquire_slots(static_cast<std::size_t>(chunk.n_slots));
+    const std::size_t n = static_cast<std::size_t>(chunk.n_slots);
+    const ArenaMark mark{arena_block_, arena_top_};
+    if (arena_top_ + n > arena_size_) next_block();
+    Value* slots = arena_base_ + arena_top_;
+    arena_top_ += n;
     for (std::size_t i = 0; i < argc; ++i) {
         slots[i] = std::move(stack_[stack_.size() - argc + i]);
     }
     stack_.resize(stack_.size() - argc);
-    frames_.push_back(Frame{&chunk, 0, stack_.size(), std::move(slots), counts_depth});
+    frames_.push_back(Frame{&chunk, 0, stack_.size(), slots, mark, counts_depth});
+}
+
+void Vm::next_block() {
+    const std::size_t next = arena_.empty() ? 0 : arena_block_ + 1;
+    if (next == arena_.size()) {
+        const std::size_t size = arena_.empty() ? max_frame_slots_ : 2 * arena_.back().size;
+        arena_.push_back(ArenaBlock{std::make_unique<Value[]>(size), size});
+    }
+    use_block(next);
+    arena_top_ = 0;
+}
+
+void Vm::merge_arena() {
+    std::size_t size = 0;
+    for (const ArenaBlock& b : arena_) size += b.size;
+    arena_.clear();
+    arena_.push_back(ArenaBlock{std::make_unique<Value[]>(size), size});
+    use_block(0);
+    arena_top_ = 0;
+}
+
+void Vm::use_block(std::size_t block) {
+    arena_block_ = block;
+    arena_base_ = arena_[block].slots.get();
+    arena_size_ = arena_[block].size;
+}
+
+void Vm::pop_frame() {
+    const Frame& f = frames_.back();
+    for (int i = 0; i < f.chunk->n_slots; ++i) f.slots[i] = Value{};
+    if (f.mark.block != arena_block_) use_block(f.mark.block);
+    arena_top_ = f.mark.top;
+    if (f.counts_depth) --depth_;
+    frames_.pop_back();
 }
 
 void Vm::unwind(std::size_t entry_frames, std::size_t entry_stack,
                 std::size_t entry_lstack) {
-    while (frames_.size() > entry_frames) {
-        if (frames_.back().counts_depth) --depth_;
-        release_slots(std::move(frames_.back().slots));
-        frames_.pop_back();
-    }
+    while (frames_.size() > entry_frames) pop_frame();
     stack_.resize(entry_stack);
     lstack_.resize(entry_lstack);
 }
 
-std::vector<Value> Vm::acquire_slots(std::size_t n) {
-    std::vector<Value> slots;
-    if (!slot_pool_.empty()) {
-        slots = std::move(slot_pool_.back());
-        slot_pool_.pop_back();
+Vm::ArenaStats Vm::arena_stats() const {
+    ArenaStats out;
+    out.blocks = arena_.size();
+    for (const ArenaBlock& b : arena_) {
+        out.capacity += b.size;
+        for (std::size_t i = 0; i < b.size; ++i) out.live_slots += !b.slots[i].is_null();
     }
-    slots.clear();
-    slots.resize(n);
-    return slots;
-}
-
-void Vm::release_slots(std::vector<Value> slots) {
-    slots.clear();
-    if (slot_pool_.size() < 64) slot_pool_.push_back(std::move(slots));
+    return out;
 }
 
 List& Vm::lease_args() {
@@ -166,8 +201,8 @@ Value Vm::run(std::size_t entry_frames) {
     // frame only at the points that can suspend this frame (script calls,
     // builtins that may re-enter the VM); `reload` re-derives the cache
     // after any operation that may have switched frames or reallocated
-    // frames_. A frame's slot buffer is heap-stable (pooled vector), so
-    // `slots` survives pushes and pops of other frames.
+    // frames_. A frame's slots never move (arena blocks are pointer-stable),
+    // so `slots` survives pushes and pops of other frames.
     Frame* f;
     const Insn* code;
     Value* slots;
@@ -175,23 +210,31 @@ Value Vm::run(std::size_t entry_frames) {
     auto reload = [&] {
         f = &frames_.back();
         code = f->chunk->code.data();
-        slots = f->slots.data();
+        slots = f->slots;
         ip = f->ip;
     };
     reload();
     for (;;) {
         const Insn in = code[ip++];
         switch (in.op) {
-            case Op::kTick:
-                // Fast path: two increments and one compare. Past the
-                // precomputed limit, tick_check raises the correct typed
-                // error (deadline before budget, like the interpreter).
-                ++steps_;
-                ++total_steps_;
+            case Op::kTick: {
+                // Fast path: two adds and one compare for the whole run.
+                // Past the precomputed limit, charge only up to the first
+                // step of the run beyond it, as the unfused ticks would
+                // have, and let tick_check raise the correct typed error
+                // (deadline before budget, like the interpreter).
+                const auto n = static_cast<std::uint64_t>(in.a);
+                steps_ += n;
+                total_steps_ += n;
                 if (steps_ > step_limit_) [[unlikely]] {
+                    const std::uint64_t crossing =
+                        std::max(steps_ - n + 1, step_limit_ + 1);
+                    total_steps_ -= steps_ - crossing;
+                    steps_ = crossing;
                     ops::tick_check(sandbox_, steps_, in.line);
                 }
                 break;
+            }
             case Op::kConst: stack_.push_back(unit_->constants[in.a]); break;
             case Op::kLoadLocal: stack_.push_back(slots[in.a]); break;
             case Op::kStoreLocal:
@@ -388,10 +431,7 @@ Value Vm::run(std::size_t entry_frames) {
                     stack_.pop_back();
                 }
                 stack_.resize(f->stack_base);
-                const bool counted = f->counts_depth;
-                release_slots(std::move(f->slots));
-                frames_.pop_back();
-                if (counted) --depth_;
+                pop_frame();
                 if (frames_.size() == entry_frames) return result;
                 stack_.push_back(std::move(result));
                 reload();

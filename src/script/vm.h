@@ -3,10 +3,21 @@
 // Executes CompiledUnits (script/compile.h) with the exact observable
 // semantics of the tree-walking reference interpreter the tests keep as
 // their oracle: same results, same typed errors with the same messages,
-// same step counts (the compiler emits a kTick at every point the
-// interpreter ticks). What the compiled form changes is the cost model:
+// same step counts (a kTick charges the steps of every point the
+// interpreter ticks at, on the same line; when a budget or deadline is
+// crossed inside a fused tick, the Vm charges up to the crossing step
+// only). What the compiled form changes is the cost model:
 //
-//   * locals are frame slots (no per-variable hash lookups);
+//   * one kTick charges a whole run of same-line steps: an add, a
+//     compare and a rarely taken branch per run, not per step;
+//   * locals are frame slots (no per-variable hash lookups), carved LIFO
+//     from a frame arena of pointer-stable blocks the Vm owns: a call
+//     bumps an offset, a return nulls its slots and restores the offset.
+//     Blocks grow from the unit's largest frame, doubling, and an
+//     outermost call merges them into one while no frame is live, so a
+//     Vm keeps about what its deepest call chain used in one block;
+//   * a host binds an entry point once (find_function) and calls the
+//     handle, so an advice invocation hashes no function name;
 //   * each distinct builtin callee is resolved once at Vm construction to
 //     an Entry* plus a precomputed capability verdict, so the per-call
 //     BuiltinRegistry::find string hash is gone from the dispatch loop;
@@ -14,7 +25,7 @@
 //     to its globals_ node, so global loads and stores hash no string; a
 //     global member read (`config.limit`) reads the member in place
 //     instead of copying the whole global onto the stack;
-//   * frames, operand stack and builtin argument lists are pooled, so a
+//   * frames, operand stack and builtin argument lists are reused, so a
 //     steady-state advice invocation performs no allocations beyond what
 //     the script's own values require.
 //
@@ -43,11 +54,13 @@ public:
 
     void run_top_level() override;
 
-    bool has_function(std::string_view name) const override {
-        return unit_->find_function(name) != nullptr;
+    /// The handle is the function's Chunk.
+    FunctionHandle find_function(std::string_view name) const override {
+        return FunctionHandle{unit_->find_function(name)};
     }
 
-    rt::Value call(std::string_view name, rt::List args) override;
+    using Engine::call;
+    rt::Value call(FunctionHandle fn, rt::List args) override;
 
     const rt::Value* global(const std::string& name) const override;
     void set_global(const std::string& name, rt::Value value) override;
@@ -59,6 +72,15 @@ public:
 
     const CompiledUnit& unit() const { return *unit_; }
 
+    /// The frame arena's footprint (tests, diagnostics). Between calls
+    /// `live_slots` is 0: every popped frame leaves its slots null.
+    struct ArenaStats {
+        std::size_t blocks = 0;
+        std::size_t capacity = 0;    ///< slots over all blocks
+        std::size_t live_slots = 0;  ///< slots holding a non-null value
+    };
+    ArenaStats arena_stats() const;
+
 private:
     struct ResolvedBuiltin {
         const BuiltinRegistry::Entry* entry;  ///< nullptr: unknown function
@@ -66,13 +88,20 @@ private:
         const std::string* name;              ///< into unit_->builtin_names
     };
 
+    /// A position in the frame arena: block index and offset in it.
+    struct ArenaMark {
+        std::size_t block;
+        std::size_t top;
+    };
+
     struct Frame {
         const Chunk* chunk;
         std::size_t ip;
-        std::size_t stack_base;        ///< operand-stack height at entry
-        std::vector<rt::Value> slots;  ///< pooled; heap buffer is stable, so
-                                       ///< lvalue pointers survive frame moves
-        bool counts_depth;             ///< function frames count recursion
+        std::size_t stack_base;  ///< operand-stack height at entry
+        rt::Value* slots;        ///< carved from the arena; never moves, so
+                                 ///< lvalue pointers survive nested calls
+        ArenaMark mark;          ///< arena position restored on pop
+        bool counts_depth;       ///< function frames count recursion
     };
 
     struct ArgLease;
@@ -80,10 +109,18 @@ private:
     rt::Value invoke(const Chunk& chunk, rt::List args, bool counts_depth);
     rt::Value run(std::size_t entry_frames);
     void push_frame(const Chunk& chunk, std::size_t argc, bool counts_depth);
+    /// Null the top frame's slots, give them back to the arena, pop it.
+    void pop_frame();
     void unwind(std::size_t entry_frames, std::size_t entry_stack,
                 std::size_t entry_lstack);
-    std::vector<rt::Value> acquire_slots(std::size_t n);
-    void release_slots(std::vector<rt::Value> slots);
+    /// Continue the arena in the next block, made on first use.
+    void next_block();
+    /// With no frame live, replace the blocks by one as large as all of
+    /// them, so a call chain as deep as the deepest so far fits in one
+    /// block and never crosses into the next.
+    void merge_arena();
+    /// Make arena_[block] the current block (arena_top_ is the caller's).
+    void use_block(std::size_t block);
     rt::List& lease_args();
     /// The global named names[name]; nullptr while it is undefined.
     rt::Value* global_ref(std::int32_t name);
@@ -101,7 +138,19 @@ private:
     std::vector<rt::Value> stack_;    ///< operand stack, reused across calls
     std::vector<rt::Value*> lstack_;  ///< lvalue resolution stack
     std::vector<Frame> frames_;
-    std::vector<std::vector<rt::Value>> slot_pool_;
+    /// The frame arena. Every slot at or above the current mark is null.
+    /// Each block holds at least the unit's largest frame, so a frame
+    /// always fits in a fresh block.
+    struct ArenaBlock {
+        std::unique_ptr<rt::Value[]> slots;
+        std::size_t size;
+    };
+    std::vector<ArenaBlock> arena_;
+    std::size_t max_frame_slots_ = 0;
+    std::size_t arena_block_ = 0;  ///< current block; 0 before the first
+    std::size_t arena_top_ = 0;    ///< slots used in the current block
+    rt::Value* arena_base_ = nullptr;
+    std::size_t arena_size_ = 0;
     std::vector<std::unique_ptr<rt::List>> arg_pool_;  ///< stable refs under nesting
     std::size_t arg_pool_top_ = 0;
 

@@ -114,11 +114,46 @@ TEST(Compile, StaticFaultsLowerToFail) {
               1);
 }
 
+/// Steps the chunk's kTicks charge, counting each tick once.
+int tick_steps(const Chunk& c) {
+    int steps = 0;
+    for (const Insn& i : c.code) {
+        if (i.op == Op::kTick) steps += i.a;
+    }
+    return steps;
+}
+
 TEST(Compile, EveryStatementAndExpressionTicks) {
     auto unit = comp("fun f() { let x = 1 + 2; return x; }");
     const Chunk* f = unit->find_function("f");
-    // let stmt, binary expr, two literals, return stmt, var read = 6 ticks.
-    EXPECT_EQ(count_ops(*f, Op::kTick), 6);
+    // let stmt, binary expr, two literals, return stmt, var read = 6 steps.
+    EXPECT_EQ(tick_steps(*f), 6);
+}
+
+TEST(Compile, SameLineTickRunsFuseButNotAcrossJumpTargets) {
+    auto unit = comp("fun f(n) { while (n > 0) { n = n - 1; } return n; }");
+    const Chunk& f = *unit->find_function("f");
+    // Steps: while 1, `n > 0` 3, `n = n - 1` 4, `return n` 2. Fused runs:
+    // [while] [> n] [0] [assign - n] [1] [return n]. The loop's back edge
+    // lands on the condition's first tick, so the `while` tick stays apart.
+    EXPECT_EQ(tick_steps(f), 10);
+    EXPECT_EQ(count_ops(f, Op::kTick), 6);
+    auto back = std::find_if(f.code.begin(), f.code.end(),
+                             [](const Insn& i) { return i.op == Op::kJump; });
+    ASSERT_NE(back, f.code.end());
+    const std::size_t cond = static_cast<std::size_t>(back->a);
+    ASSERT_GT(cond, 0u);
+    EXPECT_EQ(f.code[cond].op, Op::kTick);
+    EXPECT_EQ(f.code[cond].a, 2);
+    EXPECT_EQ(f.code[cond - 1].op, Op::kTick);
+    EXPECT_EQ(f.code[cond - 1].a, 1);
+}
+
+TEST(Compile, TicksOnDifferentLinesStayApart) {
+    auto unit = comp("fun f() {\n  return\n    1;\n}");
+    const Chunk& f = *unit->find_function("f");
+    EXPECT_EQ(tick_steps(f), 2);
+    EXPECT_EQ(count_ops(f, Op::kTick), 2);
 }
 
 TEST(Compile, ConstantsInterned) {
@@ -164,6 +199,8 @@ TEST(Compile, DisassembleListsEveryChunk) {
     EXPECT_NE(listing.find("hello"), std::string::npos);
     EXPECT_NE(listing.find(op_name(Op::kCallFn)), std::string::npos);
     EXPECT_NE(listing.find(op_name(Op::kLetGlobal)), std::string::npos);
+    // A tick prints the steps it charges: `return "hi " + who` is 3 on line 1.
+    EXPECT_NE(listing.find("tick 3 line 1"), std::string::npos);
 }
 
 TEST(Compile, UnitRetainsProgram) {

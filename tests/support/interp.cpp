@@ -37,9 +37,9 @@ void Interpreter::run_top_level() {
     }
 }
 
-rt::Value Interpreter::call(std::string_view name, rt::List args) {
-    const FunctionDecl* fn = program_->find_function(name);
-    if (!fn) throw ScriptError("no function '" + std::string(name) + "'");
+rt::Value Interpreter::call(FunctionHandle handle, rt::List args) {
+    const auto* fn = static_cast<const FunctionDecl*>(handle.impl);
+    if (!fn) throw ScriptError("call of an unbound script function");
     if (call_nesting_ > 0) {
         // Re-entrant call (host builtin calling back into script): one
         // invocation for budget purposes, so don't reset the meter and

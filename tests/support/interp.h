@@ -38,14 +38,16 @@ public:
     /// Execute top-level statements (global `let`s etc.). Call once.
     void run_top_level() override;
 
-    bool has_function(std::string_view name) const override {
-        return program_->find_function(name) != nullptr;
+    /// The handle is the function's FunctionDecl.
+    FunctionHandle find_function(std::string_view name) const override {
+        return FunctionHandle{program_->find_function(name)};
     }
 
-    /// Invoke a named function. Throws ScriptError for script faults,
+    /// Invoke a bound function. Throws ScriptError for script faults,
     /// AccessDenied for capability violations, ResourceExhausted for
     /// budget overruns.
-    rt::Value call(std::string_view name, rt::List args) override;
+    using Engine::call;
+    rt::Value call(FunctionHandle fn, rt::List args) override;
 
     /// Read/write a global (tests and host glue).
     const rt::Value* global(const std::string& name) const override;

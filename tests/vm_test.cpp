@@ -587,5 +587,183 @@ TEST(VmParity, ErrorLineNumbersMatch) {
     EXPECT_EQ(o.type, "ResourceExhausted");
 }
 
+// ------------------------------------------------ fused step ticks ----
+// The compiler fuses runs of same-line ticks into one kTick charging the
+// run's length; a budget or deadline crossed inside a run must still fail
+// at the exact step, on the same line, with the same steps charged.
+
+TEST(VmParity, BudgetAndDeadlineCrossingsAtEveryStep) {
+    const char* src = R"(
+        fun f(x) { return x % 4; }
+        fun main(n) {
+            let buf = [0, 0, 0, 0];
+            let acc = 0;
+            let i = 0;
+            while (i < n) {
+                buf[f(i)] = acc + i * 2 - 1;
+                seen[f(i + 1)] = buf[f(i)] + -acc;
+                if (i % 2 == 0 && acc >= 0) { acc = acc + f(i + 1) * 3; }
+                else { acc = acc - 1; }
+                i = i + 1;
+            }
+            return acc + buf[0] + seen[1];
+        }
+    )";
+    auto program = std::make_shared<const Program>(parse(src));
+    auto unit = compile(program);
+    auto builtins = std::make_shared<BuiltinRegistry>(BuiltinRegistry::with_core());
+    // The global is set by the host, so the top level charges no step and
+    // every budget from 1 up lands inside main.
+    const Value seen{List{Value{std::int64_t{0}}, Value{std::int64_t{0}},
+                          Value{std::int64_t{0}}, Value{std::int64_t{0}}}};
+    auto run = [&](Engine& e) {
+        e.run_top_level();
+        e.set_global("seen", seen);
+        return e.call("main", {Value{std::int64_t{6}}});
+    };
+    auto outcomes = [&](const Sandbox& s) {
+        Interpreter interp(program, s, builtins);
+        Vm vm(unit, s, builtins);
+        return std::make_pair(capture(interp, run), capture(vm, run));
+    };
+
+    const auto [full_i, full_v] = outcomes(Sandbox{});
+    expect_same(full_i, full_v, "unbounded");
+    ASSERT_FALSE(full_v.threw) << full_v.message;
+    const std::uint64_t total = full_v.steps;
+    ASSERT_GT(total, 200u);
+
+    for (std::uint64_t deadline : {std::uint64_t{0}, std::uint64_t{3}, total / 3,
+                                   total / 2 + 1, total}) {
+        for (std::uint64_t budget = 1; budget <= total; ++budget) {
+            Sandbox s;
+            s.step_budget = budget;
+            s.deadline_steps = deadline;
+            const auto [oi, ov] = outcomes(s);
+            const std::string what = "budget " + std::to_string(budget) + ", deadline " +
+                                     std::to_string(deadline);
+            expect_same(oi, ov, what);
+            const std::uint64_t limit = deadline != 0 ? std::min(budget, deadline) : budget;
+            if (limit >= total) {
+                EXPECT_FALSE(ov.threw) << what << ": " << ov.message;
+                continue;
+            }
+            // The step past the limit is the one charged and reported.
+            EXPECT_EQ(ov.steps, limit + 1) << what;
+            EXPECT_EQ(ov.type, deadline != 0 && deadline <= budget ? "DeadlineExceeded"
+                                                                   : "ResourceExhausted")
+                << what;
+        }
+    }
+}
+
+TEST(VmParity, CrossingAfterACaughtNestedOverrun) {
+    // A host builtin that swallows the budget error of a re-entrant call
+    // leaves the shared meter past the limit; the outer call then fails on
+    // its very next step, charged one step further, in both engines.
+    auto make = [](Engine** cell) {
+        auto builtins = std::make_shared<BuiltinRegistry>(BuiltinRegistry::with_core());
+        builtins->add("try_spin", "", [cell](List&) {
+            try {
+                (*cell)->call("spin", {});
+            } catch (const ResourceExhausted&) {
+            }
+            return Value{std::int64_t{1}};
+        });
+        return builtins;
+    };
+    const char* src =
+        "fun spin() { while (true) { } }\n"
+        "fun f() { let x = try_spin(); return x + 1; }\n";
+    auto program = std::make_shared<const Program>(parse(src));
+    Sandbox s;
+    s.step_budget = 100;
+    Engine* icell = nullptr;
+    Interpreter interp(program, s, make(&icell));
+    icell = &interp;
+    Engine* vcell = nullptr;
+    Vm vm(compile(program), s, make(&vcell));
+    vcell = &vm;
+    interp.run_top_level();
+    vm.run_top_level();
+    auto call = [](Engine& e) { return e.call("f", {}); };
+    Outcome oi = capture(interp, call);
+    Outcome ov = capture(vm, call);
+    expect_same(oi, ov, "caught nested overrun");
+    EXPECT_EQ(ov.type, "ResourceExhausted");
+    EXPECT_EQ(ov.steps, 102u);
+}
+
+// ----------------------------------------------------- frame arena ----
+// Frames carve their slots from pointer-stable arena blocks: an lvalue
+// into a frame's slots survives nested calls that grow the arena, every
+// popped frame leaves its slots null, on return and on throw, and an
+// outermost call merges a grown arena into one block.
+
+TEST(VmArena, LvalueHeldAcrossDeepRecursionAndReentry) {
+    const char* src = R"(
+        fun deep(k, v) {
+            let pad = [v, k];
+            if (k == 0) { return v; }
+            return deep(k - 1, v + 1) + pad[1] - k;
+        }
+        fun main(n) {
+            let buf = [0, 0];
+            buf[deep(n, 0) - n + 1] = [n, "held"];
+            return buf;
+        }
+        fun host(n) {
+            let buf = [0, 0];
+            buf[reenter(n) - n] = "back";
+            return buf;
+        }
+    )";
+    Sandbox s;
+    s.max_recursion = 40;
+    auto make_builtins = [](Engine** cell) {
+        auto builtins = std::make_shared<BuiltinRegistry>(BuiltinRegistry::with_core());
+        builtins->add("reenter", "", [cell](List& args) {
+            return (*cell)->call("deep", {args.at(0), Value{std::int64_t{0}}});
+        });
+        return builtins;
+    };
+    auto program = std::make_shared<const Program>(parse(src));
+    Engine* icell = nullptr;
+    Interpreter interp(program, s, make_builtins(&icell));
+    icell = &interp;
+    Engine* vcell = nullptr;
+    Vm vm(compile(program), s, make_builtins(&vcell));
+    vcell = &vm;
+    interp.run_top_level();
+    vm.run_top_level();
+
+    auto check = [&](const std::string& fn, std::int64_t n, bool throws) {
+        const std::string what = fn + "(" + std::to_string(n) + ")";
+        auto call = [&](Engine& e) { return e.call(fn, {Value{n}}); };
+        Outcome oi = capture(interp, call);
+        Outcome ov = capture(vm, call);
+        expect_same(oi, ov, what);
+        EXPECT_EQ(ov.threw, throws) << what << ": " << ov.message;
+        if (throws) EXPECT_NE(ov.message.find("recursion limit"), std::string::npos) << what;
+        EXPECT_EQ(vm.arena_stats().live_slots, 0u) << what << " left slots alive";
+    };
+    // main is depth 1, so deep(n) reaches depth n + 2: n = 38 is the
+    // deepest chain the cap allows, n = 39 one frame past it.
+    check("main", 38, false);
+    const Vm::ArenaStats grown = vm.arena_stats();
+    EXPECT_GE(grown.blocks, 3u);
+    check("main", 39, true);
+    // The next outermost call merged the blocks into one of the same size,
+    // and a chain as deep as the last one then stays inside it.
+    EXPECT_EQ(vm.arena_stats().blocks, 1u);
+    EXPECT_EQ(vm.arena_stats().capacity, grown.capacity);
+    check("host", 38, false);
+    check("host", 39, true);
+    check("main", 5, false);  // the arena is reusable after every unwind
+    const Vm::ArenaStats after = vm.arena_stats();
+    check("main", 38, false);
+    EXPECT_EQ(vm.arena_stats().capacity, after.capacity) << "a warm arena stops growing";
+}
+
 }  // namespace
 }  // namespace pmp::script
