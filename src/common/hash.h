@@ -1,8 +1,8 @@
 // Cheap deterministic non-cryptographic hashing.
 //
 // Used wherever the platform needs a stable, seed-free placement or jitter
-// decision that must replay identically run to run: consistent-hash shard
-// ownership (disco::HashRing), per-lease renewal phase jitter. Not for
+// decision that must replay identically run to run: simulator shard
+// placement (sim::ShardedSimulator), per-lease renewal phase jitter. Not for
 // security (see pmp::crypto) and not for randomness (see pmp::Rng) — this
 // is for *placement*, where the same key must land in the same place on
 // every node that computes it.
@@ -34,9 +34,9 @@ constexpr std::uint64_t fnv1a64_mix(std::uint64_t h, std::uint64_t v) {
 }
 
 /// Finalizing avalanche (the splitmix64 mixer). FNV-1a is stable but its
-/// high bits barely move for keys that share a prefix ("svc/a", "svc/b"
-/// land in one narrow arc of a 64-bit ring); run placements through this
-/// whenever bit *distribution* matters, not just stability.
+/// high bits barely move for keys that share a prefix ("hall/0", "hall/1");
+/// run placements through this whenever bit *distribution* matters, not
+/// just stability.
 constexpr std::uint64_t hash_avalanche(std::uint64_t h) {
     h ^= h >> 30;
     h *= 0xbf58476d1ce4e5b9ull;

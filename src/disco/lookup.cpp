@@ -83,15 +83,6 @@ void LeasedResource::renew() {
             if (ok) {
                 expires_ = rpc_.router().simulator().now() + duration_;
                 schedule_renewal(renewal_phase());
-            } else if (!error && result.as_dict().contains("moved_to")) {
-                // The lease migrated to another shard (registrar
-                // rebalance): re-home and renew against the new
-                // registrar right away. Not a retry — the move is a
-                // redirect, not a failure.
-                const Dict& d = result.as_dict();
-                registrar_ = NodeId{static_cast<std::uint64_t>(d.at("moved_to").as_int())};
-                lease_ = LeaseId{static_cast<std::uint64_t>(d.at("moved_lease").as_int())};
-                renew();
             } else if (error) {
                 // Transport failure — lost message, timeout, a partition
                 // blocking the path. The lease may still have most of its

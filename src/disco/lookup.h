@@ -59,8 +59,8 @@ private:
     void mark_lost();
 
     rt::RpcEndpoint& rpc_;
-    NodeId registrar_;
-    LeaseId lease_;
+    const NodeId registrar_;
+    const LeaseId lease_;
     Duration duration_;
     SimTime expires_{};  ///< client-side estimate of the registrar's deadline
     LostFn on_lost_;

@@ -2,7 +2,6 @@
 
 #include "common/error.h"
 #include "common/log.h"
-#include "disco/shard.h"
 
 namespace pmp::disco {
 
@@ -13,12 +12,6 @@ using rt::Value;
 namespace {
 constexpr Duration kSweepPeriod = milliseconds(250);  ///< expiry scan granularity
 constexpr Duration kAnnouncePeriod = seconds(1);      ///< "disco.here" beacon period
-/// After a lease migrates to another shard, how long the old home remembers
-/// the forwarding address. A client renews at duration/2, so any live holder
-/// learns the new home well inside the grace window; after it, a renew
-/// against the old home simply fails (and the holder re-registers through
-/// its ring, which already points at the new shard).
-constexpr Duration kMovedGrace = seconds(30);
 }  // namespace
 
 rt::Value ServiceItem::to_value() const {
@@ -104,10 +97,6 @@ void Registrar::build_service_object() {
                             return do_watch(rpc_.current_caller(), args[0].as_str(),
                                             args[1].as_str(), args[2].as_int());
                         })
-                .method("migrate", TypeKind::kList, {{"entries", TypeKind::kList}},
-                        [this](rt::ServiceObject&, List& args) -> Value {
-                            return do_migrate(rpc_.current_caller(), args[0].as_list());
-                        })
                 .build();
         runtime.register_type(type);
     }
@@ -151,17 +140,6 @@ Value Registrar::do_renew(std::uint64_t lease, std::int64_t duration_ms) {
         services_.at(it->second).expires = router_.simulator().now() + granted;
     } else if (auto wit = remote_watches_.find(lid); wit != remote_watches_.end()) {
         wit->second.expires = router_.simulator().now() + granted;
-    } else if (auto mit = moved_.find(lid); mit != moved_.end()) {
-        // The lease migrated to another shard: hand the holder its new
-        // home + new lease id; LeasedResource re-homes and renews there.
-        ++shard_stats_.moved_redirects;
-        Dict out{{"ok", Value{false}},
-                 {"duration_ms", Value{std::int64_t{0}}},
-                 {"moved_to",
-                  Value{static_cast<std::int64_t>(mit->second.new_home.value)}},
-                 {"moved_lease",
-                  Value{static_cast<std::int64_t>(mit->second.new_lease.value)}}};
-        return Value{std::move(out)};
     } else {
         Dict out{{"ok", Value{false}}, {"duration_ms", Value{std::int64_t{0}}}};
         return Value{std::move(out)};
@@ -178,15 +156,6 @@ bool Registrar::do_cancel(std::uint64_t lease) {
         auto sit = services_.find(it->second);
         service_by_lease_.erase(it);
         if (sit != services_.end()) remove_registration(sit, /*notify=*/true);
-        return true;
-    }
-    if (auto mit = moved_.find(lid); mit != moved_.end()) {
-        // Forward the cancellation to the lease's new home, best effort.
-        ++shard_stats_.moved_redirects;
-        rpc_.call_async(mit->second.new_home, "registrar", "cancel",
-                        {Value{static_cast<std::int64_t>(mit->second.new_lease.value)}},
-                        [](Value, std::exception_ptr) {});
-        moved_.erase(mit);
         return true;
     }
     return remote_watches_.erase(lid) > 0;
@@ -217,158 +186,6 @@ void Registrar::index_remove(const Registration& reg) {
     if (tit == by_type_.end()) return;
     tit->second.erase(reg.item.id);
     if (tit->second.empty()) by_type_.erase(tit);
-}
-
-void Registrar::rebalance(const HashRing& ring) {
-    // Group the leased registrations — and the remote watches, which must
-    // follow the registrations of their type or silently go deaf — whose
-    // type now hashes elsewhere by their new owner, then ship one batched
-    // migrate RPC per target.
-    std::map<NodeId, std::pair<std::vector<ServiceId>, std::vector<LeaseId>>> outgoing;
-    for (const auto& [sid, reg] : services_) {
-        if (reg.expires == SimTime::max()) continue;  // permanent: shares fate
-        NodeId owner = ring.owner(reg.item.type);
-        if (!owner.valid() || owner == router_.self()) continue;
-        outgoing[owner].first.push_back(sid);
-    }
-    for (const auto& [lease, watch] : remote_watches_) {
-        NodeId owner = ring.owner(watch.type);
-        if (!owner.valid() || owner == router_.self()) continue;
-        outgoing[owner].second.push_back(lease);
-    }
-    for (auto& [target, batch] : outgoing) {
-        migrate_batch(target, std::move(batch.first), std::move(batch.second));
-    }
-}
-
-void Registrar::migrate_batch(NodeId target, std::vector<ServiceId> sids,
-                              std::vector<LeaseId> watch_leases) {
-    SimTime now = router_.simulator().now();
-    List entries;
-    std::vector<ServiceId> shipped;
-    std::vector<LeaseId> shipped_watches;
-    for (ServiceId sid : sids) {
-        auto sit = services_.find(sid);
-        if (sit == services_.end()) continue;
-        const Registration& reg = sit->second;
-        std::int64_t remaining_ms =
-            reg.expires <= now ? 0 : (reg.expires - now).count() / 1'000'000;
-        Dict entry{{"kind", Value{"reg"}},
-                   {"type", Value{reg.item.type}},
-                   {"attrs", Value{reg.item.attributes}},
-                   {"provider", Value{static_cast<std::int64_t>(reg.item.provider.value)}},
-                   {"remaining_ms", Value{remaining_ms}}};
-        entries.push_back(Value{std::move(entry)});
-        shipped.push_back(sid);
-    }
-    // Watch entries ride after the registrations; the reply's lease list
-    // is aligned to this order.
-    for (LeaseId lease : watch_leases) {
-        auto wit = remote_watches_.find(lease);
-        if (wit == remote_watches_.end()) continue;
-        const RemoteWatch& watch = wit->second;
-        std::int64_t remaining_ms =
-            watch.expires <= now ? 0 : (watch.expires - now).count() / 1'000'000;
-        Dict entry{{"kind", Value{"watch"}},
-                   {"type", Value{watch.type}},
-                   {"watcher", Value{static_cast<std::int64_t>(watch.watcher.value)}},
-                   {"listener", Value{watch.listener}},
-                   {"remaining_ms", Value{remaining_ms}}};
-        entries.push_back(Value{std::move(entry)});
-        shipped_watches.push_back(lease);
-    }
-    if (shipped.empty() && shipped_watches.empty()) return;
-
-    rpc_.call_async(
-        target, "registrar", "migrate", {Value{std::move(entries)}},
-        [this, target, shipped = std::move(shipped),
-         shipped_watches = std::move(shipped_watches)](Value reply, std::exception_ptr err) {
-            if (err) {
-                // Migration failed: the registrations and watches stay
-                // home (their leases are still live here), and a later
-                // rebalance can retry. Nothing was lost.
-                log_debug(router_.simulator().now(), "disco.registrar",
-                          "migrate batch to ", target.str(), " failed; keeping entries");
-                return;
-            }
-            const List& new_leases = reply.as_list();
-            SimTime forget_at = router_.simulator().now() + kMovedGrace;
-            std::size_t i = 0;
-            for (; i < shipped.size() && i < new_leases.size(); ++i) {
-                auto sit = services_.find(shipped[i]);
-                if (sit == services_.end()) continue;  // expired/cancelled meanwhile
-                LeaseId old_lease = sit->second.lease;
-                LeaseId new_lease{
-                    static_cast<std::uint64_t>(new_leases[i].as_int())};
-                moved_[old_lease] = MovedLease{target, new_lease, forget_at};
-                remove_registration(sit, /*notify=*/true);
-                ++shard_stats_.migrated_out;
-            }
-            for (std::size_t w = 0; w < shipped_watches.size() && i < new_leases.size();
-                 ++w, ++i) {
-                auto wit = remote_watches_.find(shipped_watches[w]);
-                if (wit == remote_watches_.end()) continue;
-                LeaseId new_lease{
-                    static_cast<std::uint64_t>(new_leases[i].as_int())};
-                moved_[wit->first] = MovedLease{target, new_lease, forget_at};
-                remote_watches_.erase(wit);
-                ++shard_stats_.watches_migrated_out;
-            }
-        });
-}
-
-Value Registrar::do_migrate(NodeId source, const List& entries) {
-    SimTime now = router_.simulator().now();
-    List new_leases;
-    std::size_t regs = 0, watches = 0;
-    for (const Value& v : entries) {
-        const Dict& e = v.as_dict();
-        if (const Value* kind = e.find("kind"); kind && kind->as_str() == "watch") {
-            RemoteWatch watch{e.at("type").as_str(),
-                              NodeId{static_cast<std::uint64_t>(e.at("watcher").as_int())},
-                              e.at("listener").as_str(), lease_ids_.next(),
-                              now + clamp(e.at("remaining_ms").as_int())};
-            LeaseId lease = watch.lease;
-            std::string type = watch.type;
-            NodeId watcher = watch.watcher;
-            std::string listener = watch.listener;
-            remote_watches_.emplace(lease, std::move(watch));
-            ++shard_stats_.watches_migrated_in;
-            ++watches;
-            new_leases.push_back(Value{static_cast<std::int64_t>(lease.value)});
-            // Same catch-up as do_watch: services of the type may already
-            // live here (registered fresh, or migrated in an earlier
-            // batch). Duplicated appearance events are idempotent for
-            // watchers by contract.
-            for_each(type, [&](const ServiceItem& item) {
-                Dict event{{"type", Value{type}},
-                           {"appeared", Value{true}},
-                           {"item", item.to_value()}};
-                rpc_.call_async(watcher, listener, "notify", {Value{std::move(event)}},
-                                [](Value, std::exception_ptr) {});
-            });
-            continue;
-        }
-        Registration reg;
-        reg.item = ServiceItem{service_ids_.next(),
-                               NodeId{static_cast<std::uint64_t>(e.at("provider").as_int())},
-                               e.at("type").as_str(), e.at("attrs").as_dict()};
-        reg.lease = lease_ids_.next();
-        reg.expires = now + clamp(e.at("remaining_ms").as_int());
-        ServiceId sid = reg.item.id;
-        LeaseId lease = reg.lease;
-        ServiceItem item = reg.item;
-        new_leases.push_back(Value{static_cast<std::int64_t>(lease.value)});
-        index_add(reg);
-        services_.emplace(sid, std::move(reg));
-        service_by_lease_.emplace(lease, sid);
-        ++shard_stats_.migrated_in;
-        ++regs;
-        notify_watchers(item, true);
-    }
-    log_debug(now, "disco.registrar", "accepted ", regs, " migrated registrations and ",
-              watches, " watches from ", source.str());
-    return Value{std::move(new_leases)};
 }
 
 Value Registrar::do_watch(NodeId watcher, const std::string& type,
@@ -462,8 +279,6 @@ void Registrar::sweep() {
     }
     std::erase_if(remote_watches_,
                   [now](const auto& entry) { return entry.second.expires <= now; });
-    std::erase_if(moved_,
-                  [now](const auto& entry) { return entry.second.forget_at <= now; });
 }
 
 }  // namespace pmp::disco

@@ -34,8 +34,6 @@
 
 namespace pmp::disco {
 
-class HashRing;
-
 /// One registered service as seen in lookup results.
 struct ServiceItem {
     ServiceId id;
@@ -69,28 +67,6 @@ public:
     void for_each(const std::string& type,
                   const std::function<void(const ServiceItem&)>& fn) const;
 
-    /// Shard rebalance: batch-migrate every leased registration AND remote
-    /// watch whose type key hashes to another shard under `ring` (one RPC
-    /// per target registrar, remaining lease durations preserved). Call
-    /// after a shard joins the ring, or on the departing registrar — with
-    /// a ring that no longer contains it — before it leaves. Holders
-    /// renewing against this registrar are redirected to their lease's new
-    /// home for a grace period (kMovedGrace, 30 s). Watches must move with the
-    /// registrations: new registrations of the type route to the new
-    /// owner, so a watch left behind would keep renewing successfully yet
-    /// silently never fire again. Permanent registrations never move: they
-    /// share fate with their host registrar.
-    void rebalance(const HashRing& ring);
-
-    struct ShardStats {
-        std::uint64_t migrated_out = 0;  ///< registrations shipped to another shard
-        std::uint64_t migrated_in = 0;   ///< registrations accepted from another shard
-        std::uint64_t watches_migrated_out = 0;  ///< remote watches shipped out
-        std::uint64_t watches_migrated_in = 0;   ///< remote watches accepted
-        std::uint64_t moved_redirects = 0;  ///< renew/cancel answered with a forward
-    };
-    const ShardStats& shard_stats() const { return shard_stats_; }
-
     /// Register a service co-located with the registrar, without a lease:
     /// host and registrar share fate, so renewal would be a formality.
     /// Used for infrastructure services (e.g. a tuple-space host on the
@@ -123,13 +99,6 @@ private:
         WatchFn fn;
     };
 
-    /// Forwarding address for a lease that migrated to another shard.
-    struct MovedLease {
-        NodeId new_home;
-        LeaseId new_lease;
-        SimTime forget_at;  ///< kMovedGrace after the migration
-    };
-
     void build_service_object();
     Duration clamp(std::int64_t duration_ms) const;
     void sweep();
@@ -138,8 +107,6 @@ private:
     void remove_registration(std::map<ServiceId, Registration>::iterator it, bool notify);
     void index_add(const Registration& reg);
     void index_remove(const Registration& reg);
-    void migrate_batch(NodeId target, std::vector<ServiceId> sids,
-                       std::vector<LeaseId> watch_leases);
 
     rt::Value do_register(NodeId provider, const std::string& type, rt::Dict attrs,
                           std::int64_t duration_ms);
@@ -148,7 +115,6 @@ private:
     rt::Value do_lookup(const std::string& type) const;
     rt::Value do_watch(NodeId watcher, const std::string& type, const std::string& listener,
                        std::int64_t duration_ms);
-    rt::Value do_migrate(NodeId source, const rt::List& entries);
 
     net::MessageRouter& router_;
     rt::RpcEndpoint& rpc_;
@@ -161,8 +127,6 @@ private:
     /// Type -> registrations of that type: lookups and the per-tick
     /// for_each scan cost O(matching), not O(all registrations).
     std::map<std::string, std::set<ServiceId>> by_type_;
-    std::map<LeaseId, MovedLease> moved_;  ///< migrated out; swept by grace
-    ShardStats shard_stats_;
     std::map<LeaseId, RemoteWatch> remote_watches_;
     std::map<std::uint64_t, LocalWatch> local_watches_;
     std::uint64_t next_local_watch_ = 0;

@@ -58,8 +58,6 @@ AdaptationService::AdaptationService(rt::RpcEndpoint& rpc, prose::Weaver& weaver
           rows.counter("midas.receiver.cache_evictions", l, s.cache_evictions);
           rows.gauge("midas.extensions", l, s.extensions);
       })) {
-    compile_cache_.cap = config_.compile_cache_cap;
-    pointcut_cache_.cap = config_.pointcut_cache_cap;
     if (journal_) recover();
 
     // Node facilities every extension may request.

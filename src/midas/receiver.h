@@ -56,12 +56,6 @@ struct ReceiverConfig {
     /// Group-commit / chunked-snapshot knobs for the receiver's journal
     /// (docs/storage.md); all-zero commits every record on its own.
     db::JournalConfig journal;
-    /// Bounds for the install-path compile/pointcut caches: one entry per
-    /// *distinct* script or pointcut source, evicted least-recently-used.
-    /// A long-lived node visited by many halls would otherwise grow these
-    /// maps without bound (every policy revision is a new content hash).
-    std::size_t compile_cache_cap = 64;
-    std::size_t pointcut_cache_cap = 128;
     /// Quarantine an extension after this many *consecutive* advice
     /// failures (ScriptError / ResourceExhausted / DeadlineExceeded —
     /// broken or runaway code; AccessDenied is the node's own policy
@@ -97,6 +91,13 @@ struct ReceiverConfig {
 
 class AdaptationService {
 public:
+    /// Bounds for the install-path compile/pointcut caches: one entry per
+    /// *distinct* script or pointcut source, evicted least-recently-used.
+    /// A long-lived node visited by many halls would otherwise grow these
+    /// maps without bound (every policy revision is a new content hash).
+    static constexpr std::size_t kCompileCacheCap = 64;
+    static constexpr std::size_t kPointcutCacheCap = 128;
+
     /// With a `journal` the service becomes durable: the installed
     /// manifest and the quarantine list are journaled, and a restart
     /// recovers the quarantine list (enforced again) plus the crash-time
@@ -276,11 +277,10 @@ private:
     /// same extension to many objects (or re-installing after lease churn)
     /// compiles each distinct script and parses each distinct pointcut
     /// exactly once per node — bounded LRU, so a node that outlives many
-    /// policy revisions holds only the ReceiverConfig caps' worth of them
-    /// (evictions surface as midas.receiver.cache_evictions).
-    template <typename V>
+    /// policy revisions holds only kCompileCacheCap / kPointcutCacheCap of
+    /// them (evictions surface as midas.receiver.cache_evictions).
+    template <typename V, std::size_t kCap>
     struct LruCache {
-        std::size_t cap = 0;  ///< 0 = unbounded
         std::list<std::pair<std::string, V>> items;  // front = most recent
         std::map<std::string, typename std::list<std::pair<std::string, V>>::iterator>
             index;
@@ -301,7 +301,7 @@ private:
             items.emplace_front(key, std::move(value));
             index[key] = items.begin();
             std::size_t evicted = 0;
-            while (cap > 0 && items.size() > cap) {
+            while (items.size() > kCap) {
                 index.erase(items.back().first);
                 items.pop_back();
                 ++evicted;
@@ -310,8 +310,8 @@ private:
         }
         std::size_t size() const { return items.size(); }
     };
-    LruCache<std::shared_ptr<const script::CompiledUnit>> compile_cache_;
-    LruCache<prose::Pointcut> pointcut_cache_;
+    LruCache<std::shared_ptr<const script::CompiledUnit>, kCompileCacheCap> compile_cache_;
+    LruCache<prose::Pointcut, kPointcutCacheCap> pointcut_cache_;
     std::shared_ptr<const script::CompiledUnit> compiled_unit_for(const std::string& script);
     prose::Pointcut pointcut_for(const std::string& source);
 

@@ -202,6 +202,10 @@ private:
                 expr(*s.expr);
                 std::size_t jf = emit(Op::kJumpIfFalse);
                 compile_block(s.body);
+                if (s.else_body.empty()) {
+                    patch(jf, here());
+                    return;
+                }
                 std::size_t j = emit(Op::kJump);
                 patch(jf, here());
                 compile_block(s.else_body);

@@ -193,6 +193,35 @@ TEST(Compile, JumpTargetsInBounds) {
     }
 }
 
+TEST(Compile, ElseLessIfJumpsNowhereButPastItsBody) {
+    // An `if` without an else has nothing to jump over: its false branch
+    // lands on the next statement, and no `jump` targets the instruction
+    // right after itself.
+    auto unit = comp(R"(
+        fun f(x) {
+            if (x > 9) { x = 9; }
+            if (x < 0) { x = 0; } else { }
+            return x;
+        }
+    )");
+    const Chunk& f = *unit->find_function("f");
+    EXPECT_EQ(count_ops(f, Op::kJump), 0);
+    EXPECT_EQ(count_ops(f, Op::kJumpIfFalse), 2);
+    for (std::size_t ip = 0; ip < f.code.size(); ++ip) {
+        if (f.code[ip].op != Op::kJump) continue;
+        EXPECT_NE(static_cast<std::size_t>(f.code[ip].a), ip + 1) << "at " << ip;
+    }
+
+    // With a non-empty else, one jump skips the else block.
+    auto with_else = comp("fun f(x) { if (x > 9) { x = 9; } else { x = 0; } return x; }");
+    const Chunk& g = *with_else->find_function("f");
+    ASSERT_EQ(count_ops(g, Op::kJump), 1);
+    auto jump = std::find_if(g.code.begin(), g.code.end(),
+                             [](const Insn& i) { return i.op == Op::kJump; });
+    EXPECT_GT(static_cast<std::size_t>(jump->a),
+              static_cast<std::size_t>(jump - g.code.begin()) + 1);
+}
+
 TEST(Compile, DisassembleListsEveryChunk) {
     auto unit = comp("fun hello(who) { return \"hi \" + who; } let z = hello(\"x\");");
     std::string listing = disassemble(*unit);

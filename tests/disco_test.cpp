@@ -332,5 +332,47 @@ TEST_F(DiscoTest, RenewUnknownLeaseFails) {
     EXPECT_FALSE(reply.as_dict().at("ok").as_bool());
 }
 
+TEST_F(DiscoTest, RefusedRenewalReportsLossAtOnce) {
+    // The registrar is alive and answering but no longer knows the lease
+    // (here a direct cancel call behind the handle's back; a registrar
+    // restart or a sweep does the same). Its refusal is final: the holder must report the
+    // loss on that first refused renew, not retry until the lease runs
+    // out as it would after a transport failure.
+    sim_.run_for(seconds(1));
+    std::shared_ptr<LeasedResource> handle;
+    SimTime granted_at{};
+    SimTime lost_at{};
+    int losses = 0;
+    client_->register_service(base_.id, "svc", {},
+                              [&]() {
+                                  lost_at = sim_.now();
+                                  ++losses;
+                              },
+                              [&](std::shared_ptr<LeasedResource> h, std::exception_ptr e) {
+                                  ASSERT_FALSE(e);
+                                  granted_at = sim_.now();
+                                  handle = std::move(h);
+                              });
+    sim_.run_for(milliseconds(100));
+    ASSERT_NE(handle, nullptr);
+    EXPECT_TRUE(mobile_.rpc
+                    .call_sync(base_.id, "registrar", "cancel",
+                               {Value{static_cast<std::int64_t>(handle->lease().value)}})
+                    .as_bool());
+    EXPECT_TRUE(registrar_->lookup("svc").empty());
+    EXPECT_TRUE(handle->alive());  // the holder learns only when it renews
+
+    sim_.run_for(seconds(4));
+    EXPECT_EQ(losses, 1);
+    EXPECT_FALSE(handle->alive());
+    // Lost at the first renewal (phase after the grant, plus one round
+    // trip), before a transport retry (d/16 later) could have been sent.
+    const Duration lease = seconds(2);
+    const Duration phase = lease_renewal_phase(base_.id, handle->lease(), lease);
+    EXPECT_GE(lost_at - granted_at, phase);
+    EXPECT_LT(lost_at - granted_at, phase + lease / 16);
+    EXPECT_LT(lost_at - granted_at, lease);
+}
+
 }  // namespace
 }  // namespace pmp::disco
