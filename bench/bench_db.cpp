@@ -4,8 +4,8 @@
 // intercepted actions, querying a robot's action list, filtering by time
 // range, listing sources, and replay-cursor iteration. Three storage
 // sections ride along (docs/storage.md): group-commit WAL append
-// throughput, the hall journal's ingest/compaction/restore trio, and
-// recovery traffic per restarted node as the fleet grows.
+// throughput, the hall journal's ingest/compaction/restore trio, and the
+// base's durable state as the fleet grows.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -230,79 +230,10 @@ BENCHMARK(BM_HallJournal)->Arg(1'000)->Arg(10'000)->Arg(100'000)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Recovery traffic at fleet scale (docs/storage.md). The catch-up image a
-// restarted receiver streams is policy-only — its size tracks the policy
-// set, not the adapted-node book — so `catchup_bytes` stays flat as the
-// fleet grows while the base's own durable state (`journal_bytes`) grows
-// linearly. Measured end to end at 10^3 / 10^4 book entries: a durable
-// base recovers a synthesized fleet journal and a fresh receiver streams
-// the image through the real chunk protocol.
-
-midas::ExtensionPackage hall_policy(int i) {
-    midas::ExtensionPackage pkg;
-    pkg.name = "hall/policy" + std::to_string(i);
-    pkg.script = "fun onEntry() { }";
-    pkg.bindings = {midas::PackageBinding{prose::AdviceKind::kBefore,
-                                          "call(* Motor.*(..))", "onEntry", 0}};
-    return pkg;
-}
-
-std::shared_ptr<db::JournalStorage> fleet_journal(std::int64_t fleet) {
-    crypto::KeyStore keys;
-    keys.add_key("hall", to_bytes("hk"));
-    auto disk = std::make_shared<db::JournalStorage>();
-    db::Journal journal(disk);
-    journal.append(midas::BaseDurableState::rec_epoch(1));
-    for (int p = 0; p < 3; ++p) {
-        midas::ExtensionPackage pkg = hall_policy(p);
-        journal.append(
-            midas::BaseDurableState::rec_policy_add(pkg.name, 1, pkg.seal(keys, "hall")));
-    }
-    for (std::int64_t n = 0; n < fleet; ++n) {
-        const std::string label = "fleet" + std::to_string(n);
-        journal.append(midas::BaseDurableState::rec_adapt(
-            static_cast<std::uint64_t>(1000 + n), label, SimTime{n * 1'000'000}));
-        for (int p = 0; p < 3; ++p) {
-            journal.append(midas::BaseDurableState::rec_install(
-                static_cast<std::uint64_t>(1000 + n), label, "hall/policy" + std::to_string(p),
-                static_cast<std::uint64_t>(n * 3 + p + 1)));
-        }
-    }
-    return disk;
-}
-
-void BM_CatchupBytesPerRestartedNode(benchmark::State& state) {
-    for (auto _ : state) {
-        state.PauseTiming();
-        auto disk = fleet_journal(state.range(0));
-        state.ResumeTiming();
-
-        sim::Simulator sim;
-        net::Network net(sim, net::NetworkConfig{}, 29);
-        midas::BaseConfig bc;
-        bc.issuer = "hall";
-        midas::BaseStation hub(net, "hall", net::Position{0, 0}, 120.0, bc, {}, disk);
-        hub.keys().add_key("hall", to_bytes("hk"));
-        midas::MobileNode robot(net, "fresh", net::Position{10, 0}, 120.0);
-        robot.trust().trust("hall", to_bytes("hk"));
-        robot.enable_catchup();
-        for (int i = 0; i < 100 && robot.catchup()->stats().completed == 0; ++i) {
-            sim.run_for(milliseconds(100));
-        }
-        benchmark::DoNotOptimize(robot.catchup()->stats().bytes);
-
-        state.counters["catchup_bytes"] =
-            static_cast<double>(robot.catchup()->stats().bytes);
-        state.counters["journal_bytes"] =
-            static_cast<double>(disk->snapshot.size() + disk->wal.size());
-    }
-}
-BENCHMARK(BM_CatchupBytesPerRestartedNode)->Arg(1'000)->Arg(10'000)
-    ->Unit(benchmark::kMillisecond);
-
-// The 10^5 / 10^6 points, modeled: the catch-up image never references the
-// book, so its size is the measured constant; the base's durable state is
-// extrapolated from the measured per-entry snapshot cost.
+// Recovery state at fleet scale (docs/storage.md): the base's durable state
+// grows linearly with its adapted-node book. The 10^5 / 10^6 points are
+// modeled from the measured per-entry snapshot cost, so `journal_bytes_model`
+// shows the bytes a restarted base replays at that fleet size.
 
 void BM_RecoveryTrafficModel(benchmark::State& state) {
     // Per-entry snapshot cost from two small fleets (slope of the line).
@@ -325,19 +256,10 @@ void BM_RecoveryTrafficModel(benchmark::State& state) {
     const double base = snapshot_bytes(1'000);
     const double slope = (snapshot_bytes(2'000) - base) / 1'000.0;
 
-    crypto::KeyStore keys;
-    keys.add_key("hall", to_bytes("hk"));
-    double image = 0;
-    for (int p = 0; p < 3; ++p) {
-        midas::ExtensionPackage pkg = hall_policy(p);
-        image += static_cast<double>(pkg.seal(keys, "hall").size());
-    }
-
     for (auto _ : state) {
         benchmark::DoNotOptimize(slope);
     }
     const double fleet = static_cast<double>(state.range(0));
-    state.counters["catchup_bytes_model"] = image;  // flat in fleet size
     state.counters["journal_bytes_model"] = base + slope * (fleet - 1'000.0);
 }
 BENCHMARK(BM_RecoveryTrafficModel)->Arg(100'000)->Arg(1'000'000);

@@ -74,9 +74,6 @@ ExtensionBase::ExtensionBase(rt::RpcEndpoint& rpc, disco::Registrar& registrar,
         compact_journal();
     }
     local_.set_terms(epoch_, config_.extension_lease.count() / 1'000'000);
-    build_catchup_object();
-    registrar_.register_permanent("midas.catchup",
-                                  Dict{{"issuer", Value{config_.issuer}}});
     watch_token_ = registrar_.watch_local(
         "midas.adaptation",
         [this](const disco::ServiceItem& item, bool appeared) { on_service(item, appeared); });
@@ -198,7 +195,6 @@ void ExtensionBase::add_extension(ExtensionPackage pkg) {
     }
     policy_[pkg.name] = std::move(policy);
     rerank();
-    catchup_dirty_ = true;
     record("policy-add", "", pkg.name);
     // Journal after the mutation: a threshold-triggered compaction inside
     // journal() snapshots live state, which must already include this add.
@@ -246,7 +242,6 @@ void ExtensionBase::remove_extension(const std::string& name) {
     if (it == policy_.end()) return;
     policy_.erase(it);
     rerank();
-    catchup_dirty_ = true;
     record("policy-remove", "", name);
     journal(BaseDurableState::rec_policy_remove(name));
 
@@ -793,103 +788,6 @@ void ExtensionBase::retire(std::map<NodeId, AdaptedNode>::iterator it, const cha
              why);
     adapted_.erase(it);
     journal(BaseDurableState::rec_node_gone(label));
-}
-
-// ------------------------------------------------ streaming catch-up -------
-
-void ExtensionBase::build_catchup_object() {
-    using rt::TypeKind;
-    auto& runtime = rpc_.runtime();
-    if (!runtime.find_type("MidasCatchup")) {
-        auto type =
-            rt::TypeInfo::Builder("MidasCatchup")
-                .method("manifest", TypeKind::kDict, {},
-                        [this](rt::ServiceObject&, List&) -> Value {
-                            return catchup_manifest();
-                        })
-                .method("chunk", TypeKind::kDict,
-                        {{"chain", TypeKind::kInt}, {"index", TypeKind::kInt}},
-                        [this](rt::ServiceObject&, List& args) -> Value {
-                            return catchup_chunk(
-                                static_cast<std::uint64_t>(args[0].as_int()),
-                                args[1].as_int());
-                        })
-                .build();
-        runtime.register_type(type);
-    }
-    catchup_object_ = runtime.create("MidasCatchup", "midas.catchup");
-    rpc_.export_object("midas.catchup");
-}
-
-void ExtensionBase::refresh_catchup_image() {
-    if (!catchup_dirty_) return;
-    catchup_dirty_ = false;
-    ++catchup_stats_.rebuilds;
-    // The image carries the base's durable *policy* state only: epoch,
-    // lease terms, and the sealed packages. Deliberately no book and no
-    // hall events — those are per-fleet, and shipping them would make
-    // catch-up bytes grow with federation size instead of staying flat.
-    List policies;
-    for (const auto& [name, policy] : policy_) {
-        policies.push_back(Value{Dict{{"name", Value{name}},
-                                      {"sealed", Value{policy.sealed}}}});
-    }
-    Dict image{{"epoch", Value{static_cast<std::int64_t>(epoch_)}},
-               {"lease_ms", Value{config_.extension_lease.count() / 1'000'000}},
-               {"base", Value{static_cast<std::int64_t>(rpc_.router().self().value)}},
-               {"policies", Value{std::move(policies)}}};
-    catchup_image_ = Value{std::move(image)}.encode();
-    catchup_crc_ = db::crc32(std::span<const std::uint8_t>(catchup_image_));
-    // The chain id must change on every rebuild AND differ across lives
-    // (a reader that cached chain N before our restart must not resume
-    // against a same-numbered but different image). Epoch is the life.
-    ++catchup_chain_;
-    if (catchup_chain_ / 1'000'000 != epoch_) catchup_chain_ = epoch_ * 1'000'000 + 1;
-}
-
-rt::Value ExtensionBase::catchup_manifest() {
-    refresh_catchup_image();
-    ++catchup_stats_.manifests;
-    std::size_t chunk_bytes = config_.catchup_chunk_bytes == 0
-                                  ? catchup_image_.size()
-                                  : config_.catchup_chunk_bytes;
-    if (chunk_bytes == 0) chunk_bytes = 1;
-    std::size_t chunks = (catchup_image_.size() + chunk_bytes - 1) / chunk_bytes;
-    return Value{Dict{
-        {"chain", Value{static_cast<std::int64_t>(catchup_chain_)}},
-        {"epoch", Value{static_cast<std::int64_t>(epoch_)}},
-        {"lease_ms", Value{config_.extension_lease.count() / 1'000'000}},
-        {"base", Value{static_cast<std::int64_t>(rpc_.router().self().value)}},
-        {"total", Value{static_cast<std::int64_t>(catchup_image_.size())}},
-        {"crc", Value{static_cast<std::int64_t>(catchup_crc_)}},
-        {"chunks", Value{static_cast<std::int64_t>(chunks)}},
-        {"chunk_bytes", Value{static_cast<std::int64_t>(chunk_bytes)}}}};
-}
-
-rt::Value ExtensionBase::catchup_chunk(std::uint64_t chain, std::int64_t index) {
-    refresh_catchup_image();
-    if (chain != catchup_chain_ || index < 0) {
-        // The image moved on (policy change or our restart) since the
-        // reader's manifest: tell it to refetch and restart on the new
-        // chain rather than serve bytes that cannot CRC-verify.
-        ++catchup_stats_.stale;
-        return Value{Dict{{"stale", Value{true}}}};
-    }
-    std::size_t chunk_bytes = config_.catchup_chunk_bytes == 0
-                                  ? catchup_image_.size()
-                                  : config_.catchup_chunk_bytes;
-    if (chunk_bytes == 0) chunk_bytes = 1;
-    std::size_t start = static_cast<std::size_t>(index) * chunk_bytes;
-    if (start >= catchup_image_.size() && !(start == 0 && catchup_image_.empty())) {
-        ++catchup_stats_.stale;
-        return Value{Dict{{"stale", Value{true}}}};
-    }
-    std::size_t len = std::min(chunk_bytes, catchup_image_.size() - start);
-    Bytes data(catchup_image_.begin() + static_cast<std::ptrdiff_t>(start),
-               catchup_image_.begin() + static_cast<std::ptrdiff_t>(start + len));
-    ++catchup_stats_.chunks;
-    catchup_stats_.bytes_served += len;
-    return Value{Dict{{"data", Value{std::move(data)}}}};
 }
 
 }  // namespace pmp::midas

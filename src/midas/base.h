@@ -37,11 +37,6 @@ struct BaseConfig {
     /// Group-commit / chunked-snapshot knobs applied to the base's journal
     /// (docs/storage.md). All-zero commits every record on its own.
     db::JournalConfig journal;
-    /// Chunk size for the streaming catch-up image served under the
-    /// "midas.catchup" object (docs/recovery.md). The image is policy-only
-    /// — its size tracks the policy set, not the fleet — so catch-up bytes
-    /// per restarted node stay flat as the federation grows.
-    std::size_t catchup_chunk_bytes = 4096;
     /// Caller-side circuit breaker over the install / keep-alive paths:
     /// after `breaker.threshold` consecutive Overloaded-or-timeout failures
     /// toward one node, traffic to it is short-circuited for a doubling
@@ -86,11 +81,12 @@ public:
 
     /// Stage a new version of an existing policy extension through cohort
     /// rollout instead of pushing it fleet-wide (docs/rollout.md). The
-    /// incumbent stays pinned in the policy set (and the catch-up image)
-    /// until the final stage confirms; a health-gate breach rolls every
-    /// upgraded node back automatically. Returns the (auto-bumped) canary
-    /// version. Throws Error if `pkg.name` has no incumbent policy, and
-    /// RolloutInFlight if a rollout of that name is already active —
+    /// incumbent stays pinned in the policy set until the final stage
+    /// confirms, so a node outside the cohort is pushed the incumbent; a
+    /// health-gate breach rolls every upgraded node back automatically.
+    /// Returns the (auto-bumped) canary version. Throws Error if
+    /// `pkg.name` has no incumbent policy, and RolloutInFlight if a
+    /// rollout of that name is already active —
     /// add_extension is rejected the same way while one is in flight.
     std::uint32_t begin_rollout(ExtensionPackage pkg);
 
@@ -183,27 +179,6 @@ public:
     /// Claim stamp (adaptation time) of a held node, or nullopt.
     std::optional<SimTime> claim_stamp_of(const std::string& label) const;
 
-    /// Streaming catch-up server (docs/recovery.md). The base exports a
-    /// "midas.catchup" object serving its durable policy image in bounded
-    /// CRC-summed chunks:
-    ///   manifest() -> {chain, epoch, lease_ms, base, total, crc,
-    ///                  chunks, chunk_bytes}
-    ///   chunk(chain, index) -> {data} | {stale: true}
-    /// The image is rebuilt lazily whenever the policy set changes (the
-    /// chain id bumps, so a reader mid-stream detects staleness and
-    /// restarts on the new chain; a partition mid-stream resumes on the
-    /// same chain from its cursor).
-    struct CatchupStats {
-        std::uint64_t manifests = 0;    ///< manifest requests served
-        std::uint64_t chunks = 0;       ///< chunk requests served
-        std::uint64_t stale = 0;        ///< chunk requests for a retired chain
-        std::uint64_t bytes_served = 0; ///< chunk payload bytes shipped
-        std::uint64_t rebuilds = 0;     ///< image (re)encodings
-    };
-    const CatchupStats& catchup_stats() const { return catchup_stats_; }
-    /// Current chain id (bumps on every policy change); tests.
-    std::uint64_t catchup_chain() const { return catchup_chain_; }
-
 private:
     friend class RolloutController;
 
@@ -288,11 +263,6 @@ private:
     void journal(const rt::Value& rec);
     /// Serialize live state and compact the journal.
     void compact_journal();
-    /// Catch-up server internals.
-    void build_catchup_object();
-    void refresh_catchup_image();  ///< re-encode if a policy change dirtied it
-    rt::Value catchup_manifest();
-    rt::Value catchup_chunk(std::uint64_t chain, std::int64_t index);
 
     rt::RpcEndpoint& rpc_;
     disco::Registrar& registrar_;
@@ -316,15 +286,6 @@ private:
     std::uint64_t watch_token_ = 0;
     sim::TimerId keepalive_timer_;
     std::function<void(const AdaptedNode&)> on_adapt_;
-
-    // Catch-up image: the encoded policy-only state, chunk-sliced on
-    // demand. Dirty until the first manifest request after a policy change.
-    Bytes catchup_image_;
-    std::uint64_t catchup_chain_ = 0;
-    std::uint32_t catchup_crc_ = 0;
-    bool catchup_dirty_ = true;
-    CatchupStats catchup_stats_;
-    std::shared_ptr<rt::ServiceObject> catchup_object_;
     obs::Source obs_source_;  // last: unregisters before the state it reads
 };
 

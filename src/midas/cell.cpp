@@ -25,16 +25,6 @@ constexpr std::size_t kMaxRetained = 4096;
 constexpr Duration kCallTimeout = milliseconds(700);
 /// Cap on the exponential round-skip backoff for failing installs.
 constexpr int kMaxBackoffRounds = 16;
-/// Catch-up proxy (docs/recovery.md): how long a cached manifest stays fresh
-/// before the next reader triggers an upstream refetch, and the retry hint
-/// handed to readers while a chunk is still being fetched from the base.
-/// The relay answers catch-up reads from its cache so a whole cell
-/// restarting after a power cut costs the backhaul one image fetch, not one
-/// per node.
-constexpr Duration kCatchupManifestTtl = seconds(2);
-constexpr Duration kCatchupRetry = milliseconds(150);
-/// Timeout for the relay's upstream catch-up fetches.
-constexpr Duration kCatchupTimeout = seconds(1);
 
 int classify(std::exception_ptr error, bool transport) {
     try {
@@ -261,14 +251,6 @@ CellRelay::CellRelay(rt::RpcEndpoint& rpc, disco::Registrar* local_registrar,
           rows.counter("midas.cell.resyncs", config_.cell, stats_.resyncs);
       })) {
     build_service_object();
-    build_catchup_proxy();
-    if (local_registrar_) {
-        // Advertise the catch-up proxy in the cell's own discovery scope:
-        // a member restarting after a power cut finds its image source
-        // one radio hop away, not across the backhaul.
-        local_registrar_->register_permanent("midas.catchup",
-                                             Dict{{"cell", Value{config_.cell}}});
-    }
     if (local_registrar_) {
         // The relay, not the far-away base, watches the cell's registrar:
         // newcomers surface to the base as join records in batch replies.
@@ -314,9 +296,6 @@ void CellRelay::push_status(std::uint64_t node, const std::string& name, int cod
 Value CellRelay::do_batch(const Value& frame_v) {
     const Dict& frame = frame_v.as_dict();
     ++stats_.frames;
-    // The frame sender IS the base: remember its address for the catch-up
-    // proxy's upstream fetches (no static configuration anywhere).
-    base_node_ = rpc_.current_caller();
     std::uint64_t seq = static_cast<std::uint64_t>(frame.at("seq").as_int());
     std::uint64_t base = static_cast<std::uint64_t>(frame.at("base").as_int());
     std::uint64_t ack = static_cast<std::uint64_t>(frame.at("ack").as_int());
@@ -429,124 +408,6 @@ Value CellRelay::do_batch(const Value& frame_v) {
                {"statuses", Value{std::move(statuses)}},
                {"joins", Value{std::move(joins)}}};
     return Value{std::move(reply)};
-}
-
-// ------------------------------------------------ catch-up proxy -----------
-
-void CellRelay::build_catchup_proxy() {
-    using rt::TypeKind;
-    auto& runtime = rpc_.runtime();
-    if (!runtime.find_type("CellCatchup")) {
-        auto type =
-            rt::TypeInfo::Builder("CellCatchup")
-                .method("manifest", TypeKind::kDict, {},
-                        [this](rt::ServiceObject&, List&) -> Value {
-                            return proxy_manifest();
-                        })
-                .method("chunk", TypeKind::kDict,
-                        {{"chain", TypeKind::kInt}, {"index", TypeKind::kInt}},
-                        [this](rt::ServiceObject&, List& args) -> Value {
-                            return proxy_chunk(
-                                static_cast<std::uint64_t>(args[0].as_int()),
-                                args[1].as_int());
-                        })
-                .build();
-        runtime.register_type(type);
-    }
-    catchup_object_ = runtime.create("CellCatchup", "midas.catchup");
-    rpc_.export_object("midas.catchup");
-}
-
-Value CellRelay::not_ready() const {
-    return Value{Dict{
-        {"retry_ms", Value{kCatchupRetry.count() / 1'000'000}}}};
-}
-
-void CellRelay::fetch_manifest_upstream() {
-    if (manifest_fetching_ || base_node_.value == 0) return;
-    manifest_fetching_ = true;
-    ++stats_.catchup_upstream;
-    rpc_.call_async(
-        base_node_, "midas.catchup", "manifest", {},
-        rt::CallOptions{.timeout = kCatchupTimeout},
-        [this, guard = std::weak_ptr<char>(token_)](Value result,
-                                                    std::exception_ptr error, bool) {
-            if (guard.expired()) return;
-            manifest_fetching_ = false;
-            if (error) return;  // readers keep polling; the next one re-kicks
-            const Dict& m = result.as_dict();
-            std::uint64_t chain = static_cast<std::uint64_t>(m.at("chain").as_int());
-            if (chain != cached_chain_) {
-                // New image: yesterday's chunks can never CRC-verify into
-                // it, so the cache restarts empty for the new chain.
-                chunk_cache_.clear();
-                chunk_fetching_.clear();
-                cached_chain_ = chain;
-            }
-            manifest_cache_ = std::move(result);
-            manifest_fresh_until_ =
-                rpc_.router().simulator().now() + kCatchupManifestTtl;
-        });
-}
-
-void CellRelay::fetch_chunk_upstream(std::uint64_t chain, std::int64_t index) {
-    if (base_node_.value == 0 || !chunk_fetching_.insert(index).second) return;
-    ++stats_.catchup_upstream;
-    rpc_.call_async(
-        base_node_, "midas.catchup", "chunk",
-        {Value{static_cast<std::int64_t>(chain)}, Value{index}},
-        rt::CallOptions{.timeout = kCatchupTimeout},
-        [this, chain, index, guard = std::weak_ptr<char>(token_)](
-            Value result, std::exception_ptr error, bool) {
-            if (guard.expired()) return;
-            chunk_fetching_.erase(index);
-            if (error) return;
-            const Dict& r = result.as_dict();
-            if (const Value* stale = r.find("stale"); stale && stale->as_bool()) {
-                // The base moved to a new chain under us: our manifest is
-                // a lie now. Expire it so the next reader refetches.
-                manifest_fresh_until_ = SimTime{};
-                fetch_manifest_upstream();
-                return;
-            }
-            if (const Value* data = r.find("data"); data && chain == cached_chain_) {
-                chunk_cache_[index] = data->as_blob();
-            }
-        });
-}
-
-Value CellRelay::proxy_manifest() {
-    SimTime now = rpc_.router().simulator().now();
-    if (manifest_cache_.is_dict() && now < manifest_fresh_until_) {
-        ++stats_.catchup_hits;
-        return manifest_cache_;
-    }
-    ++stats_.catchup_waits;
-    fetch_manifest_upstream();
-    return not_ready();
-}
-
-Value CellRelay::proxy_chunk(std::uint64_t chain, std::int64_t index) {
-    if (chain == cached_chain_ && index >= 0) {
-        if (auto it = chunk_cache_.find(index); it != chunk_cache_.end()) {
-            ++stats_.catchup_hits;
-            return Value{Dict{{"data", Value{it->second}}}};
-        }
-    }
-    if (cached_chain_ != 0 && chain < cached_chain_) {
-        // Reader is on a retired chain; make it restart on the current one.
-        return Value{Dict{{"stale", Value{true}}}};
-    }
-    ++stats_.catchup_waits;
-    if (chain > cached_chain_) {
-        // Reader knows a newer image than we cached (it talked to the base
-        // directly, or our manifest is old): catch our manifest up first.
-        manifest_fresh_until_ = SimTime{};
-        fetch_manifest_upstream();
-    } else {
-        fetch_chunk_upstream(chain, index);
-    }
-    return not_ready();
 }
 
 }  // namespace pmp::midas

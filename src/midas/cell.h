@@ -222,9 +222,6 @@ public:
         std::uint64_t frames = 0;        ///< batch frames processed
         std::uint64_t resyncs = 0;       ///< frames refused on seq mismatch
         std::uint64_t fanout_calls = 0;  ///< local install/keepalive RPCs
-        std::uint64_t catchup_hits = 0;      ///< catch-up reads served from cache
-        std::uint64_t catchup_waits = 0;     ///< reads answered "retry" while fetching
-        std::uint64_t catchup_upstream = 0;  ///< upstream manifest/chunk fetches
     };
     const Stats& stats() const { return stats_; }
 
@@ -247,16 +244,6 @@ private:
     void push_status(std::uint64_t node, const std::string& name, int code,
                      std::uint64_t ext = 0);
 
-    /// Catch-up proxy: cache-or-fetch replies for the cell's readers. A
-    /// miss kicks exactly one upstream fetch per key and answers with a
-    /// retry hint; the reader polls back and hits the cache.
-    void build_catchup_proxy();
-    rt::Value proxy_manifest();
-    rt::Value proxy_chunk(std::uint64_t chain, std::int64_t index);
-    rt::Value not_ready() const;
-    void fetch_manifest_upstream();
-    void fetch_chunk_upstream(std::uint64_t chain, std::int64_t index);
-
     rt::RpcEndpoint& rpc_;
     disco::Registrar* local_registrar_;
     CellRelayConfig config_;
@@ -273,19 +260,6 @@ private:
     Stats stats_;
     std::uint64_t watch_token_ = 0;
     std::shared_ptr<rt::ServiceObject> self_object_;
-
-    // Catch-up proxy state. The base's address is learned from the first
-    // accepted batch frame (the relay never configures it statically).
-    NodeId base_node_{};
-    rt::Value manifest_cache_;            ///< last upstream manifest dict
-    SimTime manifest_fresh_until_{};      ///< TTL stamp for manifest_cache_
-    bool manifest_fetching_ = false;
-    std::uint64_t cached_chain_ = 0;      ///< chain the chunk cache belongs to
-    std::map<std::int64_t, Bytes> chunk_cache_;   ///< index -> payload
-    std::set<std::int64_t> chunk_fetching_;       ///< upstream fetch in flight
-    std::shared_ptr<rt::ServiceObject> catchup_object_;
-    // Liveness token for in-flight upstream fetches (see disco::LeasedResource).
-    std::shared_ptr<char> token_ = std::make_shared<char>('\0');
     obs::Source obs_source_;  // last: unregisters before the stats it reads
 };
 

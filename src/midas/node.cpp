@@ -17,7 +17,6 @@ NodeStack::NodeStack(net::Network& network, const std::string& label, net::Posit
     rpc_->exempt_from_filters("registrar");
     rpc_->exempt_from_filters("disco.listener:");
     rpc_->exempt_from_filters("midas.cell");
-    rpc_->exempt_from_filters("midas.catchup");
     weaver_ = std::make_unique<prose::Weaver>(*runtime_);
     discovery_ = std::make_unique<disco::DiscoveryClient>(*router_, *rpc_, disco_config);
 }
@@ -34,11 +33,6 @@ MobileNode::MobileNode(net::Network& network, const std::string& label, net::Pos
     }
     receiver_ = std::make_unique<AdaptationService>(rpc(), weaver(), trust_, discovery(),
                                                     std::move(receiver_config), journal_);
-}
-
-void MobileNode::enable_catchup(CatchupConfig config) {
-    if (catchup_) return;
-    catchup_ = std::make_unique<CatchupClient>(rpc(), *receiver_, discovery(), config);
 }
 
 BaseStation::BaseStation(net::Network& network, const std::string& label, net::Position pos,

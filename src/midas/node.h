@@ -13,7 +13,6 @@
 #pragma once
 
 #include "midas/base.h"
-#include "midas/catchup.h"
 #include "midas/cell.h"
 #include "midas/collector.h"
 #include "midas/receiver.h"
@@ -76,18 +75,10 @@ public:
     /// The receiver's journal (null when constructed without storage).
     const std::shared_ptr<db::Journal>& journal() const { return journal_; }
 
-    /// Opt into streaming catch-up (midas/catchup.h): on every registrar
-    /// appearance the node looks for a "midas.catchup" provider and streams
-    /// the base's durable policy image in bounded, resumable chunks.
-    void enable_catchup(CatchupConfig config = {});
-    /// The catch-up client, or null until enable_catchup().
-    CatchupClient* catchup() { return catchup_.get(); }
-
 private:
     crypto::TrustStore trust_;
     std::shared_ptr<db::Journal> journal_;
     std::unique_ptr<AdaptationService> receiver_;
-    std::unique_ptr<CatchupClient> catchup_;
 };
 
 /// A base station: the proactive environment of one physical space.

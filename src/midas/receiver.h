@@ -144,14 +144,6 @@ public:
     rt::Value install_from(NodeId origin, const Bytes& sealed, std::int64_t lease_ms) {
         return do_install(origin, sealed, lease_ms, /*epoch=*/0);
     }
-    /// Epoch-carrying variant for transports that relay a base's durable
-    /// state (the streaming catch-up client): the lease binds to the
-    /// base's life, so the base's own keep-alives — same epoch — renew it
-    /// instead of tearing it down as stale.
-    rt::Value install_from(NodeId origin, const Bytes& sealed, std::int64_t lease_ms,
-                           std::uint64_t epoch) {
-        return do_install(origin, sealed, lease_ms, epoch);
-    }
     bool keepalive_local(std::uint64_t ext, std::int64_t lease_ms) {
         return do_keepalive(ext, lease_ms, /*epoch=*/0).has_value();
     }

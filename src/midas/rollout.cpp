@@ -526,11 +526,9 @@ void RolloutController::complete(Rollout& r) {
                          std::to_string(r.pkg.version));
     ++stats_.completions;
 
-    // The canary graduates: it becomes the policy (and with it the catch-up
-    // image, which served the pinned incumbent the whole rollout).
+    // The canary graduates: it becomes the policy.
     base_.policy_[r.name] = ExtensionBase::Policy{r.pkg, r.sealed, r.hash, 0};
     base_.rerank();
-    base_.catchup_dirty_ = true;
     base_.record("rollout-complete", "", r.name);
     // Journal order matters: the policy-add makes the canary the durable
     // incumbent, the rollout-complete closes the rollout — replaying a

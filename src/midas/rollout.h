@@ -16,11 +16,12 @@
 // incumbent.
 //
 // A breached gate rolls the fleet back automatically: the base kept the
-// incumbent pinned in its policy set (the catch-up image therefore served
-// the incumbent the whole time), so rollback is re-pushing the name —
-// the node's lease roster installs the incumbent, which the receiver
-// accepts as a replacement — plus a scoped unquarantine so a node that
-// once quarantined the incumbent's exact version takes it back. Every decision (begin / stage / abort /
+// incumbent pinned in its policy set (every node outside the cohort,
+// late joiners included, is pushed the incumbent the whole time), so
+// rollback is re-pushing the name — the node's lease roster installs the
+// incumbent, which the receiver accepts as a replacement — plus a scoped
+// unquarantine so a node that once quarantined the incumbent's exact
+// version takes it back. Every decision (begin / stage / abort /
 // complete) is journaled, so a restarted base resumes a half-finished
 // rollout at the journaled stage rather than restarting at 0% or
 // completing it blindly.

@@ -402,10 +402,6 @@ net::AdmitClass RpcEndpoint::classify(const std::string& object,
     // whole signed packages and a compile+weave, so they rank below the
     // keep-alives that hold existing leases up.
     if (object == "adaptation" && method == "install") return net::AdmitClass::kInstall;
-    // Catch-up streams ship whole policy images: recovery work, same rank
-    // as installs — a restart storm must not crowd out the keep-alives
-    // holding healthy nodes' leases up.
-    if (object == "midas.catchup") return net::AdmitClass::kInstall;
     if (is_exempt(object)) return net::AdmitClass::kControl;
     return net::AdmitClass::kApp;
 }

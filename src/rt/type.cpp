@@ -3,25 +3,12 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "obs/metrics.h"
 #include "rt/epoch.h"
 #include "rt/object.h"
 
 namespace pmp::rt {
 
 namespace {
-// Join-point hit counters on the dispatch hot path. Resolved once; the
-// references stay valid for the process lifetime (pinned registry slots).
-struct DispatchMetrics {
-    obs::Counter& unwoven = obs::Registry::global().counter("rt.dispatch.unwoven");
-    obs::Counter& advised = obs::Registry::global().counter("rt.dispatch.advised");
-};
-
-DispatchMetrics& dispatch_metrics() {
-    static DispatchMetrics m;
-    return m;
-}
-
 /// Position of `name` in `names`; SIZE_MAX if absent.
 std::size_t index_of(const std::vector<std::string>& names, std::string_view name) {
     for (std::size_t i = 0; i < names.size(); ++i) {
@@ -127,13 +114,9 @@ Value Method::invoke(ServiceObject& self, List args) {
     validate(args);
     // The minimal hook. When the method carries no advice this is the whole
     // cost of carrying the adaptation platform: one well-predicted load +
-    // branch (plus one more branch for the join-point counter).
+    // branch.
     const AdviceTables* tables = advice_.load(std::memory_order_acquire);
-    if (tables == nullptr) [[likely]] {
-        dispatch_metrics().unwoven.inc();
-        return handler_(self, args);
-    }
-    dispatch_metrics().advised.inc();
+    if (tables == nullptr) [[likely]] return handler_(self, args);
     // Woven slow path: pin reclamation (no-op on epoch-covered worker
     // threads), then re-load — the snapshot read *under* the guard is one
     // whose retirement cannot have been reaped yet.

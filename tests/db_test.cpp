@@ -122,9 +122,9 @@ TEST(ReplayCursor, EmptyIsDone) {
 }
 
 // ----------------------------------------------------------------- crc32 ----
-// The journal frames and the catch-up image are checksummed with the
-// sliced CRC-32; it must agree with the classic byte-at-a-time loop on
-// every length and at every alignment of the input.
+// The journal frames are checksummed with the sliced CRC-32; it must agree
+// with the classic byte-at-a-time loop on every length and at every
+// alignment of the input.
 
 std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t n) {
     static const std::array<std::uint32_t, 256> table = [] {

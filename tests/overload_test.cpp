@@ -596,7 +596,7 @@ TEST(StormScale, HundredThousandNodeReinstallStormDrainsThroughTheGate) {
     // 10^5 virtual re-installers, ramped over 2s. Each is an honest
     // client: on shed it waits out max(hint, own backoff) plus
     // deterministic per-node jitter, doubling its backoff up to 4s — the
-    // same shape CatchupClient and the rpc retry machinery use.
+    // same shape the rpc retry machinery uses.
     struct Storm {
         sim::Simulator& sim;
         net::AdmissionQueue& gate;

@@ -1,11 +1,14 @@
 // Crash–restart robustness: the journal (WAL + snapshot, corruption
 // tolerance), epoch-based base recovery, the receiver's quarantine, named
-// crash-points driven through the Supervisor, and federation claims
-// resolving a hand-off that raced a base restart. See docs/recovery.md.
+// crash-points driven through the Supervisor, federation claims resolving
+// a hand-off that raced a base restart, and a correlated restart storm
+// recovered by the base's push alone. See docs/recovery.md.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <map>
+#include <tuple>
 
 #include "common/rng.h"
 #include "db/journal.h"
@@ -1281,6 +1284,204 @@ TEST(FederationRecovery, UnclaimedNodesAreConfirmedAndReadopted) {
     }));
     EXPECT_EQ(w.hall_a->base().adapted_count(), 1u);
     EXPECT_EQ(w.hall_b->base().adapted_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Correlated restart storm: the push path is the only road back.
+
+std::uint64_t chaos_seed_base() {
+    // CI sweeps disjoint seed ranges by exporting PMP_CHAOS_SEED_BASE.
+    if (const char* env = std::getenv("PMP_CHAOS_SEED_BASE")) {
+        return std::strtoull(env, nullptr, 10);
+    }
+    return 1;
+}
+
+/// A durable, supervised hub (group commit + chunked snapshots on its
+/// journal) and four robots in range. robot0 never crashes — the healthy
+/// control. robots 1..3 are supervised and all lose power at the same
+/// instant, restarting together as fresh, memory-less devices: nothing
+/// brings their policies back but the hub's lease roster pushing them
+/// again. The hub itself power-cycles earlier (epoch 1 -> 2, so every
+/// surviving lease is re-installed under the new life), and a partition
+/// blacks out the control while the storm recovers. Loss, duplication and
+/// reordering run throughout.
+struct RestartStormWorld {
+    sim::Simulator sim;
+    net::Network net;
+    Supervisor sup;
+    std::shared_ptr<db::JournalStorage> disk_hub;
+    std::unique_ptr<BaseStation> hub;
+    std::vector<std::unique_ptr<MobileNode>> robots;
+
+    explicit RestartStormWorld(std::uint64_t seed)
+        : net(sim, net::NetworkConfig{}, seed),
+          sup(net),
+          disk_hub(std::make_shared<db::JournalStorage>()) {
+        disk_hub->name = "hub";
+        robots.resize(4);
+
+        sup.manage("hub", Supervisor::Lifecycle{
+                              [this]() {
+                                  BaseConfig bc;
+                                  bc.issuer = "hub";
+                                  bc.extension_lease = seconds(4);
+                                  bc.max_keepalive_failures = 4;
+                                  bc.journal = db::JournalConfig{
+                                      .batch_bytes = 1024,
+                                      .batch_ms = milliseconds(20),
+                                      .snapshot_chunk_bytes = 256};
+                                  hub = std::make_unique<BaseStation>(
+                                      net, "hub", net::Position{0, 0}, 120.0, bc,
+                                      disco::RegistrarConfig{}, disk_hub);
+                                  hub->keys().add_key("hub", to_bytes("hk"));
+                              },
+                              [this]() { return hub->id(); },
+                              [this]() {
+                                  if (hub && hub->journal()) hub->journal()->power_off();
+                              },
+                              [this]() { hub.reset(); },
+                          });
+
+        auto make_robot = [this](int i) {
+            auto robot = std::make_unique<MobileNode>(
+                net, "robot" + std::to_string(i), net::Position{10.0 + 10 * i, 10},
+                120.0);
+            robot->trust().trust("hub", to_bytes("hk"));
+            return robot;
+        };
+        robots[0] = make_robot(0);
+        for (int i = 1; i <= 3; ++i) {
+            sup.manage("robot" + std::to_string(i),
+                       Supervisor::Lifecycle{
+                           [this, make_robot, i]() { robots[i] = make_robot(i); },
+                           [this, i]() { return robots[i]->id(); },
+                           []() {},
+                           [this, i]() { robots[i].reset(); },
+                       });
+        }
+
+        hub->base().add_extension(noop_pkg("hub/p0"));
+        hub->base().add_extension(noop_pkg("hub/p1"));
+
+        net::FaultPlan plan;
+        plan.loss = 0.03;
+        plan.delay_jitter = milliseconds(5);
+        plan.duplicate = 0.05;
+        plan.reorder = 0.05;
+        // A blackout of the healthy control while the storm recovers: its
+        // lease must ride out the blip untouched. (Supervised nodes change
+        // ids on restart, so only robot0's id is stable enough to target.)
+        plan.partitions.push_back(net::PartitionWindow{
+            SimTime::zero() + seconds(10), SimTime::zero() + milliseconds(11200),
+            {robots[0]->id()},
+            {}});
+        net.set_fault_plan(plan, seed * 1000003ULL + 17);
+
+        // The hub dies first (epoch bump); then the storm — all three
+        // supervised robots lose power in the same instant and come back
+        // together.
+        net::CrashPlan crashes;
+        crashes.events.push_back(
+            net::CrashEvent{"hub", SimTime::zero() + seconds(5), milliseconds(1500)});
+        for (int i = 1; i <= 3; ++i) {
+            crashes.events.push_back(net::CrashEvent{"robot" + std::to_string(i),
+                                                     SimTime::zero() + seconds(9),
+                                                     milliseconds(1500)});
+        }
+        sup.apply(crashes, seed * 7919ULL + 3);
+    }
+
+    bool run_until(const std::function<bool()>& pred, Duration timeout = seconds(60)) {
+        SimTime deadline = sim.now() + timeout;
+        while (sim.now() < deadline) {
+            if (pred()) return true;
+            sim.run_until(sim.now() + milliseconds(100));
+        }
+        return pred();
+    }
+
+    /// Every robot holds exactly the hub's two policies.
+    bool converged() {
+        for (auto& r : robots) {
+            if (!r || r->receiver().installed_count() != 2) return false;
+            for (const auto& ext : r->receiver().installed()) {
+                if (ext.issuer != "hub") return false;
+            }
+        }
+        return true;
+    }
+};
+
+TEST(RestartStorm, CorrelatedPowerCutConvergesThroughThePushPathAcrossSeeds) {
+    const std::uint64_t base = chaos_seed_base();
+    for (std::uint64_t seed = base; seed < base + 20; ++seed) {
+        RestartStormWorld w(seed);
+        ASSERT_TRUE(w.run_until([&] { return w.converged(); })) << "seed " << seed;
+
+        // Ride out the hub crash, the correlated robot storm and the
+        // partition, then the fleet must re-converge and hold.
+        w.sim.run_until(SimTime::zero() + seconds(16));
+        ASSERT_TRUE(w.run_until([&] { return w.converged(); })) << "seed " << seed;
+        w.sim.run_for(seconds(5));
+        ASSERT_TRUE(w.run_until([&] { return w.converged(); }, seconds(30)))
+            << "seed " << seed;
+
+        // Everybody scheduled to die died and came back.
+        EXPECT_EQ(w.sup.stats().crashes, 4u) << "seed " << seed;
+        EXPECT_EQ(w.sup.stats().restarts, 4u) << "seed " << seed;
+        ASSERT_TRUE(w.hub != nullptr);
+        EXPECT_GE(w.hub->base().epoch(), 2u) << "seed " << seed;
+
+        // Every restarted robot was pushed both policies afresh by the
+        // hub's current life.
+        for (int i = 1; i <= 3; ++i) {
+            MobileNode& r = *w.robots[i];
+            EXPECT_GE(r.receiver().stats().installs, 2u) << "seed " << seed << " robot" << i;
+            for (const auto& ext : r.receiver().installed()) {
+                EXPECT_EQ(ext.base_epoch, w.hub->base().epoch())
+                    << "seed " << seed << " robot" << i << " " << ext.name;
+            }
+        }
+        // The healthy control never paid for anyone else's storm.
+        EXPECT_EQ(w.robots[0]->receiver().stats().expirations, 0u) << "seed " << seed;
+
+        // Books balance under duplication-inflating faults.
+        net::NetworkStats s = w.net.stats();
+        EXPECT_LE(s.delivered, s.sent + s.fault_duplicated) << "seed " << seed;
+        EXPECT_GT(s.fault_dropped_partition, 0u) << "seed " << seed;
+    }
+}
+
+TEST(RestartStorm, SameSeedReplaysIdentically) {
+    auto fingerprint = [](std::uint64_t seed) {
+        RestartStormWorld w(seed);
+        w.sim.run_for(seconds(25));
+        net::NetworkStats s = w.net.stats();
+        std::uint64_t installs = 0;
+        std::uint64_t renewals = 0;
+        for (auto& r : w.robots) {
+            if (!r) continue;
+            installs += r->receiver().stats().installs;
+            renewals += r->receiver().stats().renewals;
+        }
+        return std::tuple{s.sent,
+                          s.delivered,
+                          s.fault_dropped_loss,
+                          s.fault_dropped_partition,
+                          s.fault_duplicated,
+                          s.fault_reordered,
+                          w.sup.stats().crashes,
+                          w.sup.stats().restarts,
+                          w.hub ? w.hub->base().epoch() : 0,
+                          w.hub ? w.hub->base().stats().installs_sent : 0,
+                          w.hub ? w.hub->base().stats().keepalives_sent : 0,
+                          installs,
+                          renewals,
+                          w.robots[0]->receiver().stats().installs};
+    };
+    EXPECT_EQ(fingerprint(7), fingerprint(7));
+    EXPECT_NE(fingerprint(7), fingerprint(8));
 }
 
 }  // namespace

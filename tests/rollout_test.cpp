@@ -12,8 +12,8 @@
 //     once quarantined the incumbent's exact version (rollback amnesty);
 //   * add_extension is refused with a typed error while a rollout is in
 //     flight, and an aborted canary's version number is never reissued;
-//   * the catch-up image serves the *pinned incumbent* for the whole
-//     rollout, flipping to the canary only on completion;
+//   * a node that joins mid-rollout outside the cohort is pushed the
+//     *pinned incumbent*, and reaches the canary only with the cohort;
 //   * a base crash mid-rollout resumes at the journaled stage with a
 //     fresh health window; an abort survives the crash too;
 //   * the new durable record types stay total under version skew
@@ -414,66 +414,55 @@ TEST(RolloutGuards, AbortedCanaryVersionIsNeverReissued) {
         [&] { return w.on_version("hall/policy", v2 + 1).size() == w.robots.size(); }));
 }
 
-TEST(RolloutGuards, CatchupImageServesThePinnedIncumbentDuringRollout) {
+TEST(RolloutGuards, LateJoinerOutsideTheCohortIsPushedThePinnedIncumbent) {
     BaseConfig bc;
-    bc.rollout.stages = {1.0};
-    bc.rollout.stage_window = seconds(2);
+    bc.rollout.stages = {0.5, 1.0};
+    bc.rollout.stage_window = seconds(10);
     bc.rollout.tick_period = milliseconds(100);
-    FleetWorld w(31, 1, bc);
-    NodeStack reader(w.net, "reader", net::Position{0, 30}, 200.0);
+    FleetWorld w(31, 4, bc);
     w.hall->base().add_extension(policy_pkg("hall/policy"));
     ASSERT_TRUE(w.run_until([&] { return w.all_on("hall/policy", 1); }));
-
-    auto call = [&](const std::string& method, List args) {
-        Value out;
-        bool done = false;
-        reader.rpc().call_async(w.hall->id(), "midas.catchup", method, std::move(args),
-                                [&](Value r, std::exception_ptr e) {
-                                    EXPECT_FALSE(e);
-                                    out = std::move(r);
-                                    done = true;
-                                });
-        SimTime deadline = w.sim.now() + seconds(5);
-        while (!done && w.sim.now() < deadline) {
-            w.sim.run_until(w.sim.now() + milliseconds(5));
-        }
-        EXPECT_TRUE(done);
-        return out;
-    };
-    auto image_version = [&](const std::string& name) -> std::uint32_t {
-        Value mv = call("manifest", {});
-        const Dict& m = mv.as_dict();
-        std::int64_t chain = m.at("chain").as_int();
-        std::int64_t nchunks = m.at("chunks").as_int();
-        Bytes image;
-        for (std::int64_t i = 0; i < nchunks; ++i) {
-            Value cv = call("chunk", {Value{chain}, Value{i}});
-            const Bytes& data = cv.as_dict().at("data").as_blob();
-            image.insert(image.end(), data.begin(), data.end());
-        }
-        Value decoded = Value::decode(std::span<const std::uint8_t>(image));
-        for (const Value& p : decoded.as_dict().at("policies").as_list()) {
-            const Bytes& sealed = p.as_dict().at("sealed").as_blob();
-            auto [pkg, sig] = ExtensionPackage::open(std::span<const std::uint8_t>(sealed));
-            if (pkg.name == name) return pkg.version;
-        }
-        return 0;
-    };
 
     std::uint32_t v2 = w.hall->base().begin_rollout(
         policy_pkg("hall/policy", "fun onEntry() { let x = 1; }"));
     const RolloutController& rc = w.hall->base().rollout();
     ASSERT_TRUE(rc.active("hall/policy"));
-    // Mid-rollout — even with the whole (one-robot) fleet on the canary —
-    // a late joiner's bootstrap image still carries the incumbent.
     ASSERT_TRUE(w.run_until([&] { return !w.on_version("hall/policy", v2).empty(); }));
-    EXPECT_EQ(image_version("hall/policy"), 1u);
+    ASSERT_EQ(rc.view("hall/policy")->stage, 0u);
 
+    // A newcomer whose label the stage-0 cohort does not pick enters mid-rollout.
+    std::string label;
+    for (int i = 0; label.empty(); ++i) {
+        std::string candidate = "late" + std::to_string(i);
+        if (!rc.selects_canary("hall/policy", candidate)) label = candidate;
+    }
+    auto late = std::make_unique<MobileNode>(w.net, label, net::Position{0, 40}, 200.0);
+    late->trust().trust("hall", to_bytes("k"));
+    w.motors.push_back(robot::make_motor(late->runtime(), "motor:late"));
+    MobileNode& joiner = *late;
+    w.robots.push_back(std::move(late));
+
+    auto joiner_version = [&]() -> std::uint32_t {
+        for (const auto& info : joiner.receiver().installed()) {
+            if (info.name == "hall/policy") return info.version;
+        }
+        return 0;
+    };
+    ASSERT_TRUE(w.run_until([&] { return joiner_version() != 0; }, seconds(8)));
+    // Pushed the incumbent, while the canary runs in the cohort next door.
+    EXPECT_EQ(joiner_version(), 1u);
+    EXPECT_EQ(rc.view("hall/policy")->stage, 0u);
+    EXPECT_FALSE(w.on_version("hall/policy", v2).empty());
+    w.sim.run_for(seconds(1));
+    EXPECT_EQ(joiner_version(), 1u);
+    EXPECT_EQ(joiner.receiver().stats().replacements, 0u);
+
+    // The final stage takes the joiner too, and the canary graduates.
     ASSERT_TRUE(w.run_until([&] {
         auto v = rc.view("hall/policy");
         return v && v->status == RolloutController::Status::kComplete;
     }));
-    EXPECT_EQ(image_version("hall/policy"), v2);
+    ASSERT_TRUE(w.run_until([&] { return w.all_on("hall/policy", v2); }));
 }
 
 // ------------------------------------------- quarantine rollback amnesty ----
