@@ -93,7 +93,10 @@ public:
         for (const auto& s : fn.body) stmt(*s);
         exit_block();
         exit_block();
-        emit(Op::kReturnNull);
+        // A body that ends in `return` never falls off its end.
+        if (fn.body.empty() || fn.body.back()->kind != Stmt::Kind::kReturn) {
+            emit(Op::kReturnNull);
+        }
         chunk_.n_slots = max_slots_;
         return std::move(chunk_);
     }
@@ -119,10 +122,33 @@ private:
         std::vector<std::size_t> break_fixups;
     };
 
-    std::size_t here() const { return chunk_.code.size(); }
+    /// The next instruction's position, taken as a jump target: the pending
+    /// steps go out first as a kTick, so a jump to it does not charge them.
+    std::size_t here() {
+        flush_ticks();
+        return chunk_.code.size();
+    }
 
+    /// Charge one step on `line` to the next instruction emitted.
+    void tick(std::int32_t line) {
+        if (pending_steps_ != 0 && (line != pending_line_ || pending_steps_ == UINT16_MAX)) {
+            flush_ticks();
+        }
+        ++pending_steps_;
+        pending_line_ = line;
+    }
+
+    void flush_ticks() {
+        if (pending_steps_ != 0) emit(Op::kTick);
+    }
+
+    /// An instruction with a line of its own (one it reports errors at)
+    /// takes the pending steps only if they are on that line.
     std::size_t emit(Op op, std::int32_t a = 0, std::int32_t b = 0, std::int32_t line = 0) {
-        chunk_.code.push_back(Insn{op, a, b, line});
+        if (pending_steps_ != 0 && line != 0 && line != pending_line_) flush_ticks();
+        if (pending_steps_ != 0) line = pending_line_;
+        chunk_.code.push_back(Insn{op, pending_steps_, a, b, line});
+        pending_steps_ = 0;
         return chunk_.code.size() - 1;
     }
 
@@ -178,7 +204,7 @@ private:
     }
 
     void stmt(const Stmt& s) {
-        emit(Op::kTick, 1, 0, s.line);
+        tick(s.line);
         switch (s.kind) {
             case Stmt::Kind::kLet: {
                 expr(*s.expr);
@@ -341,8 +367,22 @@ private:
         }
     }
 
+    /// Charge the step of a binary operator's right operand and encode it
+    /// for kBinary's `b`: a literal reads constants[b - 1] and a local
+    /// slots[-b - 1] in place; anything else is evaluated onto the stack
+    /// (b = 0).
+    std::int32_t operand(const Expr& e) {
+        const int slot = e.kind == Expr::Kind::kVar ? resolve(e.name) : -1;
+        if (e.kind != Expr::Kind::kLiteral && slot < 0) {
+            expr(e);
+            return 0;
+        }
+        tick(e.line);
+        return slot >= 0 ? -(slot + 1) : u_.constant(e.literal) + 1;
+    }
+
     void expr(const Expr& e) {
-        emit(Op::kTick, 1, 0, e.line);
+        tick(e.line);
         switch (e.kind) {
             case Expr::Kind::kLiteral: emit(Op::kConst, u_.constant(e.literal)); return;
             case Expr::Kind::kVar: {
@@ -372,8 +412,8 @@ private:
                     return;
                 }
                 expr(*e.lhs);
-                expr(*e.rhs);
-                emit(Op::kBinary, static_cast<std::int32_t>(e.bin_op), 0, e.line);
+                const std::int32_t rhs = operand(*e.rhs);
+                emit(Op::kBinary, static_cast<std::int32_t>(e.bin_op), rhs, e.line);
                 return;
             }
             case Expr::Kind::kUnary:
@@ -435,44 +475,9 @@ private:
     std::vector<Loop> loops_;
     int next_slot_ = 0;
     int max_slots_ = 0;
+    std::uint16_t pending_steps_ = 0;  ///< charged to the next instruction
+    std::int32_t pending_line_ = 0;
 };
-
-bool is_jump(Op op) {
-    return op == Op::kJump || op == Op::kJumpIfFalse || op == Op::kAndShort ||
-           op == Op::kOrShort || op == Op::kForNext;
-}
-
-/// Merge each run of consecutive same-line kTicks into its first one, which
-/// then charges the run's total, and remap jump targets to the shortened
-/// stream. A tick some jump lands on starts a new run: a jump must charge
-/// exactly the steps from its target onward.
-void fuse_ticks(Chunk& chunk) {
-    std::vector<Insn>& code = chunk.code;
-    const std::size_t n = code.size();
-    std::vector<bool> is_target(n + 1, false);
-    for (const Insn& in : code) {
-        if (is_jump(in.op)) is_target[static_cast<std::size_t>(in.a)] = true;
-    }
-    std::vector<std::int32_t> remap(n + 1);
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Insn in = code[i];
-        // code[out - 1] is what original insn i - 1 became, so it is a tick
-        // only if insn i - 1 was one (or was fused into one).
-        if (in.op == Op::kTick && out > 0 && !is_target[i] && code[out - 1].op == Op::kTick &&
-            code[out - 1].line == in.line) {
-            code[out - 1].a += in.a;
-            continue;
-        }
-        remap[i] = static_cast<std::int32_t>(out);
-        code[out++] = in;
-    }
-    remap[n] = static_cast<std::int32_t>(out);
-    code.resize(out);
-    for (Insn& in : code) {
-        if (is_jump(in.op)) in.a = remap[static_cast<std::size_t>(in.a)];
-    }
-}
 
 }  // namespace
 
@@ -484,12 +489,10 @@ std::shared_ptr<const CompiledUnit> compile(std::shared_ptr<const Program> progr
     for (std::size_t i = 0; i < fns.size(); ++i) {
         ChunkCompiler c(b, /*top_level=*/false);
         u.functions.push_back(c.compile_function(fns[i]));
-        fuse_ticks(u.functions.back());
         u.function_index.try_emplace(fns[i].name, i);  // first decl wins
     }
     ChunkCompiler top(b, /*top_level=*/true);
     u.top_level = top.compile_top(b.program().top_level);
-    fuse_ticks(u.top_level);
     return b.take();
 }
 
@@ -562,15 +565,24 @@ void list_chunk(const CompiledUnit& unit, const Chunk& chunk, std::string& out) 
             case Op::kCallBuiltin:
                 out += " " + unit.builtin_names[in.a] + "/" + std::to_string(in.b);
                 break;
-            case Op::kTick:
-                out += " " + std::to_string(in.a) + " line " + std::to_string(in.line);
+            case Op::kBinary: {
+                static const char* const kSymbols[] = {"+",  "-", "*",  "/", "%",  "==", "!=",
+                                                       "<",  "<=", ">", ">=", "&&", "||"};
+                out += std::string(" ") + kSymbols[in.a];
+                if (in.b > 0) out += " const " + unit.constants[in.b - 1].to_string();
+                if (in.b < 0) out += " slot " + std::to_string(-in.b - 1);
                 break;
+            }
             default:
                 if (in.a || in.b) {
                     out += " " + std::to_string(in.a);
                     if (in.b) out += " " + std::to_string(in.b);
                 }
                 break;
+        }
+        if (in.steps != 0) {
+            out += " [steps " + std::to_string(in.steps) + ", line " + std::to_string(in.line) +
+                   "]";
         }
         out += "\n";
     }

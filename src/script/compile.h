@@ -16,14 +16,18 @@
 //     kFail instructions carrying the interpreter's exact message, so the
 //     error surfaces at the same dynamic point with the same text;
 //   * charges a step at every point the reference interpreter ticks (each
-//     statement execution, each expression evaluation) with an explicit
-//     kTick carrying its step count in `a`. Each chunk is emitted one
-//     tick per step, then a pass fuses every run of consecutive same-line
-//     ticks that no jump lands inside into one kTick charging the run's
-//     length. The Vm charges a crossing of the budget or deadline inside
-//     a fused tick at the exact step, so step counts — and therefore
-//     budget/deadline error types and lines — stay identical between
-//     engines.
+//     statement execution, each expression evaluation). A run of
+//     consecutive same-line steps rides on the instruction that follows it
+//     in `Insn::steps`, and the Vm charges it before that instruction
+//     runs. A run goes out as a standalone kTick when the next
+//     instruction carries another source line or is a jump target (a jump
+//     charges exactly the steps from its target onward), and at 65,535
+//     steps, the most one instruction carries. The Vm charges a
+//     crossing of the budget or deadline inside a run at the exact step,
+//     so step counts — and therefore budget/deadline error types and
+//     lines — stay identical between engines;
+//   * reads a binary operator's literal or local right operand in place:
+//     kBinary's `b` names it, so the operand is never pushed and popped.
 //
 // Names lexically outside any local scope compile to by-name global
 // accesses, which is exactly the interpreter's scope-walk fallback.
@@ -41,7 +45,7 @@
 namespace pmp::script {
 
 enum class Op : std::uint8_t {
-    kTick,          // charge a steps, all on source line `line`
+    kTick,          // nothing: it only carries steps (see Insn::steps)
     kConst,         // push constants[a]
     kLoadLocal,     // push slots[a]
     kStoreLocal,    // slots[a] = pop
@@ -56,7 +60,8 @@ enum class Op : std::uint8_t {
     kToBool,        // top = truthy(top)
     kNot,           // top = !truthy(top)
     kNeg,           // top = -top (numbers only)
-    kBinary,        // a = BinOp; rhs = pop, lhs = pop, push lhs <op> rhs
+    kBinary,        // a = BinOp; rhs = b > 0 ? constants[b-1] : b < 0 ? slots[-b-1]
+                    // : pop; lhs = top; top = lhs <op> rhs
     kIndexGet,      // idx = pop, base = pop, push base[idx]
     kMemberGet,     // base = pop, push base.names[a]
     kMakeList,      // pop a values, push list
@@ -82,10 +87,13 @@ const char* op_name(Op op);
 
 struct Insn {
     Op op;
+    /// Steps charged, all on source line `line`, before the instruction runs.
+    std::uint16_t steps = 0;
     std::int32_t a = 0;
     std::int32_t b = 0;
     std::int32_t line = 0;
 };
+static_assert(sizeof(Insn) == 16);
 
 /// One straight-line instruction stream: a function body or the top level.
 struct Chunk {

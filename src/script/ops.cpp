@@ -42,7 +42,7 @@ bool numeric_pair(const Value& a, const Value& b) { return a.is_number() && b.is
 bool both_int(const Value& a, const Value& b) { return a.is_int() && b.is_int(); }
 }  // namespace
 
-Value binary(BinOp op, Value& a, Value& b, int line) {
+Value binary(BinOp op, const Value& a, const Value& b, int line) {
     switch (op) {
         case BinOp::kAdd:
             if (both_int(a, b)) return Value{a.as_int() + b.as_int()};

@@ -33,8 +33,8 @@ std::string display(const rt::Value& v);
 void tick_check(const Sandbox& sandbox, std::uint64_t steps, int line);
 
 /// Non-short-circuit binary operators (everything except And/Or, which
-/// engines implement via control flow). May consume `a`/`b`.
-rt::Value binary(BinOp op, rt::Value& a, rt::Value& b, int line);
+/// engines implement via control flow). Reads both operands only.
+rt::Value binary(BinOp op, const rt::Value& a, const rt::Value& b, int line);
 
 /// Unary '-' (unary '!' is just !truthy()).
 rt::Value negate(const rt::Value& v, int line);

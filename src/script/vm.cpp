@@ -1,6 +1,7 @@
 #include "script/vm.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/error.h"
 #include "script/ops.h"
@@ -51,19 +52,17 @@ Value Vm::call(FunctionHandle fn, List args) {
     }
     if (arena_.size() > 1 && frames_.empty()) merge_arena();
     steps_ = 0;
-    const std::uint64_t before = total_steps_;
     ++call_nesting_;
     // Report on every exit path — a throwing invocation burned steps too,
     // and the governor must see them.
     struct Guard {
         Vm* self;
-        std::uint64_t before;
         ~Guard() {
             --self->call_nesting_;
-            self->last_call_steps_ = self->total_steps_ - before;
+            self->last_call_steps_ = self->steps_;
             if (self->step_observer_) self->step_observer_(self->last_call_steps_);
         }
-    } guard{this, before};
+    } guard{this};
     return invoke(*chunk, std::move(args), /*counts_depth=*/true);
 }
 
@@ -117,9 +116,8 @@ void Vm::push_frame(const Chunk& chunk, std::size_t argc, bool counts_depth) {
     if (arena_top_ + n > arena_size_) next_block();
     Value* slots = arena_base_ + arena_top_;
     arena_top_ += n;
-    for (std::size_t i = 0; i < argc; ++i) {
-        slots[i] = std::move(stack_[stack_.size() - argc + i]);
-    }
+    Value* const args = stack_.data() + stack_.size() - argc;
+    for (std::size_t i = 0; i < argc; ++i) slots[i] = std::move(args[i]);
     stack_.resize(stack_.size() - argc);
     frames_.push_back(Frame{&chunk, 0, stack_.size(), slots, mark, counts_depth});
 }
@@ -197,7 +195,7 @@ struct Vm::ArgLease {
 Value Vm::run(std::size_t entry_frames) {
     // The dispatch registers: the current frame's code, instruction pointer
     // and local slots are cached in locals instead of re-read through
-    // frames_.back() on every instruction. `ip` is written back to the
+    // frames_.back() on every instruction. `pc` is written back to the
     // frame only at the points that can suspend this frame (script calls,
     // builtins that may re-enter the VM); `reload` re-derives the cache
     // after any operation that may have switched frames or reallocated
@@ -206,35 +204,32 @@ Value Vm::run(std::size_t entry_frames) {
     Frame* f;
     const Insn* code;
     Value* slots;
-    std::size_t ip;
+    const Insn* pc;
     auto reload = [&] {
         f = &frames_.back();
         code = f->chunk->code.data();
         slots = f->slots;
-        ip = f->ip;
+        pc = code + f->ip;
     };
     reload();
     for (;;) {
-        const Insn in = code[ip++];
-        switch (in.op) {
-            case Op::kTick: {
-                // Fast path: two adds and one compare for the whole run.
-                // Past the precomputed limit, charge only up to the first
-                // step of the run beyond it, as the unfused ticks would
-                // have, and let tick_check raise the correct typed error
-                // (deadline before budget, like the interpreter).
-                const auto n = static_cast<std::uint64_t>(in.a);
-                steps_ += n;
-                total_steps_ += n;
-                if (steps_ > step_limit_) [[unlikely]] {
-                    const std::uint64_t crossing =
-                        std::max(steps_ - n + 1, step_limit_ + 1);
-                    total_steps_ -= steps_ - crossing;
-                    steps_ = crossing;
-                    ops::tick_check(sandbox_, steps_, in.line);
-                }
-                break;
+        const Insn in = *pc++;
+        // Fast path: one test, then one add and one compare for the
+        // instruction's whole run of steps. Past the precomputed limit, charge only up to the
+        // first step of the run beyond it, as one tick per step would have,
+        // and let tick_check raise the correct typed error (deadline before
+        // budget, like the interpreter). An instruction that charges no
+        // step never fails here, even with the meter already past the limit
+        // (a host builtin caught a nested call's overrun).
+        if (in.steps != 0) {
+            steps_ += in.steps;
+            if (steps_ > step_limit_) [[unlikely]] {
+                steps_ = std::max(steps_ - in.steps + 1, step_limit_ + 1);
+                ops::tick_check(sandbox_, steps_, in.line);
             }
+        }
+        switch (in.op) {
+            case Op::kTick: break;
             case Op::kConst: stack_.push_back(unit_->constants[in.a]); break;
             case Op::kLoadLocal: stack_.push_back(slots[in.a]); break;
             case Op::kStoreLocal:
@@ -247,10 +242,11 @@ Value Vm::run(std::size_t entry_frames) {
                     ops::script_fail("undefined variable '" + unit_->names[in.a] + "'",
                                      in.line);
                 }
-                if (code[ip].op == Op::kMemberGet) {
-                    // `g.k` (no tick between the two): read the member in
-                    // place instead of copying the whole global first.
-                    const Insn& member = code[ip++];
+                if (pc->op == Op::kMemberGet) {
+                    // `g.k`: read the member in place instead of copying the
+                    // whole global first. Both steps ride on this load.
+                    const Insn& member = *pc++;
+                    assert(member.steps == 0);
                     stack_.push_back(ops::member_get(*g, unit_->names[member.a], member.line));
                 } else {
                     stack_.push_back(*g);
@@ -276,11 +272,11 @@ Value Vm::run(std::size_t entry_frames) {
                 break;
             }
             case Op::kPop: stack_.pop_back(); break;
-            case Op::kJump: ip = static_cast<std::size_t>(in.a); break;
+            case Op::kJump: pc = code + in.a; break;
             case Op::kJumpIfFalse: {
                 const bool t = stack_.back().truthy();
                 stack_.pop_back();
-                if (!t) ip = static_cast<std::size_t>(in.a);
+                if (!t) pc = code + in.a;
                 break;
             }
             case Op::kAndShort: {
@@ -288,7 +284,7 @@ Value Vm::run(std::size_t entry_frames) {
                 stack_.pop_back();
                 if (!t) {
                     stack_.push_back(Value{false});
-                    ip = static_cast<std::size_t>(in.a);
+                    pc = code + in.a;
                 }
                 break;
             }
@@ -297,7 +293,7 @@ Value Vm::run(std::size_t entry_frames) {
                 stack_.pop_back();
                 if (t) {
                     stack_.push_back(Value{true});
-                    ip = static_cast<std::size_t>(in.a);
+                    pc = code + in.a;
                 }
                 break;
             }
@@ -305,59 +301,62 @@ Value Vm::run(std::size_t entry_frames) {
             case Op::kNot: stack_.back() = Value{!stack_.back().truthy()}; break;
             case Op::kNeg: stack_.back() = ops::negate(stack_.back(), in.line); break;
             case Op::kBinary: {
-                // Int fast path, inline. Comparisons go through double like
-                // ops::binary does (numeric_pair + as_real), so results are
-                // bit-identical to the interpreter's; div/mod fall back on a
-                // zero divisor for the exact error message.
-                const std::size_t top = stack_.size();
-                const std::int64_t* ia = stack_[top - 2].if_int();
-                const std::int64_t* ib = stack_[top - 1].if_int();
-                if (ia && ib) {
-                    Value out;
+                // The right operand is read in place when the compiler
+                // encoded it in b (> 0: a constant, < 0: a local slot);
+                // with b == 0 it is on the stack above the left one.
+                const Value& rhs = in.b > 0   ? unit_->constants[in.b - 1]
+                                   : in.b < 0 ? slots[-in.b - 1]
+                                              : stack_.back();
+                Value& lhs = stack_[stack_.size() - (in.b == 0 ? 2 : 1)];
+                // Int fast path, inline, writing the result over the left
+                // operand. Comparisons go through double like ops::binary
+                // does (numeric_pair + as_real), so results are bit-identical
+                // to the interpreter's; div/mod fall back on a zero divisor
+                // for the exact error message.
+                if (lhs.is_int() && rhs.is_int()) {
+                    const std::int64_t x = *lhs.if_int();
+                    const std::int64_t y = *rhs.if_int();
                     bool handled = true;
                     switch (static_cast<BinOp>(in.a)) {
-                        case BinOp::kAdd: out = Value{*ia + *ib}; break;
-                        case BinOp::kSub: out = Value{*ia - *ib}; break;
-                        case BinOp::kMul: out = Value{*ia * *ib}; break;
+                        case BinOp::kAdd: lhs = Value{x + y}; break;
+                        case BinOp::kSub: lhs = Value{x - y}; break;
+                        case BinOp::kMul: lhs = Value{x * y}; break;
                         case BinOp::kDiv:
-                            if (*ib == 0) handled = false;
-                            else out = Value{*ia / *ib};
+                            if (y == 0) handled = false;
+                            else lhs = Value{x / y};
                             break;
                         case BinOp::kMod:
-                            if (*ib == 0) handled = false;
-                            else out = Value{*ia % *ib};
+                            if (y == 0) handled = false;
+                            else lhs = Value{x % y};
                             break;
                         case BinOp::kEq:
-                            out = Value{static_cast<double>(*ia) == static_cast<double>(*ib)};
+                            lhs = Value{static_cast<double>(x) == static_cast<double>(y)};
                             break;
                         case BinOp::kNe:
-                            out = Value{static_cast<double>(*ia) != static_cast<double>(*ib)};
+                            lhs = Value{static_cast<double>(x) != static_cast<double>(y)};
                             break;
                         case BinOp::kLt:
-                            out = Value{static_cast<double>(*ia) < static_cast<double>(*ib)};
+                            lhs = Value{static_cast<double>(x) < static_cast<double>(y)};
                             break;
                         case BinOp::kLe:
-                            out = Value{static_cast<double>(*ia) <= static_cast<double>(*ib)};
+                            lhs = Value{static_cast<double>(x) <= static_cast<double>(y)};
                             break;
                         case BinOp::kGt:
-                            out = Value{static_cast<double>(*ia) > static_cast<double>(*ib)};
+                            lhs = Value{static_cast<double>(x) > static_cast<double>(y)};
                             break;
                         case BinOp::kGe:
-                            out = Value{static_cast<double>(*ia) >= static_cast<double>(*ib)};
+                            lhs = Value{static_cast<double>(x) >= static_cast<double>(y)};
                             break;
                         default: handled = false; break;
                     }
                     if (handled) {
-                        stack_.pop_back();
-                        stack_.back() = std::move(out);
+                        if (in.b == 0) stack_.pop_back();
                         break;
                     }
                 }
-                Value b = std::move(stack_.back());
-                stack_.pop_back();
-                Value a = std::move(stack_.back());
-                stack_.pop_back();
-                stack_.push_back(ops::binary(static_cast<BinOp>(in.a), a, b, in.line));
+                Value out = ops::binary(static_cast<BinOp>(in.a), lhs, rhs, in.line);
+                if (in.b == 0) stack_.pop_back();
+                stack_.back() = std::move(out);
                 break;
             }
             case Op::kIndexGet: {
@@ -393,7 +392,7 @@ Value Vm::run(std::size_t entry_frames) {
                 break;
             }
             case Op::kCallFn:
-                f->ip = ip;
+                f->ip = static_cast<std::size_t>(pc - code);
                 push_frame(unit_->functions[in.a], static_cast<std::size_t>(in.b),
                            /*counts_depth=*/true);
                 reload();
@@ -417,7 +416,7 @@ Value Vm::run(std::size_t entry_frames) {
                 stack_.resize(stack_.size() - n);
                 // The builtin may re-enter the VM (host callback into
                 // script), pushing frames and reallocating frames_.
-                f->ip = ip;
+                f->ip = static_cast<std::size_t>(pc - code);
                 Value result = rb.entry->fn(lease.args);
                 stack_.push_back(std::move(result));
                 reload();
@@ -484,13 +483,14 @@ Value Vm::run(std::size_t entry_frames) {
                 const std::int64_t i = slots[in.b + 1].as_int();
                 List& items = slots[in.b].as_list();
                 if (i >= static_cast<std::int64_t>(items.size())) {
-                    ip = static_cast<std::size_t>(in.a);
+                    pc = code + in.a;
                 } else {
                     slots[in.b + 2] = std::move(items[static_cast<std::size_t>(i)]);
                     slots[in.b + 1] = Value{i + 1};
                 }
                 break;
             }
+            default: __builtin_unreachable();  // every Op has a case: no range check
         }
     }
 }

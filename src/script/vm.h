@@ -3,13 +3,17 @@
 // Executes CompiledUnits (script/compile.h) with the exact observable
 // semantics of the tree-walking reference interpreter the tests keep as
 // their oracle: same results, same typed errors with the same messages,
-// same step counts (a kTick charges the steps of every point the
-// interpreter ticks at, on the same line; when a budget or deadline is
-// crossed inside a fused tick, the Vm charges up to the crossing step
-// only). What the compiled form changes is the cost model:
+// same step counts (an instruction charges its `steps`, the run of
+// points the interpreter ticks at just before it, on the same line; when
+// a budget or deadline is crossed inside a run, the Vm charges up to the
+// crossing step only). What the compiled form changes is the cost model:
 //
-//   * one kTick charges a whole run of same-line steps: an add, a
-//     compare and a rarely taken branch per run, not per step;
+//   * step charges ride on the instructions: a test per instruction, and
+//     an add, a compare and a rarely taken branch per run of steps, with
+//     no dispatch of their own except where a run ends at a line change
+//     or a jump target;
+//   * a binary operator reads a literal or local right operand in place,
+//     so the operand is neither pushed nor popped;
 //   * locals are frame slots (no per-variable hash lookups), carved LIFO
 //     from a frame arena of pointer-stable blocks the Vm owns: a call
 //     bumps an offset, a return nulls its slots and restores the offset.
@@ -154,11 +158,10 @@ private:
     std::vector<std::unique_ptr<rt::List>> arg_pool_;  ///< stable refs under nesting
     std::size_t arg_pool_top_ = 0;
 
-    std::uint64_t steps_ = 0;
-    /// min(step budget, deadline): one compare on the tick fast path; past
+    std::uint64_t steps_ = 0;  ///< this outermost call's, nested calls included
+    /// min(step budget, deadline): one compare on the step fast path; past
     /// it, ops::tick_check picks the correct typed error.
     std::uint64_t step_limit_ = 0;
-    std::uint64_t total_steps_ = 0;  ///< lifetime; never reset (accounting)
     std::uint64_t last_call_steps_ = 0;
     int call_nesting_ = 0;
     int depth_ = 0;

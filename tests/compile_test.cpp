@@ -114,12 +114,10 @@ TEST(Compile, StaticFaultsLowerToFail) {
               1);
 }
 
-/// Steps the chunk's kTicks charge, counting each tick once.
+/// Steps the chunk charges, summed over every instruction's run.
 int tick_steps(const Chunk& c) {
     int steps = 0;
-    for (const Insn& i : c.code) {
-        if (i.op == Op::kTick) steps += i.a;
-    }
+    for (const Insn& i : c.code) steps += i.steps;
     return steps;
 }
 
@@ -128,32 +126,78 @@ TEST(Compile, EveryStatementAndExpressionTicks) {
     const Chunk* f = unit->find_function("f");
     // let stmt, binary expr, two literals, return stmt, var read = 6 steps.
     EXPECT_EQ(tick_steps(*f), 6);
+    // All on one line and no jump target inside: no standalone tick.
+    EXPECT_EQ(count_ops(*f, Op::kTick), 0);
 }
 
 TEST(Compile, SameLineTickRunsFuseButNotAcrossJumpTargets) {
     auto unit = comp("fun f(n) { while (n > 0) { n = n - 1; } return n; }");
     const Chunk& f = *unit->find_function("f");
-    // Steps: while 1, `n > 0` 3, `n = n - 1` 4, `return n` 2. Fused runs:
-    // [while] [> n] [0] [assign - n] [1] [return n]. The loop's back edge
-    // lands on the condition's first tick, so the `while` tick stays apart.
+    // Steps: while 1, `n > 0` 3, `n = n - 1` 4, `return n` 2. Each run rides
+    // on the instruction after it, except the `while` step: the loop's back
+    // edge lands on the condition's first instruction, which must charge
+    // only the condition's own steps, so the `while` step stays a
+    // standalone tick just before the target.
     EXPECT_EQ(tick_steps(f), 10);
-    EXPECT_EQ(count_ops(f, Op::kTick), 6);
+    EXPECT_EQ(count_ops(f, Op::kTick), 1);
     auto back = std::find_if(f.code.begin(), f.code.end(),
                              [](const Insn& i) { return i.op == Op::kJump; });
     ASSERT_NE(back, f.code.end());
     const std::size_t cond = static_cast<std::size_t>(back->a);
     ASSERT_GT(cond, 0u);
-    EXPECT_EQ(f.code[cond].op, Op::kTick);
-    EXPECT_EQ(f.code[cond].a, 2);
+    EXPECT_EQ(f.code[cond].op, Op::kLoadLocal);
+    EXPECT_EQ(f.code[cond].steps, 2);  // `n > 0` and `n`; the `0` rides on the compare
     EXPECT_EQ(f.code[cond - 1].op, Op::kTick);
-    EXPECT_EQ(f.code[cond - 1].a, 1);
+    EXPECT_EQ(f.code[cond - 1].steps, 1);
 }
 
 TEST(Compile, TicksOnDifferentLinesStayApart) {
     auto unit = comp("fun f() {\n  return\n    1;\n}");
     const Chunk& f = *unit->find_function("f");
     EXPECT_EQ(tick_steps(f), 2);
-    EXPECT_EQ(count_ops(f, Op::kTick), 2);
+    // The `return` step on line 2 cannot ride on the line-3 constant.
+    ASSERT_EQ(count_ops(f, Op::kTick), 1);
+    EXPECT_EQ(f.code[0].op, Op::kTick);
+    EXPECT_EQ(f.code[0].steps, 1);
+    EXPECT_EQ(f.code[0].line, 2);
+    EXPECT_EQ(f.code[1].op, Op::kConst);
+    EXPECT_EQ(f.code[1].steps, 1);
+    EXPECT_EQ(f.code[1].line, 3);
+}
+
+TEST(Compile, PerfbenchMonitorShape) {
+    // The monitoring extension perfbench's advised_calls workload weaves.
+    auto unit = comp(
+        "let salt = 1;\n"
+        "let calls = 0;\n"
+        "let total = 0;\n"
+        "fun mix(h, i) {\n"
+        "  return (h * 31 + i) % 1000000007;\n"
+        "}\n"
+        "fun onEntry() {\n"
+        "  calls = calls + 1;\n"
+        "  let h = ctx.arg(0);\n"
+        "  let i = 0;\n"
+        "  while (i < 8) {\n"
+        "    h = mix(h, i);\n"
+        "    i = i + 1;\n"
+        "  }\n"
+        "  total = total + h;\n"
+        "}\n");
+    const Chunk& mix = *unit->find_function("mix");
+    // load h, three binaries with in-place right operands, return.
+    EXPECT_LE(mix.code.size(), 5u);
+    EXPECT_EQ(tick_steps(mix), 8);
+    EXPECT_EQ(count_ops(mix, Op::kTick), 0);
+    EXPECT_EQ(count_ops(mix, Op::kConst), 0);
+    for (const Chunk* c : {&mix, unit->find_function("onEntry")}) {
+        for (std::size_t ip = 0; ip < c->code.size(); ++ip) {
+            if (c->code[ip].op != Op::kBinary) continue;
+            // Every right operand here is a literal or a local, so none is
+            // pushed: the binary names it in b.
+            EXPECT_NE(c->code[ip].b, 0) << c->name << " at " << ip;
+        }
+    }
 }
 
 TEST(Compile, ConstantsInterned) {
@@ -228,8 +272,11 @@ TEST(Compile, DisassembleListsEveryChunk) {
     EXPECT_NE(listing.find("hello"), std::string::npos);
     EXPECT_NE(listing.find(op_name(Op::kCallFn)), std::string::npos);
     EXPECT_NE(listing.find(op_name(Op::kLetGlobal)), std::string::npos);
-    // A tick prints the steps it charges: `return "hi " + who` is 3 on line 1.
-    EXPECT_NE(listing.find("tick 3 line 1"), std::string::npos);
+    // An instruction prints the steps it charges: `return "hi " + who` has 3
+    // before the constant, all on line 1, and the local right operand is
+    // read in place by the `+`.
+    EXPECT_NE(listing.find("const \"hi \" [steps 3, line 1]"), std::string::npos) << listing;
+    EXPECT_NE(listing.find("binary + slot 0 [steps 1, line 1]"), std::string::npos) << listing;
 }
 
 TEST(Compile, UnitRetainsProgram) {

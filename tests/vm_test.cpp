@@ -657,6 +657,105 @@ TEST(VmParity, BudgetAndDeadlineCrossingsAtEveryStep) {
     }
 }
 
+TEST(VmParity, InPlaceOperandsAndRidingStepsAtEveryStep) {
+    // Literal and local right operands read in place by the binary, next to
+    // each place a step run cannot simply ride on the next instruction: a
+    // fused global member read (line 7), multi-line expressions (a
+    // standalone tick at the line change, lines 8-9, and before the
+    // reachable type error of lines 14-15, which the `*` reports at its own
+    // line), a `while` head (a standalone tick before the jump target, line
+    // 6) and script calls (line 10, and the callee on line 1).
+    const char* src =
+        "fun g(a, b) { return a * 3 + b; }\n"
+        "fun main(n, s) {\n"
+        "  let acc = 1;\n"
+        "  let i = 0;\n"
+        "  let x = 0;\n"
+        "  while (i < n) {\n"
+        "    acc = acc + config.limit * 2 - i + config.limit;\n"
+        "    acc = (acc\n"
+        "      + i) % 97;\n"
+        "    acc = g(acc, 1) - g(i, acc) + i;\n"
+        "    i = i + 1;\n"
+        "  }\n"
+        "  x = acc * 2;\n"
+        "  return x\n"
+        "    * s;\n"
+        "}\n";
+    auto program = std::make_shared<const Program>(parse(src));
+    auto unit = compile(program);
+    for (const Chunk* c : {&unit->top_level, &unit->functions[0], &unit->functions[1]}) {
+        for (std::size_t ip = 1; ip < c->code.size(); ++ip) {
+            if (c->code[ip].op == Op::kMemberGet && c->code[ip - 1].op == Op::kLoadGlobal) {
+                EXPECT_EQ(c->code[ip].steps, 0) << "a fused member read skips its steps";
+            }
+        }
+    }
+    auto builtins = std::make_shared<BuiltinRegistry>(BuiltinRegistry::with_core());
+    const Value config{Dict{{"limit", Value{std::int64_t{4}}}}};
+
+    // `s` a string: `x * s` fails on the last step; an int: the call returns.
+    for (const Value& s_arg : {Value{std::string{"s"}}, Value{std::int64_t{3}}}) {
+        auto run = [&](Engine& e) {
+            e.run_top_level();
+            e.set_global("config", config);
+            return e.call("main", {Value{std::int64_t{4}}, s_arg});
+        };
+        auto outcomes = [&](const Sandbox& s) {
+            Interpreter interp(program, s, builtins);
+            Vm vm(unit, s, builtins);
+            return std::make_pair(capture(interp, run), capture(vm, run));
+        };
+        const auto [full_i, full_v] = outcomes(Sandbox{});
+        expect_same(full_i, full_v, "unbounded, s = " + s_arg.to_string());
+        const bool type_error = s_arg.is_str();
+        ASSERT_EQ(full_v.threw, type_error) << full_v.message;
+        if (type_error) EXPECT_EQ(full_v.message, "'*' expects numbers (line 14)");
+        const std::uint64_t total = full_v.steps;
+        ASSERT_GT(total, 150u);
+
+        for (std::uint64_t deadline : {std::uint64_t{0}, total / 2 + 1}) {
+            for (std::uint64_t budget = 1; budget <= total; ++budget) {
+                Sandbox s;
+                s.step_budget = budget;
+                s.deadline_steps = deadline;
+                const auto [oi, ov] = outcomes(s);
+                const std::string what = "s = " + s_arg.to_string() + ", budget " +
+                                         std::to_string(budget) + ", deadline " +
+                                         std::to_string(deadline);
+                expect_same(oi, ov, what);
+                const std::uint64_t limit =
+                    deadline != 0 ? std::min(budget, deadline) : budget;
+                if (limit >= total) {
+                    EXPECT_EQ(ov.message, full_v.message) << what;
+                    continue;
+                }
+                EXPECT_EQ(ov.steps, limit + 1) << what;
+            }
+        }
+    }
+}
+
+TEST(VmParity, StepRunLongerThanOneInstructionCarries) {
+    // 70,000 same-line steps before the first instruction: the compiler
+    // splits the run, and a crossing on either side of the split is charged
+    // at the exact step.
+    std::string body;
+    for (int i = 0; i < 70000; ++i) body += "{ } ";
+    const std::string src = "fun f() { " + body + "return 1; }";
+    const auto unit = compile(std::make_shared<const Program>(parse(src)));
+    const Chunk& f = unit->functions[0];
+    ASSERT_EQ(f.code[0].op, Op::kTick);
+    EXPECT_EQ(f.code[0].steps, 65535);
+    EXPECT_EQ(f.code[1].steps, 70002 - 65535);
+    EXPECT_EQ(both(src, "f").steps, 70002u);
+    for (std::uint64_t budget : {65534u, 65535u, 65536u, 70001u}) {
+        Sandbox s;
+        s.step_budget = budget;
+        EXPECT_EQ(both(src, "f", {}, s).steps, budget + 1);
+    }
+}
+
 TEST(VmParity, CrossingAfterACaughtNestedOverrun) {
     // A host builtin that swallows the budget error of a re-entrant call
     // leaves the shared meter past the limit; the outer call then fails on
