@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "rt/epoch.h"
 
@@ -12,6 +11,10 @@ namespace pmp::prose {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+std::string site_label(std::string_view extension, std::string_view pointcut) {
+    return std::string(extension).append("|").append(pointcut);
+}
 
 double elapsed_ns(Clock::time_point t0) {
     return static_cast<double>(
@@ -26,7 +29,14 @@ rt::Value pass_through(rt::CallFrame&, const std::function<rt::Value()>& proceed
 
 }  // namespace
 
-Weaver::Weaver(rt::Runtime& runtime) : runtime_(runtime) {
+Weaver::Weaver(rt::Runtime& runtime)
+    : runtime_(runtime),
+      obs_source_(obs::Registry::global().add_source([this](obs::Rows& rows) {
+          for (const auto& [label, site] : sites_) {
+              rows.counter("profile.advice_calls", label, site->calls.value());
+              rows.histogram("profile.advice_ns", label, site->advice_ns);
+          }
+      })) {
     observer_ = runtime_.add_type_observer([this](rt::TypeInfo& t) { on_type_registered(t); });
 }
 
@@ -36,15 +46,14 @@ Weaver::~Weaver() {
 }
 
 // In order: the aspect's admit guard, the weave's first-dispatch instant,
-// profiler counting and timing into the (extension, pointcut) site — the
+// counting and timing into the (extension, pointcut) site — the
 // per-aspect view is a fold of those sites (obs::attribution_from) — and
 // the outcome guard. Every execution is counted; the clock is read for the
 // site's sampled ones and for the first execution of every weave. The
 // guards are protocol machinery, not telemetry: they run whatever
 // obs::enabled() says.
 template <typename Fn, typename... Args>
-auto Weaver::run_advice(Woven& w, const obs::Profiler::Site& site, const Fn& fn,
-                        Args&&... args) {
+auto Weaver::run_advice(Woven& w, AdviceSite& site, const Fn& fn, Args&&... args) {
     using Result = std::invoke_result_t<const Fn&, Args&&...>;
     const Aspect::Guard& guard = w.aspect->guard();
     if (guard.admit && !guard.admit()) {
@@ -65,7 +74,7 @@ auto Weaver::run_advice(Woven& w, const obs::Profiler::Site& site, const Fn& fn,
     }
     Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
     auto done = [&] {
-        if (timed) site.time(elapsed_ns(t0));
+        if (timed) site.advice_ns.observe(elapsed_ns(t0));
         if (guard.outcome) guard.outcome(nullptr);
     };
     try {
@@ -84,18 +93,28 @@ auto Weaver::run_advice(Woven& w, const obs::Profiler::Site& site, const Fn& fn,
 }
 
 void Weaver::weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven) {
-    for (const AdviceBinding& binding : woven.aspect->bindings()) {
-        // Cost-attribution slot for this (extension, pointcut) pair — the
-        // profiler's unit of blame (copied by value into every hook).
-        obs::Profiler::Site site =
-            obs::Profiler::global().site(woven.aspect->name(), binding.pointcut.source());
-        // Every hook is run_advice over (Woven*, Site, advice). The Woven is
-        // heap-pinned and withdraw retires it through the epoch domain after
-        // unhooking, so no hook — not even a superseded snapshot still being
-        // walked on another shard — outlives it.
-        auto hook = [w = &woven, site](const auto& fn) {
+    const std::vector<AdviceBinding>& bindings = woven.aspect->bindings();
+    // This node's record for each binding's (extension, pointcut), resolved
+    // on the first type the weave visits; a re-weave finds the old one.
+    while (woven.sites.size() < bindings.size()) {
+        std::string label =
+            site_label(woven.aspect->name(), bindings[woven.sites.size()].pointcut.source());
+        auto site = sites_.find(label);
+        if (site == sites_.end()) {
+            site = sites_.emplace(std::move(label), std::make_shared<AdviceSite>()).first;
+        }
+        woven.sites.push_back(site->second);
+    }
+    for (std::size_t i = 0; i < bindings.size(); ++i) {
+        const AdviceBinding& binding = bindings[i];
+        // Every hook is run_advice over (Woven*, AdviceSite*, advice). The
+        // Woven is heap-pinned, holds its sites, and withdraw retires it
+        // through the epoch domain after unhooking, so no hook — not even a
+        // superseded snapshot still being walked on another shard —
+        // outlives either.
+        auto hook = [w = &woven, site = woven.sites[i].get()](const auto& fn) {
             return [w, site, fn](auto&&... args) {
-                return run_advice(*w, site, fn, std::forward<decltype(args)>(args)...);
+                return run_advice(*w, *site, fn, std::forward<decltype(args)>(args)...);
             };
         };
         const int prio = binding.priority;
@@ -211,6 +230,11 @@ void Weaver::withdraw_all(WithdrawReason reason) {
 std::shared_ptr<Aspect> Weaver::find(AspectId id) const {
     auto it = woven_.find(id);
     return it == woven_.end() ? nullptr : it->second->aspect;
+}
+
+const AdviceSite* Weaver::site(std::string_view extension, std::string_view pointcut) const {
+    auto it = sites_.find(site_label(extension, pointcut));
+    return it == sites_.end() ? nullptr : it->second.get();
 }
 
 const WeaveReport* Weaver::report(AspectId id) const {

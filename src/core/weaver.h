@@ -10,15 +10,31 @@
 #include <map>
 #include <atomic>
 #include <memory>
+#include <string_view>
 
 #include "common/ids.h"
 #include "core/aspect.h"
 #include "core/matchplan.h"
-#include "obs/profile.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rt/runtime.h"
 
 namespace pmp::prose {
+
+/// One (extension, pointcut)'s advice bill on one node, the profiler's
+/// unit of blame: every execution is counted exactly, and the ones the
+/// site's own count numbers 0, N, 2N, ... (N = kTimeEvery) are timed, plus
+/// the first execution of every weave. The decision is per site, so a
+/// periodic call mix across sites cannot starve one of them of samples.
+struct AdviceSite {
+    static constexpr std::uint64_t kTimeEvery = 32;
+
+    obs::Counter calls;                                ///< profile.advice_calls
+    obs::Histogram advice_ns{std::vector<double>{}};  ///< profile.advice_ns (ns edges)
+
+    /// Count one execution; true when it is one to time.
+    bool count() { return calls.fetch_inc() % kTimeEvery == 0; }
+};
 
 /// How many join points a weave touched — used by tests, the weaving bench
 /// (DESIGN.md E1) and MIDAS logging.
@@ -58,6 +74,11 @@ public:
     /// The weaver's pointcut-match cache (diagnostics, tests).
     const MatchPlan& plan() const { return plan_; }
 
+    /// This node's bill for one (extension, pointcut), kept for the
+    /// weaver's life so a re-weave carries on the same count; null if the
+    /// pair was never woven here.
+    const AdviceSite* site(std::string_view extension, std::string_view pointcut) const;
+
 private:
     struct Woven {
         std::shared_ptr<Aspect> aspect;
@@ -66,6 +87,10 @@ private:
         /// instead of sweeping every member of every type.
         std::vector<rt::Method*> hooked_methods;
         std::vector<rt::Field*> hooked_fields;
+        /// One site per binding, in binding order. Hooks capture the raw
+        /// pointer; holding a share here keeps each site alive as long as
+        /// this (possibly retired) entry, even past ~Weaver.
+        std::vector<std::shared_ptr<AdviceSite>> sites;
         /// Causal position of the weave span. The first advice execution
         /// emits an `advice.first_dispatch` instant under this context, so
         /// install → verify → weave → first dispatch reads as one tree even
@@ -79,8 +104,7 @@ private:
     void weave_into_type(rt::TypeInfo& type, AspectId id, Woven& woven);
     /// The one composition point every advice execution passes through.
     template <typename Fn, typename... Args>
-    static auto run_advice(Woven& w, const obs::Profiler::Site& site, const Fn& fn,
-                           Args&&... args);
+    static auto run_advice(Woven& w, AdviceSite& site, const Fn& fn, Args&&... args);
     void on_type_registered(rt::TypeInfo& type);
 
     rt::Runtime& runtime_;
@@ -93,6 +117,9 @@ private:
     /// still be walking a superseded hook-table snapshot whose closures
     /// dereference it until the grace period passes.
     std::map<AspectId, std::unique_ptr<Woven>> woven_;
+    /// Every site ever woven here, by "<extension>|<pointcut>" label.
+    std::map<std::string, std::shared_ptr<AdviceSite>, std::less<>> sites_;
+    obs::Source obs_source_;  // last: unregisters before the sites it reads
 };
 
 }  // namespace pmp::prose

@@ -9,7 +9,6 @@
 
 #include "common/log.h"
 #include "obs/flight.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "sim/failpoint.h"
 
@@ -57,6 +56,7 @@ AdaptationService::AdaptationService(rt::RpcEndpoint& rpc, prose::Weaver& weaver
           rows.counter("prose.pointcut.cache_hits", l, s.pointcut_cache_hits);
           rows.counter("midas.receiver.cache_evictions", l, s.cache_evictions);
           rows.gauge("midas.extensions", l, s.extensions);
+          for (const auto& [ext, steps] : s.steps) rows.counter("profile.steps", ext, steps);
       })) {
     if (journal_) recover();
 
@@ -619,16 +619,16 @@ rt::Value AdaptationService::do_install(NodeId base, const Bytes& sealed,
         }
         prose::ScriptAspect compiled(pkg.name, std::move(unit), std::move(bindings),
                                      std::move(sandbox), builtins, pkg.config);
-        // One step observer, two consumers: the profiler's per-extension
-        // step counter is always fed (cost attribution is free — one
-        // counter bump per outermost advice return), and the governor's
-        // lease-window account only when budgets are armed. The interpreter
-        // lives in the shared aspect, which the receiver withdraws before
-        // dying, so `this` outlives the observer.
-        obs::Counter* steps_c = obs::Profiler::global().step_counter(pkg.name);
+        // One step observer, two consumers: this node's per-extension step
+        // count is always fed (cost attribution is free — one add per
+        // outermost advice return), and the governor's lease-window account
+        // only when budgets are armed. The interpreter lives in the shared
+        // aspect, which the receiver withdraws before dying, so `this` (and
+        // the map node, never erased) outlives the observer.
+        std::uint64_t* steps_total = &stats_.steps[pkg.name];
         compiled.engine().set_step_observer(
-            [this, id, steps_c, governed = governor_enabled()](std::uint64_t steps) {
-                steps_c->inc(steps);
+            [this, id, steps_total, governed = governor_enabled()](std::uint64_t steps) {
+                *steps_total += steps;
                 if (governed) governor_charge(id, steps);
             });
         compiled.aspect()->set_guard(guard_for(id));

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <list>
+#include <map>
 #include <optional>
 #include <set>
 
@@ -175,7 +176,8 @@ public:
     void withdraw_all(prose::WithdrawReason reason = prose::WithdrawReason::kExplicit);
 
     /// This node's counters, exported labelled by node under `midas.*`,
-    /// `recv.governor.*`, `script.compile.*` and `prose.pointcut.*`.
+    /// `recv.governor.*`, `script.compile.*` and `prose.pointcut.*`, plus
+    /// `profile.steps` labelled by extension.
     struct Stats {
         std::uint64_t installs = 0;
         std::uint64_t replacements = 0;
@@ -197,6 +199,9 @@ public:
         std::uint64_t pointcut_cache_hits = 0;
         std::uint64_t cache_evictions = 0;
         std::int64_t extensions = 0;  ///< gauge: extensions installed now
+        /// Script steps per extension name (`profile.steps`), fed by each
+        /// installed engine's step observer.
+        std::map<std::string, std::uint64_t> steps;
     };
     const Stats& stats() const { return stats_; }
 

@@ -40,49 +40,6 @@ std::uint32_t cohort_bucket(const std::string& pkg, const std::string& label) {
     return static_cast<std::uint32_t>(h % 10000);
 }
 
-/// Same interpolation as obs::Histogram::quantile, over externally summed
-/// buckets (we fold every profile site of one extension, and window by
-/// subtracting a baseline — a live Histogram can do neither).
-double p95_of(const std::vector<double>& bounds,
-              const std::vector<std::uint64_t>& buckets, std::uint64_t count) {
-    if (count == 0 || bounds.empty()) return 0.0;
-    double rank = 0.95 * static_cast<double>(count);
-    double cumulative = 0;
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-        double next = cumulative + static_cast<double>(buckets[i]);
-        if (next >= rank && buckets[i] > 0) {
-            if (i >= bounds.size()) return bounds.back();
-            double lo = i == 0 ? 0.0 : bounds[i - 1];
-            double hi = bounds[i];
-            double fraction = (rank - cumulative) / static_cast<double>(buckets[i]);
-            return lo + fraction * (hi - lo);
-        }
-        cumulative = next;
-    }
-    return bounds.back();
-}
-
-/// Fold every profile.advice_ns site of `pkg` ("<pkg>|<pointcut>" labels)
-/// into one bucket vector. Sites are per (extension, pointcut) — the
-/// incumbent and the canary share them, so the windowed delta mixes both
-/// while a stage runs; docs/rollout.md spells out the dilution caveat.
-void fold_advice_ns(const std::string& pkg, std::vector<double>& bounds,
-                    std::vector<std::uint64_t>& buckets, std::uint64_t& count) {
-    const std::string prefix = pkg + "|";
-    obs::Registry::global().visit_histograms(
-        [&](const std::string& name, const std::string& label, const obs::Histogram& h) {
-            if (name != "profile.advice_ns") return;
-            if (label.rfind(prefix, 0) != 0) return;
-            if (bounds.empty()) bounds = h.bounds();
-            const std::vector<std::uint64_t> counts = h.buckets();
-            if (buckets.size() < counts.size()) buckets.resize(counts.size(), 0);
-            for (std::size_t i = 0; i < counts.size(); ++i) {
-                buckets[i] += counts[i];
-                count += counts[i];
-            }
-        });
-}
-
 const char* status_name(RolloutController::Status s) {
     switch (s) {
         case RolloutController::Status::kActive: return "active";
@@ -162,8 +119,7 @@ RolloutController::View RolloutController::view_of(const Rollout& r) const {
     v.upgraded = confirmed_in_cohort(r);
     v.status = r.status;
     v.abort_cause = r.abort_cause;
-    v.health = Health{static_cast<int>(r.quarantined.size()), r.escalations, r.refusal_streak,
-                      r.baseline_p95, r.window_p95};
+    v.health = Health{static_cast<int>(r.quarantined.size()), r.escalations, r.refusal_streak};
     v.verdicts = r.verdicts;
     return v;
 }
@@ -189,9 +145,7 @@ rt::Value RolloutController::status_value() const {
              Value{Dict{{"quarantines", Value{static_cast<std::int64_t>(v.health.quarantines)}},
                         {"escalations", Value{static_cast<std::int64_t>(v.health.escalations)}},
                         {"refusal_streak",
-                         Value{static_cast<std::int64_t>(v.health.refusal_streak)}},
-                        {"baseline_p95_ns", Value{v.health.baseline_p95_ns}},
-                        {"window_p95_ns", Value{v.health.window_p95_ns}}}}},
+                         Value{static_cast<std::int64_t>(v.health.refusal_streak)}}}}},
             {"verdicts", Value{std::move(verdicts)}}}});
     }
     return Value{std::move(out)};
@@ -215,15 +169,6 @@ void RolloutController::begin(ExtensionPackage pkg, Bytes sealed, std::string ha
     if (r.stages_bp.back() != 10000) r.stages_bp.push_back(10000);
     r.stage_since = base_.rpc_.router().simulator().now();
 
-    // Latency baseline: the incumbent's advice distribution as of now.
-    if (config_.latency_factor > 0) {
-        std::vector<double> bounds;
-        fold_advice_ns(r.name, bounds, r.lat_buckets0, r.lat_count0);
-        if (r.lat_count0 >= config_.latency_min_samples) {
-            r.baseline_p95 = p95_of(bounds, r.lat_buckets0, r.lat_count0);
-        }
-    }
-
     const std::string name = r.name;
     auto [it, _] = rollouts_.insert_or_assign(name, std::move(r));
     Rollout& live = it->second;
@@ -238,7 +183,6 @@ void RolloutController::begin(ExtensionPackage pkg, Bytes sealed, std::string ha
     log_info(base_.rpc_.router().simulator().now(), "midas.base@" + base_.config_.issuer,
              "rollout of '", live.name, "' v", live.pkg.version, " begins: ",
              live.stages_bp.size(), " stages, incumbent v", live.incumbent_version);
-    capture_latency_baseline(live);
     open_stage_span(live);
     push_canary_to_cohort(live, kNoStage);
     arm_timer();
@@ -294,7 +238,6 @@ void RolloutController::adopt(const BaseDurableState::RolloutEntry& entry) {
     const std::string name = r.name;
     auto [it, _] = rollouts_.insert_or_assign(name, std::move(r));
     if (is_active) {
-        capture_latency_baseline(it->second);
         open_stage_span(it->second);
         arm_timer();
         log_info(base_.rpc_.router().simulator().now(), "midas.base@" + base_.config_.issuer,
@@ -391,32 +334,6 @@ void RolloutController::note_escalations(const std::string& name, const std::str
     it->second.escalations += static_cast<int>(count);
 }
 
-void RolloutController::capture_latency_baseline(Rollout& r) {
-    if (config_.latency_factor <= 0) return;
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    fold_advice_ns(r.name, bounds, buckets, count);
-    r.lat_buckets0 = std::move(buckets);
-    r.lat_count0 = count;
-    r.window_p95 = 0;
-}
-
-void RolloutController::poll_latency(Rollout& r) {
-    if (config_.latency_factor <= 0 || r.baseline_p95 <= 0) return;
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    fold_advice_ns(r.name, bounds, buckets, count);
-    if (buckets.size() < r.lat_buckets0.size() || count < r.lat_count0) return;
-    std::vector<std::uint64_t> delta = buckets;
-    for (std::size_t i = 0; i < r.lat_buckets0.size(); ++i) delta[i] -= r.lat_buckets0[i];
-    std::uint64_t window_count = count - r.lat_count0;
-    if (window_count >= config_.latency_min_samples) {
-        r.window_p95 = p95_of(bounds, delta, window_count);
-    }
-}
-
 std::string RolloutController::gate_breach(const Rollout& r) const {
     const int quarantines = static_cast<int>(r.quarantined.size());
     if (config_.quarantine_tolerance > 0 && quarantines >= config_.quarantine_tolerance) {
@@ -431,11 +348,6 @@ std::string RolloutController::gate_breach(const Rollout& r) const {
         return "governor-escalation: " + std::to_string(r.escalations) +
                " throttle/suspend escalations on cohort nodes";
     }
-    if (config_.latency_factor > 0 && r.baseline_p95 > 0 && r.window_p95 > 0 &&
-        r.window_p95 > config_.latency_factor * r.baseline_p95) {
-        return "latency-regression: advice p95 " + std::to_string(r.window_p95) +
-               "ns vs incumbent baseline " + std::to_string(r.baseline_p95) + "ns";
-    }
     return {};
 }
 
@@ -445,7 +357,6 @@ void RolloutController::tick() {
     bool any_active = false;
     for (auto& [_, r] : rollouts_) {
         if (r.status != Status::kActive) continue;
-        poll_latency(r);
         std::string cause = gate_breach(r);
         if (!cause.empty()) {
             abort(r, cause);
@@ -512,7 +423,6 @@ void RolloutController::promote(Rollout& r) {
     log_info(base_.rpc_.router().simulator().now(), "midas.base@" + base_.config_.issuer,
              "rollout of '", r.name, "' promoted to stage ", r.stage, " (",
              r.stages_bp[r.stage] / 100, "% of fleet)");
-    capture_latency_baseline(r);
     open_stage_span(r);
     push_canary_to_cohort(r, old_stage);
 }

@@ -12,8 +12,8 @@
 // fed by what the protocol itself carries back to the base — install
 // refusals (a quarantine refusal names the node that quarantined the
 // canary) and the governor escalations receivers report on keep-alive
-// replies — plus the opt-in obs::Profiler advice-latency gate against the
-// incumbent.
+// replies. No gate reads telemetry: every abort cause is something a
+// reply or a lease outcome told the base.
 //
 // A breached gate rolls the fleet back automatically: the base kept the
 // incumbent pinned in its policy set (every node outside the cohort,
@@ -70,15 +70,6 @@ struct RolloutConfig {
     int refusal_tolerance = 3;
     /// Governor throttle/suspend escalations on cohort nodes.
     int escalation_tolerance = 3;
-    /// Latency gate: abort when the canary's windowed advice p95 exceeds
-    /// `latency_factor` × the incumbent's baseline p95 with at least
-    /// `latency_min_samples` *timed* samples in both (one advice execution
-    /// in obs::Profiler::kTimeEvery per site is timed). 0 disables (the
-    /// default: advice latency is wall-clock, so an armed gate trades
-    /// bit-identical seed replay for regression coverage — see
-    /// docs/rollout.md).
-    double latency_factor = 0.0;
-    std::uint64_t latency_min_samples = 50;
 };
 
 /// Drives staged rollouts for one ExtensionBase. Owned by the base;
@@ -91,8 +82,6 @@ public:
         int quarantines = 0;    ///< cohort nodes that refused the canary as quarantined
         int escalations = 0;    ///< governor throttles+suspends reported by cohort nodes
         int refusal_streak = 0; ///< consecutive non-transport install failures
-        double baseline_p95_ns = 0;  ///< incumbent advice p95 at begin()
-        double window_p95_ns = 0;    ///< canary advice p95 this stage
     };
 
     /// Read-only snapshot of one rollout, for tests and dashboards.
@@ -161,10 +150,6 @@ private:
         std::set<std::string> quarantined;  ///< labels that refused it as quarantined
         int escalations = 0;
         int refusal_streak = 0;
-        std::vector<std::uint64_t> lat_buckets0;  ///< advice_ns at stage entry
-        std::uint64_t lat_count0 = 0;
-        double baseline_p95 = 0;
-        double window_p95 = 0;
         std::vector<std::string> verdicts;
     };
 
@@ -192,10 +177,6 @@ private:
     bool in_cohort(const Rollout& r, std::size_t stage, const std::string& label) const;
     std::size_t cohort_size(const Rollout& r, std::size_t stage) const;
     std::size_t confirmed_in_cohort(const Rollout& r) const;
-    /// Opt-in latency gate: the stage window's profile.advice_ns baseline,
-    /// and the windowed canary p95 measured against it.
-    void capture_latency_baseline(Rollout& r);
-    void poll_latency(Rollout& r);
     /// Non-empty = abort cause.
     std::string gate_breach(const Rollout& r) const;
     void push_canary_to_cohort(Rollout& r, std::size_t from_stage);

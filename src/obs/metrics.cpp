@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <tuple>
 #include <utility>
 
 namespace pmp::obs {
@@ -11,6 +10,15 @@ namespace pmp::obs {
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(bounds.empty() ? latency_ns_bounds() : std::move(bounds)),
       buckets_(bounds_.size() + 1) {}
+
+Histogram::Histogram(std::vector<double> bounds, const std::vector<std::uint64_t>& buckets,
+                     double sum)
+    : Histogram(std::move(bounds)) {
+    for (std::size_t i = 0; i < buckets.size() && i < buckets_.size(); ++i) {
+        buckets_[i].store(buckets[i], std::memory_order_relaxed);
+    }
+    sum_.store(sum, std::memory_order_relaxed);
+}
 
 void Histogram::observe(double v) {
     if (!detail::g_enabled) return;
@@ -138,6 +146,22 @@ void Rows::gauge(std::string_view name, std::string_view label, std::int64_t val
     add_row(gauges_, name, label, value);
 }
 
+void Rows::histogram(std::string_view name, std::string_view label, const Histogram& h) {
+    add_row(histograms_, name, label, HistogramRow{h.bounds(), h.buckets(), h.sum()});
+}
+
+Rows::HistogramRow& Rows::HistogramRow::operator+=(const HistogramRow& other) {
+    if (buckets.empty()) {
+        bounds = other.bounds;
+        buckets.assign(other.buckets.size(), 0);
+    }
+    for (std::size_t i = 0; i < buckets.size() && i < other.buckets.size(); ++i) {
+        buckets[i] += other.buckets[i];
+    }
+    sum += other.sum;
+    return *this;
+}
+
 Source::Source(Source&& other) noexcept
     : reg_(std::exchange(other.reg_, nullptr)), id_(other.id_) {}
 
@@ -234,9 +258,13 @@ Rows Registry::collect() const {
     for (const auto& [name, family] : gauges_) {
         for (const auto& [label, g] : family) rows.gauge(name, label, g->value());
     }
+    for (const auto& [name, family] : histograms_) {
+        for (const auto& [label, h] : family) rows.histogram(name, label, *h);
+    }
     for (const auto& [_, fn] : sources_) fn(rows);
     cap_labels(rows.counters_);
     cap_labels(rows.gauges_);
+    cap_labels(rows.histograms_);
     return rows;
 }
 
@@ -257,20 +285,15 @@ void Registry::visit_gauges(
     }
 }
 
-// Histograms are pinned only: gather pointers under the lock, then run the
-// callback outside it (slots are unique_ptr-pinned, so the pointers stay
-// valid).
 void Registry::visit_histograms(
     const std::function<void(const std::string&, const std::string&, const Histogram&)>& fn)
     const {
-    std::vector<std::tuple<const std::string*, const std::string*, const Histogram*>> items;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto& [name, family] : histograms_) {
-            for (const auto& [label, h] : family) items.emplace_back(&name, &label, h.get());
+    Rows rows = collect();
+    for (const auto& [name, family] : rows.histograms_) {
+        for (const auto& [label, row] : family) {
+            fn(name, label, Histogram{row.bounds, row.buckets, row.sum});
         }
     }
-    for (const auto& [name, label, h] : items) fn(*name, *label, *h);
 }
 
 std::size_t Registry::size() const {

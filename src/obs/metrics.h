@@ -16,11 +16,11 @@
 //    live as long as the registry — process-wide families such as
 //    `rpc.retries` or `weaver.weaves`;
 //  * component sources. A per-instance component (one network, one
-//    adaptation service) keeps its numbers in its own plain stats struct —
-//    the one source of truth, read directly through its `stats()` — and
-//    registers one RAII-scoped `Source` that reports `(name, label, value)`
-//    rows when an exporter asks. The rows vanish with the component, so a
-//    successor with the same label starts from zero.
+//    adaptation service, one node's weaver) keeps its numbers in its own
+//    stats — the one source of truth, read directly through its `stats()`
+//    — and registers one RAII-scoped `Source` that reports counter, gauge
+//    and histogram rows when an exporter asks. The rows vanish with the
+//    component, so a successor with the same label starts from zero.
 #pragma once
 
 #include <atomic>
@@ -97,6 +97,8 @@ private:
 class Histogram {
 public:
     explicit Histogram(std::vector<double> bounds);
+    /// A histogram holding given contents (an export's summed row).
+    Histogram(std::vector<double> bounds, const std::vector<std::uint64_t>& buckets, double sum);
 
     void observe(double v);
 
@@ -134,13 +136,24 @@ class Rows {
 public:
     void counter(std::string_view name, std::string_view label, std::uint64_t value);
     void gauge(std::string_view name, std::string_view label, std::int64_t value);
+    /// Adds `h`'s buckets and sum to the (name, label) row.
+    void histogram(std::string_view name, std::string_view label, const Histogram& h);
 
 private:
     friend class Registry;
+    /// A histogram's contents, summed bucket by bucket: every row of one
+    /// (name, label) shares its bounds.
+    struct HistogramRow {
+        std::vector<double> bounds;
+        std::vector<std::uint64_t> buckets;
+        double sum = 0;
+        HistogramRow& operator+=(const HistogramRow& other);
+    };
     template <typename V>
     using Table = std::map<std::string, std::map<std::string, V, std::less<>>, std::less<>>;
     Table<std::uint64_t> counters_;
     Table<std::int64_t> gauges_;
+    Table<HistogramRow> histograms_;
 };
 
 class Registry;
@@ -171,10 +184,11 @@ private:
 /// Label cardinality is capped per metric name at `kLabelCap` distinct
 /// labels. A pinned family past the cap collapses further labels into the
 /// `kOverflowLabel` slot, so a misbehaving caller degrades the metric
-/// instead of growing memory without bound. An export keeps the first
-/// `kLabelCap` labels of each family in sorted order and sums the rest
-/// into `kOverflowLabel`. A component's own `stats()` are exact at any
-/// fleet size; only the export aggregates.
+/// instead of growing memory without bound. Source rows are capped at
+/// export only: an export keeps the first `kLabelCap` labels of each
+/// family in sorted order and sums the rest into `kOverflowLabel`. A
+/// component's own `stats()` are exact at any fleet size; only the export
+/// aggregates.
 class Registry {
 public:
     static constexpr std::size_t kLabelCap = 64;
@@ -196,7 +210,7 @@ public:
                          std::vector<double> bounds = {});
 
     /// Register a component source: `fn` reports the component's rows each
-    /// time an exporter visits counters or gauges. It runs under the
+    /// time an exporter visits a metric kind. It runs under the
     /// registry lock, so it must not call back into the registry.
     [[nodiscard]] Source add_source(std::function<void(Rows&)> fn);
 

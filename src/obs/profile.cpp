@@ -7,30 +7,6 @@
 
 namespace pmp::obs {
 
-Profiler& Profiler::global() {
-    static Profiler profiler;
-    return profiler;
-}
-
-namespace {
-
-std::string site_label(const std::string& extension, const std::string& pointcut) {
-    return extension + "|" + pointcut;
-}
-
-}  // namespace
-
-Profiler::Site Profiler::site(const std::string& extension, const std::string& pointcut) {
-    std::string label = site_label(extension, pointcut);
-    auto& reg = Registry::global();
-    return Site{&reg.counter("profile.advice_calls", label),
-                &reg.histogram("profile.advice_ns", label)};
-}
-
-Counter* Profiler::step_counter(const std::string& extension) {
-    return &Registry::global().counter("profile.steps", extension);
-}
-
 std::vector<ExtensionCost> attribution_from(const Snapshot& snap) {
     std::map<std::string, ExtensionCost> by_ext;
     auto split = [](const std::string& label) {

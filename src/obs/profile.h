@@ -1,13 +1,14 @@
 // Per-extension cost attribution and causal-tree analysis.
 //
 // Independently authored extensions share one node; when the node's
-// budget burns, someone must be billable. The Profiler owns that ledger:
-// the weaver's advice composition point counts every advice execution and
-// times one in Profiler::kTimeEvery of them (plus the first of every
-// weave), keyed (extension, pointcut) — so "which extension" and "which
-// join point of it" are both answerable — and the script engines'
-// step observer feeds it interpreter steps per extension (the same feed
-// the resource governor meters; both now draw from one observer).
+// budget burns, someone must be billable. Each node's weaver keeps that
+// ledger per (extension, pointcut) — so "which extension" and "which join
+// point of it" are both answerable — and reports it as
+// `profile.advice_calls` / `profile.advice_ns` rows labelled
+// "<extension>|<pointcut>" (prose::AdviceSite); the receiver reports the
+// script engines' interpreter steps per extension as `profile.steps`.
+// attribution_from folds those rows, summed over a process's nodes, into
+// per-extension bills.
 //
 // The second half operates on *finished traces*: build_trace_trees folds
 // a TraceEvent stream (live buffer, JSON dump, flight-recorder tail) into
@@ -28,45 +29,6 @@
 #include "obs/trace.h"
 
 namespace pmp::obs {
-
-class Profiler {
-public:
-    static Profiler& global();
-
-    /// A site times the executions its own exact count numbers 0, N, 2N...
-    /// The decision is per site, so a periodic call mix across sites cannot
-    /// starve one of them of samples.
-    static constexpr std::uint64_t kTimeEvery = 32;
-
-    /// Pinned registry slots for one (extension, pointcut) dispatch site,
-    /// resolved once at weave time; the woven hooks carry the Site by
-    /// value and record without any lookup.
-    struct Site {
-        Counter* calls = nullptr;
-        Histogram* advice_ns = nullptr;
-
-        /// Count one execution; true when it is one to time.
-        bool count() const { return calls->fetch_inc() % kTimeEvery == 0; }
-        /// The latency of an execution count() already counted.
-        void time(double ns) const { advice_ns->observe(ns); }
-        /// One counted, timed execution.
-        void record(double ns) const {
-            calls->inc();
-            advice_ns->observe(ns);
-        }
-    };
-
-    /// Resolve the slots for a dispatch site. Registered as
-    /// `profile.advice_calls` / `profile.advice_ns` with the label
-    /// "<extension>|<pointcut>".
-    Site site(const std::string& extension, const std::string& pointcut);
-
-    /// Pinned per-extension step counter (`profile.steps`). The script
-    /// engine's step observer increments it once per outermost call — the
-    /// same observation the receiver's resource governor charges windows
-    /// from.
-    Counter* step_counter(const std::string& extension);
-};
 
 /// One dispatch site's cost, decoded from a snapshot.
 struct SiteCost {

@@ -573,11 +573,21 @@ void list_chunk(const CompiledUnit& unit, const Chunk& chunk, std::string& out) 
                 if (in.b < 0) out += " slot " + std::to_string(-in.b - 1);
                 break;
             }
-            default:
-                if (in.a || in.b) {
-                    out += " " + std::to_string(in.a);
-                    if (in.b) out += " " + std::to_string(in.b);
-                }
+            case Op::kLoadLocal:
+            case Op::kStoreLocal:
+            case Op::kLvalLocal:
+            case Op::kJump:
+            case Op::kJumpIfFalse:
+            case Op::kAndShort:
+            case Op::kOrShort:
+            case Op::kMakeList:
+            case Op::kForPrep:
+                out += " " + std::to_string(in.a);
+                break;
+            case Op::kForNext:
+                out += " " + std::to_string(in.a) + " " + std::to_string(in.b);
+                break;
+            default:  // takes no operand
                 break;
         }
         if (in.steps != 0) {

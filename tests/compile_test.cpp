@@ -279,6 +279,14 @@ TEST(Compile, DisassembleListsEveryChunk) {
     EXPECT_NE(listing.find("binary + slot 0 [steps 1, line 1]"), std::string::npos) << listing;
 }
 
+TEST(Compile, DisassemblePrintsOperandZero) {
+    // Slot 0 is an operand like any other: a function reading its first
+    // parameter lists the slot it loads.
+    auto unit = comp("fun first(a, b) { return a; }");
+    std::string listing = disassemble(*unit);
+    EXPECT_NE(listing.find("load_local 0 [steps"), std::string::npos) << listing;
+}
+
 TEST(Compile, UnitRetainsProgram) {
     auto program = std::make_shared<const Program>(parse("fun f() { }"));
     auto unit = compile(program);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -305,6 +306,46 @@ TEST(RcuDispatch, ConcurrentReadersSurviveWeaveWithdraw) {
     stop.store(true);
     for (auto& t : readers) t.join();
     EXPECT_GT(calls.load(), 0u);
+}
+
+TEST(RcuDispatch, ConcurrentReadersSurviveWeaverTeardown) {
+    // A node's weaver owns its advice-profile sites, and a hook captures
+    // its site by pointer. Readers still walking a superseded hook table
+    // after ~Weaver must find the site alive: the retired Woven holds it
+    // until the grace period ends.
+    rt::Runtime runtime("rcu-teardown-node");
+    runtime.register_type(calc_type());
+    auto obj = runtime.create("Calc", "calc:3");
+
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> calls{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 2; ++t) {
+        readers.emplace_back([&]() {
+            obs::TraceBuffer local(256);
+            obs::TraceBuffer::Redirect redirect(local);
+            while (!stop.load(std::memory_order_relaxed)) {
+                ASSERT_EQ(obj->call("add", {rt::Value{std::int64_t{1}}}).as_int(), 2);
+                calls.fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+    }
+    while (calls.load(std::memory_order_relaxed) < 8) std::this_thread::yield();
+    std::uint64_t advised = 0;
+    for (int round = 0; round < 200; ++round) {
+        auto weaver = std::make_unique<prose::Weaver>(runtime);
+        auto aspect = std::make_shared<prose::Aspect>("teardown");
+        aspect->before("call(* Calc.add(..))", [](rt::CallFrame&) {});
+        weaver->weave(aspect);
+        const std::uint64_t before = calls.load(std::memory_order_relaxed);
+        while (calls.load(std::memory_order_relaxed) < before + 2) std::this_thread::yield();
+        advised += weaver->site("teardown", "call(* Calc.add(..))")->calls.value();
+        weaver.reset();
+    }
+    stop.store(true);
+    for (auto& t : readers) t.join();
+    EXPECT_GT(advised, 0u);
+    EXPECT_FALSE(obj->type().method("add")->woven());
 }
 
 // ---------------------------------------------------- window semantics ----

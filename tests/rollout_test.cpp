@@ -30,7 +30,6 @@
 #include "midas/node.h"
 #include "midas/rollout.h"
 #include "midas/supervisor.h"
-#include "obs/profile.h"
 #include "robot/devices.h"
 
 namespace pmp::midas {
@@ -272,42 +271,6 @@ TEST(RolloutBasics, GovernorEscalationGatesPromotion) {
     ASSERT_EQ(v->status, RolloutController::Status::kAborted);
     EXPECT_EQ(v->abort_cause.rfind("governor-escalation:", 0), 0u) << v->abort_cause;
     ASSERT_TRUE(w.run_until([&] { return w.all_on("hall/policy", 1); }));
-}
-
-TEST(RolloutBasics, LatencyRegressionGateAbortsWhenArmed) {
-    BaseConfig bc;
-    bc.rollout = fast_rollout();
-    bc.rollout.stage_window = seconds(60);  // the gate must fire, not the ladder
-    bc.rollout.latency_factor = 2.0;
-    bc.rollout.latency_min_samples = 10;
-    FleetWorld w(19, 2, bc);
-    w.hall->base().add_extension(policy_pkg("hall/lat"));
-    ASSERT_TRUE(w.run_until([&] { return w.all_on("hall/lat", 1); }));
-
-    // The incumbent's advice cost, as the profiler would have recorded it.
-    obs::Profiler::Site site =
-        obs::Profiler::global().site("hall/lat", "call(* Motor.*(..))");
-    for (int i = 0; i < 20; ++i) site.record(1'000.0);
-
-    w.hall->base().begin_rollout(policy_pkg("hall/lat", "fun onEntry() { let x = 2; }"));
-    const RolloutController& rolc = w.hall->base().rollout();
-    {
-        auto v = rolc.view("hall/lat");
-        ASSERT_TRUE(v.has_value());
-        EXPECT_GT(v->health.baseline_p95_ns, 0.0);
-    }
-
-    // The canary's windowed samples: 100x the incumbent. Next health poll
-    // must breach the 2x factor and abort.
-    for (int i = 0; i < 20; ++i) site.record(100'000.0);
-    ASSERT_TRUE(w.run_until(
-        [&] {
-            auto v = rolc.view("hall/lat");
-            return v && v->status == RolloutController::Status::kAborted;
-        },
-        seconds(5)));
-    auto v = rolc.view("hall/lat");
-    EXPECT_EQ(v->abort_cause.rfind("latency-regression:", 0), 0u) << v->abort_cause;
 }
 
 // Regression: the quarantine gate once read each cohort node's

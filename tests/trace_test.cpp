@@ -407,16 +407,20 @@ TEST(TraceRecord, OpenSpanTableSurvivesWrapAndOrphansHonestly) {
 // --------------------------------------------------------------- profiler ----
 
 TEST(Profiler, AttributionFoldsSitesIntoExtensionBills) {
-    obs::Profiler::Site site_a = obs::Profiler::global().site("extA", "call(* T.m(..))");
-    obs::Profiler::Site site_b = obs::Profiler::global().site("extA", "fieldset(T.f)");
-    obs::Profiler::Site site_c = obs::Profiler::global().site("extB", "call(* T.m(..))");
-    site_a.record(1000.0);
-    site_a.record(3000.0);
-    site_b.record(500.0);
-    site_c.record(50.0);
-    obs::Profiler::global().step_counter("extA")->inc(25);
+    // The rows a node's weaver and receiver report, in a private registry.
+    obs::Registry reg;
+    auto record = [&reg](const std::string& label, std::initializer_list<double> ns) {
+        for (double v : ns) {
+            reg.counter("profile.advice_calls", label).inc();
+            reg.histogram("profile.advice_ns", label).observe(v);
+        }
+    };
+    record("extA|call(* T.m(..))", {1000.0, 3000.0});
+    record("extA|fieldset(T.f)", {500.0});
+    record("extB|call(* T.m(..))", {50.0});
+    reg.counter("profile.steps", "extA").inc(25);
 
-    auto bills = obs::attribution_from(obs::snapshot_metrics());
+    auto bills = obs::attribution_from(obs::snapshot_metrics(reg));
     auto find = [&](const std::string& name) -> const obs::ExtensionCost* {
         for (const auto& b : bills) {
             if (b.extension == name) return &b;
@@ -425,10 +429,10 @@ TEST(Profiler, AttributionFoldsSitesIntoExtensionBills) {
     };
     const obs::ExtensionCost* a = find("extA");
     ASSERT_NE(a, nullptr);
-    EXPECT_GE(a->invocations, 3u);
-    EXPECT_GE(a->total_ns, 4500.0);
-    EXPECT_GE(a->steps, 25u);
-    ASSERT_GE(a->sites.size(), 2u);
+    EXPECT_EQ(a->invocations, 3u);
+    EXPECT_DOUBLE_EQ(a->total_ns, 4500.0);
+    EXPECT_EQ(a->steps, 25u);
+    ASSERT_EQ(a->sites.size(), 2u);
     // Sites sorted by descending total cost.
     EXPECT_GE(a->sites[0].total_ns, a->sites[1].total_ns);
     ASSERT_NE(find("extB"), nullptr);
@@ -674,7 +678,13 @@ TEST(InstallChain, RpcSpansCarryOutcomeCause) {
 TEST(InstallChain, ProfilerBillsTheInstalledExtension) {
     EnabledGuard guard;
     obs::set_enabled(true);
-    run_install_scenario(42);
+    // Site and step rows belong to the robot's weaver and receiver and
+    // vanish with them, so the bill is read while the world is alive.
+    TraceWorld w(42);
+    w.hall->base().add_extension(motor_monitor_pkg());
+    ASSERT_TRUE(w.run_until([&] { return w.robot->receiver().installed_count() == 1; }));
+    w.motor->call("rotate", {Value{1.0}});
+    w.sim.run_for(milliseconds(200));
     auto bills = obs::attribution_from(obs::snapshot_metrics());
     const obs::ExtensionCost* monitor = nullptr;
     for (const auto& b : bills) {
@@ -684,6 +694,8 @@ TEST(InstallChain, ProfilerBillsTheInstalledExtension) {
     EXPECT_GE(monitor->invocations, 1u);
     EXPECT_GT(monitor->total_ns, 0.0);
     EXPECT_GE(monitor->steps, 1u);  // the script engine's step feed
+    // One robot runs the extension: the export is its receiver's own count.
+    EXPECT_EQ(monitor->steps, w.robot->receiver().stats().steps.at("hall/monitor"));
     ASSERT_GE(monitor->sites.size(), 1u);
     EXPECT_EQ(monitor->sites[0].pointcut, "call(* Motor.*(..))");
 }

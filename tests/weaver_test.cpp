@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <random>
 
 #include "common/error.h"
 #include "core/weaver.h"
+#include "obs/export.h"
 #include "obs/trace.h"
 
 namespace pmp::prose {
@@ -445,26 +447,7 @@ TEST_F(GuardTest, SuspendedGuardedAspectLeavesUnguardedAspectAlone) {
 
 // ------------------------------------------------- sampled advice timing ----
 
-constexpr std::uint64_t kTimeEvery = obs::Profiler::kTimeEvery;
-
-/// The profiler's slots for one dispatch site, zeroed so the test reads
-/// only its own executions (the registry is process-wide).
-obs::Profiler::Site fresh_site(const std::string& extension, const std::string& pointcut) {
-    obs::Profiler::Site site = obs::Profiler::global().site(extension, pointcut);
-    site.calls->reset();
-    site.advice_ns->reset();
-    return site;
-}
-
-// The registry folds a family's labels past the 64th into one overflow
-// slot, and a full run of this binary weaves more sites than that. Pinning
-// the sites the weaver tests below read during static initialisation gives
-// each its own slot whatever runs first.
-const obs::Profiler::Site kPinnedSites[] = {
-    obs::Profiler::global().site("sampled-count", "call(* Sensor.read(..))"),
-    obs::Profiler::global().site("sampled-mix", "call(* Motor.rotate(..))"),
-    obs::Profiler::global().site("sampled-mix", "call(* Sensor.read(..))"),
-};
+constexpr std::uint64_t kTimeEvery = AdviceSite::kTimeEvery;
 
 std::uint64_t timed_of(std::uint64_t calls) { return (calls + kTimeEvery - 1) / kTimeEvery; }
 
@@ -478,21 +461,23 @@ TEST_F(WeaverTest, SampledTimingCountsEveryCallAndTimesOneInN) {
         return aspect;
     };
     AspectId id = weaver_.weave(sampled());
-    obs::Profiler::Site site = fresh_site("sampled-count", "call(* Sensor.read(..))");
+    const AdviceSite* site = weaver_.site("sampled-count", "call(* Sensor.read(..))");
+    ASSERT_NE(site, nullptr);
 
     for (std::uint64_t i = 0; i < calls; ++i) sensor_->call("read", {});
-    EXPECT_EQ(site.calls->value(), calls);
+    EXPECT_EQ(site->calls.value(), calls);
     // Executions 0, N, 2N, ... of the site are timed: the first call is one.
-    EXPECT_EQ(site.advice_ns->count(), timed_of(calls));
+    EXPECT_EQ(site->advice_ns.count(), timed_of(calls));
     EXPECT_EQ(outcomes, calls);
 
     // A new weave of the same extension lands mid-period on the site's
     // count, and its first execution is timed all the same.
     weaver_.withdraw(id);
     weaver_.weave(sampled());
+    EXPECT_EQ(weaver_.site("sampled-count", "call(* Sensor.read(..))"), site);
     sensor_->call("read", {});
-    EXPECT_EQ(site.calls->value(), calls + 1);
-    EXPECT_EQ(site.advice_ns->count(), timed_of(calls) + 1);
+    EXPECT_EQ(site->calls.value(), calls + 1);
+    EXPECT_EQ(site->advice_ns.count(), timed_of(calls) + 1);
     EXPECT_EQ(outcomes, calls + 1);
 }
 
@@ -504,38 +489,34 @@ TEST_F(WeaverTest, SampledTimingIsPerSiteUnderAPeriodicCallMix) {
     aspect->before("call(* Motor.rotate(..))", [](CallFrame&) {});
     aspect->before("call(* Sensor.read(..))", [](CallFrame&) {});
     weaver_.weave(aspect);
-    obs::Profiler::Site rotate = fresh_site("sampled-mix", "call(* Motor.rotate(..))");
-    obs::Profiler::Site read = fresh_site("sampled-mix", "call(* Sensor.read(..))");
+    const AdviceSite* rotate = weaver_.site("sampled-mix", "call(* Motor.rotate(..))");
+    const AdviceSite* read = weaver_.site("sampled-mix", "call(* Sensor.read(..))");
+    ASSERT_NE(rotate, nullptr);
+    ASSERT_NE(read, nullptr);
 
     const std::uint64_t rounds = 3 * kTimeEvery;
     for (std::uint64_t r = 0; r < rounds; ++r) {
         for (std::uint64_t i = 0; i + 1 < kTimeEvery; ++i) motor_->call("rotate", {Value{1.0}});
         sensor_->call("read", {});
     }
-    EXPECT_EQ(rotate.calls->value(), rounds * (kTimeEvery - 1));
-    EXPECT_EQ(read.calls->value(), rounds);
-    EXPECT_EQ(rotate.advice_ns->count(), timed_of(rounds * (kTimeEvery - 1)));
-    EXPECT_EQ(read.advice_ns->count(), timed_of(rounds));
+    EXPECT_EQ(rotate->calls.value(), rounds * (kTimeEvery - 1));
+    EXPECT_EQ(read->calls.value(), rounds);
+    EXPECT_EQ(rotate->advice_ns.count(), timed_of(rounds * (kTimeEvery - 1)));
+    EXPECT_EQ(read->advice_ns.count(), timed_of(rounds));
 }
 
 TEST(SampledTiming, QuantilesStayWithinOneBucketOfExactTiming) {
     // Two sites in the same period-N mix as above, fed seeded latencies:
     // each "exact" site records every call, each "sampled" site only the
     // calls its own count() selects — the weaver's decision.
-    obs::Registry reg;
-    auto site = [&reg](const std::string& label) {
-        return obs::Profiler::Site{&reg.counter("profile.advice_calls", label),
-                                   &reg.histogram("profile.advice_ns", label)};
-    };
-    obs::Profiler::Site exact_fast = site("exact|fast"), exact_slow = site("exact|slow");
-    obs::Profiler::Site sampled_fast = site("sampled|fast"), sampled_slow = site("sampled|slow");
+    AdviceSite exact_fast, exact_slow, sampled_fast, sampled_slow;
     std::mt19937_64 rng(21);
     std::lognormal_distribution<double> fast(std::log(400.0), 0.6);
     std::lognormal_distribution<double> slow(std::log(6000.0), 0.9);
-    auto feed = [](const obs::Profiler::Site& exact, const obs::Profiler::Site& sampled,
-                   double ns) {
-        exact.record(ns);
-        if (sampled.count()) sampled.time(ns);
+    auto feed = [](AdviceSite& exact, AdviceSite& sampled, double ns) {
+        exact.calls.inc();
+        exact.advice_ns.observe(ns);
+        if (sampled.count()) sampled.advice_ns.observe(ns);
     };
     for (std::uint64_t r = 0; r < 500 * kTimeEvery; ++r) {
         for (std::uint64_t i = 0; i + 1 < kTimeEvery; ++i) {
@@ -549,18 +530,96 @@ TEST(SampledTiming, QuantilesStayWithinOneBucketOfExactTiming) {
         return static_cast<long>(std::lower_bound(bounds.begin(), bounds.end(), v) -
                                  bounds.begin());
     };
-    for (auto [exact, sampled] : {std::pair{exact_fast, sampled_fast},
-                                  std::pair{exact_slow, sampled_slow}}) {
-        EXPECT_EQ(sampled.calls->value(), exact.calls->value());
-        EXPECT_EQ(sampled.advice_ns->count(), timed_of(exact.calls->value()));
+    for (auto [exact, sampled] : {std::pair{&exact_fast, &sampled_fast},
+                                  std::pair{&exact_slow, &sampled_slow}}) {
+        EXPECT_EQ(sampled->calls.value(), exact->calls.value());
+        EXPECT_EQ(sampled->advice_ns.count(), timed_of(exact->calls.value()));
         for (double q : {0.50, 0.95}) {
-            EXPECT_LE(std::abs(bucket(sampled.advice_ns->quantile(q)) -
-                               bucket(exact.advice_ns->quantile(q))),
+            EXPECT_LE(std::abs(bucket(sampled->advice_ns.quantile(q)) -
+                               bucket(exact->advice_ns.quantile(q))),
                       1)
-                << "q=" << q << " exact=" << exact.advice_ns->quantile(q)
-                << " sampled=" << sampled.advice_ns->quantile(q);
+                << "q=" << q << " exact=" << exact->advice_ns.quantile(q)
+                << " sampled=" << sampled->advice_ns.quantile(q);
         }
     }
+}
+
+// --------------------------------------------- sites past the label cap ----
+
+TEST_F(WeaverTest, SitesPastTheLabelCapStayExactAndFoldOnlyAtExport) {
+    // More (extension, pointcut) sites than an export keeps labels, none
+    // pinned anywhere. Site i is woven, called i + 1 times and withdrawn, so
+    // every site holds a different exact count.
+    constexpr std::size_t kSites = obs::Registry::kLabelCap + 6;
+    const std::string pointcut = "call(* Sensor.read(..))";
+    auto ext = [](std::size_t i) {
+        char name[16];
+        std::snprintf(name, sizeof(name), "cap-%03zu", i);
+        return std::string(name);
+    };
+    for (std::size_t i = 0; i < kSites; ++i) {
+        auto aspect = std::make_shared<Aspect>(ext(i));
+        aspect->before(pointcut, [](CallFrame&) {});
+        AspectId id = weaver_.weave(aspect);
+        for (std::size_t n = 0; n <= i; ++n) sensor_->call("read", {});
+        weaver_.withdraw(id);
+    }
+    std::uint64_t true_calls = 0, true_timed = 0;
+    for (std::size_t i = 0; i < kSites; ++i) {
+        const AdviceSite* site = weaver_.site(ext(i), pointcut);
+        ASSERT_NE(site, nullptr) << ext(i);
+        EXPECT_EQ(site->calls.value(), i + 1) << ext(i);
+        EXPECT_EQ(site->advice_ns.count(), timed_of(i + 1)) << ext(i);
+        true_calls += i + 1;
+        true_timed += timed_of(i + 1);
+    }
+
+    // A second node weaving the first site adds to the same exported label.
+    rt::Runtime other_runtime("other");
+    Weaver other(other_runtime);
+    other_runtime.register_type(sensor_type());
+    auto other_sensor = other_runtime.create("Sensor", "sensor:u");
+    auto first = std::make_shared<Aspect>(ext(0));
+    first->before(pointcut, [](CallFrame&) {});
+    other.weave(first);
+    for (int n = 0; n < 5; ++n) other_sensor->call("read", {});
+    EXPECT_EQ(other.site(ext(0), pointcut)->calls.value(), 5u);
+    true_calls += 5;
+    true_timed += timed_of(5);
+
+    // The export keeps the first 64 labels in sorted order, each exact,
+    // folds the rest into ~other, and the family sums to the true total.
+    obs::Snapshot snap = obs::snapshot_metrics();
+    std::vector<std::string> labels;
+    std::uint64_t exported_calls = 0, overflow_calls = 0;
+    for (const obs::CounterSample& c : snap.counters) {
+        if (c.name != "profile.advice_calls") continue;
+        exported_calls += c.value;
+        if (c.label == obs::Registry::kOverflowLabel) {
+            overflow_calls = c.value;
+        } else {
+            labels.push_back(c.label);
+        }
+    }
+    ASSERT_EQ(labels.size(), obs::Registry::kLabelCap);
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+        EXPECT_EQ(labels[i], ext(i) + "|" + pointcut);
+        EXPECT_EQ(snap.counter("profile.advice_calls", labels[i]), i == 0 ? 1u + 5u : i + 1);
+    }
+    std::uint64_t folded = 0;
+    for (std::size_t i = obs::Registry::kLabelCap; i < kSites; ++i) folded += i + 1;
+    EXPECT_EQ(overflow_calls, folded);
+    EXPECT_EQ(exported_calls, true_calls);
+
+    std::size_t histogram_labels = 0;
+    std::uint64_t exported_timed = 0;
+    for (const obs::HistogramSample& h : snap.histograms) {
+        if (h.name != "profile.advice_ns") continue;
+        ++histogram_labels;
+        exported_timed += h.count;
+    }
+    EXPECT_EQ(histogram_labels, obs::Registry::kLabelCap + 1);
+    EXPECT_EQ(exported_timed, true_timed);
 }
 
 }  // namespace
